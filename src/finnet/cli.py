@@ -44,6 +44,7 @@ from .invariance import (
 from .netmodel import FinancialNetwork, ShiftedModel, simulate, validate
 from .numerics import (
     InfeasibleError,
+    IterationLimitError,
     LinearProgram,
     SingularMatrixError,
     UnboundedError,
@@ -72,11 +73,16 @@ SOLVER_ERRORS = (
     NotDeterminedError,
     InsufficientLengthError,
     IterationCapReached,
+    IterationLimitError,
 )
 
 
 class ScenarioError(ValueError):
     """Scenario file missing, malformed, or failing validation."""
+
+
+def _reject_constant(token: str) -> float:
+    raise ScenarioError(f"non-finite number {token} is not allowed")
 
 
 def _load_scenario(path: str | None) -> dict:
@@ -86,10 +92,12 @@ def _load_scenario(path: str | None) -> dict:
     if not p.is_file():
         raise ScenarioError(f"scenario file not found: {path}")
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(p.read_text(), parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ScenarioError(
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
+    except ScenarioError as e:
+        raise ScenarioError(f"{path}: {e}")
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be a JSON object")
     return doc

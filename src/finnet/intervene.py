@@ -17,6 +17,7 @@ state from the target, and stop once the state enters M+.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +34,6 @@ from .numerics import (
     dykstra,
     invert,
     lp_solve,
-    project_halfspace,
-    project_nonneg,
 )
 
 
@@ -78,31 +77,25 @@ class ReallocationProblem:
     def __post_init__(self):
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
 
+    @cached_property
+    def G(self) -> np.ndarray:
+        """(I - C)^-1, which maps holdings income D p to the healthy equilibrium."""
+        net = self.network
+        return invert(np.eye(net.n) - net.C)
+
 
 def _reallocation_pieces(prob: ReallocationProblem):
     net = prob.network
     n, m = net.D.shape
     p = net.p
-    G = invert(np.eye(n) - net.C)
-    floor = net.threshold + prob.epsilon
 
-    col_masks = np.zeros((m, n * m))
-    for j in range(m):
-        col_masks[j, j::m] = 1.0            # entries of column j in C-order flat
-    row_normals = np.zeros((n, n * m))
-    for i in range(n):
-        row_normals[i] = np.outer(G[i], p).reshape(-1)
+    # {z : A z >= b} over the C-order flattening z of D: column sums at most
+    # one, then the healthy equilibrium G D p at least threshold + epsilon.
+    A = np.vstack([-np.tile(np.eye(m), n), np.kron(prob.G, p)])
+    b = np.concatenate([-np.ones(m), net.threshold + prob.epsilon])
 
     def project(z: np.ndarray) -> np.ndarray:
-        projs = [project_nonneg]
-        for j in range(m):
-            a = -col_masks[j]
-            projs.append(lambda y, a=a: project_halfspace(y, a, -1.0))
-        for i in range(n):
-            a = row_normals[i]
-            rhs = floor[i]
-            projs.append(lambda y, a=a, rhs=rhs: project_halfspace(y, a, rhs))
-        return dykstra(projs, z)
+        return dykstra(A, b, z)
 
     def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
         D = z.reshape(n, m)
@@ -116,7 +109,7 @@ def _reallocation_pieces(prob: ReallocationProblem):
             grad += np.tile(colsum / g2, (n, 1))
         return float(g1 + g2), grad.reshape(-1)
 
-    return objective, project, (n, m), G, floor
+    return objective, project, (n, m), A, b
 
 
 def build_reallocation_program(prob: ReallocationProblem,
@@ -149,12 +142,10 @@ def reallocation_feasible(prob: ReallocationProblem, D: np.ndarray,
                           tol: float = 1e-8) -> tuple[bool, dict[str, float]]:
     """Residuals of the three constraint groups at D."""
     net = prob.network
-    n = net.D.shape[0]
-    G = invert(np.eye(n) - net.C)
     residuals = {
         "nonneg": float(-min(np.min(D), 0.0)),
         "colsum": float(max(np.max(D.sum(axis=0)) - 1.0, 0.0)),
-        "equilibrium": float(max(np.max(net.threshold + prob.epsilon - G @ (D @ net.p)), 0.0)),
+        "equilibrium": float(max(np.max(net.threshold + prob.epsilon - prob.G @ (D @ net.p)), 0.0)),
     }
     return all(v <= tol for v in residuals.values()), residuals
 
@@ -165,6 +156,12 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, ConvexSol
     Raises InfeasibleError when the projection cannot reach the constraint
     set, naming the violated group.
     """
+    D, sol, _ = _reallocate(prob)
+    return D, sol
+
+
+def _reallocate(prob: ReallocationProblem) -> tuple[np.ndarray, ConvexSolution, dict[str, float]]:
+    """asset_reallocation plus the constraint residuals at the returned D."""
     prog, starts = build_reallocation_program(prob)
     sol = None
     for start in starts:
@@ -178,7 +175,7 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, ConvexSol
         worst = max(residuals, key=residuals.get)
         raise InfeasibleError(
             f"reallocation constraints unreachable: {worst} violated by {residuals[worst]:.3e}")
-    return D, sol
+    return D, sol, residuals
 
 
 class IterationCapReached(RuntimeError):
@@ -244,10 +241,8 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
         if region.contains(x):
             plan.success = True
             return plan
-        D, sol = asset_reallocation(ReallocationProblem(network=current, v=v,
-                                                        epsilon=epsilon))
-        _, residuals = reallocation_feasible(
-            ReallocationProblem(network=current, v=v, epsilon=epsilon), D)
+        D, sol, residuals = _reallocate(ReallocationProblem(network=current, v=v,
+                                                            epsilon=epsilon))
         current = replace(current, D=D)
         x = ShiftedModel.from_network(current).step(x)
         v = v - x

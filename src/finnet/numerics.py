@@ -1,16 +1,18 @@
 """Dense linear algebra and small-scale optimization kernels.
 
 Everything downstream (equilibrium solves, invariant-region pruning, the
-injection LP, the reallocation program) funnels through the four entry
-points here: solve_linear, matrix_power, lp_solve and convex_solve.
-Problems are small (tens of variables), so the solvers favor transparent
-vertex/projection arithmetic over sparse machinery.
+injection LP, the reallocation program) funnels through the entry points
+here: solve_linear and invert, lp_solve, convex_solve, and dykstra (the
+projection onto {x >= 0, A x >= b} that convex_solve is given by the
+reallocation program). Problems are small (tens of variables), so the
+solvers favor transparent vertex/projection arithmetic over sparse
+machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -19,6 +21,7 @@ SOLVE_TOL = 1e-9        # linear solve residual / comparison default
 OPT_TOL = 1e-8          # LP and projection optimality certificates
 STRICT_MARGIN = 1e-6    # margin used to close strict inequalities
 PIVOT_TOL = 1e-12       # LU pivot underflow threshold
+SIMPLEX_MAX_ITER = 20000  # pivots per simplex phase before IterationLimitError
 
 
 class SingularMatrixError(ValueError):
@@ -31,6 +34,10 @@ class InfeasibleError(ValueError):
 
 class UnboundedError(ValueError):
     """Raised when an LP objective is unbounded below on the feasible set."""
+
+
+class IterationLimitError(RuntimeError):
+    """Raised when the simplex method hits SIMPLEX_MAX_ITER pivots."""
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -145,7 +152,7 @@ class LPSolution:
 _SIMPLEX_EPS = 1e-9
 
 
-def _simplex(T: np.ndarray, basis: list[int], cost: np.ndarray, max_iter: int = 20000):
+def _simplex(T: np.ndarray, basis: list[int], cost: np.ndarray):
     """Bland-rule primal simplex on tableau T = [B^-1 A | B^-1 b].
 
     cost is the full cost vector over tableau columns. Mutates T and basis.
@@ -153,7 +160,7 @@ def _simplex(T: np.ndarray, basis: list[int], cost: np.ndarray, max_iter: int = 
     """
     m = T.shape[0]
     ncols = T.shape[1] - 1
-    for _ in range(max_iter):
+    for _ in range(SIMPLEX_MAX_ITER):
         y = cost[basis] @ T[:, :ncols]
         reduced = cost[:ncols] - y
         enter = -1
@@ -182,7 +189,7 @@ def _simplex(T: np.ndarray, basis: list[int], cost: np.ndarray, max_iter: int = 
             if i != leave and T[i, enter] != 0.0:
                 T[i] -= T[i, enter] * T[leave]
         basis[leave] = enter
-    raise RuntimeError("simplex iteration cap reached")
+    raise IterationLimitError(f"simplex iteration cap of {SIMPLEX_MAX_ITER} pivots reached")
 
 
 def lp_solve(lp: LinearProgram) -> LPSolution:
@@ -325,30 +332,50 @@ def project_nonneg(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def project_halfspace(x: np.ndarray, a: np.ndarray, rhs: float) -> np.ndarray:
-    """Project onto {x : a.x >= rhs}."""
-    gap = rhs - float(a @ x)
-    if gap <= 0.0:
-        return x
-    return x + (gap / float(a @ a)) * a
+def dykstra(A, b, x0, tol: float = 1e-10, max_cycles: int = 2000) -> np.ndarray:
+    """Dykstra alternating projection onto {x >= 0} intersected with {A x >= b}.
 
+    Each sweep projects onto x >= 0, then onto each row a_i.x >= b_i in
+    order; it converges to the nearest point of the set (Boyle and
+    Dykstra, 1986). A row's correction is a multiple lam_i of a_i, kept as
+    a scalar: within a sweep a_i.x is (A x)_i at the sweep's start plus
+    d_j K[i, j] (K = A A^T) for each row j already moved by d_j, and x is
+    updated once per sweep. The row loop runs on Python floats, where
+    indexing numpy scalars would cost as much as the arithmetic.
 
-def dykstra(projectors: Sequence[Callable[[np.ndarray], np.ndarray]], x0,
-            tol: float = 1e-10, max_cycles: int = 2000) -> np.ndarray:
-    """Dykstra alternating projection onto an intersection of convex sets.
-
-    Converges to the nearest point of the intersection; for the halfspace
-    and cone sets used here convergence is linear.
+    Stops once a sweep moves x by less than tol at a point within OPT_TOL
+    (times max|b|) of every constraint, because x can stall outside the
+    set while the corrections still move (Birgin and Raydan, 2005). On an
+    empty intersection it runs all max_cycles.
     """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
-    corrections = [np.zeros_like(x) for _ in projectors]
+    K = (A @ A.T).tolist()
+    rows = [(i, b_i, K[i], K[i][i]) for i, b_i in enumerate(b.tolist())]
+    feas_tol = OPT_TOL * max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    lam = [0.0] * len(rows)
+    corr = np.zeros_like(x)             # the nonnegative orthant's correction
     for _ in range(max_cycles):
-        x_prev = x.copy()
-        for i, proj in enumerate(projectors):
-            y = x + corrections[i]
-            x_new = proj(y)
-            corrections[i] = y - x_new
-            x = x_new
-        if np.max(np.abs(x - x_prev)) < tol:
-            break
+        y = x + corr
+        x_new = np.maximum(y, 0.0)
+        corr = y - x_new
+        s = (A @ x_new).tolist()
+        moves: list[tuple[int, float]] = []
+        for (i, b_i, K_i, norm2), ax in zip(rows, s):
+            for j, d in moves:
+                ax += d * K_i[j]
+            old = lam[i]
+            gap = b_i - ax + old * norm2
+            new = gap / norm2 if gap > 0.0 else 0.0
+            if new != old:
+                moves.append((i, new - old))
+                lam[i] = new
+        if moves:
+            idx, d = zip(*moves)
+            x_new += np.asarray(d) @ A[list(idx)]
+        if abs(x_new - x).max() < tol and min(
+                x_new.min(), (A @ x_new - b).min(initial=0.0)) >= -feas_tol:
+            return x_new
+        x = x_new
     return x

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from finnet import fixtures
+from finnet import fixtures, numerics
 from finnet.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main
 
 
@@ -187,6 +187,25 @@ def test_solver_failure_exit3(tmp_path, capsys):
     doc = {"interval": {"c_lower": C, "c_upper": C, "r": [1.0, -1.0]}}
     assert main(["robust", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_SOLVER
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_number_exit2(tmp_path, capsys, token):
+    doc = json.dumps({"network": net_doc(fixtures.two_bank()), "x0": [0.0, -1.0]})
+    path = tmp_path / "scenario.json"
+    path.write_text(doc.replace("[0.0, -1.0]", f"[{token}, -1]"))
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert token in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_simplex_iteration_cap_exit3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(numerics, "SIMPLEX_MAX_ITER", 1)
+    doc = {"network": net_doc(fixtures.two_bank()), "x0": [-3.0, -3.0]}
+    assert main(["intervene", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "simplex iteration cap" in err and "Traceback" not in err
 
 
 def test_unordered_extremes_exit2(tmp_path, capsys):
