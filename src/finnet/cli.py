@@ -25,7 +25,7 @@ from .cycles import (
     classify_limit,
     detect_cycle,
 )
-from .equilibria import enumerate_equilibria, existence_conditions
+from .equilibria import DimensionTooLargeError, enumerate_equilibria, existence_conditions
 from .intervene import (
     InjectionProblem,
     IterationCapReached,
@@ -67,6 +67,7 @@ EXIT_SOLVER = 3
 
 SOLVER_ERRORS = (
     SingularMatrixError,
+    DimensionTooLargeError,
     InfeasibleError,
     UnboundedError,
     NoPositiveEquilibriumError,

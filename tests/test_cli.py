@@ -189,6 +189,16 @@ def test_solver_failure_exit3(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_equilibria_past_enumeration_guard_exit3(tmp_path, capsys):
+    net = fixtures.random_network(np.random.default_rng(25), 25)
+    doc = {"network": net_doc(net)}
+    assert main(["equilibria", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solver failure: n=25 exceeds enumeration guard 24")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_number_exit2(tmp_path, capsys, token):
     doc = json.dumps({"network": net_doc(fixtures.two_bank()), "x0": [0.0, -1.0]})

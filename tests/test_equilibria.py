@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finnet import fixtures
 from finnet.equilibria import (
@@ -11,6 +12,27 @@ from finnet.equilibria import (
     existence_conditions,
 )
 from finnet.netmodel import ShiftedModel, indicator
+from finnet.numerics import SingularMatrixError
+
+
+def brute_force_census(model):
+    """Every orthant solved densely by numpy; the consistent ones, in k order."""
+    n = model.n
+    ks = np.arange(2 ** n)
+    phi = ((ks[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
+    X = np.linalg.solve(np.eye(n) - model.C, model.r[:, None] - model.beta[:, None] * phi.T).T
+    keep = np.all((X < 0) == (phi > 0), axis=1)
+    return ks[keep].tolist(), X[keep]
+
+
+def weak_holding_model(rng, n):
+    """Drift a fraction of each node's exposure C beta, so whether a node
+    fails depends on its neighbours: many orthants hold an equilibrium."""
+    C = rng.uniform(0.0, 1.0, size=(n, n))
+    np.fill_diagonal(C, 0.0)
+    C *= rng.uniform(0.3, 0.6, size=n) / C.sum(axis=0)
+    beta = rng.uniform(1.0, 2.0, size=n)
+    return ShiftedModel.from_parts(C=C, r=rng.uniform(0.15, 0.55, size=n) * (C @ beta), beta=beta)
 
 
 def test_two_bank_equilibria_values():
@@ -48,7 +70,7 @@ def test_ring4_has_eight_consistent_equilibria():
 
 def test_inconsistent_candidates_are_flagged_not_dropped():
     model = ShiftedModel.from_network(fixtures.two_bank())
-    cands = enumerate_equilibria(model, consistent_only=False)
+    cands = [candidate_equilibrium(model, k) for k in range(4)]
     assert len(cands) == 4
     assert all(c.consistent for c in cands)     # every orthant consistent here
 
@@ -67,6 +89,71 @@ def test_interior_flag_on_boundary_candidate():
     rec = candidate_equilibrium(model, 0)
     assert rec.consistent
     assert not rec.interior
+
+
+@pytest.mark.parametrize("C, r, beta, ks, boundary", [
+    ([[0.0]], [0.0], [1.0], [0, 1], [0]),                       # r = 0: healthy x = 0
+    ([[0.0]], [1.0], [1.0], [0], []),                           # failed x = 0 counts healthy
+    ([[0.0, 0.5], [0.5, 0.0]], [0.0, 0.0], [1.0, 1.0], [0, 3], [0]),
+    ([[0.0, 0.0], [0.0, 0.0]], [0.5, 0.0], [1.0, 1.0], [0, 1, 2, 3], [0, 2]),
+], ids=["r_zero", "failed_on_boundary", "coupled_r_zero", "mixed_boundary"])
+def test_enumeration_on_exact_boundaries(C, r, beta, ks, boundary):
+    model = ShiftedModel.from_parts(C=np.array(C), r=np.array(r), beta=np.array(beta))
+    recs = enumerate_equilibria(model)
+    assert [rec.k for rec in recs] == ks == brute_force_census(model)[0]
+    assert [rec.k for rec in recs if not rec.interior] == boundary
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["random_network", "weak_holding"]),
+       n=st.integers(2, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_enumeration_matches_brute_force(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random_network":
+        model = ShiftedModel.from_network(fixtures.random_network(rng, n))
+    else:
+        model = weak_holding_model(rng, n)
+    recs = enumerate_equilibria(model)
+    ks, X = brute_force_census(model)
+    assert [rec.k for rec in recs] == ks
+    scale = max(1.0, np.max(np.abs(model.r)), np.max(model.beta), np.max(np.abs(X)))
+    for rec, x in zip(recs, X):
+        np.testing.assert_allclose(rec.x, x, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_array_equal(rec.phi, indicator(rec.x))
+        assert rec.consistent
+
+
+def test_negative_resolvent_is_rejected():
+    # negative holdings make (I - C)^-1 B negative off the diagonal: the
+    # monotone bounds fail, so no census is returned
+    model = ShiftedModel.from_parts(C=np.array([[0.0, -0.5], [-0.5, 0.0]]),
+                                    r=np.array([1.0, 1.0]), beta=np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="negative entry"):
+        enumerate_equilibria(model)
+
+
+@pytest.mark.parametrize("part", ["C", "r", "beta"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_model_data_is_rejected(part, value):
+    parts = {"C": np.zeros((2, 2)), "r": np.array([1.0, 1.0]), "beta": np.array([0.5, 0.5])}
+    parts[part].flat[0] = value
+    model = ShiftedModel.from_parts(**parts)
+    with pytest.raises(ValueError, match="non-finite"):
+        enumerate_equilibria(model)
+    with pytest.raises(ValueError, match="non-finite"):
+        existence_conditions(model)
+
+
+def test_existence_contradiction_raises_singular():
+    # with (I - C)^-1 not nonnegative, w_minus >= 0 can hold while w_plus
+    # has a negative entry; that contradiction is reported, not returned
+    C = np.array([[0.0, -0.5], [-0.5, 0.0]])
+    r = (np.eye(2) - C) @ np.array([-1.0, 4.0])       # w_plus = (-1, 4)
+    model = ShiftedModel.from_parts(C=C, r=r, beta=np.array([0.1, 3.0]))
+    w_minus = np.linalg.solve(np.eye(2) - C, r - model.beta)
+    assert np.all(w_minus >= 0)
+    with pytest.raises(SingularMatrixError, match="not numerically nonnegative"):
+        existence_conditions(model)
 
 
 def test_dimension_guard():
