@@ -80,7 +80,6 @@ from .numerics import (
     UnboundedError,
     convex_solve,
     lp_solve,
-    matrix_power,
     solve_linear,
 )
 

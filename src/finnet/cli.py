@@ -132,18 +132,24 @@ def _interval_from(doc: dict) -> IntervalNetwork:
     if not isinstance(raw, dict):
         raise ScenarioError("field 'interval' must be an object")
     try:
-        return IntervalNetwork(
+        inet = IntervalNetwork(
             c_lower=np.asarray(_field(raw, "c_lower", "interval"), dtype=float),
             c_upper=np.asarray(_field(raw, "c_upper", "interval"), dtype=float),
             r=np.asarray(_field(raw, "r", "interval"), dtype=float))
     except ValueError as e:
         raise ScenarioError(f"interval bounds rejected: {e}")
+    for name in ("c_lower", "c_upper", "r"):
+        if not np.all(np.isfinite(getattr(inet, name))):
+            raise ScenarioError(f"interval {name} contains non-finite entries")
+    return inet
 
 
 def _x0_from(doc: dict, n: int) -> np.ndarray:
     x0 = np.asarray(_field(doc, "x0"), dtype=float)
     if x0.shape != (n,):
         raise ScenarioError(f"x0 has shape {x0.shape}, expected ({n},)")
+    if not np.all(np.isfinite(x0)):
+        raise ScenarioError("x0 contains non-finite entries")
     return x0
 
 
@@ -163,14 +169,12 @@ def _jsonable(obj):
     return obj
 
 
-def _poly_dict(poly) -> dict:
-    return {
-        "A": poly.A.tolist(),
-        "b": poly.b.tolist(),
-        "row_power": poly.row_power.tolist(),
-        "certified": bool(poly.certified),
-        "note": poly.note,
-    }
+def _has_non_finite(doc) -> bool:
+    try:
+        json.dumps(doc, allow_nan=False)
+    except ValueError:
+        return True
+    return False
 
 
 def _write_csv(path: Path, states: np.ndarray) -> None:
@@ -239,12 +243,11 @@ def cmd_invariance(args, doc: dict) -> dict:
     }
     for label, k in (("healthy", 0), ("failed", last)):
         try:
-            tau = finite_determination_index(model, k)
+            poly = maximal_invariant_region(model, k)
         except (ValueError, NotDeterminedError) as e:
             results["regions"][label] = {"error": str(e)}
             continue
-        poly = maximal_invariant_region(model, k)
-        results["regions"][label] = {"tau": tau, **_poly_dict(poly)}
+        results["regions"][label] = {"tau": int(poly.row_power.max()), **poly.to_dict()}
     if net.n <= 4:
         for k in range(1, last):
             verdict = intermediate_not_invariant(model, k, seed=args.seed)
@@ -269,8 +272,8 @@ def cmd_robust(args, doc: dict) -> dict:
     results: dict = {
         "x_lower": x_lower,
         "x_upper": x_upper,
-        "robust_region": _poly_dict(robust_invariant_set(inet)),
-        "last_hope": _poly_dict(last_hope_region(inet)),
+        "robust_region": robust_invariant_set(inet).to_dict(),
+        "last_hope": last_hope_region(inet).to_dict(),
     }
     if "x0" in doc:
         x0 = _x0_from(doc, inet.n)
@@ -499,7 +502,14 @@ def main(argv: list[str] | None = None) -> int:
         "results": _jsonable(results),
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        if _has_non_finite(doc):
+            print("error: scenario contains a non-finite number", file=sys.stderr)
+            return EXIT_INVALID
+        print("solver failure: results contain a non-finite number", file=sys.stderr)
+        return EXIT_SOLVER
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

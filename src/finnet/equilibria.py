@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmodel import OrthantIndex, ShiftedModel, indicator
-from .numerics import SingularMatrixError, lu_factor, lu_solve
+from .numerics import SingularMatrixError, solve_linear
 
 ENUMERATION_LIMIT = 24      # 2**n candidates; refuse past this
 INTERIOR_TOL = 1e-9         # entries closer to zero than this are boundary
@@ -61,8 +61,8 @@ def _record(model: ShiftedModel, k: int, x: np.ndarray, phi: np.ndarray) -> Equi
 def candidate_equilibrium(model: ShiftedModel, k: int) -> EquilibriumRecord:
     """Solve the affine fixed-point equation of orthant k and classify it."""
     phi = OrthantIndex(k, model.n).phi
-    LU, perm = lu_factor(np.eye(model.n) - model.C)
-    return _record(model, k, lu_solve(LU, perm, model.r - model.beta * phi), phi)
+    x = solve_linear(np.eye(model.n) - model.C, model.r - model.beta * phi)
+    return _record(model, k, x, phi)
 
 
 def enumerate_equilibria(model: ShiftedModel) -> list[EquilibriumRecord]:
@@ -79,8 +79,7 @@ def enumerate_equilibria(model: ShiftedModel) -> list[EquilibriumRecord]:
     if n > ENUMERATION_LIMIT:
         raise DimensionTooLargeError(f"n={n} exceeds enumeration guard {ENUMERATION_LIMIT}")
     _require_finite(model)
-    LU, perm = lu_factor(np.eye(n) - model.C)
-    WM = lu_solve(LU, perm, np.column_stack([model.r, np.diag(model.beta)]))
+    WM = solve_linear(np.eye(n) - model.C, np.column_stack([model.r, np.diag(model.beta)]))
     w, M = WM[:, 0], WM[:, 1:]
     tol = INTERIOR_TOL * max(1.0, float(np.max(np.abs(WM))))
     if np.min(M) < -tol:
@@ -123,8 +122,8 @@ def existence_conditions(model: ShiftedModel) -> ExistenceReport:
     on non-finite data and SingularMatrixError when a uniqueness flag holds
     without its existence flag, which (I - C)^-1 >= 0 rules out."""
     _require_finite(model)
-    LU, perm = lu_factor(np.eye(model.n) - model.C)
-    w_plus, w_minus = lu_solve(LU, perm, np.column_stack([model.r, model.r - model.beta])).T
+    w_plus, w_minus = solve_linear(np.eye(model.n) - model.C,
+                                   np.column_stack([model.r, model.r - model.beta])).T
     rep = ExistenceReport(
         positive_exists=bool(np.all(w_plus >= 0)),
         positive_unique=bool(np.all(w_minus >= 0)),

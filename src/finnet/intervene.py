@@ -32,8 +32,8 @@ from .numerics import (
     STRICT_MARGIN,
     convex_solve,
     dykstra,
-    invert,
     lp_solve,
+    solve_linear,
 )
 
 
@@ -81,7 +81,7 @@ class ReallocationProblem:
     def G(self) -> np.ndarray:
         """(I - C)^-1, which maps holdings income D p to the healthy equilibrium."""
         net = self.network
-        return invert(np.eye(net.n) - net.C)
+        return solve_linear(np.eye(net.n) - net.C, np.eye(net.n))
 
 
 def _reallocation_pieces(prob: ReallocationProblem):

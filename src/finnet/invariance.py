@@ -23,7 +23,8 @@ import numpy as np
 
 from .equilibria import EquilibriumRecord, candidate_equilibrium
 from .netmodel import OrthantIndex, ShiftedModel, orthant_of
-from .numerics import LinearProgram, OPT_TOL, UnboundedError, lp_solve
+from .numerics import (LinearProgram, OPT_TOL, UnboundedError, _FeasibleBasis, _phase1,
+                       _phase2, lp_solve)
 
 TAU_CAP = 10000             # finite-determination search cap
 
@@ -200,6 +201,14 @@ def healthy_invariant_region(C, r) -> Polyhedron:
 # truncation index and for comparing regions.
 # ---------------------------------------------------------------------------
 
+def _implied(start: _FeasibleBasis, a: np.ndarray, rhs: float, tol: float) -> bool:
+    """row_redundant over the polyhedron whose phase 1 is start."""
+    try:
+        return _phase2(start, a).objective >= rhs - tol
+    except UnboundedError:
+        return False
+
+
 def row_redundant(poly: Polyhedron, a, rhs: float, tol: float = OPT_TOL) -> bool:
     """True if a.x >= rhs holds everywhere on poly."""
     a = np.asarray(a, dtype=float)
@@ -211,31 +220,33 @@ def row_redundant(poly: Polyhedron, a, rhs: float, tol: float = OPT_TOL) -> bool
 
 
 def prune_redundant(poly: Polyhedron, tol: float = OPT_TOL) -> Polyhedron:
-    """Drop rows implied by the others. Quadratic in row count; fine here."""
+    """Drop rows implied by the others, in one pass over the rows.
+
+    Row i is tested against every row still kept. A row kept was not
+    implied by a superset of the rows finally kept, and P(S') contains
+    P(S) when S' is a subset of S, so a second pass could drop nothing.
+    One LP per row.
+    """
     keep = list(range(poly.n_rows))
-    changed = True
-    while changed:
-        changed = False
-        for idx in list(keep):
-            others = [i for i in keep if i != idx]
-            if not others:
-                continue
-            sub = Polyhedron(A=poly.A[others], b=poly.b[others],
-                             row_power=poly.row_power[others])
-            if row_redundant(sub, poly.A[idx], float(poly.b[idx]), tol):
-                keep.remove(idx)
-                changed = True
+    for idx in range(poly.n_rows):
+        others = [i for i in keep if i != idx]
+        if others and row_redundant(Polyhedron(A=poly.A[others], b=poly.b[others],
+                                               row_power=poly.row_power[others]),
+                                    poly.A[idx], float(poly.b[idx]), tol):
+            keep.remove(idx)
     return Polyhedron(A=poly.A[keep], b=poly.b[keep],
                       row_power=poly.row_power[keep],
                       certified=poly.certified, note=poly.note + " (pruned)")
 
 
 def polyhedra_equivalent(p: Polyhedron, q: Polyhedron, tol: float = OPT_TOL) -> bool:
-    """Set equality via mutual row redundancy."""
+    """Set equality via mutual row redundancy (one phase 1 per side)."""
     for src, dst in ((p, q), (q, p)):
-        for i in range(dst.n_rows):
-            if not row_redundant(src, dst.A[i], float(dst.b[i]), tol):
-                return False
+        if dst.n_rows == 0:
+            continue
+        start = _phase1(src.A, src.b)
+        if not all(_implied(start, dst.A[i], float(dst.b[i]), tol) for i in range(dst.n_rows)):
+            return False
     return True
 
 
@@ -254,7 +265,8 @@ def stable_region(model: ShiftedModel, eq: EquilibriumRecord,
     for tau in range(1, tau_cap + 1):
         A_new = J @ P
         b_new = J @ ((P - np.eye(n)) @ eq.x)
-        if all(row_redundant(poly, A_new[i], float(b_new[i])) for i in range(n)):
+        start = _phase1(poly.A, poly.b)
+        if all(_implied(start, A_new[i], float(b_new[i]), OPT_TOL) for i in range(n)):
             return Polyhedron(A=poly.A, b=poly.b, row_power=poly.row_power,
                               certified=True,
                               note=f"orthant {eq.k} stabilized at tau={tau - 1}"), tau - 1

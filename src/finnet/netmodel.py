@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import SingularMatrixError, lu_factor
+from .numerics import SingularMatrixError, solve_linear
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def validate(net: FinancialNetwork) -> ValidationReport:
     if np.any(beta <= 0):
         bad("beta must be strictly positive")
     try:
-        lu_factor(C)
+        solve_linear(C, np.zeros(n))     # raises on a singular C
     except (SingularMatrixError, ValueError):
         rep.warnings.append("C is singular or near-singular (not used directly, reported only)")
     return rep

@@ -2,11 +2,12 @@
 
 Everything downstream (equilibrium solves, invariant-region pruning, the
 injection LP, the reallocation program) funnels through the entry points
-here: solve_linear and invert, lp_solve, convex_solve, and dykstra (the
-projection onto {x >= 0, A x >= b} that convex_solve is given by the
-reallocation program). Problems are small (tens of variables), so the
-solvers favor transparent vertex/projection arithmetic over sparse
-machinery.
+here: solve_linear (LAPACK, with a condition check), lp_solve,
+convex_solve, and dykstra (the projection onto {x >= 0, A x >= b} that
+convex_solve is given by the reallocation program). Problems are small
+(tens of variables), so the solvers are dense: the simplex keeps Bland's
+rule and pivots with whole-array updates, and Python loops are left only
+where a rule is sequential.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from typing import Callable
 import numpy as np
 
 # Centralized tolerances. Callers should not invent their own.
-SOLVE_TOL = 1e-9        # linear solve residual / comparison default
 OPT_TOL = 1e-8          # LP and projection optimality certificates
 STRICT_MARGIN = 1e-6    # margin used to close strict inequalities
-PIVOT_TOL = 1e-12       # LU pivot underflow threshold
+PIVOT_TOL = 1e-12       # solve_linear refuses condition numbers above 1/PIVOT_TOL
 SIMPLEX_MAX_ITER = 20000  # pivots per simplex phase before IterationLimitError
 
 
 class SingularMatrixError(ValueError):
-    """Raised when an LU pivot underflows PIVOT_TOL."""
+    """Raised when a matrix is singular to working precision (see PIVOT_TOL)."""
 
 
 class InfeasibleError(ValueError):
@@ -40,85 +40,35 @@ class IterationLimitError(RuntimeError):
     """Raised when the simplex method hits SIMPLEX_MAX_ITER pivots."""
 
 
-def _as_matrix(A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return A
-
-
-def lu_factor(A) -> tuple[np.ndarray, np.ndarray]:
-    """LU factorization with partial pivoting, Doolittle style.
-
-    Returns (LU, perm) where LU packs unit-lower and upper factors and
-    perm is the row permutation. Raises SingularMatrixError if any pivot
-    magnitude drops below PIVOT_TOL.
-    """
-    LU = _as_matrix(A).copy()
-    n = LU.shape[0]
-    perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(LU[k:, k])))
-        if abs(LU[p, k]) < PIVOT_TOL:
-            raise SingularMatrixError(f"pivot {abs(LU[p, k]):.3e} below {PIVOT_TOL} at column {k}")
-        if p != k:
-            LU[[k, p]] = LU[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        LU[k + 1:, k] /= LU[k, k]
-        # rank-1 update of the trailing block
-        LU[k + 1:, k + 1:] -= np.outer(LU[k + 1:, k], LU[k, k + 1:])
-    return LU, perm
-
-
-def lu_solve(LU: np.ndarray, perm: np.ndarray, b) -> np.ndarray:
-    """Solve using a factorization from lu_factor. Supports matrix b."""
-    b = np.asarray(b, dtype=float)
-    single = b.ndim == 1
-    B = b.reshape(-1, 1) if single else b.copy()
-    n = LU.shape[0]
-    if B.shape[0] != n:
-        raise ValueError("right-hand side has incompatible shape")
-    X = B[perm].astype(float)
-    for k in range(n):        # forward, unit lower triangle
-        X[k + 1:] -= np.outer(LU[k + 1:, k], X[k])
-    for k in range(n - 1, -1, -1):   # backward, upper triangle
-        X[k] /= LU[k, k]
-        X[:k] -= np.outer(LU[:k, k], X[k])
-    return X[:, 0] if single else X
-
-
 def solve_linear(A, b) -> np.ndarray:
-    """Solve A x = b by LU with partial pivoting.
+    """Solve A x = b by LAPACK (b a vector or a matrix of right-hand sides).
 
-    Residual satisfies ||Ax - b||_inf <= SOLVE_TOL * scale for the
-    well-conditioned systems this toolkit produces.
+    Raises SingularMatrixError when A is singular or its 1-norm condition
+    number exceeds 1/PIVOT_TOL; A^-1, which measures it, comes from the
+    same factorization as x.
     """
-    LU, perm = lu_factor(A)
-    return lu_solve(LU, perm, b)
-
-
-def invert(A) -> np.ndarray:
-    """Dense inverse via LU (used for the small (I - C) systems)."""
-    A = _as_matrix(A)
-    LU, perm = lu_factor(A)
-    return lu_solve(LU, perm, np.eye(A.shape[0]))
-
-
-def matrix_power(M, t: int) -> np.ndarray:
-    """M**t by repeated multiplication. t must be a nonnegative integer."""
-    M = _as_matrix(M)
-    if t < 0 or int(t) != t:
-        raise ValueError("exponent must be a nonnegative integer")
-    out = np.eye(M.shape[0])
-    for _ in range(int(t)):
-        out = out @ M
-    return out
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError("right-hand side has incompatible shape")
+    k = 1 if b.ndim == 1 else b.shape[1]
+    try:
+        X = np.linalg.solve(A, np.column_stack([b, np.eye(n)]))
+    except np.linalg.LinAlgError as e:
+        raise SingularMatrixError(f"matrix is singular: {e}")
+    cond = np.abs(A).sum(axis=0).max(initial=0.0) * np.abs(X[:, k:]).sum(axis=0).max(initial=0.0)
+    if not cond <= 1.0 / PIVOT_TOL:
+        raise SingularMatrixError(f"1-norm condition number {cond:.3e} above {1.0 / PIVOT_TOL:.0e}")
+    return X[:, 0] if b.ndim == 1 else X[:, :k]
 
 
 # ---------------------------------------------------------------------------
 # Linear programming: min c.z  s.t.  A z >= b, z free.
 # Two-phase primal simplex on the standard form [A, -A, -I], Bland's rule
-# for anti-cycling. Sizes here are tiny; clarity wins over speed.
+# for anti-cycling.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -152,63 +102,76 @@ class LPSolution:
 _SIMPLEX_EPS = 1e-9
 
 
+def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
+    """Make column enter basic in row leave: one rank-1 update of T."""
+    T[leave] /= T[leave, enter]
+    f = T[:, enter].copy()
+    f[leave] = 0.0
+    T -= f[:, None] * T[leave]
+
+
 def _simplex(T: np.ndarray, basis: list[int], cost: np.ndarray):
     """Bland-rule primal simplex on tableau T = [B^-1 A | B^-1 b].
 
     cost is the full cost vector over tableau columns. Mutates T and basis.
     Returns 'optimal' or 'unbounded'.
     """
-    m = T.shape[0]
     ncols = T.shape[1] - 1
+    cost_basis = cost[basis]
     for _ in range(SIMPLEX_MAX_ITER):
-        y = cost[basis] @ T[:, :ncols]
-        reduced = cost[:ncols] - y
-        enter = -1
-        for j in range(ncols):      # Bland: smallest improving index
-            if reduced[j] < -_SIMPLEX_EPS:
-                enter = j
-                break
-        if enter < 0:
+        reduced = cost[:ncols] - cost_basis @ T[:, :ncols]
+        improving = (reduced < -_SIMPLEX_EPS).nonzero()[0]
+        if improving.size == 0:
             return "optimal"
+        enter = int(improving[0])       # Bland: smallest improving index
         col = T[:, enter]
-        best = None
-        leave = -1
-        for i in range(m):
-            if col[i] > _SIMPLEX_EPS:
-                ratio = T[i, -1] / col[i]
-                # ties broken by smallest basic variable index (Bland)
-                if best is None or ratio < best - _SIMPLEX_EPS or (
-                        abs(ratio - best) <= _SIMPLEX_EPS and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
+        rows = (col > _SIMPLEX_EPS).nonzero()[0]
+        if rows.size == 0:
             return "unbounded"
-        piv = T[leave, enter]
-        T[leave] /= piv
-        for i in range(m):
-            if i != leave and T[i, enter] != 0.0:
-                T[i] -= T[i, enter] * T[leave]
+        # ratio test, ties to the smallest basic index (Bland); that tie
+        # rule is not transitive, so the candidate rows are scanned in order
+        best = leave = None
+        for i, ratio in zip(rows.tolist(), (T[rows, -1] / col[rows]).tolist()):
+            if best is None or ratio < best - _SIMPLEX_EPS or (
+                    abs(ratio - best) <= _SIMPLEX_EPS and basis[i] < basis[leave]):
+                best, leave = ratio, i
+        _pivot(T, leave, enter)
         basis[leave] = enter
+        cost_basis[leave] = cost[enter]
     raise IterationLimitError(f"simplex iteration cap of {SIMPLEX_MAX_ITER} pivots reached")
 
 
-def lp_solve(lp: LinearProgram) -> LPSolution:
-    """Solve min c.z s.t. A z >= b (z free) to a vertex optimum.
+@dataclass(frozen=True)
+class _FeasibleBasis:
+    """Phase-1 result for {A z >= b}: a feasible basic tableau for any c.
 
-    Raises InfeasibleError / UnboundedError for the two failure modes.
-    The returned solution carries constraint duals and the certificate
-    residual, which stays below OPT_TOL on well-scaled inputs.
+    Over w = [u, v, s] >= 0 with z = u - v and A z - s = b, rows with
+    b < 0 negated (flip) and dependent rows dropped (keep).
     """
-    m, n = lp.A.shape
-    # standard form over w = [u, v, s] >= 0 with z = u - v, A z - s = b
-    A_std = np.hstack([lp.A, -lp.A, -np.eye(m)])
-    b_std = lp.b.copy()
+
+    A: np.ndarray
+    b: np.ndarray
+    A_std: np.ndarray
+    flip: np.ndarray
+    keep: list[int]
+    T: np.ndarray
+    basis: list[int]
+
+
+def _phase1(A: np.ndarray, b: np.ndarray) -> _FeasibleBasis:
+    """Find a feasible basis of {A z >= b}; raises InfeasibleError.
+
+    Depends on (A, b) only, so callers testing many objectives over one
+    polyhedron run it once and call _phase2 per objective.
+    """
+    m, n = A.shape
+    A_std = np.hstack([A, -A, -np.eye(m)])
+    b_std = b.copy()
     flip = b_std < 0
     A_std[flip] *= -1.0
     b_std[flip] *= -1.0
     nw = 2 * n + m
 
-    # phase 1: artificial basis
     T = np.hstack([A_std, np.eye(m), b_std.reshape(-1, 1)])
     basis = list(range(nw, nw + m))
     cost1 = np.zeros(nw + m + 1)
@@ -222,45 +185,58 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     keep = []
     for i in range(m):
         if basis[i] >= nw:
-            piv = next((j for j in range(nw) if abs(T[i, j]) > _SIMPLEX_EPS), None)
-            if piv is None:
+            cols = (np.abs(T[i, :nw]) > _SIMPLEX_EPS).nonzero()[0]
+            if cols.size == 0:
                 continue  # redundant zero row
-            T[i] /= T[i, piv]
-            for k in range(m):
-                if k != i and T[k, piv] != 0.0:
-                    T[k] -= T[k, piv] * T[i]
-            basis[i] = piv
+            _pivot(T, i, int(cols[0]))
+            basis[i] = int(cols[0])
         keep.append(i)
     T = T[keep][:, list(range(nw)) + [nw + m]]
-    basis = [basis[i] for i in keep]
+    return _FeasibleBasis(A=A, b=b, A_std=A_std, flip=flip, keep=keep,
+                          T=T, basis=[basis[i] for i in keep])
 
-    cost2 = np.concatenate([lp.c, -lp.c, np.zeros(m), [0.0]])
-    status = _simplex(T, basis, cost2)
-    if status == "unbounded":
+
+def _phase2(start: _FeasibleBasis, c: np.ndarray) -> LPSolution:
+    """Minimise c.z from a phase-1 basis; start is not modified."""
+    A, b, keep = start.A, start.b, start.keep
+    m, n = A.shape
+    T, basis = start.T.copy(), list(start.basis)
+    cost2 = np.concatenate([c, -c, np.zeros(m), [0.0]])
+    if _simplex(T, basis, cost2) == "unbounded":
         raise UnboundedError("objective unbounded below on the feasible set")
 
-    w = np.zeros(nw)
+    w = np.zeros(2 * n + m)
     w[basis] = T[:, -1]
     z = w[:n] - w[n:2 * n]
-    objective = float(lp.c @ z)
+    objective = float(c @ z)
 
     # duals from the final basis: solve B^T y = c_B in the flipped frame
-    B = A_std[np.ix_(keep, basis)]
+    B = start.A_std[np.ix_(keep, basis)]
     try:
         y_std = solve_linear(B.T, cost2[basis])
     except SingularMatrixError:
         y_std = np.linalg.lstsq(B.T, cost2[basis], rcond=None)[0]
     y = np.zeros(m)
     y[keep] = y_std
-    y[flip] *= -1.0
-    slack = lp.A @ z - lp.b
+    y[start.flip] *= -1.0
+    slack = A @ z - b
     cs = float(max(
-        abs(objective - lp.b @ y),
+        abs(objective - b @ y),
         np.max(np.abs(y * slack), initial=0.0),
         -np.min(y, initial=0.0),
         -np.min(slack, initial=0.0),
     ))
     return LPSolution(z=z, objective=objective, dual=y, cs_residual=cs)
+
+
+def lp_solve(lp: LinearProgram) -> LPSolution:
+    """Solve min c.z s.t. A z >= b (z free) to a vertex optimum.
+
+    Raises InfeasibleError / UnboundedError for the two failure modes.
+    The returned solution carries constraint duals and the certificate
+    residual, which stays below OPT_TOL on well-scaled inputs.
+    """
+    return _phase2(_phase1(lp.A, lp.b), lp.c)
 
 
 # ---------------------------------------------------------------------------

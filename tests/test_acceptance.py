@@ -39,7 +39,6 @@ from finnet.netmodel import FinancialNetwork, ShiftedModel, simulate
 from finnet.numerics import (
     STRICT_MARGIN,
     LinearProgram,
-    invert,
     lp_solve,
     solve_linear,
 )
@@ -315,7 +314,7 @@ def vertex_oracle(lp):
 def reallocation_grid_min(net, v, step=0.01):
     """Exhaustive search over holdings matrices on a fixed lattice."""
     p = np.asarray(net.p, dtype=float)
-    G = invert(np.eye(2) - np.asarray(net.C, dtype=float))
+    G = np.linalg.inv(np.eye(2) - np.asarray(net.C, dtype=float))
     floor = np.asarray(net.threshold, dtype=float) + STRICT_MARGIN
     vals = np.arange(0.0, 1.0 + 1e-12, step)
     a, b = np.meshgrid(vals, vals, indexing="ij")

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from finnet import fixtures, numerics
+from finnet import cli, fixtures, numerics
 from finnet.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main
 
 
@@ -207,6 +207,42 @@ def test_non_finite_number_exit2(tmp_path, capsys, token):
     assert main(["simulate", "--scenario", str(path)]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert token in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, field", [("simulate", "x0"), ("robust", "r"),
+                                            ("intervene", "x0")])
+def test_infinite_input_exit2(tmp_path, capsys, command, field):
+    # 1e999 is valid JSON; it parses to inf, which no analysis can use
+    if command == "robust":
+        C = [[0.0, 0.2], [0.2, 0.0]]
+        doc = {"interval": {"c_lower": C, "c_upper": C, "r": [0.5, -2.0]}}
+    else:
+        doc = {"network": net_doc(fixtures.two_bank()), "x0": [0.0, -2.0]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc).replace("-2.0", "1e999"))
+    assert main([command, "--scenario", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert f"{field} contains non-finite entries" in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+def test_infinite_unused_field_exit2(tmp_path, capsys, two_bank_scenario):
+    doc = json.loads(open(two_bank_scenario).read())
+    doc["comment"] = -2.0
+    path = tmp_path / "comment.json"
+    path.write_text(json.dumps(doc).replace("-2.0", "1e999"))
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == "error: scenario contains a non-finite number\n"
+    assert captured.out == ""
+
+
+def test_non_finite_result_exit3(tmp_path, capsys, monkeypatch, two_bank_scenario):
+    monkeypatch.setitem(cli.COMMANDS, "simulate", lambda args, doc: {"x": np.array([np.inf])})
+    assert main(["simulate", "--scenario", two_bank_scenario]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == "solver failure: results contain a non-finite number\n"
     assert captured.out == ""
 
 

@@ -6,6 +6,7 @@ import pytest
 from finnet import fixtures
 from finnet.equilibria import candidate_equilibrium, enumerate_equilibria
 from finnet.invariance import (
+    Polyhedron,
     finite_determination_index,
     healthy_invariant_region,
     intermediate_not_invariant,
@@ -20,7 +21,7 @@ from finnet.invariance import (
     stable_region,
 )
 from finnet.netmodel import FinancialNetwork, ShiftedModel, indicator, simulate
-from finnet.numerics import LinearProgram, UnboundedError, lp_solve
+from finnet.numerics import OPT_TOL, LinearProgram, UnboundedError, lp_solve
 
 
 def coordinate_box(poly):
@@ -193,12 +194,53 @@ def test_healthy_invariant_region_matches_k0_region():
 def test_redundancy_pruning_keeps_geometry():
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     b = np.array([0.0, 0.0, -1.0])          # third row implied by the others
-    from finnet.invariance import Polyhedron
     poly = Polyhedron(A=A, b=b, row_power=np.array([0, 0, 1]))
     assert row_redundant(poly, A[2], b[2])
     pruned = prune_redundant(poly)
     assert pruned.n_rows == 2
     assert polyhedra_equivalent(poly, pruned)
+
+
+def two_pass_prune(poly, tol=OPT_TOL):
+    """The while-changed loop that prune_redundant replaced; kept row indices."""
+    keep = list(range(poly.n_rows))
+    changed = True
+    while changed:
+        changed = False
+        for idx in list(keep):
+            others = [i for i in keep if i != idx]
+            if not others:
+                continue
+            sub = Polyhedron(A=poly.A[others], b=poly.b[others],
+                             row_power=poly.row_power[others])
+            if row_redundant(sub, poly.A[idx], float(poly.b[idx]), tol):
+                keep.remove(idx)
+                changed = True
+    return keep
+
+
+def test_prune_one_pass_matches_two_pass_reference():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(14)
+    nets = [fixtures.complete10()] + [fixtures.random_gap_network(rng, n) for n in (3, 4, 5, 6, 8)]
+    dropped_total = 0
+    for net in nets:
+        region = maximal_invariant_region(ShiftedModel.from_network(net), 0)
+        if net.n == 3:      # repeated rows: exactly one copy of each must stay
+            region = Polyhedron(A=np.vstack([region.A, region.A[:4]]),
+                                b=np.concatenate([region.b, region.b[:4]]),
+                                row_power=np.concatenate([region.row_power, region.row_power[:4]]))
+        pruned = prune_redundant(region)
+        keep = two_pass_prune(region)
+        assert np.array_equal(pruned.A, region.A[keep])
+        assert np.array_equal(pruned.b, region.b[keep])
+        scale = max(1.0, np.abs(region.A).max(), np.abs(region.b).max())
+        for i in sorted(set(range(region.n_rows)) - set(keep)):
+            ref = linprog(region.A[i], A_ub=-pruned.A, b_ub=-pruned.b,
+                          bounds=[(None, None)] * region.dim, method="highs")
+            assert ref.status == 0 and ref.fun >= region.b[i] - 1e-7 * scale
+            dropped_total += 1
+    assert dropped_total > 0
 
 
 def test_fixed_point_property_tau_vs_tau_plus_one():

@@ -6,21 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from finnet import fixtures
+from finnet import fixtures, numerics
 from finnet.intervene import ReallocationProblem, _reallocation_pieces
 from finnet.numerics import (
+    OPT_TOL,
     ConvexProgram,
     InfeasibleError,
     LinearProgram,
     SingularMatrixError,
     UnboundedError,
+    _phase1,
+    _phase2,
     convex_solve,
     dykstra,
-    invert,
     lp_solve,
-    lu_factor,
-    lu_solve,
-    matrix_power,
     project_nonneg,
     solve_linear,
 )
@@ -70,44 +69,26 @@ def test_lu_matches_numpy_on_random_systems():
         assert np.max(np.abs(A @ x - b)) <= 1e-8 * max(1.0, np.abs(b).max())
 
 
-def test_lu_factorization_reconstructs_matrix():
-    rng = np.random.default_rng(1)
-    A = rng.normal(size=(6, 6)) + 6 * np.eye(6)
-    LU, perm = lu_factor(A)
-    L = np.tril(LU, -1) + np.eye(6)
-    U = np.triu(LU)
-    np.testing.assert_allclose(L @ U, A[perm], atol=1e-10)
-
-
 def test_lu_solve_matrix_rhs():
     rng = np.random.default_rng(2)
     A = rng.normal(size=(5, 5)) + 5 * np.eye(5)
     B = rng.normal(size=(5, 3))
-    LU, perm = lu_factor(A)
-    X = lu_solve(LU, perm, B)
+    X = solve_linear(A, B)
+    assert X.shape == (5, 3)
     np.testing.assert_allclose(A @ X, B, atol=1e-9)
 
 
 def test_singular_matrix_raises():
-    A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError):
-        lu_factor(A)
-    with pytest.raises(SingularMatrixError):
-        invert(A)
-
-
-def test_invert_matches_numpy():
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(4, 4)) + 4 * np.eye(4)
-    np.testing.assert_allclose(invert(A), np.linalg.inv(A), atol=1e-10)
-
-
-def test_matrix_power_matches_repeated_numpy():
-    rng = np.random.default_rng(4)
-    M = rng.uniform(0, 0.4, size=(3, 3))
-    for t in range(5):
-        np.testing.assert_allclose(matrix_power(M, t),
-                                   np.linalg.matrix_power(M, t), atol=1e-12)
+    exact = np.array([[1.0, 2.0], [2.0, 4.0]])          # zero pivot
+    near = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-13]])   # 1-norm condition ~ 4e14
+    zero_column = np.eye(4)
+    zero_column[:, 2] = 0.0
+    for A in (exact, near, zero_column, np.diag([1.0, 1e-13])):
+        for rhs in (np.ones(A.shape[0]), np.eye(A.shape[0])[:, :2]):
+            with pytest.raises(SingularMatrixError):
+                solve_linear(A, rhs)
+    # condition 1e11 is inside the 1 / PIVOT_TOL = 1e12 bound
+    np.testing.assert_allclose(solve_linear(np.diag([1.0, 1e-11]), [1.0, 1e-11]), [1.0, 1.0])
 
 
 def test_lp_known_vertex():
@@ -136,6 +117,13 @@ def test_lp_unbounded_and_infeasible():
                                A=np.array([[1.0], [-1.0]]), b=np.array([1.0, 0.0])))
 
 
+def test_lp_with_no_rows():
+    sol = lp_solve(LinearProgram(c=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0)))
+    assert sol.objective == 0.0 and sol.dual.shape == (0,)
+    with pytest.raises(UnboundedError):
+        lp_solve(LinearProgram(c=np.ones(2), A=np.zeros((0, 2)), b=np.zeros(0)))
+
+
 def test_lp_matches_vertex_oracle_on_random_instances():
     rng = np.random.default_rng(5)
     for _ in range(120):
@@ -158,6 +146,113 @@ def test_lp_duals_certify_objective():
         assert sol.dual is not None
         assert abs(sol.dual @ lp.b - sol.objective) <= 1e-7
         assert np.min(sol.dual) >= -1e-8
+
+
+def random_lp(rng, kind):
+    """Feasible at z0 ('free': bounded or not), boxed around z0, or made infeasible."""
+    n = int(rng.integers(2, 6))
+    k = int(rng.integers(n, 3 * n + 1))
+    z0 = rng.uniform(-2.0, 2.0, n)
+    A = rng.normal(size=(k, n))
+    b = A @ z0 - rng.uniform(0.0, 1.0, k)
+    if kind == "box":
+        A = np.vstack([A, np.eye(n), -np.eye(n)])
+        b = np.concatenate([b, z0 - 3.0, -(z0 + 3.0)])
+    elif kind == "infeasible":          # a.z >= a.z0 + 0.5 and a.z <= a.z0
+        a = rng.normal(size=n)
+        A = np.vstack([A, a, -a])
+        b = np.concatenate([b, [a @ z0 + 0.5, -(a @ z0)]])
+    return LinearProgram(c=rng.normal(size=n), A=A, b=b)
+
+
+def test_lp_matches_highs_on_random_instances():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(7)
+    seen = set()
+    for kind in ("box", "free", "infeasible") * 40:
+        lp = random_lp(rng, kind)
+        ref = linprog(lp.c, A_ub=-lp.A, b_ub=-lp.b, bounds=[(None, None)] * lp.c.size,
+                      method="highs")
+        seen.add(ref.status)
+        if ref.status == 0:
+            sol = lp_solve(lp)
+            assert abs(sol.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+            assert sol.cs_residual <= OPT_TOL
+        else:
+            assert ref.status in (2, 3)
+            with pytest.raises(InfeasibleError if ref.status == 2 else UnboundedError):
+                lp_solve(lp)
+    assert seen == {0, 2, 3}
+
+
+def test_phase2_from_shared_phase1_matches_fresh_solve():
+    rng = np.random.default_rng(8)
+    for kind in ("box", "free") * 15:
+        lp = random_lp(rng, kind)
+        start = _phase1(lp.A, lp.b)
+        tableau = start.T.copy()
+        for c in rng.normal(size=(4, lp.c.size)):
+            try:
+                fresh = lp_solve(LinearProgram(c=c, A=lp.A, b=lp.b))
+            except UnboundedError:
+                with pytest.raises(UnboundedError):
+                    _phase2(start, c)
+                continue
+            shared = _phase2(start, c)
+            assert shared.objective == fresh.objective
+            assert np.array_equal(shared.z, fresh.z)
+            assert np.array_equal(shared.dual, fresh.dual)
+        assert np.array_equal(start.T, tableau)
+
+
+def beale_tableau():
+    """Beale's (1955) LP at the degenerate vertex x = 0 with the slack basis.
+
+    min -3/4 x1 + 20 x2 - 1/2 x3 + 6 x4 over x >= 0 with
+    1/4 x1 - 8 x2 - x3 + 9 x4 <= 0, 1/2 x1 - 12 x2 - 1/2 x3 + 3 x4 <= 0 and
+    x3 <= 1. The most-negative-reduced-cost rule cycles here; the optimum
+    is -5/4 at x = (1, 0, 1, 0).
+    """
+    A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    T = np.hstack([A, np.eye(3), [[0.0], [0.0], [1.0]]])
+    cost = np.array([-0.75, 20.0, -0.5, 6.0, 0.0, 0.0, 0.0, 0.0])
+    return A, T, [4, 5, 6], cost
+
+
+def test_bland_terminates_on_beale_cycling_example(monkeypatch):
+    monkeypatch.setattr(numerics, "SIMPLEX_MAX_ITER", 50)
+    A, T, basis, cost = beale_tableau()
+    assert numerics._simplex(T, basis, cost) == "optimal"
+    assert abs(cost[basis] @ T[:, -1] + 1.25) <= 1e-12
+    # the same LP in lp_solve's form, z free with z >= 0 as rows
+    lp = LinearProgram(c=cost[:4], A=np.vstack([-A, np.eye(4)]),
+                       b=np.array([0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0]))
+    sol = lp_solve(lp)
+    np.testing.assert_allclose(sol.z, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    assert abs(sol.objective + 1.25) <= 1e-12 and sol.cs_residual <= OPT_TOL
+
+
+@pytest.mark.parametrize("rhs, basis, leaves", [
+    ((0.0, 0.0), (2, 1), 1),
+    ((1e-10, 0.0), (2, 1), 1),
+    ((0.0, 1e-10), (2, 1), 1),            # a tie: the larger ratio leaves
+    ((1.5e-9, 0.8e-9, 0.0), (1, 3, 9), 2),
+])
+def test_ratio_test_keeps_the_sequential_bland_tie_rule(rhs, basis, leaves):
+    # x0 enters with a unit column. Ratios within the simplex tolerance of
+    # the best so far tie, and the smaller basic index wins; the rows are
+    # scanned in order, so in the last case row 1 does not displace row 0
+    # (index 3 > 1) while row 2 does (0 < 1.5e-9 - 1e-9).
+    T = np.zeros((len(rhs), 11))
+    T[:, 0], T[:, -1] = 1.0, rhs
+    T[np.arange(len(rhs)), basis] = 1.0
+    cost = np.zeros(11)
+    cost[0] = -1.0
+    basis = list(basis)
+    expected = basis.copy()
+    expected[leaves] = 0
+    assert numerics._simplex(T, basis, cost) == "optimal"
+    assert basis == expected
 
 
 def test_convex_projection_onto_nonneg():
