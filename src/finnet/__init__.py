@@ -17,7 +17,6 @@ from .netmodel import (
     orthant_of,
     positivity_holds,
     simulate,
-    step,
     validate,
 )
 from .equilibria import (

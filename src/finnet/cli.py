@@ -20,11 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import fixtures as fixture_lib
-from .cycles import (
-    InsufficientLengthError,
-    classify_limit,
-    detect_cycle,
-)
+from .cycles import InsufficientLengthError, classify_trajectory, detect_cycle
 from .equilibria import DimensionTooLargeError, enumerate_equilibria, existence_conditions
 from .intervene import (
     InjectionProblem,
@@ -153,6 +149,13 @@ def _x0_from(doc: dict, n: int) -> np.ndarray:
     return x0
 
 
+def _horizon(args, doc: dict, default: int) -> int:
+    T = args.horizon if args.horizon is not None else doc.get("horizon", default)
+    if type(T) is not int or T < 0:     # rejects bools, floats and strings too
+        raise ScenarioError(f"horizon must be an integer >= 0, got {T!r}")
+    return T
+
+
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -180,8 +183,12 @@ def _has_non_finite(doc) -> bool:
 def _write_csv(path: Path, states: np.ndarray) -> None:
     n = states.shape[1]
     lines = ["t," + ",".join(f"x_{i + 1}" for i in range(n))]
+    text: dict[bytes, str] = {}         # a settled trajectory repeats its rows exactly
     for t, row in enumerate(states):
-        lines.append(str(t) + "," + ",".join(f"{v:.9g}" for v in row))
+        key = row.tobytes()
+        if key not in text:
+            text[key] = ",".join(f"{v:.9g}" for v in row)
+        lines.append(f"{t},{text[key]}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -189,12 +196,9 @@ def cmd_simulate(args, doc: dict) -> dict:
     net = _network_from(doc)
     model = ShiftedModel.from_network(net)
     x0 = _x0_from(doc, net.n)
-    T = args.horizon if args.horizon is not None else int(doc.get("horizon", 100))
-    if T < 0:
-        raise ScenarioError("horizon must be nonnegative")
-    traj = simulate(model, x0, T)
+    traj = simulate(model, x0, _horizon(args, doc, 100))
     results = {
-        "T": T,
+        "T": traj.T,
         "final_x": traj.states[-1],
         "final_v": traj.states[-1] + net.threshold,
         "orthants": [int(k) for k in traj.orthant_sequence()],
@@ -277,8 +281,8 @@ def cmd_robust(args, doc: dict) -> dict:
     }
     if "x0" in doc:
         x0 = _x0_from(doc, inet.n)
-        T = args.horizon if args.horizon is not None else int(doc.get("horizon", 200))
-        res = sandwich_bounds(inet, x0, T, sampler=uniform_sampler(inet, seed=args.seed))
+        res = sandwich_bounds(inet, x0, _horizon(args, doc, 200),
+                              sampler=uniform_sampler(inet, seed=args.seed))
         results["sandwich"] = {
             "T": res.T,
             "liminf_estimate": res.liminf_estimate,
@@ -294,8 +298,8 @@ def cmd_cycles(args, doc: dict) -> dict:
     net = _network_from(doc)
     model = ShiftedModel.from_network(net)
     x0 = _x0_from(doc, net.n)
-    T = args.horizon if args.horizon is not None else int(doc.get("horizon", 10000))
-    cls = classify_limit(model, x0, T=T, rho=args.rho, tol=args.tol, h_max=args.hmax)
+    traj = simulate(model, x0, _horizon(args, doc, 10000))
+    cls = classify_trajectory(traj, rho=args.rho, tol=args.tol, h_max=args.hmax)
     results: dict = {
         "kind": cls.kind,
         "rho": cls.rho,
@@ -305,7 +309,6 @@ def cmd_cycles(args, doc: dict) -> dict:
         "point": cls.point,
         "orbit": None if cls.orbit is None else cls.orbit,
     }
-    traj = simulate(model, x0, T)
     try:
         hit = detect_cycle(traj, tol=args.tol, h_max=args.hmax)
         results["detected"] = None if hit is None else {
@@ -388,9 +391,7 @@ def cmd_fixtures(args, doc: dict | None) -> dict:
         ok = k in values and np.allclose(values[k], pat, atol=1e-3)
         _check(checks, f"ring4.equilibrium_k{k}", ok)
     traj = simulate(model, fixture_lib.RING4_ORBIT[0], 400)
-    err = 0.0
-    for i in range(8):
-        err = max(err, float(np.max(np.abs(traj.states[i] - fixture_lib.RING4_ORBIT[i]))))
+    err = float(np.max(np.abs(traj.states[:8] - fixture_lib.RING4_ORBIT)))
     _check(checks, "ring4.orbit_rows", err <= 1e-3, f"max err {err:.2e}")
     hit = detect_cycle(traj)
     _check(checks, "ring4.period", hit is not None and hit.period == 8)

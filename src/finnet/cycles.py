@@ -6,7 +6,9 @@ lifted matrices are block-circulant with C (resp. diag(beta)) on the
 subdiagonal blocks and the top-right corner. The dynamics admit no
 period-2 orbits, which verify_no_period2 probes empirically, and
 trajectories that stay clear of the switching boundaries settle on an
-equilibrium or a cycle, which classify_limit reports.
+equilibrium or a cycle, which classify_limit reports. Every trajectory
+here comes from netmodel.simulate: bitwise the plain step loop (the
+no-period-2 trials as one block), though a settled one costs few steps.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import ShiftedModel, Trajectory, indicator, simulate
+from .netmodel import ShiftedModel, Trajectory, indicator, orthant_codes, simulate
 
 
 class InsufficientLengthError(ValueError):
@@ -73,16 +75,12 @@ class CycleHit:
         return self.period == 1
 
 
-def _orthant_codes(states: np.ndarray) -> np.ndarray:
-    n = states.shape[1]
-    weights = 2 ** np.arange(n - 1, -1, -1)
-    return (states < 0) @ weights
-
-
 def _detect(states: np.ndarray, tol: float, h_max: int) -> CycleHit | None:
     """Core search over a (T+1, n) state array."""
+    lo = max(states.shape[0] - 2 * h_max, 0)    # no window reaches further back
+    states = states[lo:]
     T = states.shape[0] - 1
-    codes = _orthant_codes(states)
+    codes = orthant_codes(states)
     for h in range(1, h_max + 1):
         start = T - h_max - h + 1
         stop = T - h                   # inclusive; window of h_max start times
@@ -93,7 +91,7 @@ def _detect(states: np.ndarray, tol: float, h_max: int) -> CycleHit | None:
             continue                   # orthant pattern already rules h out
         diff = states[start + h:stop + h + 1] - states[win]
         if np.max(np.abs(diff)) <= tol:
-            return CycleHit(period=h, phase=start)
+            return CycleHit(period=h, phase=lo + start)
     return None
 
 
@@ -143,12 +141,7 @@ def verify_no_period2(model: ShiftedModel, trials: int = 100, seed: int = 0,
     # `scale` two orders below tol
     settle = np.log(tol / (100.0 * n * max(scale, 1.0))) / np.log(max(1.0 - slack, 0.1))
     T = 2 * h_max + min(max(int(settle) + 1, 64), 4000)
-    X = rng.uniform(-scale, scale, size=(n, trials))
-    history = np.empty((T + 1, n, trials))
-    history[0] = X
-    for t in range(T):
-        X = model.C @ X + model.r[:, None] - model.beta[:, None] * (X < 0)
-        history[t + 1] = X
+    history = simulate(model, rng.uniform(-scale, scale, size=(n, trials)), T).states
     counts: dict[int, int] = {}
     violations = []
     for j in range(trials):
@@ -184,13 +177,18 @@ class LimitClassification:
 
 def classify_limit(model: ShiftedModel, x0, T: int = 10000, rho: float = 1e-6,
                    tol: float = 1e-9, h_max: int = 64) -> LimitClassification:
-    """Simulate T steps and classify the limit behavior.
+    """Simulate T steps and classify the limit behavior (classify_trajectory)."""
+    return classify_trajectory(simulate(model, x0, T), rho=rho, tol=tol, h_max=h_max)
+
+
+def classify_trajectory(traj: Trajectory, rho: float = 1e-6, tol: float = 1e-9,
+                        h_max: int = 64) -> LimitClassification:
+    """Classify where a simulated trajectory settled.
 
     The criticality screen runs first: any state component within rho of
     zero makes the whole trajectory Critical. Undetermined means no period
     up to h_max closed within the horizon.
     """
-    traj = simulate(model, x0, T)
     states = traj.states
     near = np.abs(states) < rho
     if near.any():

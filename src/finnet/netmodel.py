@@ -158,11 +158,20 @@ class OrthantIndex:
 
 def orthant_of(x) -> int:
     """Index of the orthant containing x (boundaries count as healthy)."""
-    bits = indicator(x).astype(int)
-    k = 0
-    for b in bits:
-        k = (k << 1) | int(b)
-    return k
+    return int(orthant_codes(np.atleast_2d(x))[0])
+
+
+def orthant_codes(states) -> np.ndarray:
+    """orthant_of for every row of a (rows, n) array: int64 codes for
+    n <= 62, exact Python ints in an object array past that (int64 wraps).
+    """
+    failed = np.asarray(states) < 0
+    n = failed.shape[1]
+    if n <= 62:
+        return failed @ (2 ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    packed = np.packbits(failed, axis=1)       # rows padded to whole bytes
+    return np.fromiter((int.from_bytes(row.tobytes(), "big") >> (-n % 8) for row in packed),
+                       dtype=object, count=len(packed))
 
 
 @dataclass(frozen=True)
@@ -208,11 +217,6 @@ class ShiftedModel:
         return self.C, self.r - self.beta * phi
 
 
-def step(model: ShiftedModel, x) -> np.ndarray:
-    """One step of the shifted dynamics."""
-    return model.step(x)
-
-
 @dataclass
 class Trajectory:
     """States of a simulation run, indexed t = 0..T."""
@@ -231,19 +235,34 @@ class Trajectory:
         return self.states[t]
 
     def orthant_sequence(self) -> np.ndarray:
-        return np.array([orthant_of(x) for x in self.states], dtype=int)
+        return orthant_codes(self.states)
 
 
 def simulate(model: ShiftedModel, x0, T: int) -> Trajectory:
-    """Iterate the dynamics T steps from x0."""
+    """Iterate the dynamics T steps from x0 of shape (n,) or (n, batch).
+
+    Each step is bitwise model.step; a batch is stepped as one (n, batch)
+    block. A step depends on the float64 state alone, so at the first
+    repeat of a state's bit pattern (-0.0 and 0.0 differ) the rest of the
+    trajectory is tiled from the cycle instead of computed.
+    """
     if T < 0:
         raise ValueError("horizon must be nonnegative")
     x = np.asarray(x0, dtype=float)
-    if x.shape != (model.n,):
-        raise ValueError(f"x0 must have shape ({model.n},), got {x.shape}")
-    states = np.empty((T + 1, model.n))
+    if x.shape[:1] != (model.n,) or x.ndim > 2:
+        raise ValueError(f"x0 must have shape ({model.n},) or ({model.n}, batch), got {x.shape}")
+    col = (model.n,) + (1,) * (x.ndim - 1)
+    C, r, beta = model.C, model.r.reshape(col), model.beta.reshape(col)
+    states = np.empty((T + 1,) + x.shape)
     states[0] = x
-    for t in range(T):
-        x = model.step(x)
-        states[t + 1] = x
+    seen = {hash(x.tobytes()): 0}       # bit pattern hash -> step index
+    for t in range(1, T + 1):
+        x, failed = C @ x, x < 0.0      # C x + r - beta phi, in place: same rounding
+        x += r
+        x -= beta * failed
+        states[t] = x
+        t0 = seen.setdefault(hash(x.tobytes()), t)
+        if t0 < t and states[t0].tobytes() == x.tobytes():
+            states[t:] = states[t0 + (np.arange(t, T + 1) - t0) % (t - t0)]
+            break
     return Trajectory(states=states, model=model)

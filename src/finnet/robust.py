@@ -16,11 +16,13 @@ even the most favorable holdings cannot keep every organization healthy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .invariance import Polyhedron, healthy_invariant_region
+from .netmodel import ShiftedModel, simulate
 from .numerics import solve_linear
 
 
@@ -131,10 +133,14 @@ def constant_upper(inet: IntervalNetwork) -> Callable[[int], np.ndarray]:
 
 
 def uniform_sampler(inet: IntervalNetwork, seed: int = 0) -> Callable[[int], np.ndarray]:
-    """Independent uniform draw per entry per step; zero-width entries stay put."""
+    """Independent uniform draw per entry per step; zero-width entries stay put.
+    Drawn in blocks of about 4096 entries: the stream of one rng.uniform per call.
+    """
     rng = np.random.default_rng(seed)
     lo, hi = inet.c_lower, inet.c_upper
-    return lambda t: rng.uniform(lo, hi)
+    size = (max(1, 4096 // lo.size),) + lo.shape
+    stream = chain.from_iterable(rng.uniform(lo, hi, size=size) for _ in count())
+    return lambda t: next(stream)
 
 
 def sequence_sampler(mats: Sequence[np.ndarray]) -> Callable[[int], np.ndarray]:
@@ -173,20 +179,17 @@ def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
         raise ValueError("x0 is outside the robust invariant set; bounds would not apply")
     if sampler is None:
         sampler = uniform_sampler(inet)
-    n = inet.n
-    traj = {key: np.empty((T + 1, n)) for key in ("sampled", "lower", "upper")}
-    xs = xl = xu = x0
-    traj["sampled"][0] = traj["lower"][0] = traj["upper"][0] = x0
+    sampled = np.empty((T + 1, inet.n))
+    sampled[0] = xs = x0
     for t in range(T):
-        xs = sampler(t) @ xs + inet.r
-        xl = inet.c_lower @ xl + inet.r
-        xu = inet.c_upper @ xu + inet.r
-        traj["sampled"][t + 1] = xs
-        traj["lower"][t + 1] = xl
-        traj["upper"][t + 1] = xu
-    win = traj["sampled"][-min(tail, T + 1):]
-    return SandwichResult(sampled=traj["sampled"], lower=traj["lower"],
-                          upper=traj["upper"],
+        xs = sampler(t) @ xs
+        xs += inet.r
+        sampled[t + 1] = xs
+    # beta = 0 makes the kernel's step C x + r - 0.0, bitwise C x + r
+    lower, upper = (simulate(ShiftedModel.from_parts(c, inet.r, np.zeros(inet.n)), x0, T).states
+                    for c in (inet.c_lower, inet.c_upper))
+    win = sampled[-min(tail, T + 1):]
+    return SandwichResult(sampled=sampled, lower=lower, upper=upper,
                           liminf_estimate=win.min(axis=0),
                           limsup_estimate=win.max(axis=0))
 

@@ -7,6 +7,7 @@ import pytest
 
 from finnet import cli, fixtures, numerics
 from finnet.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main
+from finnet.netmodel import ShiftedModel
 
 
 def net_doc(net) -> dict:
@@ -58,6 +59,54 @@ def test_simulate_zero_horizon_single_row(tmp_path, two_bank_scenario):
     assert code == EXIT_OK
     lines = (out / "trajectory.csv").read_text().strip().splitlines()
     assert len(lines) == 2                    # header + initial state only
+
+
+def test_csv_formats_repeated_rows_like_fresh_ones(tmp_path):
+    states = np.array([[0.0, -0.0], [1 / 3, 2.0], [-0.0, 0.0], [1 / 3, 2.0], [0.0, -0.0]])
+    cli._write_csv(tmp_path / "t.csv", states)
+    expected = ["t,x_1,x_2"] + [f"{t}," + ",".join(f"{v:.9g}" for v in row)
+                                for t, row in enumerate(states)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+    assert expected[1] == "0,0,-0" and expected[3] == "2,-0,0"
+
+
+def test_simulate_exact_orthant_codes_past_int64(tmp_path):
+    rng = np.random.default_rng(70)
+    net = fixtures.random_network(rng, 70)
+    x0 = rng.uniform(-2.0, 2.0, size=70)
+    doc = {"network": net_doc(net), "x0": x0.tolist(), "horizon": 30}
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", write_scenario(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_OK
+    model = ShiftedModel.from_network(net)
+    x, expected = x0, []
+    for _ in range(31):
+        expected.append(int("".join("1" if v < 0 else "0" for v in x), 2))
+        x = model.step(x)
+    codes = load_report(out, "simulate")["results"]["orthants"]
+    assert codes == expected and max(codes) >= 2 ** 63
+
+
+def _horizon_scenario(command):
+    if command == "robust":
+        net = fixtures.two_bank()
+        return {"interval": {"c_lower": (0.9 * net.C).tolist(),
+                             "c_upper": (1.1 * net.C).tolist(), "r": [0.5, 0.5]},
+                "x0": [1.0, 1.0], "horizon": "HORIZON"}
+    return {"network": net_doc(fixtures.two_bank()), "x0": [-1.0, -1.0], "horizon": "HORIZON"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "cycles", "robust"])
+@pytest.mark.parametrize("horizon, flag", [("1e999", None), ("-3", None), ('"100"', None),
+                                           ("2.7", None), ("true", None), ("40", "-1")])
+def test_bad_horizon_exit2(tmp_path, capsys, command, horizon, flag):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_horizon_scenario(command)).replace('"HORIZON"', horizon))
+    argv = [command, "--scenario", str(path)] + ([f"--horizon={flag}"] if flag else [])
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: horizon must be an integer >= 0, got ")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 def test_simulate_prints_to_stdout_without_out(two_bank_scenario, capsys):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from finnet import fixtures
 from finnet.netmodel import (
@@ -10,10 +10,10 @@ from finnet.netmodel import (
     OrthantIndex,
     ShiftedModel,
     indicator,
+    orthant_codes,
     orthant_of,
     positivity_holds,
     simulate,
-    step,
     validate,
 )
 
@@ -123,7 +123,7 @@ def test_simulate_replay_and_orthants():
     assert len(traj) == 21
     x = np.array([1.0, -1.0])
     for t in range(20):
-        x = step(model, x)
+        x = model.step(x)
         np.testing.assert_allclose(traj[t + 1], x, atol=1e-12)
     ks = traj.orthant_sequence()
     assert ks[0] == 1
@@ -166,3 +166,95 @@ def test_from_parts_defaults_threshold_to_zero():
                                     beta=np.array([2.0]))
     np.testing.assert_array_equal(model.threshold, [0.0])
     assert model.step(np.array([-1.0]))[0] == pytest.approx(-1.0)   # r - beta
+
+
+def reference_simulate(model, x0, T):
+    """The plain loop simulate replaced: one model.step per step, no repeat test."""
+    x = np.asarray(x0, dtype=float)
+    states = np.empty((T + 1, model.n))
+    states[0] = x
+    for t in range(T):
+        x = model.step(x)
+        states[t + 1] = x
+    return states
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       T=st.sampled_from([0, 1, 3, 40, 400, 2000]))
+def test_simulate_is_bitwise_the_plain_loop(n, seed, T):
+    rng = np.random.default_rng(seed)
+    model = ShiftedModel.from_network(fixtures.random_network(rng, n))
+    x0 = rng.uniform(-3.0, 3.0, size=n)
+    assert_bitwise_equal(simulate(model, x0, T).states, reference_simulate(model, x0, T))
+
+
+@pytest.mark.parametrize("T", [0, 1, 5, 500])
+def test_simulate_ring4_orbit_bitwise(T):
+    # T = 5 stops inside the first period, before any repeat
+    model = ShiftedModel.from_network(fixtures.ring4())
+    x0 = fixtures.RING4_ORBIT[0]
+    assert_bitwise_equal(simulate(model, x0, T).states, reference_simulate(model, x0, T))
+
+
+def test_simulate_bitwise_near_switching_boundary():
+    rng = np.random.default_rng(4)
+    for n in (2, 4, 8):
+        model = ShiftedModel.from_network(fixtures.random_network(rng, n))
+        for _ in range(20):
+            x0 = rng.uniform(-1e-12, 1e-12, size=n)
+            x0[rng.random(n) < 0.3] = rng.choice([0.0, -0.0, 5e-324, -5e-324])
+            for T in (0, 1, 3, 300):
+                assert_bitwise_equal(simulate(model, x0, T).states,
+                                     reference_simulate(model, x0, T))
+
+
+def test_simulate_repeat_compares_bit_patterns():
+    # x(0) = -0.0 and x(1) = 0.0 are equal as numbers but not as bits: a
+    # value test would tile -0.0 forever, the true trajectory stays at +0.0
+    model = ShiftedModel.from_parts(C=[[0.5]], r=[0.0], beta=[1.0])
+    states = simulate(model, np.array([-0.0]), 6).states
+    assert_bitwise_equal(states, reference_simulate(model, np.array([-0.0]), 6))
+    assert np.signbit(states[0, 0]) and not np.signbit(states[1:]).any()
+
+
+def test_batched_simulate_matches_scalar_runs():
+    rng = np.random.default_rng(8)
+    for n in (2, 5, 12):
+        model = ShiftedModel.from_network(fixtures.random_network(rng, n))
+        X0 = rng.uniform(-5.0, 5.0, size=(n, 7))
+        batch = simulate(model, X0, 300).states
+        assert batch.shape == (301, n, 7)
+        for j in range(7):
+            single = simulate(model, X0[:, j], 300).states
+            scale = max(1.0, float(np.max(np.abs(single))))
+            np.testing.assert_allclose(batch[:, :, j], single, rtol=0, atol=1e-12 * scale)
+
+
+def test_simulate_rejects_bad_shapes():
+    model = ShiftedModel.from_network(fixtures.two_bank())
+    for x0 in (np.zeros(3), np.zeros((2, 2, 2)), np.zeros((3, 2))):
+        with pytest.raises(ValueError):
+            simulate(model, x0, 4)
+    with pytest.raises(ValueError):
+        simulate(model, np.zeros(2), -1)
+
+
+@pytest.mark.parametrize("n", [62, 63, 64, 70, 200])
+def test_orthant_codes_exact_past_int64(n):
+    rng = np.random.default_rng(n)
+    states = rng.uniform(-1.0, 1.0, size=(30, n))
+    states[0] = -1.0                        # every bit set
+    states[1:3] = 0.0                       # boundary counts as healthy
+    states[2, 0] = -0.0
+    codes = orthant_codes(states)
+    assert codes.dtype == (np.int64 if n <= 62 else object)
+    for row, code in zip(states, codes):
+        expected = int("".join("1" if v < 0 else "0" for v in row), 2)
+        assert int(code) == expected == orthant_of(row)
+    assert int(codes[0]) == 2 ** n - 1 and codes[1] == codes[2] == 0

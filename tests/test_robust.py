@@ -114,6 +114,38 @@ def test_sequence_sampler_cycles_matrices():
     np.testing.assert_array_equal(sampler(2), inet.c_lower)
 
 
+def ten_bank_interval(seed=0):
+    rng = np.random.default_rng(seed)
+    C = rng.uniform(0.0, 1.0, size=(10, 10))
+    np.fill_diagonal(C, 0.0)
+    C *= rng.uniform(0.3, 0.8, size=10) / C.sum(axis=0)
+    return IntervalNetwork.from_nominal(C, rng.uniform(0.1, 0.5, size=10), 0.1)
+
+
+@pytest.mark.parametrize("inet, calls", [(two_bank_interval(), 2500),
+                                         (ten_bank_interval(), 130)])
+def test_uniform_sampler_is_the_per_call_stream(inet, calls):
+    # more calls than one block of draws holds (1024 at n = 2, 40 at n = 10)
+    sampler = uniform_sampler(inet, seed=11)
+    rng = np.random.default_rng(11)
+    for t in range(calls):
+        expected = rng.uniform(inet.c_lower, inet.c_upper)
+        np.testing.assert_array_equal(sampler(t).view(np.uint64), expected.view(np.uint64))
+    assert sampler(calls)[0, 0] == 0.0              # zero-width entries stay put
+
+
+@pytest.mark.parametrize("inet", [two_bank_interval(), ten_bank_interval()])
+def test_sandwich_extremes_are_the_plain_iteration(inet):
+    x0 = np.full(inet.n, 1.0)
+    res = sandwich_bounds(inet, x0, T=300, sampler=uniform_sampler(inet, seed=2))
+    for C, states in ((inet.c_lower, res.lower), (inet.c_upper, res.upper)):
+        x, expected = x0, [x0]
+        for _ in range(300):
+            x = C @ x + inet.r
+            expected.append(x)
+        np.testing.assert_array_equal(states.view(np.uint64), np.array(expected).view(np.uint64))
+
+
 def test_sandwich_rejects_outside_start():
     inet = two_bank_interval()
     with pytest.raises(ValueError):
