@@ -462,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--nonnegative-injection", action="store_true",
                         help="restrict injections to v >= 0")
     update = parser.add_mutually_exclusive_group()
-    update.add_argument("--verbatim-v-update", action="store_true", default=True,
-                        help="loop update v <- v - x(t) (default)")
+    update.add_argument("--verbatim-v-update", action="store_true",
+                        help="loop update v <- v - x(t): the default, kept as an alias")
     update.add_argument("--clamped-v-update", dest="clamped_v_update",
                         action="store_true", help="loop update v <- max(v - x(t), 0)")
     return parser

@@ -27,12 +27,13 @@ from .numerics import (
     ConvexProgram,
     ConvexSolution,
     InfeasibleError,
+    IterationLimitError,
     LinearProgram,
     OPT_TOL,
     STRICT_MARGIN,
     convex_solve,
-    dykstra,
     lp_solve,
+    project_polyhedron,
     solve_linear,
 )
 
@@ -94,19 +95,19 @@ def _reallocation_pieces(prob: ReallocationProblem):
     A = np.vstack([-np.tile(np.eye(m), n), np.kron(prob.G, p)])
     b = np.concatenate([-np.ones(m), net.threshold + prob.epsilon])
 
+    last = [None]   # multipliers of the last projection, the next one's warm start
     def project(z: np.ndarray) -> np.ndarray:
-        return dykstra(A, b, z)
+        z, last[0] = project_polyhedron(A, b, z, last[0])
+        return z
 
     def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
         D = z.reshape(n, m)
         income_gap = D @ p - prob.v
         colsum = D.sum(axis=0)
         g1, g2 = np.linalg.norm(income_gap), np.linalg.norm(colsum)
-        grad = np.zeros((n, m))
-        if g1 > 1e-12:
-            grad += np.outer(income_gap / g1, p)
+        grad = np.outer(income_gap / g1, p) if g1 > 1e-12 else np.zeros((n, m))
         if g2 > 1e-12:
-            grad += np.tile(colsum / g2, (n, 1))
+            grad += colsum / g2             # the same colsum gradient in every row
         return float(g1 + g2), grad.reshape(-1)
 
     return objective, project, (n, m), A, b
@@ -127,10 +128,7 @@ def build_reallocation_program(prob: ReallocationProblem,
     p = prob.network.p
     pnorm = float(p @ p)
     target = np.clip(prob.v, 0.0, None)
-    if pnorm > 1e-12:
-        guess = np.outer(target, p) / pnorm
-    else:
-        guess = np.zeros((n, m))
+    guess = np.outer(target, p) / pnorm if pnorm > 1e-12 else np.zeros((n, m))
     starts = [project(guess.reshape(-1)),
               project(prob.network.D.reshape(-1).copy())]
     prog = ConvexProgram(objective=objective, project=project, tol=tol,
@@ -153,8 +151,8 @@ def reallocation_feasible(prob: ReallocationProblem, D: np.ndarray,
 def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, ConvexSolution]:
     """Solve the reallocation program; returns (D, solver diagnostics).
 
-    Raises InfeasibleError when the projection cannot reach the constraint
-    set, naming the violated group.
+    Raises InfeasibleError naming the constraint group that cannot be met,
+    and IterationLimitError when the chosen descent does not converge.
     """
     D, sol, _ = _reallocate(prob)
     return D, sol
@@ -162,20 +160,20 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, ConvexSol
 
 def _reallocate(prob: ReallocationProblem) -> tuple[np.ndarray, ConvexSolution, dict[str, float]]:
     """asset_reallocation plus the constraint residuals at the returned D."""
-    prog, starts = build_reallocation_program(prob)
+    try:
+        prog, starts = build_reallocation_program(prob)
+    except InfeasibleError:
+        raise InfeasibleError("reallocation constraints unreachable: no nonneg holdings "
+                              "with colsum at most one meet the equilibrium rows") from None
     sol = None
     for start in starts:
         cand = convex_solve(prog, start)
         if sol is None or cand.objective < sol.objective - OPT_TOL:
             sol = cand
-    n, m = prob.network.D.shape
-    D = sol.x.reshape(n, m)
-    ok, residuals = reallocation_feasible(prob, D)
-    if not ok:
-        worst = max(residuals, key=residuals.get)
-        raise InfeasibleError(
-            f"reallocation constraints unreachable: {worst} violated by {residuals[worst]:.3e}")
-    return D, sol, residuals
+    if not sol.converged:
+        raise IterationLimitError(f"reallocation not converged in {sol.iterations} iterations")
+    D = sol.x.reshape(prob.network.D.shape)
+    return D, sol, reallocation_feasible(prob, D)[1]
 
 
 class IterationCapReached(RuntimeError):
@@ -195,6 +193,7 @@ class PlanStep:
     v: np.ndarray               # outstanding target after the update
     objective: float            # reallocation objective at D
     residuals: dict[str, float]
+    iterations: int             # descent iterations of the chosen start
 
 
 @dataclass
@@ -248,8 +247,8 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
         v = v - x
         if mode == "clamped":
             v = np.maximum(v, 0.0)
-        plan.steps.append(PlanStep(iteration=it, D=D, x=x.copy(), v=v.copy(),
-                                   objective=sol.objective, residuals=residuals))
+        plan.steps.append(PlanStep(it, D, x.copy(), v.copy(), objective=sol.objective,
+                                   residuals=residuals, iterations=sol.iterations))
     if region.contains(x):
         plan.success = True
         return plan

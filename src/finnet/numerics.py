@@ -3,11 +3,12 @@
 Everything downstream (equilibrium solves, invariant-region pruning, the
 injection LP, the reallocation program) funnels through the entry points
 here: solve_linear (LAPACK, with a condition check), lp_solve,
-convex_solve, and dykstra (the projection onto {x >= 0, A x >= b} that
-convex_solve is given by the reallocation program). Problems are small
-(tens of variables), so the solvers are dense: the simplex keeps Bland's
-rule and pivots with whole-array updates, and Python loops are left only
-where a rule is sequential.
+convex_solve, and project_polyhedron (the exact projection onto
+{z >= 0, A z >= b} that the reallocation program hands convex_solve, with
+its KKT multipliers). Problems are small (tens of variables), so the
+solvers are dense: the simplex keeps Bland's rule and pivots with
+whole-array updates, and Python loops are left only where a rule is
+sequential.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from typing import Callable
 import numpy as np
 
 # Centralized tolerances. Callers should not invent their own.
-OPT_TOL = 1e-8          # LP and projection optimality certificates
+OPT_TOL = 1e-8          # LP optimality certificates and objective ties
 STRICT_MARGIN = 1e-6    # margin used to close strict inequalities
 PIVOT_TOL = 1e-12       # solve_linear refuses condition numbers above 1/PIVOT_TOL
 SIMPLEX_MAX_ITER = 20000  # pivots per simplex phase before IterationLimitError
+PROJECTION_TOL = 1e-13  # KKT residual at which project_polyhedron stops, times scale
+PROJECTION_MAX_ITER = 100  # Newton steps before project_polyhedron gives up
 
 
 class SingularMatrixError(ValueError):
@@ -37,7 +40,7 @@ class UnboundedError(ValueError):
 
 
 class IterationLimitError(RuntimeError):
-    """Raised when the simplex method hits SIMPLEX_MAX_ITER pivots."""
+    """Raised when an iterative solver reaches its iteration cap uncertified."""
 
 
 def solve_linear(A, b) -> np.ndarray:
@@ -94,9 +97,6 @@ class LPSolution:
     objective: float
     dual: np.ndarray           # multipliers for the >= rows, nonnegative
     cs_residual: float         # complementary slackness / duality residual
-
-    def __iter__(self):        # convenient unpacking
-        yield from (self.z, self.objective)
 
 
 _SIMPLEX_EPS = 1e-9
@@ -240,7 +240,7 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
 
 
 # ---------------------------------------------------------------------------
-# Convex programming: projected gradient with a user-supplied projector.
+# Convex programming: projected gradient, and the exact projection it is given.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -302,56 +302,57 @@ def convex_solve(prog: ConvexProgram, start) -> ConvexSolution:
                           iterations=it, history=history)
 
 
-# -- projection helpers ------------------------------------------------------
+def project_polyhedron(A, b, y, lam=None, max_iter: int = PROJECTION_MAX_ITER) -> tuple:
+    """Nearest point z to y in {z >= 0, A z >= b} and its row multipliers lam.
 
-def project_nonneg(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def dykstra(A, b, x0, tol: float = 1e-10, max_cycles: int = 2000) -> np.ndarray:
-    """Dykstra alternating projection onto {x >= 0} intersected with {A x >= b}.
-
-    Each sweep projects onto x >= 0, then onto each row a_i.x >= b_i in
-    order; it converges to the nearest point of the set (Boyle and
-    Dykstra, 1986). A row's correction is a multiple lam_i of a_i, kept as
-    a scalar: within a sweep a_i.x is (A x)_i at the sweep's start plus
-    d_j K[i, j] (K = A A^T) for each row j already moved by d_j, and x is
-    updated once per sweep. The row loop runs on Python floats, where
-    indexing numpy scalars would cost as much as the arithmetic.
-
-    Stops once a sweep moves x by less than tol at a point within OPT_TOL
-    (times max|b|) of every constraint, because x can stall outside the
-    set while the corrections still move (Birgin and Raydan, 2005). On an
-    empty intersection it runs all max_cycles.
+    z(lam) = max(y + A^T lam, 0) meets stationarity and bound complementarity, so
+    only the dual min f = |z(lam)|^2 / 2 - b.lam over lam >= 0 is solved (warm-started
+    at lam); its gradient is s = A z - b, and |min(lam, s)|_inf is the whole KKT
+    residual. Projected semismooth Newton (Bertsekas, 1982) on rows J with lam > 0 or
+    s <= 0 solves (A_JF A_JF^T + delta R_J) d = -s_J, F where y + A^T lam > 0, R the
+    squared row norms and delta = max(min(1, max_J s_i^2 / R_i), PIVOT_TOL), as A may
+    be rank deficient. A full step is kept if it halves the least residual so far, else
+    it is halved until Armijo's rule on f holds, or doubled while f falls. Stops at
+    residual PROJECTION_TOL * max(1, |A|, |b|, |y|), or raises InfeasibleError (empty
+    set) or IterationLimitError.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x0, dtype=float).copy()
-    K = (A @ A.T).tolist()
-    rows = [(i, b_i, K[i], K[i][i]) for i, b_i in enumerate(b.tolist())]
-    feas_tol = OPT_TOL * max(1.0, float(np.max(np.abs(b), initial=0.0)))
-    lam = [0.0] * len(rows)
-    corr = np.zeros_like(x)             # the nonnegative orthant's correction
-    for _ in range(max_cycles):
-        y = x + corr
-        x_new = np.maximum(y, 0.0)
-        corr = y - x_new
-        s = (A @ x_new).tolist()
-        moves: list[tuple[int, float]] = []
-        for (i, b_i, K_i, norm2), ax in zip(rows, s):
-            for j, d in moves:
-                ax += d * K_i[j]
-            old = lam[i]
-            gap = b_i - ax + old * norm2
-            new = gap / norm2 if gap > 0.0 else 0.0
-            if new != old:
-                moves.append((i, new - old))
-                lam[i] = new
-        if moves:
-            idx, d = zip(*moves)
-            x_new += np.asarray(d) @ A[list(idx)]
-        if abs(x_new - x).max() < tol and min(
-                x_new.min(), (A @ x_new - b).min(initial=0.0)) >= -feas_tol:
-            return x_new
-        x = x_new
-    return x
+    A, b, y = (np.asarray(v, dtype=float) for v in (A, b, y))
+    lam = np.zeros(b.shape[0]) if lam is None else np.maximum(lam, 0.0)
+    r2 = np.einsum("ij,ij->i", A, A)   # R: delta scales with the rows, as A_JF A_JF^T does
+    r2[r2 == 0.0] = 1.0
+    tol = PROJECTION_TOL * max(1.0, *(float(np.abs(v).max(initial=0.0)) for v in (A, b, y)))
+
+    def dual(lam):
+        w = y + lam @ A
+        z = np.maximum(w, 0.0)
+        s = A @ z - b
+        return lam, w, z, s, 0.5 * z @ z - b @ lam, float(abs(np.minimum(lam, s)).max(initial=0))
+
+    lam, w, z, s, f, res = dual(lam)
+    best = res      # full steps may raise f; halving the least residual keeps them from cycling
+    for _ in range(max_iter):
+        if res <= tol:
+            break
+        J = (lam > 0.0) | (s <= 0.0)
+        A_J = A[J]
+        H = (A_J * (w > 0.0)) @ A_J.T           # A_JF A_JF^T, F by masking columns
+        delta = max(min(1.0, float(np.maximum.reduce(s[J] ** 2 / r2[J]))), PIVOT_TOL)
+        H.flat[::len(H) + 1] += delta * r2[J]
+        d = np.zeros(lam.size)
+        d[J] = -np.linalg.solve(H, s[J])
+        new = dual(np.maximum(lam + d, 0.0))
+        if new[5] > 0.5 * best:     # f can be linear along d, so a step passing Armijo grows
+            up = new[4] <= f + 1e-4 * (s @ (new[0] - lam))
+            for k in range(1, 50):
+                trial = dual(np.maximum(lam + (2.0 ** k if up else 0.5 ** k) * d, 0.0))
+                if up and trial[4] >= new[4]:
+                    break
+                new = trial
+                if not up and new[4] <= f + 1e-4 * (s @ (new[0] - lam)):
+                    break
+        lam, w, z, s, f, res = new
+        best = min(best, res)
+    if res > tol:
+        _phase1(np.vstack([A, np.eye(y.size)]), np.concatenate([b, np.zeros(y.size)]))
+        raise IterationLimitError(f"projection residual {res:.3e} after {max_iter} Newton steps")
+    return z, lam

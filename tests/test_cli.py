@@ -1,11 +1,12 @@
 """Command-line front end: reports, CSV output, exit codes."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from finnet import cli, fixtures, numerics
+from finnet import cli, fixtures, intervene, numerics
 from finnet.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main
 from finnet.netmodel import ShiftedModel
 
@@ -301,6 +302,28 @@ def test_simplex_iteration_cap_exit3(tmp_path, capsys, monkeypatch):
     assert main(["intervene", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_SOLVER
     err = capsys.readouterr().err
     assert "simplex iteration cap" in err and "Traceback" not in err
+
+
+def test_unconverged_reallocation_exit3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(intervene, "convex_solve",
+                        lambda prog, start: numerics.convex_solve(replace(prog, max_iter=1), start))
+    doc = {"network": net_doc(fixtures.complete10()), "x0": fixtures.SAMPLE_STATE10.tolist()}
+    assert main(["intervene", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "reallocation not converged" in err and "Traceback" not in err
+
+
+def test_verbatim_v_update_flag_is_the_default(tmp_path):
+    doc = {"network": net_doc(fixtures.two_bank()), "x0": [-3.0, -3.0]}
+    path = write_scenario(tmp_path, doc)
+    reports = []
+    for flags in ([], ["--verbatim-v-update"]):
+        out = tmp_path / f"out{len(flags)}"
+        assert main(["intervene", "--scenario", path, "--out", str(out), *flags]) == EXIT_OK
+        report = load_report(out, "intervene")
+        report.pop("wall_time_s")
+        reports.append(report)
+    assert reports[0] == reports[1] and reports[0]["inputs"]["v_update"] == "verbatim"
 
 
 def test_unordered_extremes_exit2(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Cash injection LP, holdings reallocation, and the driving loop."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from finnet import fixtures
+from finnet import fixtures, intervene, numerics
 from finnet.intervene import (
     InjectionProblem,
     InterventionPlan,
@@ -19,7 +20,7 @@ from finnet.intervene import (
 )
 from finnet.invariance import maximal_invariant_region
 from finnet.netmodel import FinancialNetwork, ShiftedModel
-from finnet.numerics import InfeasibleError
+from finnet.numerics import InfeasibleError, IterationLimitError
 
 
 def healthy_region(net):
@@ -167,6 +168,7 @@ def test_drive_complete10_both_modes():
         for step in plan.steps:
             assert max(step.residuals.values()) <= 1e-8
             assert step.D.shape == (10, 10)
+            assert step.iterations >= 1       # the chosen descent's iterations
 
 
 def test_drive_rejects_unknown_mode():
@@ -181,3 +183,41 @@ def test_iteration_cap_carries_partial_plan():
     plan = err.value.plan
     assert plan.iterations == 1 and not plan.success
     assert "after 1 iterations" in str(err.value)
+
+
+def test_unconverged_reallocation_raises(monkeypatch):
+    # one descent step cannot settle the complete10 program
+    monkeypatch.setattr(intervene, "convex_solve",
+                        lambda prog, start: numerics.convex_solve(replace(prog, max_iter=1), start))
+    prob = ReallocationProblem(network=fixtures.complete10(), v=np.full(10, 0.8))
+    with pytest.raises(IterationLimitError, match="not converged in 1 iterations"):
+        asset_reallocation(prob)
+
+
+def test_projection_warm_start_stays_with_its_problem():
+    # the multipliers warm-starting each projection live in the problem's
+    # own closure, so a drive in between cannot change a later drive's bits
+    net = fixtures.complete10()
+    first = drive_to_invariant(net, fixtures.SAMPLE_STATE10)
+    drive_to_invariant(net, fixtures.SAMPLE_STATE10, mode="clamped")
+    drive_to_invariant(fixtures.two_bank(), np.array([-3.0, -3.0]))
+    again = drive_to_invariant(net, fixtures.SAMPLE_STATE10)
+    assert first.iterations == again.iterations >= 1
+    for a, b in zip(first.steps, again.steps):
+        assert a.D.tobytes() == b.D.tobytes()
+
+
+@pytest.mark.parametrize("price_scale", [1e3, 1e4])
+def test_reallocation_on_a_network_with_large_prices(price_scale):
+    # Large p makes the equilibrium rows kron(G, p) far longer than the
+    # colsum rows. Projections then start from colsum multipliers in the
+    # hundreds, which a full Newton step unwinds by about one per step; the
+    # step search doubles such steps while the dual objective falls.
+    net = fixtures.complete10()
+    net = FinancialNetwork(C=net.C, D=net.D, p=net.p * price_scale, beta=net.beta,
+                           threshold=net.threshold)
+    prob = ReallocationProblem(network=net, v=np.full(10, 0.8 * price_scale))
+    D, sol = asset_reallocation(prob)
+    assert sol.converged
+    ok, residuals = reallocation_feasible(prob, D)
+    assert ok, residuals

@@ -1,4 +1,4 @@
-"""Kernel checks against independent oracles (numpy.linalg, vertex enumeration)."""
+"""Kernel checks against independent oracles (numpy.linalg, vertex and active-set enumeration)."""
 
 import itertools
 
@@ -7,20 +7,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finnet import fixtures, numerics
-from finnet.intervene import ReallocationProblem, _reallocation_pieces
+from finnet.intervene import ReallocationProblem, _reallocation_pieces, build_reallocation_program
 from finnet.numerics import (
     OPT_TOL,
     ConvexProgram,
     InfeasibleError,
+    IterationLimitError,
     LinearProgram,
     SingularMatrixError,
     UnboundedError,
     _phase1,
     _phase2,
     convex_solve,
-    dykstra,
     lp_solve,
-    project_nonneg,
+    project_polyhedron,
     solve_linear,
 )
 
@@ -255,11 +255,15 @@ def test_ratio_test_keeps_the_sequential_bland_tie_rule(rhs, basis, leaves):
     assert basis == expected
 
 
+def nonneg(z):
+    return np.maximum(z, 0.0)
+
+
 def test_convex_projection_onto_nonneg():
     prog = ConvexProgram(
         objective=lambda z: (float(np.sum((z - np.array([1.0, 1.0])) ** 2)),
                              2 * (z - np.array([1.0, 1.0]))),
-        project=project_nonneg)
+        project=nonneg)
     sol = convex_solve(prog, np.array([5.0, -3.0]))
     np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-6)
     assert sol.converged
@@ -269,7 +273,7 @@ def test_convex_projection_clips_negative_target():
     target = np.array([-1.0, 2.0])
     prog = ConvexProgram(
         objective=lambda z: (float(np.sum((z - target) ** 2)), 2 * (z - target)),
-        project=project_nonneg)
+        project=nonneg)
     sol = convex_solve(prog, np.array([1.0, 1.0]))
     np.testing.assert_allclose(sol.x, [0.0, 2.0], atol=1e-6)
 
@@ -279,7 +283,7 @@ def test_convex_norm_over_halfspace():
     A, b = np.array([[1.0, 1.0]]), np.array([2.0])
     prog = ConvexProgram(
         objective=lambda z: (float(np.sum(z ** 2)), 2 * z),
-        project=lambda z: dykstra(A, b, z))
+        project=lambda z: project_polyhedron(A, b, z)[0])
     sol = convex_solve(prog, np.array([3.0, 0.5]))
     np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-5)
 
@@ -288,54 +292,91 @@ def test_convex_history_is_monotone():
     target = np.array([0.3, -0.7, 1.1])
     prog = ConvexProgram(
         objective=lambda z: (float(np.sum((z - target) ** 2)), 2 * (z - target)),
-        project=project_nonneg)
+        project=nonneg)
     sol = convex_solve(prog, np.array([4.0, 4.0, 4.0]))
     hist = np.asarray(sol.history)
     assert np.all(np.diff(hist) <= 1e-12)
 
 
+# -- projection onto {z >= 0, A z >= b} ----------------------------------------
+
+def scale_of(A, b, y):
+    return max(1.0, np.abs(A).max(initial=0.0), np.abs(b).max(initial=0.0), np.abs(y).max(initial=0.0))
+
+
+def kkt_violation(A, b, y, z, lam):
+    """Largest violation of the KKT conditions of min |z - y|^2 / 2 over {z >= 0, A z >= b}.
+
+    Stationarity defines the bound multiplier mu = z - y - A^T lam; the
+    rest must hold: lam, mu, z and the slack s = A z - b nonnegative,
+    mu.z = 0 and lam.s = 0. For a convex QP these certify the minimiser.
+    """
+    mu = z - y - A.T @ lam
+    s = A @ z - b
+    return max(-lam.min(initial=0.0), -mu.min(initial=0.0), -z.min(initial=0.0),
+               -s.min(initial=0.0), abs(mu @ z), abs(lam @ s))
+
+
+def active_set_projection(A, b, y):
+    """Brute-force projection of y onto {z >= 0, A z >= b} for n <= 5, m <= 4.
+
+    Enumerates every set of bounds z_j = 0 and rows a_i.z = b_i whose rows,
+    restricted to the other coordinates, are independent, so that the
+    equality-constrained projection and its multipliers are unique. Some
+    optimal multipliers have such an independent support (Caratheodory),
+    so the candidate meeting KKT is the projection. None on an empty set.
+    """
+    m, n = A.shape
+    assert n <= 5 and m <= 4
+    tol = 1e-9 * scale_of(A, b, y)
+    for bound in itertools.product((False, True), repeat=n):
+        free = ~np.array(bound)
+        for active in itertools.product((False, True), repeat=m):
+            rows = np.array(active, dtype=bool)
+            A_RF = A[np.ix_(rows, free)]
+            k = int(rows.sum())
+            if k and (A_RF.shape[1] < k or np.linalg.matrix_rank(A_RF) < k):
+                continue
+            lam = np.zeros(m)
+            if k:
+                lam[rows] = np.linalg.solve(A_RF @ A_RF.T, b[rows] - A_RF @ y[free])
+            w = y + A.T @ lam
+            z = np.where(free, w, 0.0)
+            if min(lam.min(initial=0.0), -w[~free].max(initial=0.0), z.min(),
+                   (A @ z - b).min(initial=0.0)) >= -tol:
+                return z
+    return None
+
+
 def test_halfspace_projection_identity_inside():
     A, b = np.array([[1.0, -1.0]]), np.array([1.0])
     x = np.array([3.0, 1.0])        # a.x = 2 >= 1, already inside
-    np.testing.assert_allclose(dykstra(A, b, x), x)
-    y = dykstra(A, b, np.array([0.0, 2.0]))
+    z, lam = project_polyhedron(A, b, x, max_iter=0)
+    np.testing.assert_array_equal(z, x)
+    np.testing.assert_array_equal(lam, [0.0])
+    y = project_polyhedron(A, b, np.array([0.0, 2.0]))[0]
     assert abs(A[0] @ y - 1.0) <= 1e-12
 
 
-def test_dykstra_hits_intersection():
-    # nonneg orthant meets the plane z1 + z2 >= 3; projection of the origin-ish
+def test_projection_hits_intersection():
+    # the nearest point of {z >= 0, z1 + z2 >= 3} to (-1, 0.5) is (0.75, 2.25)
     A, b = np.array([[1.0, 1.0]]), np.array([3.0])
-    z = dykstra(A, b, np.array([-1.0, 0.5]))
-    assert np.min(z) >= -1e-10
-    assert A[0] @ z >= 3.0 - 1e-9
-    # idempotent on the result
-    z2 = dykstra(A, b, z)
-    np.testing.assert_allclose(z2, z, atol=1e-8)
+    z, lam = project_polyhedron(A, b, np.array([-1.0, 0.5]))
+    np.testing.assert_allclose(z, [0.75, 2.25], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(lam, [1.75], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(project_polyhedron(A, b, z)[0], z, rtol=0.0, atol=1e-12)
 
 
-# -- dykstra against the callable-list sweep it replaced ---------------------
-
-def project_halfspace(x, a, rhs):
-    """Project onto {x : a.x >= rhs}."""
-    gap = rhs - float(a @ x)
-    return x if gap <= 0.0 else x + (gap / float(a @ a)) * a
+def test_projection_of_an_empty_set_raises():
+    # z >= 1 and -z >= 0 cannot both hold
+    with pytest.raises(InfeasibleError):
+        project_polyhedron(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), np.array([0.5]))
 
 
-def reference_dykstra(A, b, x0, tol=1e-10, max_cycles=2000):
-    """Dykstra over [nonneg, halfspace rows in order], one vector correction per set."""
-    projectors = [project_nonneg] + [
-        lambda y, a=a, rhs=rhs: project_halfspace(y, a, rhs) for a, rhs in zip(A, b)]
-    x = np.asarray(x0, dtype=float).copy()
-    corrections = [np.zeros_like(x) for _ in projectors]
-    for _ in range(max_cycles):
-        x_prev = x.copy()
-        for i, proj in enumerate(projectors):
-            y = x + corrections[i]
-            x = proj(y)
-            corrections[i] = y - x
-        if np.max(np.abs(x - x_prev)) < tol:
-            break
-    return x
+def test_projection_past_its_cap_raises():
+    A, b = np.array([[1.0, 1.0]]), np.array([3.0])
+    with pytest.raises(IterationLimitError, match="Newton steps"):
+        project_polyhedron(A, b, np.array([-1.0, 0.5]), max_iter=0)
 
 
 def reallocation_set(net, epsilon=1e-6):
@@ -366,26 +407,42 @@ def polyhedron_cases():
             yield A, b, x0
 
 
-@pytest.mark.parametrize("max_cycles", [1, 5, 2000])
-def test_dykstra_matches_callable_reference(max_cycles):
-    for A, b, x0 in polyhedron_cases():
-        scale = max(1.0, np.abs(A).max(), np.abs(b).max(), np.abs(x0).max())
-        got = dykstra(A, b, x0, max_cycles=max_cycles)
-        want = reference_dykstra(A, b, x0, max_cycles=max_cycles)
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+def test_projection_certifies_kkt_on_polyhedron_cases():
+    for A, b, y in polyhedron_cases():
+        z, lam = project_polyhedron(A, b, y)
+        assert kkt_violation(A, b, y, z, lam) <= 1e-12 * scale_of(A, b, y)
+        # warm-started at its own multipliers, the projection is already certified
+        z_warm, lam_warm = project_polyhedron(A, b, y, lam, max_iter=0)
+        assert np.array_equal(z_warm, z) and np.array_equal(lam_warm, lam)
+
+
+def test_projection_does_not_stall_on_the_reallocation_set():
+    # Dykstra's sweep stopped here at a feasible point 1.7e-2 away from the
+    # projection, at distance 2.494994 from y instead of 2.487278.
+    prob = ReallocationProblem(network=fixtures.complete10(), v=np.full(10, 0.8))
+    objective, _, _, A, b = _reallocation_pieces(prob)
+    s0 = build_reallocation_program(prob)[1][0]
+    y = s0 - objective(s0)[1]
+    z, lam = project_polyhedron(A, b, y)
+    assert kkt_violation(A, b, y, z, lam) <= 1e-12 * scale_of(A, b, y)
+    assert np.linalg.norm(z - y) <= 2.487279
 
 
 def test_reallocation_projection_uses_the_reallocation_set():
     rng = np.random.default_rng(12)
-    for net in (fixtures.complete10(), fixtures.random_gap_network(rng, 7)):
+    for net in (fixtures.complete10(), fixtures.random_gap_network(rng, 7), fixtures.two_bank()):
         prob = ReallocationProblem(network=net, v=rng.uniform(-1.0, 1.0, net.n))
         _, project, _, A, b = _reallocation_pieces(prob)
         A_ref, b_ref = reallocation_set(net, prob.epsilon)
         np.testing.assert_allclose(A, A_ref, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(b, b_ref, rtol=1e-12, atol=0.0)
-        z = net.D.reshape(-1)
-        scale = max(1.0, np.abs(A).max(), np.abs(b).max())
-        assert np.max(np.abs(project(z) - reference_dykstra(A_ref, b_ref, z))) <= 1e-12 * scale
+        for z in (net.D.reshape(-1), rng.normal(scale=0.5, size=net.D.size)):
+            scale = scale_of(A, b, z)
+            x, lam = project_polyhedron(A_ref, b_ref, z)
+            assert kkt_violation(A_ref, b_ref, z, x, lam) <= 1e-12 * scale
+            assert np.max(np.abs(project(z) - x)) <= 1e-12 * scale
+            if A.shape[1] <= 5 and A.shape[0] <= 4:
+                assert np.max(np.abs(x - active_set_projection(A_ref, b_ref, z))) <= 1e-9 * scale
 
 
 small_ints = st.integers(-3, 3)
@@ -404,18 +461,32 @@ def polyhedra_with_interior(draw):
     return A, A @ z0 - slack, x0
 
 
-# Without an interior point the sweep can stall for thousands of cycles
-# while the corrections build up: from x0 = (-5, 0, -2.62, 5), the set
-# A = [[2, -2, -2, 1], [0, -3, 1, 0], [-3, -2, 1, -2]], b = (0, 1, -2) is
-# still 0.078 away after max_cycles. So the property is stated for sets
-# with an interior point. The explicit example once stopped on a stall
-# outside the set.
+# The first explicit example once stopped Dykstra's sweep on a stall outside
+# the set. In the other two, full Newton steps that had to halve only the last
+# residual, not the least one so far, cycled between two multiplier vectors
+# (the second under an earlier choice of delta).
 @settings(max_examples=200, deadline=None)
 @example((np.array([[0.0, 0.0, -1.0, 1.0]]), np.array([1.0]), np.array([0.0, 0.0, 0.0, -1.0])))
+@example((np.array([[0.0, -1.0, 0.0], [0.0, -2.0, 2.0]]), np.array([-2.0, -1.0]),
+          np.array([0.0, 2.0, 0.0])))
+@example((np.array([[2.0], [-2.0], [-3.0]]), np.array([4.0, -5.0, -7.0]), np.array([2.7])))
 @given(polyhedra_with_interior())
-def test_dykstra_feasible_and_idempotent(case):
-    A, b, x0 = case
-    x = dykstra(A, b, x0)
-    assert np.min(x) >= -1e-7
-    assert np.min(A @ x - b) >= -1e-7 * max(1.0, np.abs(b).max())
-    np.testing.assert_allclose(dykstra(A, b, x), x, atol=1e-7)
+def test_projection_matches_active_set_oracle(case):
+    A, b, y = case
+    z, lam = project_polyhedron(A, b, y)
+    scale = scale_of(A, b, y)
+    assert kkt_violation(A, b, y, z, lam) <= 1e-12 * scale
+    assert np.max(np.abs(z - active_set_projection(A, b, y))) <= 1e-9 * scale
+
+
+def test_projection_without_an_interior_point():
+    # Dykstra's sweep was still 0.078 away from this set after 2,000
+    # cycles; it has no interior point, and the projection is exact anyway.
+    # Its multipliers are large (up to 41.6), and lam.s scales with them.
+    A = np.array([[2.0, -2.0, -2.0, 1.0], [0.0, -3.0, 1.0, 0.0], [-3.0, -2.0, 1.0, -2.0]])
+    b = np.array([0.0, 1.0, -2.0])
+    y = np.array([-5.0, 0.0, -2.62, 5.0])
+    z, lam = project_polyhedron(A, b, y)
+    scale = scale_of(A, b, y)
+    assert kkt_violation(A, b, y, z, lam) <= 1e-12 * scale * max(1.0, lam.max())
+    assert np.max(np.abs(z - active_set_projection(A, b, y))) <= 1e-9 * scale
