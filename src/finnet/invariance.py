@@ -23,8 +23,8 @@ import numpy as np
 
 from .equilibria import EquilibriumRecord, candidate_equilibrium
 from .netmodel import OrthantIndex, ShiftedModel, orthant_of
-from .numerics import (LinearProgram, OPT_TOL, UnboundedError, _FeasibleBasis, _phase1,
-                       _phase2, lp_solve)
+from .numerics import (LinearProgram, OPT_TOL, UnboundedError, _anchored, _FeasibleBasis,
+                       _phase1, _vertex, lp_solve)
 
 TAU_CAP = 10000             # finite-determination search cap
 
@@ -202,21 +202,17 @@ def healthy_invariant_region(C, r) -> Polyhedron:
 # ---------------------------------------------------------------------------
 
 def _implied(start: _FeasibleBasis, a: np.ndarray, rhs: float, tol: float) -> bool:
-    """row_redundant over the polyhedron whose phase 1 is start."""
+    """row_redundant over the polyhedron whose feasible basis is start."""
     try:
-        return _phase2(start, a).objective >= rhs - tol
+        return float(a @ _vertex(start, a)[0]) >= rhs - tol
     except UnboundedError:
         return False
 
 
 def row_redundant(poly: Polyhedron, a, rhs: float, tol: float = OPT_TOL) -> bool:
-    """True if a.x >= rhs holds everywhere on poly."""
-    a = np.asarray(a, dtype=float)
-    try:
-        sol = lp_solve(LinearProgram(c=a, A=poly.A, b=poly.b))
-    except UnboundedError:
-        return False
-    return sol.objective >= rhs - tol
+    """True if a.x >= rhs holds everywhere on poly; ValueError on non-finite data."""
+    lp = LinearProgram(c=a, A=poly.A, b=poly.b)
+    return _implied(_phase1(lp.A, lp.b), lp.c, rhs, tol)
 
 
 def prune_redundant(poly: Polyhedron, tol: float = OPT_TOL) -> Polyhedron:
@@ -225,14 +221,20 @@ def prune_redundant(poly: Polyhedron, tol: float = OPT_TOL) -> Polyhedron:
     Row i is tested against every row still kept. A row kept was not
     implied by a superset of the rows finally kept, and P(S') contains
     P(S) when S' is a subset of S, so a second pass could drop nothing.
-    One LP per row.
+    One LP finds x0 in poly, the Chebyshev centre with radius t capped at 1
+    (finite on unbounded polys), and each row's LP starts from the slack
+    basis at x0. Raises InfeasibleError on an empty poly, ValueError on
+    non-finite A or b.
     """
-    keep = list(range(poly.n_rows))
-    for idx in range(poly.n_rows):
+    m, n = poly.A.shape
+    t = np.eye(1, n + 1, n)
+    cheb = np.vstack([np.column_stack([poly.A, -np.linalg.norm(poly.A, axis=1)]), t, -t])
+    x0 = lp_solve(LinearProgram(c=-t[0], A=cheb, b=np.append(poly.b, [0.0, -1.0]))).z[:n]
+    keep = list(range(m))
+    for idx in range(m):
         others = [i for i in keep if i != idx]
-        if others and row_redundant(Polyhedron(A=poly.A[others], b=poly.b[others],
-                                               row_power=poly.row_power[others]),
-                                    poly.A[idx], float(poly.b[idx]), tol):
+        if others and _implied(_anchored(poly.A[others], poly.b[others], x0),
+                               poly.A[idx], float(poly.b[idx]), tol):
             keep.remove(idx)
     return Polyhedron(A=poly.A[keep], b=poly.b[keep],
                       row_power=poly.row_power[keep],
@@ -256,7 +258,8 @@ def stable_region(model: ShiftedModel, eq: EquilibriumRecord,
 
     Intended for intermediate orthants, where no closed-form truncation
     index exists. Returns the region and the horizon at which membership
-    stabilized. Raises NotDeterminedError if tau_cap is hit first.
+    stabilized. Raises NotDeterminedError if tau_cap is hit first. Its LPs
+    start from the slack basis at eq.x, where each row has margin (J x_k)_i >= 0.
     """
     n = model.n
     J = OrthantIndex(eq.k, n).J
@@ -265,7 +268,7 @@ def stable_region(model: ShiftedModel, eq: EquilibriumRecord,
     for tau in range(1, tau_cap + 1):
         A_new = J @ P
         b_new = J @ ((P - np.eye(n)) @ eq.x)
-        start = _phase1(poly.A, poly.b)
+        start = _anchored(poly.A, poly.b, eq.x)
         if all(_implied(start, A_new[i], float(b_new[i]), OPT_TOL) for i in range(n)):
             return Polyhedron(A=poly.A, b=poly.b, row_power=poly.row_power,
                               certified=True,

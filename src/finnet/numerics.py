@@ -8,7 +8,8 @@ convex_solve, and project_polyhedron (the exact projection onto
 its KKT multipliers). Problems are small (tens of variables), so the
 solvers are dense: the simplex keeps Bland's rule and pivots with
 whole-array updates, and Python loops are left only where a rule is
-sequential.
+sequential. Phase 2 starts from _phase1's basis or, with no phase 1,
+from _anchored's slack basis at a point known to lie on the polyhedron.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ class LinearProgram:
         m, n = self.A.shape
         if self.c.shape != (n,) or self.b.shape != (m,):
             raise ValueError("inconsistent LP dimensions")
+        if not all(np.isfinite(v).all() for v in (self.c, self.A, self.b)):
+            raise ValueError("LP data has non-finite entries")
 
 
 @dataclass
@@ -143,10 +146,10 @@ def _simplex(T: np.ndarray, basis: list[int], cost: np.ndarray):
 
 @dataclass(frozen=True)
 class _FeasibleBasis:
-    """Phase-1 result for {A z >= b}: a feasible basic tableau for any c.
+    """A feasible basic tableau for {A z >= b}, for any c.
 
-    Over w = [u, v, s] >= 0 with z = u - v and A z - s = b, rows with
-    b < 0 negated (flip) and dependent rows dropped (keep).
+    Over w = [u, v, s] >= 0 with z = x0 + u - v (x0 None: the origin, as in _phase1)
+    and A z - s = b, rows negated where flip holds and dependent rows dropped (keep).
     """
 
     A: np.ndarray
@@ -156,6 +159,7 @@ class _FeasibleBasis:
     keep: list[int]
     T: np.ndarray
     basis: list[int]
+    x0: np.ndarray | None = None
 
 
 def _phase1(A: np.ndarray, b: np.ndarray) -> _FeasibleBasis:
@@ -196,18 +200,35 @@ def _phase1(A: np.ndarray, b: np.ndarray) -> _FeasibleBasis:
                           T=T, basis=[basis[i] for i in keep])
 
 
-def _phase2(start: _FeasibleBasis, c: np.ndarray) -> LPSolution:
-    """Minimise c.z from a phase-1 basis; start is not modified."""
-    A, b, keep = start.A, start.b, start.keep
+def _anchored(A: np.ndarray, b: np.ndarray, x0: np.ndarray) -> _FeasibleBasis:
+    """Slack basis of {A z >= b} at x0, no phase 1; margins below roundoff raise ValueError."""
     m, n = A.shape
+    margin = A @ x0 - b
+    scale = max(1.0, *(float(v.max(initial=0.0)) for v in (np.abs(A) @ np.abs(x0), np.abs(b))))
+    if not margin.min(initial=0.0) >= -PIVOT_TOL * scale:
+        raise ValueError(f"anchor point violates a row by {-margin.min():.3e}")
+    T = np.hstack([-A, A, np.eye(m), np.maximum(margin, 0.0)[:, None]])
+    return _FeasibleBasis(A=A, b=b, A_std=T[:, :-1], flip=np.ones(m, dtype=bool),
+                          keep=list(range(m)), T=T, basis=list(range(2 * n, 2 * n + m)), x0=x0)
+
+
+def _vertex(start: _FeasibleBasis, c: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Optimal vertex z of min c.z from start (not modified), its basis and its costs."""
+    m, n = start.A.shape
     T, basis = start.T.copy(), list(start.basis)
     cost2 = np.concatenate([c, -c, np.zeros(m), [0.0]])
     if _simplex(T, basis, cost2) == "unbounded":
         raise UnboundedError("objective unbounded below on the feasible set")
-
     w = np.zeros(2 * n + m)
     w[basis] = T[:, -1]
     z = w[:n] - w[n:2 * n]
+    return (z if start.x0 is None else z + start.x0), basis, cost2
+
+
+def _phase2(start: _FeasibleBasis, c: np.ndarray) -> LPSolution:
+    """Minimise c.z from start as _vertex does, with duals and the certificate residual."""
+    A, b, keep = start.A, start.b, start.keep
+    z, basis, cost2 = _vertex(start, c)
     objective = float(c @ z)
 
     # duals from the final basis: solve B^T y = c_B in the flipped frame
@@ -216,7 +237,7 @@ def _phase2(start: _FeasibleBasis, c: np.ndarray) -> LPSolution:
         y_std = solve_linear(B.T, cost2[basis])
     except SingularMatrixError:
         y_std = np.linalg.lstsq(B.T, cost2[basis], rcond=None)[0]
-    y = np.zeros(m)
+    y = np.zeros(b.size)
     y[keep] = y_std
     y[start.flip] *= -1.0
     slack = A @ z - b

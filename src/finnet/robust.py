@@ -16,6 +16,7 @@ even the most favorable holdings cannot keep every organization healthy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, count
 from typing import Callable, Sequence
 
@@ -74,6 +75,11 @@ class IntervalNetwork:
         return cls(c_lower=(1.0 - spread) * C, c_upper=(1.0 + spread) * C,
                    r=np.asarray(r, dtype=float))
 
+    @cached_property
+    def lower_region(self) -> Polyhedron:
+        """Maximal invariant set of the lower extreme, built once; see robust_invariant_set."""
+        return healthy_invariant_region(self.c_lower, self.r)
+
 
 def extremal_fixed_points(inet: IntervalNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Fixed points of the two constant-extreme systems, lower then upper."""
@@ -88,15 +94,14 @@ def extremal_fixed_points(inet: IntervalNetwork) -> tuple[np.ndarray, np.ndarray
 def robust_invariant_set(inet: IntervalNetwork) -> Polyhedron:
     """Maximal healthy-invariant set under every admissible switching.
 
-    Equals the maximal invariant set of the constant lower-extreme system.
-    Requires that system to have a nonnegative fixed point.
+    Equals the maximal invariant set of the constant lower-extreme system,
+    cached on inet. Requires that system to have a nonnegative fixed point.
     """
-    n = inet.n
-    x_lower = solve_linear(np.eye(n) - inet.c_lower, inet.r)
+    x_lower = solve_linear(np.eye(inet.n) - inet.c_lower, inet.r)
     if np.any(x_lower < 0):
         raise NoPositiveEquilibriumError(
             "lower-extreme fixed point has negative components: %s" % x_lower)
-    return healthy_invariant_region(inet.c_lower, inet.r)
+    return inet.lower_region
 
 
 def last_hope_region(inet: IntervalNetwork) -> Polyhedron:

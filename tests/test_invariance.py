@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from finnet import fixtures
 from finnet.equilibria import candidate_equilibrium, enumerate_equilibria
 from finnet.invariance import (
     Polyhedron,
+    _implied,
     finite_determination_index,
     healthy_invariant_region,
     intermediate_not_invariant,
@@ -20,8 +22,9 @@ from finnet.invariance import (
     row_redundant,
     stable_region,
 )
-from finnet.netmodel import FinancialNetwork, ShiftedModel, indicator, simulate
-from finnet.numerics import OPT_TOL, LinearProgram, UnboundedError, lp_solve
+from finnet.netmodel import FinancialNetwork, OrthantIndex, ShiftedModel, indicator, simulate
+from finnet.numerics import (OPT_TOL, InfeasibleError, LinearProgram, UnboundedError, _phase1,
+                             lp_solve)
 
 
 def coordinate_box(poly):
@@ -241,6 +244,130 @@ def test_prune_one_pass_matches_two_pass_reference():
             assert ref.status == 0 and ref.fun >= region.b[i] - 1e-7 * scale
             dropped_total += 1
     assert dropped_total > 0
+
+
+def phase1_prune(poly, tol=OPT_TOL):
+    """The one-pass loop with a phase 1 per row that prune_redundant replaced; kept row indices."""
+    keep = list(range(poly.n_rows))
+    for idx in range(poly.n_rows):
+        others = [i for i in keep if i != idx]
+        if others and row_redundant(Polyhedron(A=poly.A[others], b=poly.b[others],
+                                               row_power=poly.row_power[others]),
+                                    poly.A[idx], float(poly.b[idx]), tol):
+            keep.remove(idx)
+    return keep
+
+
+@st.composite
+def nonempty_polyhedra(draw):
+    """Small-integer rows through or around z0, with repeated rows, rows scaled
+    by 1e+-3 and, for a flat polyhedron, an equality pair through z0."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8))
+    A = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=k, max_size=k)), dtype=float)
+    z0 = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=float)
+    b = A @ z0 - np.array(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)), dtype=float)
+    if draw(st.booleans()):
+        a = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+        A, b = np.vstack([A, a, -a]), np.concatenate([b, [a @ z0, -(a @ z0)]])
+    repeats = draw(st.lists(st.integers(0, len(b) - 1), max_size=3))
+    A, b = np.vstack([A, A[repeats]]), np.concatenate([b, b[repeats]])
+    scale = 10.0 ** np.array(draw(st.lists(st.sampled_from([-3, 0, 3]),
+                                           min_size=len(b), max_size=len(b))))
+    return Polyhedron(A=A * scale[:, None], b=b * scale, row_power=np.arange(len(b)))
+
+
+def highs_implied(poly, rows, a, rhs, tol):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ref = linprog(a, A_ub=-poly.A[rows], b_ub=-poly.b[rows], bounds=[(None, None)] * poly.dim,
+                  method="highs")
+    return ref.status == 0 and ref.fun >= rhs - tol
+
+
+# row_power numbers the rows, so a pruned region's row_power lists the kept rows.
+# In the second example row 6 is row 2 times 1e-6; the phase-1 simplex finds row
+# 2's LP unbounded (its pivot tolerance is absolute) and keeps row 2, not row 6.
+@settings(max_examples=300, deadline=None)
+@example(Polyhedron(A=np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [1.0, 0.0]]),
+                    b=np.array([1.0, -1.0, 0.0, 0.0]), row_power=np.arange(4)))
+@example(Polyhedron(A=np.array([[0.0, 0.0, 0.0, 0.0], [1e-3, 2e-3, 0.0, 1e-3],
+                                [2e3, 0.0, 1e3, 2e3], [0.0, 0.0, 0.0, 0.0], [0.0, 1e-3, 0.0, 0.0],
+                                [-1e-3, 2e-3, 2e-3, 0.0], [2e-3, 0.0, 1e-3, 2e-3]]),
+                    b=np.zeros(7), row_power=np.arange(7)))
+@given(nonempty_polyhedra())
+def test_anchored_prune_keeps_the_phase1_rows(poly):
+    keep = phase1_prune(poly)
+    kept = prune_redundant(poly).row_power.tolist()
+    if kept != keep:
+        # the loops part only where the phase-1 simplex misjudged a row's LP;
+        # there HiGHS must side with prune_redundant, and its result must hold
+        i = min(set(kept) ^ set(keep))
+        others = [j for j in keep if j < i] + list(range(i + 1, poly.n_rows))
+        assert highs_implied(poly, others, poly.A[i], poly.b[i], OPT_TOL) == (i not in kept)
+        scale = max(1.0, np.abs(poly.A).max(), np.abs(poly.b).max())
+        for j in sorted(set(range(poly.n_rows)) - set(kept)):
+            assert highs_implied(poly, kept, poly.A[j], poly.b[j], 1e-7 * scale)
+
+
+def test_prune_raises_on_an_empty_polyhedron():
+    # each row's LP over the other one is unbounded, so both rows used to be kept
+    poly = Polyhedron(A=np.array([[1.0], [-1.0]]), b=np.array([1.0, 0.0]), row_power=[0, 0])
+    with pytest.raises(InfeasibleError):
+        prune_redundant(poly)
+
+
+@pytest.mark.parametrize("part", ["A", "b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_polyhedron_is_rejected(part, value):
+    parts = {"A": np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), "b": np.array([0.0, 0.0, -1.0])}
+    parts[part].flat[-1] = value
+    poly = Polyhedron(A=parts["A"], b=parts["b"], row_power=[0, 0, 1])
+    with pytest.raises(ValueError, match="non-finite"):
+        prune_redundant(poly)
+    with pytest.raises(ValueError, match="non-finite"):
+        row_redundant(poly, np.ones(2), 0.0)
+
+
+def phase1_stable_region(model, eq, tau_cap=64):
+    """stable_region with a phase 1 per horizon, as before the anchored start."""
+    n = model.n
+    J = OrthantIndex(eq.k, n).J
+    poly = region_of_attraction(model, eq, 0)
+    P = model.C.copy()
+    for tau in range(1, tau_cap + 1):
+        A_new, b_new = J @ P, J @ ((P - np.eye(n)) @ eq.x)
+        start = _phase1(poly.A, poly.b)
+        if all(_implied(start, A_new[i], float(b_new[i]), OPT_TOL) for i in range(n)):
+            return poly, tau - 1
+        poly = Polyhedron(A=np.vstack([poly.A, A_new]), b=np.concatenate([poly.b, b_new]),
+                          row_power=np.concatenate([poly.row_power, [tau] * n]))
+        P = P @ model.C
+
+
+def weak_holding_network(seed=3, n=6):
+    """Drift a fraction of each node's exposure C beta: many orthants hold an equilibrium."""
+    rng = np.random.default_rng(seed)
+    C = rng.uniform(0.0, 1.0, size=(n, n))
+    np.fill_diagonal(C, 0.0)
+    C *= rng.uniform(0.3, 0.6, size=n) / C.sum(axis=0)
+    beta = rng.uniform(1.0, 2.0, size=n)
+    return ShiftedModel.from_parts(C=C, r=rng.uniform(0.15, 0.55, size=n) * (C @ beta), beta=beta)
+
+
+@pytest.mark.parametrize("model", [ShiftedModel.from_network(fixtures.two_bank()),
+                                   ShiftedModel.from_network(fixtures.ring4()),
+                                   ShiftedModel.from_network(fixtures.complete10()),
+                                   weak_holding_network()],
+                         ids=["two_bank", "ring4", "complete10", "weak_holding6"])
+def test_anchored_stable_region_matches_phase1_path(model):
+    recs = enumerate_equilibria(model)
+    assert len(recs) > 1
+    for rec in recs:
+        poly, tau = stable_region(model, rec)
+        ref, ref_tau = phase1_stable_region(model, rec)
+        assert tau == ref_tau
+        assert poly.A.tobytes() == ref.A.tobytes() and poly.b.tobytes() == ref.b.tobytes()
 
 
 def test_fixed_point_property_tau_vs_tau_plus_one():

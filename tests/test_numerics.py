@@ -16,6 +16,7 @@ from finnet.numerics import (
     LinearProgram,
     SingularMatrixError,
     UnboundedError,
+    _anchored,
     _phase1,
     _phase2,
     convex_solve,
@@ -203,6 +204,50 @@ def test_phase2_from_shared_phase1_matches_fresh_solve():
             assert np.array_equal(shared.z, fresh.z)
             assert np.array_equal(shared.dual, fresh.dual)
         assert np.array_equal(start.T, tableau)
+
+
+def test_anchored_phase2_matches_lp_solve_on_highs_instances():
+    # the instances of test_lp_matches_highs_on_random_instances, each anchored
+    # at a HiGHS Chebyshev centre (radius capped at 1), so no phase 1 runs
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(7)
+    solved = 0
+    for kind in ("box", "free", "infeasible") * 40:
+        lp = random_lp(rng, kind)
+        n = lp.c.size
+        cheb = linprog(np.eye(1, n + 1, n)[0] * -1.0,
+                       A_ub=-np.column_stack([lp.A, -np.linalg.norm(lp.A, axis=1)]), b_ub=-lp.b,
+                       bounds=[(None, None)] * n + [(0.0, 1.0)], method="highs")
+        if kind == "infeasible":
+            assert cheb.status == 2
+            continue
+        start = _anchored(lp.A, lp.b, cheb.x[:n])
+        try:
+            fresh = lp_solve(lp)
+        except UnboundedError:
+            with pytest.raises(UnboundedError):
+                _phase2(start, lp.c)
+            continue
+        anchored = _phase2(start, lp.c)
+        scale = scale_of(lp.A, lp.b, lp.c)
+        assert abs(anchored.objective - fresh.objective) <= 1e-12 * scale
+        assert np.max(np.abs(anchored.dual - fresh.dual)) <= 1e-12 * scale
+        assert anchored.cs_residual <= OPT_TOL
+        solved += 1
+    assert solved >= 60
+
+
+def test_anchored_margins_roundoff_and_violation():
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    b = np.array([0.0, 0.0, 1.0])
+    start = _anchored(A, b, np.array([0.5, 0.5 - 1e-15]))     # third margin -1e-15: roundoff
+    assert np.all(start.T[:, -1] >= 0.0)
+    sol = _phase2(start, np.array([1.0, 2.0]))
+    np.testing.assert_allclose(sol.z, [1.0, 0.0], atol=1e-12)
+    assert sol.cs_residual <= OPT_TOL
+    for x0 in (np.array([0.5, 0.4]), np.array([np.nan, 0.5])):
+        with pytest.raises(ValueError, match="anchor"):
+            _anchored(A, b, x0)
 
 
 def beale_tableau():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finnet import fixtures
+from finnet import fixtures, robust
 from finnet.netmodel import ShiftedModel
 from finnet.robust import (
     IntervalNetwork,
@@ -70,8 +70,11 @@ def test_collapsed_interval_reduces_to_nominal():
 def test_negative_lower_equilibrium_is_rejected():
     inet = IntervalNetwork(c_lower=np.array([[0.1]]), c_upper=np.array([[0.2]]),
                            r=np.array([-1.0]))
-    with pytest.raises(NoPositiveEquilibriumError):
-        robust_invariant_set(inet)
+    for _ in range(2):      # on every call: the rejection is never cached
+        with pytest.raises(NoPositiveEquilibriumError):
+            robust_invariant_set(inet)
+        with pytest.raises(NoPositiveEquilibriumError):
+            sandwich_bounds(inet, np.array([1.0]), T=5)
 
 
 def test_regions_nest_lower_inside_upper():
@@ -144,6 +147,18 @@ def test_sandwich_extremes_are_the_plain_iteration(inet):
             x = C @ x + inet.r
             expected.append(x)
         np.testing.assert_array_equal(states.view(np.uint64), np.array(expected).view(np.uint64))
+
+
+def test_sandwiches_share_one_robust_region(monkeypatch):
+    builds = []
+    build = robust.healthy_invariant_region
+    monkeypatch.setattr(robust, "healthy_invariant_region",
+                        lambda C, r: builds.append(C) or build(C, r))
+    inet = two_bank_interval()
+    for seed in (1, 2):
+        sandwich_bounds(inet, np.array([1.0, 1.0]), T=20, sampler=uniform_sampler(inet, seed))
+    assert len(builds) == 1
+    assert robust_invariant_set(inet) is inet.lower_region
 
 
 def test_sandwich_rejects_outside_start():
