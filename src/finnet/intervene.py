@@ -31,6 +31,7 @@ from .numerics import (
     LinearProgram,
     OPT_TOL,
     STRICT_MARGIN,
+    _anchored, _phase2,
     convex_solve,
     lp_solve,
     project_polyhedron,
@@ -118,11 +119,11 @@ def build_reallocation_program(prob: ReallocationProblem,
                                max_iter: int = 3000) -> tuple[ConvexProgram, list[np.ndarray]]:
     """Projected-gradient formulation plus candidate feasible starts.
 
-    Two starts are offered: an income-tracking guess whose rows scale p to
-    meet max(v, 0), and the network's current holdings. The objective is
-    flat along whole segments when the gap and holdings terms trade off
-    one-for-one, so the start decides which optimum the descent settles
-    on; tracking first keeps Dp near the target on those ties.
+    Two starts are offered: an income-tracking guess whose rows scale p to meet max(v, 0),
+    and the network's current holdings. The objective is flat along whole segments when the
+    gap and holdings terms trade off one-for-one, so the start decides which optimum the
+    descent settles on; tracking first keeps Dp near the target on those ties. Both are
+    projected even if only one is descended from, as the projections' warm starts chain.
     """
     objective, project, (n, m), _, _ = _reallocation_pieces(prob)
     p = prob.network.p
@@ -151,29 +152,54 @@ def reallocation_feasible(prob: ReallocationProblem, D: np.ndarray,
 def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, ConvexSolution]:
     """Solve the reallocation program; returns (D, solver diagnostics).
 
+    A start is skipped once the best point's optimality gap shows it cannot win.
     Raises InfeasibleError naming the constraint group that cannot be met,
     and IterationLimitError when the chosen descent does not converge.
     """
-    D, sol, _ = _reallocate(prob)
+    D, sol, _, _ = _reallocate(prob)
     return D, sol
 
 
-def _reallocate(prob: ReallocationProblem) -> tuple[np.ndarray, ConvexSolution, dict[str, float]]:
-    """asset_reallocation plus the constraint residuals at the returned D."""
+def _optimality_gap(objective, A: np.ndarray, b: np.ndarray, x: np.ndarray) -> float | None:
+    """Bound on f(x) - min f over K = {z >= 0, A z >= b}, K inside [0, 1]^k; None off K.
+
+    g = objective(x)[1] = u p^T + 1 w^T, |u|, |w| <= 1, so f(z) >= g.z - u.v (equality at
+    x) and, for lam >= 0, g.z >= b.lam + sum(min(g - A^T lam, 0)) on K (Frank and Wolfe,
+    1956). lam: duals of min g.z over K from the slack basis at x, clipped at 0.
+    """
+    g = objective(x)[1]
+    try:
+        start = _anchored(np.vstack([A, np.eye(x.size)]), np.concatenate([b, np.zeros(x.size)]), x)
+    except ValueError:
+        return None
+    lam = np.maximum(_phase2(start, g).dual[:b.size], 0.0)
+    return float(g @ x - (b @ lam + np.minimum(g - lam @ A, 0.0).sum()))
+
+
+def _reallocate(prob: ReallocationProblem):
+    """asset_reallocation plus the residuals and the optimality gap (None if not taken) at D.
+
+    After each start but the last, a gap of at most 0.9 OPT_TOL (the rest covers roundoff
+    and projections off K) proves that no later start wins by OPT_TOL, and ends the loop.
+    """
     try:
         prog, starts = build_reallocation_program(prob)
     except InfeasibleError:
         raise InfeasibleError("reallocation constraints unreachable: no nonneg holdings "
                               "with colsum at most one meet the equilibrium rows") from None
-    sol = None
-    for start in starts:
+    _, _, _, A, b = _reallocation_pieces(prob)
+    sol = gap = None
+    for k, start in enumerate(starts):
         cand = convex_solve(prog, start)
         if sol is None or cand.objective < sol.objective - OPT_TOL:
             sol = cand
+            gap = _optimality_gap(prog.objective, A, b, sol.x) if k + 1 < len(starts) else None
+        if gap is not None and gap <= 0.9 * OPT_TOL:
+            break
     if not sol.converged:
         raise IterationLimitError(f"reallocation not converged in {sol.iterations} iterations")
     D = sol.x.reshape(prob.network.D.shape)
-    return D, sol, reallocation_feasible(prob, D)[1]
+    return D, sol, reallocation_feasible(prob, D)[1], gap
 
 
 class IterationCapReached(RuntimeError):
@@ -194,6 +220,7 @@ class PlanStep:
     objective: float            # reallocation objective at D
     residuals: dict[str, float]
     iterations: int             # descent iterations of the chosen start
+    optimality_gap: float | None    # bound on objective - optimum; None: not bounded
 
 
 @dataclass
@@ -240,15 +267,15 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
         if region.contains(x):
             plan.success = True
             return plan
-        D, sol, residuals = _reallocate(ReallocationProblem(network=current, v=v,
-                                                            epsilon=epsilon))
+        D, sol, residuals, gap = _reallocate(ReallocationProblem(network=current, v=v,
+                                                                 epsilon=epsilon))
         current = replace(current, D=D)
         x = ShiftedModel.from_network(current).step(x)
         v = v - x
         if mode == "clamped":
             v = np.maximum(v, 0.0)
-        plan.steps.append(PlanStep(it, D, x.copy(), v.copy(), objective=sol.objective,
-                                   residuals=residuals, iterations=sol.iterations))
+        plan.steps.append(PlanStep(it, D, x.copy(), v.copy(), sol.objective, residuals,
+                                   iterations=sol.iterations, optimality_gap=gap))
     if region.contains(x):
         plan.success = True
         return plan

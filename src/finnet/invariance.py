@@ -218,23 +218,24 @@ def row_redundant(poly: Polyhedron, a, rhs: float, tol: float = OPT_TOL) -> bool
 def prune_redundant(poly: Polyhedron, tol: float = OPT_TOL) -> Polyhedron:
     """Drop rows implied by the others, in one pass over the rows.
 
-    Row i is tested against every row still kept. A row kept was not
-    implied by a superset of the rows finally kept, and P(S') contains
-    P(S) when S' is a subset of S, so a second pass could drop nothing.
-    One LP finds x0 in poly, the Chebyshev centre with radius t capped at 1
-    (finite on unbounded polys), and each row's LP starts from the slack
-    basis at x0. Raises InfeasibleError on an empty poly, ValueError on
-    non-finite A or b.
+    Row i is tested against every row still kept. A row kept was not implied by a superset
+    of the rows finally kept, and P(S') contains P(S) when S' is a subset of S, so a second
+    pass could drop nothing. The LPs run on rows scaled to unit length, as the simplex's
+    tolerances are absolute. One LP finds x0 in poly, the Chebyshev centre with radius t
+    capped at 1 (finite on unbounded polys), and each row's LP starts from the slack basis
+    at x0. Raises InfeasibleError on an empty poly, ValueError on non-finite A or b.
     """
     m, n = poly.A.shape
+    norm = np.linalg.norm(poly.A, axis=1)
+    unit = np.where((norm > 0.0) & (norm < np.inf), norm, 1.0)
+    A, b = poly.A / unit[:, None], poly.b / unit
     t = np.eye(1, n + 1, n)
-    cheb = np.vstack([np.column_stack([poly.A, -np.linalg.norm(poly.A, axis=1)]), t, -t])
-    x0 = lp_solve(LinearProgram(c=-t[0], A=cheb, b=np.append(poly.b, [0.0, -1.0]))).z[:n]
+    cheb = np.vstack([np.column_stack([A, -np.sign(norm)]), t, -t])
+    x0 = lp_solve(LinearProgram(c=-t[0], A=cheb, b=np.append(b, [0.0, -1.0]))).z[:n]
     keep = list(range(m))
     for idx in range(m):
         others = [i for i in keep if i != idx]
-        if others and _implied(_anchored(poly.A[others], poly.b[others], x0),
-                               poly.A[idx], float(poly.b[idx]), tol):
+        if others and _implied(_anchored(A[others], b[others], x0), A[idx], float(b[idx]), tol):
             keep.remove(idx)
     return Polyhedron(A=poly.A[keep], b=poly.b[keep],
                       row_power=poly.row_power[keep],
@@ -243,6 +244,8 @@ def prune_redundant(poly: Polyhedron, tol: float = OPT_TOL) -> Polyhedron:
 
 def polyhedra_equivalent(p: Polyhedron, q: Polyhedron, tol: float = OPT_TOL) -> bool:
     """Set equality via mutual row redundancy (one phase 1 per side)."""
+    if not all(np.isfinite(v).all() for poly in (p, q) for v in (poly.A, poly.b)):
+        raise ValueError("polyhedron data has non-finite entries")
     for src, dst in ((p, q), (q, p)):
         if dst.n_rows == 0:
             continue

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finnet import fixtures, intervene, numerics
 from finnet.intervene import (
@@ -20,7 +21,7 @@ from finnet.intervene import (
 )
 from finnet.invariance import maximal_invariant_region
 from finnet.netmodel import FinancialNetwork, ShiftedModel
-from finnet.numerics import InfeasibleError, IterationLimitError
+from finnet.numerics import OPT_TOL, InfeasibleError, IterationLimitError
 
 
 def healthy_region(net):
@@ -221,3 +222,121 @@ def test_reallocation_on_a_network_with_large_prices(price_scale):
     assert sol.converged
     ok, residuals = reallocation_feasible(prob, D)
     assert ok, residuals
+
+
+def reference_reallocate(prob):
+    """Descend from every start and keep the best: _reallocate without its certificate."""
+    prog, starts = build_reallocation_program(prob)
+    sol = None
+    for start in starts:
+        cand = numerics.convex_solve(prog, start)
+        if sol is None or cand.objective < sol.objective - OPT_TOL:
+            sol = cand
+    return sol
+
+
+def with_prices(net, scale):
+    return FinancialNetwork(C=net.C, D=net.D, p=net.p * scale, beta=net.beta,
+                            threshold=net.threshold)
+
+
+def reallocation_problems(scales):
+    """complete10 or a random gap network (n = 4..10), prices x scale, random target."""
+    @st.composite
+    def draw_problem(draw):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if draw(st.booleans()):
+            net = fixtures.complete10()
+        else:
+            net = fixtures.random_gap_network(rng, draw(st.integers(4, 10)))
+        scale = draw(st.sampled_from(scales))
+        return ReallocationProblem(network=with_prices(net, scale),
+                                   v=rng.uniform(-0.5, 1.5, size=net.n) * scale)
+    return draw_problem()
+
+
+def check_against_reference(prob):
+    try:
+        ref = reference_reallocate(prob)
+    except IterationLimitError:     # a projection gave up in one of the descents
+        ref = None
+    try:
+        D, sol, _, gap = intervene._reallocate(prob)
+    except IterationLimitError:
+        assert ref is None or not ref.converged
+        return
+    if ref is None:                 # only a start the certificate skipped may have raised
+        assert gap is not None and gap <= 0.9 * OPT_TOL
+        return
+    assert D.tobytes() == ref.x.tobytes()
+    assert (sol.objective, sol.iterations, sol.converged) == \
+        (ref.objective, ref.iterations, ref.converged)
+
+
+@settings(max_examples=25, deadline=None)
+@given(reallocation_problems([1.0]))
+def test_certified_reallocation_matches_both_starts(prob):
+    check_against_reference(prob)
+
+
+# At prices x1e3 the holdings descent usually runs to its 3,000-iteration cap,
+# twice per example (reference and _reallocate), so each run draws one problem.
+@settings(max_examples=1, deadline=None)
+@given(reallocation_problems([1e3]))
+def test_certified_reallocation_matches_both_starts_at_large_prices(prob):
+    check_against_reference(prob)
+
+
+@settings(max_examples=25, deadline=None)
+@given(reallocation_problems([1.0, 1e3]), st.integers(0, 2**32 - 1))
+def test_reallocation_lower_bound_is_valid(prob, seed):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(seed)
+    objective, project, (n, m), A, b = intervene._reallocation_pieces(prob)
+    points = [project(rng.uniform(-1.0, 2.0, size=n * m)) for _ in range(8)]
+    x = points[0]
+    f, g = objective(x)
+    gap = intervene._optimality_gap(objective, A, b, x)
+    assert gap is not None
+    bound = float(g @ x) - gap                    # the linear part: min g.z over K >= bound
+    scale = max(1.0, float(np.abs(g).sum()))
+    lower = f - gap                               # LB on f over K
+    for z in points:
+        assert lower <= objective(z)[0] + 1e-12 * scale
+    ref = linprog(g, A_ub=-A, b_ub=-b, bounds=[(0.0, None)] * (n * m), method="highs")
+    assert ref.status == 0
+    assert bound <= ref.fun + 1e-12 * scale
+
+
+def test_uncertified_start_runs_the_next(monkeypatch):
+    # one descent step leaves the first start far from optimal, so its gap
+    # cannot certify it and the holdings start must run and win
+    runs = []
+    def first_stops_early(prog, start):
+        runs.append(numerics.convex_solve(replace(prog, max_iter=1) if not runs else prog, start))
+        return runs[-1]
+    monkeypatch.setattr(intervene, "convex_solve", first_stops_early)
+    prob = ReallocationProblem(network=fixtures.complete10(), v=np.linspace(-0.5, 1.5, 10))
+    D, sol, _, gap = intervene._reallocate(prob)
+    assert len(runs) == 2 and sol is runs[1]
+    assert runs[1].objective < runs[0].objective - OPT_TOL
+    assert gap is None                  # the returned point was never bounded
+
+
+def test_benchmark_drive_descends_once(monkeypatch):
+    # a complete10 drive from one deficit node 0.45 below the healthy
+    # equilibrium, as the benchmark builds them: the first start is certified
+    net = fixtures.complete10()
+    drift = (net.C - np.eye(net.n)) @ net.threshold + net.D @ net.p
+    x0 = np.linalg.solve(np.eye(net.n) - net.C, drift)
+    assert drift[0] < 0
+    x0[0] -= 0.45
+    runs = []
+    def counted(prog, start):
+        runs.append(start)
+        return numerics.convex_solve(prog, start)
+    monkeypatch.setattr(intervene, "convex_solve", counted)
+    plan = drive_to_invariant(net, x0)
+    assert plan.success and plan.iterations == 1
+    assert len(runs) == 1
+    assert 0.0 <= plan.steps[0].optimality_gap <= 0.9 * OPT_TOL

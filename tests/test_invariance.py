@@ -329,6 +329,23 @@ def test_non_finite_polyhedron_is_rejected(part, value):
         row_redundant(poly, np.ones(2), 0.0)
 
 
+@pytest.mark.parametrize("part", ["A", "b"])
+@pytest.mark.parametrize("bad_side", ["p", "q"])
+def test_polyhedra_equivalent_rejects_non_finite(part, bad_side):
+    # it builds its phase 1 directly, so it needs its own check: with b = (0, NaN)
+    # a polyhedron once compared unequal to itself instead of raising
+    good = Polyhedron(A=np.array([[1.0], [-1.0]]), b=np.array([0.0, -1.0]), row_power=[0, 0])
+    parts = {"A": good.A.copy(), "b": good.b.copy()}
+    parts[part].flat[-1] = np.nan
+    bad = Polyhedron(A=parts["A"], b=parts["b"], row_power=[0, 0])
+    pair = (bad, good) if bad_side == "p" else (good, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        polyhedra_equivalent(*pair)
+    with pytest.raises(ValueError, match="non-finite"):
+        polyhedra_equivalent(bad, bad)
+    assert polyhedra_equivalent(good, good)
+
+
 def phase1_stable_region(model, eq, tau_cap=64):
     """stable_region with a phase 1 per horizon, as before the anchored start."""
     n = model.n
