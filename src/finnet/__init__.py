@@ -72,12 +72,10 @@ from .intervene import (
     minimal_injection,
 )
 from .numerics import (
-    ConvexProgram,
     InfeasibleError,
     LinearProgram,
     SingularMatrixError,
     UnboundedError,
-    convex_solve,
     lp_solve,
     solve_linear,
 )

@@ -4,8 +4,8 @@ Each subcommand reads one scenario document, runs one analysis, and
 writes a JSON report (plus a CSV trajectory where that makes sense).
 No plotting and no interaction; the reports carry plot-ready data.
 
-Exit codes: 0 on success, 2 when the scenario fails to parse or
-validate, 3 when a solver gives up.
+Exit codes: 0 on success, 2 when the scenario or a flag fails to parse
+or validate, 3 when a solver gives up.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ SOLVER_ERRORS = (
 
 
 class ScenarioError(ValueError):
-    """Scenario file missing, malformed, or failing validation."""
+    """Scenario file or command-line flag missing, malformed, or failing validation."""
 
 
 def _reject_constant(token: str) -> float:
@@ -154,6 +154,15 @@ def _horizon(args, doc: dict, default: int) -> int:
     if type(T) is not int or T < 0:     # rejects bools, floats and strings too
         raise ScenarioError(f"horizon must be an integer >= 0, got {T!r}")
     return T
+
+
+def _check_flags(args) -> None:
+    for name in ("tol", "rho"):
+        value = getattr(args, name)
+        if not (np.isfinite(value) and value >= 0):
+            raise ScenarioError(f"--{name} must be finite and >= 0, got {value!r}")
+    if args.hmax < 1:
+        raise ScenarioError(f"--hmax must be an integer >= 1, got {args.hmax}")
 
 
 def _jsonable(obj):
@@ -474,6 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        _check_flags(args)
         if args.command == "fixtures":
             doc = _load_scenario(args.scenario) if args.scenario else None
             results = cmd_fixtures(args, doc)

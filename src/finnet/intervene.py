@@ -7,7 +7,10 @@ healthy-invariant region M+:
   sign-free by default) with x + v inside M+;
 * the reallocation program: a nonnegative asset-holdings matrix D whose
   income D p tracks a target v while keeping column sums at most one and
-  the healthy equilibrium strictly positive.
+  the healthy equilibrium strictly positive. It depends on D only through
+  y = D p and s = 1^T D, so it is solved exactly in those n + m numbers
+  (a scalar root over projections onto the y-polyhedron) and lifted back
+  as the rank-one D = y s^T / (p.s).
 
 The driving loop alternates the two: reallocate toward the outstanding
 target, step the network under the new holdings, subtract the realized
@@ -24,19 +27,18 @@ import numpy as np
 from .invariance import Polyhedron, maximal_invariant_region
 from .netmodel import FinancialNetwork, ShiftedModel
 from .numerics import (
-    ConvexProgram,
-    ConvexSolution,
     InfeasibleError,
     IterationLimitError,
     LinearProgram,
-    OPT_TOL,
+    PROJECTION_TOL,
     STRICT_MARGIN,
-    _anchored, _phase2,
-    convex_solve,
     lp_solve,
     project_polyhedron,
     solve_linear,
 )
+
+REALLOCATION_TOL = 1e-12    # optimality gap at which the reallocation stops, times scale
+REALLOCATION_MAX_ITER = 60  # projections per reallocation before IterationLimitError
 
 
 @dataclass(frozen=True)
@@ -86,57 +88,6 @@ class ReallocationProblem:
         return solve_linear(np.eye(net.n) - net.C, np.eye(net.n))
 
 
-def _reallocation_pieces(prob: ReallocationProblem):
-    net = prob.network
-    n, m = net.D.shape
-    p = net.p
-
-    # {z : A z >= b} over the C-order flattening z of D: column sums at most
-    # one, then the healthy equilibrium G D p at least threshold + epsilon.
-    A = np.vstack([-np.tile(np.eye(m), n), np.kron(prob.G, p)])
-    b = np.concatenate([-np.ones(m), net.threshold + prob.epsilon])
-
-    last = [None]   # multipliers of the last projection, the next one's warm start
-    def project(z: np.ndarray) -> np.ndarray:
-        z, last[0] = project_polyhedron(A, b, z, last[0])
-        return z
-
-    def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
-        D = z.reshape(n, m)
-        income_gap = D @ p - prob.v
-        colsum = D.sum(axis=0)
-        g1, g2 = np.linalg.norm(income_gap), np.linalg.norm(colsum)
-        grad = np.outer(income_gap / g1, p) if g1 > 1e-12 else np.zeros((n, m))
-        if g2 > 1e-12:
-            grad += colsum / g2             # the same colsum gradient in every row
-        return float(g1 + g2), grad.reshape(-1)
-
-    return objective, project, (n, m), A, b
-
-
-def build_reallocation_program(prob: ReallocationProblem,
-                               tol: float = 1e-9,
-                               max_iter: int = 3000) -> tuple[ConvexProgram, list[np.ndarray]]:
-    """Projected-gradient formulation plus candidate feasible starts.
-
-    Two starts are offered: an income-tracking guess whose rows scale p to meet max(v, 0),
-    and the network's current holdings. The objective is flat along whole segments when the
-    gap and holdings terms trade off one-for-one, so the start decides which optimum the
-    descent settles on; tracking first keeps Dp near the target on those ties. Both are
-    projected even if only one is descended from, as the projections' warm starts chain.
-    """
-    objective, project, (n, m), _, _ = _reallocation_pieces(prob)
-    p = prob.network.p
-    pnorm = float(p @ p)
-    target = np.clip(prob.v, 0.0, None)
-    guess = np.outer(target, p) / pnorm if pnorm > 1e-12 else np.zeros((n, m))
-    starts = [project(guess.reshape(-1)),
-              project(prob.network.D.reshape(-1).copy())]
-    prog = ConvexProgram(objective=objective, project=project, tol=tol,
-                         max_iter=max_iter, step0=1.0)
-    return prog, starts
-
-
 def reallocation_feasible(prob: ReallocationProblem, D: np.ndarray,
                           tol: float = 1e-8) -> tuple[bool, dict[str, float]]:
     """Residuals of the three constraint groups at D."""
@@ -149,57 +100,100 @@ def reallocation_feasible(prob: ReallocationProblem, D: np.ndarray,
     return all(v <= tol for v in residuals.values()), residuals
 
 
-def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, ConvexSolution]:
-    """Solve the reallocation program; returns (D, solver diagnostics).
+@dataclass(frozen=True)
+class ReallocationSolution:
+    objective: float            # |D p - v| + |1^T D| at the returned D
+    iterations: int             # projections used
+    optimality_gap: float       # certified bound on objective - optimum
 
-    A start is skipped once the best point's optimality gap shows it cannot win.
-    Raises InfeasibleError naming the constraint group that cannot be met,
-    and IterationLimitError when the chosen descent does not converge.
+
+def _column_sums(p: np.ndarray, sigma: float) -> tuple[np.ndarray, float]:
+    """Least-norm s = min(1, tau p) with p.s = sigma, and the slope tau / |s| of h(sigma) = |s|.
+
+    h is convex and C^1 on [0, sum p]. Columns fill in order of decreasing price: the k-th
+    largest price q_k fills at sigma = sum_{i<k} q_i + sum_{i>=k} q_i^2 / q_k, which grows with k.
     """
-    D, sol, _, _ = _reallocate(prob)
-    return D, sol
+    q = np.sort(p[p > 0])[::-1]
+    head = np.cumsum(q) - q                     # sum of the k larger prices
+    tail = np.cumsum((q * q)[::-1])[::-1]       # sum of q_i^2 over i >= k
+    k = min(int(np.searchsorted(head + tail / q, sigma)), q.size - 1)
+    tau = max(sigma - head[k], 0.0) / tail[k]
+    return np.minimum(1.0, tau * p), float(1.0 / np.sqrt(tail[k] + (k / tau ** 2 if k else 0.0)))
 
 
-def _optimality_gap(objective, A: np.ndarray, b: np.ndarray, x: np.ndarray) -> float | None:
-    """Bound on f(x) - min f over K = {z >= 0, A z >= b}, K inside [0, 1]^k; None off K.
+def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, ReallocationSolution]:
+    """Solve the reallocation program exactly; returns (D, solver diagnostics).
 
-    g = objective(x)[1] = u p^T + 1 w^T, |u|, |w| <= 1, so f(z) >= g.z - u.v (equality at
-    x) and, for lam >= 0, g.z >= b.lam + sum(min(g - A^T lam, 0)) on K (Frank and Wolfe,
-    1956). lam: duals of min g.z over K from the slack basis at x, clipped at 0.
+    It sees D only through y = D p and s = 1^T D: min |y - v| + |s| over y in
+    P = {y >= 0, G y >= threshold + epsilon, 1^T y <= sum p}, 0 <= s <= 1, p.s = 1^T y.
+    Given 1^T y, s is _column_sums'; y is then y(kappa), the projection of v - kappa 1 onto
+    P, at a root of phi = kappa / |y(kappa) - v| - h'(1^T y(kappa)). As g + n = -phi 1 for a
+    subgradient g of the objective and n in P's normal cone, y(kappa) is within |phi| sum p
+    of optimal (plus the projection's error); secant steps stop once that is below
+    REALLOCATION_TOL * scale. For v in P, y = v is optimal iff phi(0+) >= 0, phi being
+    constant up to the ray's first breakpoint, which v's margins bound. Raises
+    InfeasibleError for an empty P, IterationLimitError after REALLOCATION_MAX_ITER projections.
     """
-    g = objective(x)[1]
+    net, v, p = prob.network, prob.v, prob.network.p
+    A = np.vstack([prob.G, -np.ones(net.n)])
+    b = np.append(net.threshold + prob.epsilon, -p.sum())
+    scale = max(1.0, float(np.abs(v).max(initial=0.0)), float(np.abs(b).max()))
+    floor = PROJECTION_TOL * max(scale, float(np.abs(A).max()))     # the projection's error
+    lam, calls = None, 0
+
+    def point(kappa: float) -> tuple[np.ndarray, float]:
+        """y(kappa) and |y(kappa) - v|, warm-started at the last multipliers."""
+        nonlocal lam, calls
+        if calls == REALLOCATION_MAX_ITER:
+            raise IterationLimitError(f"reallocation not converged in {calls} projections")
+        calls += 1
+        y, lam = project_polyhedron(A, b, v - kappa, lam)
+        return y, float(np.linalg.norm(y - v))
+
     try:
-        start = _anchored(np.vstack([A, np.eye(x.size)]), np.concatenate([b, np.zeros(x.size)]), x)
-    except ValueError:
-        return None
-    lam = np.maximum(_phase2(start, g).dual[:b.size], 0.0)
-    return float(g @ x - (b @ lam + np.minimum(g - lam @ A, 0.0).sum()))
-
-
-def _reallocate(prob: ReallocationProblem):
-    """asset_reallocation plus the residuals and the optimality gap (None if not taken) at D.
-
-    After each start but the last, a gap of at most 0.9 OPT_TOL (the rest covers roundoff
-    and projections off K) proves that no later start wins by OPT_TOL, and ends the loop.
-    """
-    try:
-        prog, starts = build_reallocation_program(prob)
+        y, rho = point(0.0)
     except InfeasibleError:
         raise InfeasibleError("reallocation constraints unreachable: no nonneg holdings "
                               "with colsum at most one meet the equilibrium rows") from None
-    _, _, _, A, b = _reallocation_pieces(prob)
-    sol = gap = None
-    for k, start in enumerate(starts):
-        cand = convex_solve(prog, start)
-        if sol is None or cand.objective < sol.objective - OPT_TOL:
-            sol = cand
-            gap = _optimality_gap(prog.objective, A, b, sol.x) if k + 1 < len(starts) else None
-        if gap is not None and gap <= 0.9 * OPT_TOL:
-            break
-    if not sol.converged:
-        raise IterationLimitError(f"reallocation not converged in {sol.iterations} iterations")
-    D = sol.x.reshape(prob.network.D.shape)
-    return D, sol, reallocation_feasible(prob, D)[1], gap
+    slope = _column_sums(p, float(y.sum()))[1]
+    if rho > 0:
+        phi, kappa = -slope, rho * slope        # phi(0), and kappa = |y - v| h' as at the root
+        y, rho = point(kappa)
+    else:                                       # v in P: probe below the first breakpoint
+        margins = np.append(A @ v - b, v)
+        loose = margins > floor
+        norms = np.append(np.linalg.norm(A, axis=1), np.ones(net.n))[loose]
+        kappa = float(np.min(margins[loose] / norms, initial=scale)) / np.sqrt(net.n)
+        y, rho = point(kappa)
+        phi = (kappa / rho if rho > 0 else np.inf) - slope       # phi(0+)
+        if phi >= 0:
+            return _lift(prob, v, calls, floor)
+    last, phi_last, lo, hi = 0.0, phi, 0.0, np.inf
+    while True:
+        phi = (kappa / rho if rho > 0 else np.inf) - _column_sums(p, float(y.sum()))[1]
+        gap = abs(phi) * p.sum() + floor
+        if gap <= REALLOCATION_TOL * scale:
+            return _lift(prob, y, calls, gap)
+        lo, hi = (kappa, hi) if phi < 0 else (lo, kappa)
+        step = phi - phi_last                   # 0 where phi is flat below v's first breakpoint
+        secant = kappa - phi * (kappa - last) / step if step != 0 and np.isfinite(step) else np.nan
+        if np.isinf(hi):                        # no bracket yet: grow kappa
+            secant = min(secant, 64.0 * kappa) if secant > 2.0 * kappa else 2.0 * kappa
+        elif not (lo < secant < hi and abs(phi) <= 0.5 * abs(phi_last)):
+            secant = 0.5 * (lo + hi)            # bisect when the secant leaves or stalls
+        last, phi_last, kappa = kappa, phi, secant
+        y, rho = point(kappa)
+
+
+def _lift(prob: ReallocationProblem, y: np.ndarray, calls: int,
+          gap: float) -> tuple[np.ndarray, ReallocationSolution]:
+    """D = y s^T / (p.s) for the least-norm s of _column_sums, with its diagnostics."""
+    p = prob.network.p
+    s = _column_sums(p, float(y.sum()))[0]
+    ps = float(p @ s)
+    D = np.outer(y, s) / ps if ps > 0 else np.zeros(prob.network.D.shape)
+    objective = float(np.linalg.norm(D @ p - prob.v) + np.linalg.norm(D.sum(axis=0)))
+    return D, ReallocationSolution(objective=objective, iterations=calls, optimality_gap=float(gap))
 
 
 class IterationCapReached(RuntimeError):
@@ -219,8 +213,8 @@ class PlanStep:
     v: np.ndarray               # outstanding target after the update
     objective: float            # reallocation objective at D
     residuals: dict[str, float]
-    iterations: int             # descent iterations of the chosen start
-    optimality_gap: float | None    # bound on objective - optimum; None: not bounded
+    iterations: int             # projections of the reallocation
+    optimality_gap: float       # certified bound on objective - optimum
 
 
 @dataclass
@@ -267,15 +261,16 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
         if region.contains(x):
             plan.success = True
             return plan
-        D, sol, residuals, gap = _reallocate(ReallocationProblem(network=current, v=v,
-                                                                 epsilon=epsilon))
+        prob = ReallocationProblem(network=current, v=v, epsilon=epsilon)
+        D, sol = asset_reallocation(prob)
         current = replace(current, D=D)
         x = ShiftedModel.from_network(current).step(x)
         v = v - x
         if mode == "clamped":
             v = np.maximum(v, 0.0)
-        plan.steps.append(PlanStep(it, D, x.copy(), v.copy(), sol.objective, residuals,
-                                   iterations=sol.iterations, optimality_gap=gap))
+        plan.steps.append(PlanStep(it, D, x.copy(), v.copy(), sol.objective,
+                                   reallocation_feasible(prob, D)[1], iterations=sol.iterations,
+                                   optimality_gap=sol.optimality_gap))
     if region.contains(x):
         plan.success = True
         return plan

@@ -2,20 +2,19 @@
 
 Everything downstream (equilibrium solves, invariant-region pruning, the
 injection LP, the reallocation program) funnels through the entry points
-here: solve_linear (LAPACK, with a condition check), lp_solve,
-convex_solve, and project_polyhedron (the exact projection onto
-{z >= 0, A z >= b} that the reallocation program hands convex_solve, with
-its KKT multipliers). Problems are small (tens of variables), so the
-solvers are dense: the simplex keeps Bland's rule and pivots with
-whole-array updates, and Python loops are left only where a rule is
-sequential. Phase 2 starts from _phase1's basis or, with no phase 1,
-from _anchored's slack basis at a point known to lie on the polyhedron.
+here: solve_linear (LAPACK, with a condition check), lp_solve, and
+project_polyhedron (the exact projection onto {z >= 0, A z >= b}, with its
+KKT multipliers; the reallocation's root search calls it once per step).
+Problems are small (tens of variables), so the solvers are dense: the
+simplex keeps Bland's rule and pivots with whole-array updates, and Python
+loops are left only where a rule is sequential. Phase 2 starts from
+_phase1's basis or, with no phase 1, from _anchored's slack basis at a
+point known to lie on the polyhedron.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,67 +260,8 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
 
 
 # ---------------------------------------------------------------------------
-# Convex programming: projected gradient, and the exact projection it is given.
+# Euclidean projection onto {z >= 0, A z >= b}.
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ConvexProgram:
-    """Smooth-enough convex objective over a closed convex set.
-
-    objective(x) returns (value, gradient). project(x) maps any point to
-    the feasible set; it must be idempotent up to OPT_TOL.
-    """
-
-    objective: Callable[[np.ndarray], tuple[float, np.ndarray]]
-    project: Callable[[np.ndarray], np.ndarray]
-    tol: float = 1e-9
-    max_iter: int = 5000
-    step0: float = 1.0
-
-
-@dataclass
-class ConvexSolution:
-    x: np.ndarray
-    objective: float
-    converged: bool            # False means NoConvergence: best iterate returned
-    iterations: int
-    history: list[float] = field(default_factory=list)
-
-
-def convex_solve(prog: ConvexProgram, start) -> ConvexSolution:
-    """Projected gradient with diminishing steps and backtracking.
-
-    The accepted iterate never increases the objective, so history is
-    non-increasing. Terminates when the iterate moves less than prog.tol,
-    else returns the best point with converged=False.
-    """
-    x = prog.project(np.asarray(start, dtype=float))
-    f, g = prog.objective(x)
-    history = [float(f)]
-    converged = False
-    it = 0
-    for it in range(1, prog.max_iter + 1):
-        step = prog.step0 / np.sqrt(it)
-        cand = prog.project(x - step * g)
-        fc, gc = prog.objective(cand)
-        shrink = 0
-        while fc > f and shrink < 40:
-            step *= 0.5
-            cand = prog.project(x - step * g)
-            fc, gc = prog.objective(cand)
-            shrink += 1
-        if fc > f:             # no descent direction survived backtracking
-            converged = True
-            break
-        move = float(np.max(np.abs(cand - x))) if cand.size else 0.0
-        x, f, g = cand, fc, gc
-        history.append(float(f))
-        if move < prog.tol:
-            converged = True
-            break
-    return ConvexSolution(x=x, objective=float(f), converged=converged,
-                          iterations=it, history=history)
-
 
 def project_polyhedron(A, b, y, lam=None, max_iter: int = PROJECTION_MAX_ITER) -> tuple:
     """Nearest point z to y in {z >= 0, A z >= b} and its row multipliers lam.

@@ -78,7 +78,20 @@ class IntervalNetwork:
     @cached_property
     def lower_region(self) -> Polyhedron:
         """Maximal invariant set of the lower extreme, built once; see robust_invariant_set."""
-        return healthy_invariant_region(self.c_lower, self.r)
+        return _extreme_region(self.c_lower, self.r, "lower")
+
+    @cached_property
+    def upper_region(self) -> Polyhedron:
+        """Maximal invariant set of the upper extreme, built once; see last_hope_region."""
+        return _extreme_region(self.c_upper, self.r, "upper")
+
+
+def _extreme_region(c: np.ndarray, r: np.ndarray, name: str) -> Polyhedron:
+    """Maximal invariant set of x -> c x + r; its fixed point must be nonnegative."""
+    x = solve_linear(np.eye(r.size) - c, r)
+    if np.any(x < 0):
+        raise NoPositiveEquilibriumError(f"{name}-extreme fixed point has negative components: {x}")
+    return healthy_invariant_region(c, r)
 
 
 def extremal_fixed_points(inet: IntervalNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -97,25 +110,16 @@ def robust_invariant_set(inet: IntervalNetwork) -> Polyhedron:
     Equals the maximal invariant set of the constant lower-extreme system,
     cached on inet. Requires that system to have a nonnegative fixed point.
     """
-    x_lower = solve_linear(np.eye(inet.n) - inet.c_lower, inet.r)
-    if np.any(x_lower < 0):
-        raise NoPositiveEquilibriumError(
-            "lower-extreme fixed point has negative components: %s" % x_lower)
     return inet.lower_region
 
 
 def last_hope_region(inet: IntervalNetwork) -> Polyhedron:
-    """Maximal invariant set of the upper-extreme system.
+    """Maximal invariant set of the upper-extreme system, cached on inet.
 
     States outside it leave the healthy orthant under every admissible
-    holding sequence.
+    holding sequence. Requires that system to have a nonnegative fixed point.
     """
-    n = inet.n
-    x_upper = solve_linear(np.eye(n) - inet.c_upper, inet.r)
-    if np.any(x_upper < 0):
-        raise NoPositiveEquilibriumError(
-            "upper-extreme fixed point has negative components: %s" % x_upper)
-    return healthy_invariant_region(inet.c_upper, inet.r)
+    return inet.upper_region
 
 
 def last_hope_membership(inet: IntervalNetwork, x0) -> bool:

@@ -1,12 +1,11 @@
 """Command-line front end: reports, CSV output, exit codes."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from finnet import cli, fixtures, intervene, numerics
+from finnet import cli, fixtures, intervene, numerics, robust
 from finnet.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main
 from finnet.netmodel import ShiftedModel
 
@@ -110,6 +109,22 @@ def test_bad_horizon_exit2(tmp_path, capsys, command, horizon, flag):
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
+                                         ("--rho", "inf"), ("--rho", "nan"), ("--rho", "-1e-6"),
+                                         ("--hmax", "0"), ("--hmax", "-5")])
+def test_bad_flag_exit2(capsys, two_bank_scenario, flag, value):
+    assert main(["cycles", "--scenario", two_bank_scenario, f"{flag}={value}"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} must be ")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+def test_flags_at_their_bounds_exit0(capsys, two_bank_scenario):
+    argv = ["cycles", "--scenario", two_bank_scenario, "--tol=0", "--rho=0", "--hmax=1"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_prints_to_stdout_without_out(two_bank_scenario, capsys):
     assert main(["simulate", "--scenario", two_bank_scenario]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
@@ -160,6 +175,22 @@ def test_robust_report_with_sandwich(tmp_path):
     np.testing.assert_allclose(res["x_upper"], [10 / 9] * 2, atol=1e-9)
     assert res["sandwich"]["ordered"] is True
     assert res["last_hope_membership"] is True
+
+
+def test_robust_builds_each_region_once(tmp_path, monkeypatch):
+    # the robust region, the last-hope region and last-hope membership share
+    # two builds: one per extreme, cached on the IntervalNetwork
+    builds = []
+    build = robust.healthy_invariant_region
+    monkeypatch.setattr(robust, "healthy_invariant_region",
+                        lambda C, r: builds.append(C) or build(C, r))
+    path = write_scenario(tmp_path, json.loads(
+        json.dumps(_horizon_scenario("robust")).replace('"HORIZON"', "60")))
+    assert main(["robust", "--scenario", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    net = fixtures.two_bank()
+    assert len(builds) == 2
+    np.testing.assert_array_equal(builds[0], 0.9 * net.C)
+    np.testing.assert_array_equal(builds[1], 1.1 * net.C)
 
 
 def test_cycles_report(tmp_path):
@@ -305,8 +336,7 @@ def test_simplex_iteration_cap_exit3(tmp_path, capsys, monkeypatch):
 
 
 def test_unconverged_reallocation_exit3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(intervene, "convex_solve",
-                        lambda prog, start: numerics.convex_solve(replace(prog, max_iter=1), start))
+    monkeypatch.setattr(intervene, "REALLOCATION_MAX_ITER", 1)
     doc = {"network": net_doc(fixtures.complete10()), "x0": fixtures.SAMPLE_STATE10.tolist()}
     assert main(["intervene", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_SOLVER
     err = capsys.readouterr().err

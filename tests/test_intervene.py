@@ -1,27 +1,27 @@
 """Cash injection LP, holdings reallocation, and the driving loop."""
 
 import itertools
-from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finnet import fixtures, intervene, numerics
+from finnet import fixtures, intervene
 from finnet.intervene import (
     InjectionProblem,
     InterventionPlan,
     IterationCapReached,
     ReallocationProblem,
     asset_reallocation,
-    build_reallocation_program,
     drive_to_invariant,
     minimal_injection,
     reallocation_feasible,
 )
 from finnet.invariance import maximal_invariant_region
 from finnet.netmodel import FinancialNetwork, ShiftedModel
-from finnet.numerics import OPT_TOL, InfeasibleError, IterationLimitError
+from finnet.numerics import InfeasibleError, IterationLimitError, project_polyhedron
+from reallocation_reference import build_reallocation_program, reference_reallocate
 
 
 def healthy_region(net):
@@ -107,12 +107,12 @@ def test_reallocation_trivial_target():
     # and only the holdings norm remains: ||(0.75, 0.75)||
     net = fixtures.two_bank()
     D, sol = asset_reallocation(ReallocationProblem(network=net, v=net.D @ net.p))
-    assert sol.converged
+    assert 0.0 <= sol.optimality_gap <= 1e-9
     assert abs(sol.objective - np.hypot(0.75, 0.75)) < 1e-6
     assert np.linalg.norm(D @ net.p - net.D @ net.p) < 1e-6
 
 
-def test_reallocation_feasibility_and_history():
+def test_reallocation_feasibility_and_gap():
     net = fixtures.complete10()
     prob = ReallocationProblem(network=net, v=np.full(10, 0.8))
     D, sol = asset_reallocation(prob)
@@ -120,14 +120,15 @@ def test_reallocation_feasibility_and_history():
     assert ok
     assert set(residuals) == {"nonneg", "colsum", "equilibrium"}
     assert all(r <= 1e-8 for r in residuals.values())
-    assert all(a >= b - 1e-12 for a, b in zip(sol.history, sol.history[1:]))
+    assert 0.0 <= sol.optimality_gap <= intervene.REALLOCATION_TOL * 10.0
+    assert sol.iterations >= 2
 
 
 def test_reallocation_multi_start_prefers_tracking():
     prob = ReallocationProblem(network=fixtures.complete10(), v=np.full(10, 0.8))
     prog, starts = build_reallocation_program(prob)
     assert len(starts) == 2
-    # both starts must already be feasible points
+    # both of the reference's starts must already be feasible points
     for start in starts:
         ok, _ = reallocation_feasible(prob, start.reshape(10, 10), tol=1e-6)
         assert ok
@@ -169,7 +170,8 @@ def test_drive_complete10_both_modes():
         for step in plan.steps:
             assert max(step.residuals.values()) <= 1e-8
             assert step.D.shape == (10, 10)
-            assert step.iterations >= 1       # the chosen descent's iterations
+            assert step.iterations >= 2       # projections of the reallocation
+            assert 0.0 <= step.optimality_gap <= intervene.REALLOCATION_TOL * 10.0
 
 
 def test_drive_rejects_unknown_mode():
@@ -187,11 +189,10 @@ def test_iteration_cap_carries_partial_plan():
 
 
 def test_unconverged_reallocation_raises(monkeypatch):
-    # one descent step cannot settle the complete10 program
-    monkeypatch.setattr(intervene, "convex_solve",
-                        lambda prog, start: numerics.convex_solve(replace(prog, max_iter=1), start))
+    # one projection cannot settle the complete10 program
+    monkeypatch.setattr(intervene, "REALLOCATION_MAX_ITER", 1)
     prob = ReallocationProblem(network=fixtures.complete10(), v=np.full(10, 0.8))
-    with pytest.raises(IterationLimitError, match="not converged in 1 iterations"):
+    with pytest.raises(IterationLimitError, match="reallocation not converged in 1 projections"):
         asset_reallocation(prob)
 
 
@@ -219,20 +220,9 @@ def test_reallocation_on_a_network_with_large_prices(price_scale):
                            threshold=net.threshold)
     prob = ReallocationProblem(network=net, v=np.full(10, 0.8 * price_scale))
     D, sol = asset_reallocation(prob)
-    assert sol.converged
+    assert 0.0 <= sol.optimality_gap <= intervene.REALLOCATION_TOL * 10.0 * price_scale
     ok, residuals = reallocation_feasible(prob, D)
     assert ok, residuals
-
-
-def reference_reallocate(prob):
-    """Descend from every start and keep the best: _reallocate without its certificate."""
-    prog, starts = build_reallocation_program(prob)
-    sol = None
-    for start in starts:
-        cand = numerics.convex_solve(prog, start)
-        if sol is None or cand.objective < sol.objective - OPT_TOL:
-            sol = cand
-    return sol
 
 
 def with_prices(net, scale):
@@ -255,22 +245,30 @@ def reallocation_problems(scales):
     return draw_problem()
 
 
+def scale_of(prob):
+    return max(1.0, float(np.abs(prob.v).max()), float(prob.network.p.sum()))
+
+
+def check_lift(prob, D, y):
+    """D >= 0 with D p = y, 1^T D = the least-norm column sums for 1^T y, and those <= 1."""
+    p, tol = prob.network.p, 1e-12 * scale_of(prob)
+    s = least_norm_column_sums(p, float(y.sum()))
+    assert D.min() >= 0.0
+    assert np.abs(D @ p - y).max() <= tol
+    assert np.abs(D.sum(axis=0) - s).max() <= tol
+    assert D.sum(axis=0).max() <= 1.0 + tol
+
+
 def check_against_reference(prob):
+    D, sol = asset_reallocation(prob)
+    check_lift(prob, D, D @ prob.network.p)
+    assert reallocation_feasible(prob, D)[0]
     try:
         ref = reference_reallocate(prob)
-    except IterationLimitError:     # a projection gave up in one of the descents
-        ref = None
-    try:
-        D, sol, _, gap = intervene._reallocate(prob)
-    except IterationLimitError:
-        assert ref is None or not ref.converged
+    except IterationLimitError:     # a projection in one of the reference's descents gave up
         return
-    if ref is None:                 # only a start the certificate skipped may have raised
-        assert gap is not None and gap <= 0.9 * OPT_TOL
-        return
-    assert D.tobytes() == ref.x.tobytes()
-    assert (sol.objective, sol.iterations, sol.converged) == \
-        (ref.objective, ref.iterations, ref.converged)
+    # every reference iterate is a projection, so its objective is attained on the set
+    assert sol.objective <= ref.objective + 1e-9 * scale_of(prob)
 
 
 @settings(max_examples=25, deadline=None)
@@ -279,64 +277,153 @@ def test_certified_reallocation_matches_both_starts(prob):
     check_against_reference(prob)
 
 
-# At prices x1e3 the holdings descent usually runs to its 3,000-iteration cap,
-# twice per example (reference and _reallocate), so each run draws one problem.
+# At prices x1e3 the reference's holdings descent usually runs to its
+# 3,000-iteration cap, so each run draws one problem.
 @settings(max_examples=1, deadline=None)
 @given(reallocation_problems([1e3]))
 def test_certified_reallocation_matches_both_starts_at_large_prices(prob):
     check_against_reference(prob)
 
 
-@settings(max_examples=25, deadline=None)
-@given(reallocation_problems([1.0, 1e3]), st.integers(0, 2**32 - 1))
-def test_reallocation_lower_bound_is_valid(prob, seed):
-    linprog = pytest.importorskip("scipy.optimize").linprog
+def least_norm_column_sums(p, sigma):
+    """min |s| over 0 <= s <= 1, p.s = sigma, by bisection on tau in s = min(1, tau p)."""
+    lo, hi = 0.0, 1.0 / p[p > 0].min()
+    for _ in range(200):
+        tau = 0.5 * (lo + hi)
+        lo, hi = (tau, hi) if np.minimum(1.0, tau * p) @ p < sigma else (lo, tau)
+    return np.minimum(1.0, hi * p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.0]), min_size=1, max_size=8)
+       .filter(lambda ps: max(ps) > 0), st.floats(0.0, 1.0))
+def test_column_sums_are_the_least_norm_fill(prices, frac):
+    p = np.array(prices)
+    sigma = frac * p.sum()
+    s, slope = intervene._column_sums(p, sigma)
+    np.testing.assert_allclose(s, least_norm_column_sums(p, sigma), rtol=0.0, atol=1e-12)
+    assert abs(s @ p - sigma) <= 1e-12 * p.sum()
+    # h'(sigma), against a one-sided difference quotient of h = |s| inside [0, sum p]
+    delta = 1e-6 * p.sum() * (1.0 if frac < 0.5 else -1.0)
+    h = np.linalg.norm
+    quotient = (h(least_norm_column_sums(p, sigma + delta)) - h(s)) / delta
+    assert abs(slope - quotient) <= 1e-4 * max(1.0, slope)
+
+
+@settings(max_examples=50, deadline=None)
+@given(reallocation_problems([1.0, 1e3]), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_lift_meets_the_reduced_point(prob, frac, seed):
+    # any y >= 0 with 1^T y <= sum p lifts to holdings with D p = y and 1^T D = s
     rng = np.random.default_rng(seed)
-    objective, project, (n, m), A, b = intervene._reallocation_pieces(prob)
-    points = [project(rng.uniform(-1.0, 2.0, size=n * m)) for _ in range(8)]
-    x = points[0]
-    f, g = objective(x)
-    gap = intervene._optimality_gap(objective, A, b, x)
-    assert gap is not None
-    bound = float(g @ x) - gap                    # the linear part: min g.z over K >= bound
-    scale = max(1.0, float(np.abs(g).sum()))
-    lower = f - gap                               # LB on f over K
-    for z in points:
-        assert lower <= objective(z)[0] + 1e-12 * scale
-    ref = linprog(g, A_ub=-A, b_ub=-b, bounds=[(0.0, None)] * (n * m), method="highs")
-    assert ref.status == 0
-    assert bound <= ref.fun + 1e-12 * scale
+    y = rng.exponential(size=prob.network.n) * (rng.random(prob.network.n) < 0.8)
+    y *= frac * prob.network.p.sum() / max(y.sum(), 1e-300)
+    D, _ = intervene._lift(prob, y, 0, 0.0)
+    check_lift(prob, D, y)
 
 
-def test_uncertified_start_runs_the_next(monkeypatch):
-    # one descent step leaves the first start far from optimal, so its gap
-    # cannot certify it and the holdings start must run and win
-    runs = []
-    def first_stops_early(prog, start):
-        runs.append(numerics.convex_solve(replace(prog, max_iter=1) if not runs else prog, start))
-        return runs[-1]
-    monkeypatch.setattr(intervene, "convex_solve", first_stops_early)
-    prob = ReallocationProblem(network=fixtures.complete10(), v=np.linspace(-0.5, 1.5, 10))
-    D, sol, _, gap = intervene._reallocate(prob)
-    assert len(runs) == 2 and sol is runs[1]
-    assert runs[1].objective < runs[0].objective - OPT_TOL
-    assert gap is None                  # the returned point was never bounded
+def slsqp_minimum(prob, D, minimize):
+    """SLSQP on the reduced program min |y - v| + |s|, started from y = D p, s = 1^T D.
+
+    Returns the value it reaches and that point's largest constraint violation.
+    """
+    net, v = prob.network, prob.v
+    n, m = net.D.shape
+    G, lower = np.linalg.inv(np.eye(n) - net.C), net.threshold + prob.epsilon
+    unit = lambda z: z / np.linalg.norm(z) if np.linalg.norm(z) > 0 else np.zeros_like(z)
+    res = minimize(
+        lambda x: np.linalg.norm(x[:n] - v) + np.linalg.norm(x[n:]),
+        np.concatenate([D @ net.p, D.sum(axis=0)]),
+        jac=lambda x: np.concatenate([unit(x[:n] - v), unit(x[n:])]),
+        method="SLSQP", bounds=[(0.0, None)] * n + [(0.0, 1.0)] * m,
+        constraints=[{"type": "ineq", "fun": lambda x: G @ x[:n] - lower,
+                      "jac": lambda x: np.hstack([G, np.zeros((n, m))])},
+                     {"type": "eq", "fun": lambda x: np.array([net.p @ x[n:] - x[:n].sum()]),
+                      "jac": lambda x: np.concatenate([-np.ones(n), net.p])[None, :]}],
+        options={"ftol": 1e-15, "maxiter": 500})
+    x = res.x
+    violation = max(0.0, -(G @ x[:n] - lower).min(), abs(net.p @ x[n:] - x[:n].sum()),
+                    -x.min(), (x[n:] - 1.0).max())
+    return float(res.fun), violation
 
 
-def test_benchmark_drive_descends_once(monkeypatch):
+@settings(max_examples=25, deadline=None)
+@given(reallocation_problems([1.0, 1e3, 1e4]))
+def test_reallocation_lower_bound_is_valid(prob):
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    D, sol = asset_reallocation(prob)
+    best, violation = slsqp_minimum(prob, D, minimize)
+    scale = scale_of(prob)
+    assert violation <= 1e-12 * scale
+    assert best >= sol.objective - 1e-10 * scale        # nothing feasible is lower
+    assert sol.objective - best <= sol.optimality_gap   # the certificate bounds the distance
+    assert sol.optimality_gap <= intervene.REALLOCATION_TOL * scale
+    # stopped early, the solve returns a worse point whose gap still bounds its distance
+    with mock.patch.object(intervene, "REALLOCATION_TOL", 1e-3):
+        D_early, early = asset_reallocation(prob)
+    assert reallocation_feasible(prob, D_early)[0]
+    assert early.objective - best <= early.optimality_gap <= 1e-3 * scale
+
+
+def test_target_inside_the_set_is_kept():
+    # v = D p lies inside P, and at prices x1e3 the holdings norm is too cheap
+    # to trade for income: y = v and the objective is h(1^T v) = 1^T v / |p|
+    net = with_prices(fixtures.complete10(), 1e3)
+    v = net.D @ net.p
+    D, sol = asset_reallocation(ReallocationProblem(network=net, v=v))
+    assert np.abs(D @ net.p - v).max() <= 1e-12 * v.max()
+    assert abs(sol.objective - v.sum() / np.linalg.norm(net.p)) <= 1e-12 * v.sum()
+    assert sol.iterations == 2
+
+
+def test_target_inside_the_set_moves_when_holdings_cost_more():
+    # v = 0.3 is interior, but at prices x0.5 a unit of income costs 2 / |p| in
+    # holdings against 1 / sqrt(n) in tracking, so the root lies above kappa = 0
+    net = with_prices(fixtures.complete10(), 0.5)
+    prob = ReallocationProblem(network=net, v=np.full(10, 0.3))
+    D, sol = asset_reallocation(prob)
+    assert np.abs(D @ net.p - prob.v).max() > 1e-3
+    assert sol.objective < np.linalg.norm(least_norm_column_sums(net.p, 3.0)) - 1e-3
+    ref = reference_reallocate(prob)
+    assert sol.objective <= ref.objective + 1e-9
+    assert 0.0 <= sol.optimality_gap <= intervene.REALLOCATION_TOL * 5.0
+
+
+def test_zero_income_gives_zero_holdings():
+    # thresholds below zero put y = 0 in P, and v < 0 projects there: sigma = 0
+    net = fixtures.complete10()
+    net = FinancialNetwork(C=net.C, D=net.D, p=net.p, beta=net.beta, threshold=np.full(10, -1.0))
+    v = np.full(10, -0.5)
+    D, sol = asset_reallocation(ReallocationProblem(network=net, v=v))
+    assert not D.any()
+    assert sol.objective == np.linalg.norm(v)
+
+
+def test_zero_price_column_stays_empty():
+    net = fixtures.complete10()
+    p = net.p.copy()
+    p[3] = 0.0
+    net = FinancialNetwork(C=net.C, D=net.D, p=p, beta=net.beta, threshold=net.threshold)
+    prob = ReallocationProblem(network=net, v=np.linspace(-0.5, 1.5, 10))
+    D, sol = asset_reallocation(prob)
+    assert not D[:, 3].any()
+    check_lift(prob, D, D @ p)
+    assert sol.objective <= reference_reallocate(prob).objective + 1e-9
+
+
+def test_benchmark_drive_reallocates_once_with_a_certificate(monkeypatch):
     # a complete10 drive from one deficit node 0.45 below the healthy
-    # equilibrium, as the benchmark builds them: the first start is certified
+    # equilibrium, as the benchmark builds them
     net = fixtures.complete10()
     drift = (net.C - np.eye(net.n)) @ net.threshold + net.D @ net.p
     x0 = np.linalg.solve(np.eye(net.n) - net.C, drift)
     assert drift[0] < 0
     x0[0] -= 0.45
-    runs = []
-    def counted(prog, start):
-        runs.append(start)
-        return numerics.convex_solve(prog, start)
-    monkeypatch.setattr(intervene, "convex_solve", counted)
+    calls = []
+    def counted(*args):
+        calls.append(args)
+        return project_polyhedron(*args)
+    monkeypatch.setattr(intervene, "project_polyhedron", counted)
     plan = drive_to_invariant(net, x0)
     assert plan.success and plan.iterations == 1
-    assert len(runs) == 1
-    assert 0.0 <= plan.steps[0].optimality_gap <= 0.9 * OPT_TOL
+    assert plan.steps[0].iterations == len(calls)
+    assert 0.0 <= plan.steps[0].optimality_gap <= intervene.REALLOCATION_TOL * 10.0

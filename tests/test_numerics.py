@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finnet import fixtures, numerics
-from finnet.intervene import ReallocationProblem, _reallocation_pieces, build_reallocation_program
+from finnet.intervene import ReallocationProblem
 from finnet.numerics import (
     OPT_TOL,
-    ConvexProgram,
     InfeasibleError,
     IterationLimitError,
     LinearProgram,
@@ -19,10 +18,15 @@ from finnet.numerics import (
     _anchored,
     _phase1,
     _phase2,
-    convex_solve,
     lp_solve,
     project_polyhedron,
     solve_linear,
+)
+from reallocation_reference import (
+    ConvexProgram,
+    build_reallocation_program,
+    convex_solve,
+    reallocation_pieces,
 )
 
 
@@ -300,6 +304,9 @@ def test_ratio_test_keeps_the_sequential_bland_tie_rule(rhs, basis, leaves):
     assert basis == expected
 
 
+# The projected-gradient solver below is the test-side reference that the
+# reallocation properties in test_intervene.py compare against.
+
 def nonneg(z):
     return np.maximum(z, 0.0)
 
@@ -464,9 +471,11 @@ def test_projection_certifies_kkt_on_polyhedron_cases():
 def test_projection_does_not_stall_on_the_reallocation_set():
     # Dykstra's sweep stopped here at a feasible point 1.7e-2 away from the
     # projection, at distance 2.494994 from y instead of 2.487278.
-    prob = ReallocationProblem(network=fixtures.complete10(), v=np.full(10, 0.8))
-    objective, _, _, A, b = _reallocation_pieces(prob)
+    net = fixtures.complete10()
+    prob = ReallocationProblem(network=net, v=np.full(10, 0.8))
+    objective = reallocation_pieces(prob)[0]
     s0 = build_reallocation_program(prob)[1][0]
+    A, b = reallocation_set(net, prob.epsilon)
     y = s0 - objective(s0)[1]
     z, lam = project_polyhedron(A, b, y)
     assert kkt_violation(A, b, y, z, lam) <= 1e-12 * scale_of(A, b, y)
@@ -474,10 +483,11 @@ def test_projection_does_not_stall_on_the_reallocation_set():
 
 
 def test_reallocation_projection_uses_the_reallocation_set():
+    # the reference descent projects onto the n * m holdings set, warm-started
     rng = np.random.default_rng(12)
     for net in (fixtures.complete10(), fixtures.random_gap_network(rng, 7), fixtures.two_bank()):
         prob = ReallocationProblem(network=net, v=rng.uniform(-1.0, 1.0, net.n))
-        _, project, _, A, b = _reallocation_pieces(prob)
+        _, project, _, A, b = reallocation_pieces(prob)
         A_ref, b_ref = reallocation_set(net, prob.epsilon)
         np.testing.assert_allclose(A, A_ref, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(b, b_ref, rtol=1e-12, atol=0.0)
