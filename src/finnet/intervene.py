@@ -129,17 +129,23 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
     Given 1^T y, s is _column_sums'; y is then y(kappa), the projection of v - kappa 1 onto
     P, at a root of phi = kappa / |y(kappa) - v| - h'(1^T y(kappa)). As g + n = -phi 1 for a
     subgradient g of the objective and n in P's normal cone, y(kappa) is within |phi| sum p
-    of optimal (plus the projection's error); secant steps stop once that is below
-    REALLOCATION_TOL * scale. For v in P, y = v is optimal iff phi(0+) >= 0, phi being
-    constant up to the ray's first breakpoint, which v's margins bound. Raises
-    InfeasibleError for an empty P, IterationLimitError after REALLOCATION_MAX_ITER projections.
+    of optimal, plus the projection's own tolerance, which grows with G: the gap reports it,
+    but the stop does not wait on it. Secant steps stop once |phi| sum p is below
+    REALLOCATION_TOL * scale or no float lies nearer the root. A projection that stalls from
+    the last multipliers is repeated from zero ones. For v in P, y = v is optimal iff
+    phi(0+) >= 0, phi being constant up to the ray's first breakpoint, which v's margins
+    bound. Raises InfeasibleError for an empty P, IterationLimitError after
+    REALLOCATION_MAX_ITER projections.
     """
     net, v, p = prob.network, prob.v, prob.network.p
     A = np.vstack([prob.G, -np.ones(net.n)])
     b = np.append(net.threshold + prob.epsilon, -p.sum())
     scale = max(1.0, float(np.abs(v).max(initial=0.0)), float(np.abs(b).max()))
-    floor = PROJECTION_TOL * max(scale, float(np.abs(A).max()))     # the projection's error
     lam, calls = None, 0
+
+    def projection_error(kappa: float) -> float:
+        """The KKT residual at which project_polyhedron stops on v - kappa 1."""
+        return PROJECTION_TOL * max(float(np.abs(A).max()), scale, float(np.abs(v - kappa).max()))
 
     def point(kappa: float) -> tuple[np.ndarray, float]:
         """y(kappa) and |y(kappa) - v|, warm-started at the last multipliers."""
@@ -147,7 +153,10 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
         if calls == REALLOCATION_MAX_ITER:
             raise IterationLimitError(f"reallocation not converged in {calls} projections")
         calls += 1
-        y, lam = project_polyhedron(A, b, v - kappa, lam)
+        try:
+            y, lam = project_polyhedron(A, b, v - kappa, lam)
+        except IterationLimitError:     # multipliers from a far kappa can stall the Newton steps
+            y, lam = project_polyhedron(A, b, v - kappa)
         return y, float(np.linalg.norm(y - v))
 
     try:
@@ -157,30 +166,32 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
                               "with colsum at most one meet the equilibrium rows") from None
     slope = _column_sums(p, float(y.sum()))[1]
     if rho > 0:
-        phi, kappa = -slope, rho * slope        # phi(0), and kappa = |y - v| h' as at the root
+        # phi(0) = -h'. Probe at |y - v| h', as at the root, but no further than 64 times the
+        # |y - v| / |p| that h' >= 1/|p| gives: the projection stalls on far probes
+        phi, kappa = -slope, rho * min(slope, 64.0 / float(np.linalg.norm(p)))
         y, rho = point(kappa)
     else:                                       # v in P: probe below the first breakpoint
         margins = np.append(A @ v - b, v)
-        loose = margins > floor
+        loose = margins > projection_error(0.0)
         norms = np.append(np.linalg.norm(A, axis=1), np.ones(net.n))[loose]
         kappa = float(np.min(margins[loose] / norms, initial=scale)) / np.sqrt(net.n)
         y, rho = point(kappa)
         phi = (kappa / rho if rho > 0 else np.inf) - slope       # phi(0+)
         if phi >= 0:
-            return _lift(prob, v, calls, floor)
+            return _lift(prob, v, calls, projection_error(kappa))
     last, phi_last, lo, hi = 0.0, phi, 0.0, np.inf
     while True:
         phi = (kappa / rho if rho > 0 else np.inf) - _column_sums(p, float(y.sum()))[1]
-        gap = abs(phi) * p.sum() + floor
-        if gap <= REALLOCATION_TOL * scale:
-            return _lift(prob, y, calls, gap)
         lo, hi = (kappa, hi) if phi < 0 else (lo, kappa)
         step = phi - phi_last                   # 0 where phi is flat below v's first breakpoint
         secant = kappa - phi * (kappa - last) / step if step != 0 and np.isfinite(step) else np.nan
+        gap = abs(phi) * p.sum()
+        if gap <= REALLOCATION_TOL * scale or secant == kappa or np.nextafter(lo, hi) == hi:
+            return _lift(prob, y, calls, gap + projection_error(kappa))    # or at float resolution
         if np.isinf(hi):                        # no bracket yet: grow kappa
             secant = min(secant, 64.0 * kappa) if secant > 2.0 * kappa else 2.0 * kappa
-        elif not (lo < secant < hi and abs(phi) <= 0.5 * abs(phi_last)):
-            secant = 0.5 * (lo + hi)            # bisect when the secant leaves or stalls
+        elif not (lo < secant < hi and abs(phi) <= 0.5 * abs(phi_last)):   # it left or stalled:
+            secant = np.sqrt(lo * hi) if hi > 4.0 * lo > 0 else 0.5 * (lo + hi)    # bisect
         last, phi_last, kappa = kappa, phi, secant
         y, rho = point(kappa)
 

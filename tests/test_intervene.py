@@ -20,7 +20,7 @@ from finnet.intervene import (
 )
 from finnet.invariance import maximal_invariant_region
 from finnet.netmodel import FinancialNetwork, ShiftedModel
-from finnet.numerics import InfeasibleError, IterationLimitError, project_polyhedron
+from finnet.numerics import PROJECTION_TOL, InfeasibleError, IterationLimitError, project_polyhedron
 from reallocation_reference import build_reallocation_program, reference_reallocate
 
 
@@ -408,6 +408,69 @@ def test_zero_price_column_stays_empty():
     assert not D[:, 3].any()
     check_lift(prob, D, D @ p)
     assert sol.objective <= reference_reallocate(prob).objective + 1e-9
+
+
+def two_node_problem(c01, c10, p, threshold, v):
+    net = FinancialNetwork(C=np.array([[0.0, c01], [c10, 0.0]]), D=np.zeros((2, len(p))),
+                           p=np.array(p), beta=np.ones(2), threshold=np.array(threshold))
+    return ReallocationProblem(network=net, v=np.array(v))
+
+
+@pytest.mark.parametrize("c", [0.99, 0.9999])
+def test_reallocation_on_a_nearly_singular_network(c):
+    # column sums c near one make G = (I - C)^-1 as large as 1 / (1 - c), and
+    # with it the projection's own tolerance, which the stop must not wait on.
+    # By symmetry the optimum is y = (1 + eps)(1 - c) 1 with s = y: 2 sqrt(2) y_1.
+    prob = two_node_problem(c, c, [1.0, 1.0], [1.0, 1.0], [0.0, 0.0])
+    D, sol = asset_reallocation(prob)
+    exact = 2.0 * np.sqrt(2.0) * (1.0 + prob.epsilon) * (1.0 - c)
+    assert abs(sol.objective - exact) <= sol.optimality_gap
+    assert sol.optimality_gap <= intervene.REALLOCATION_TOL * 2.0 + PROJECTION_TOL * prob.G.max()
+    assert sol.iterations <= 3
+    assert reallocation_feasible(prob, D)[0]
+
+
+@pytest.mark.parametrize("case", [
+    # phi rises by more than REALLOCATION_TOL over one float step of kappa, so
+    # the solve stops where no float lies nearer the root, with a larger gap
+    (0.36, 0.9, [0.001, 1.63], [0.17, 0.14], [7.4, 4.5]),
+    # h'(1^T y(0)) is near 1 / 0.001, so |y - v| h' would put the first probe
+    # at kappa ~ 6e3, where the projection's Newton steps stall
+    (0.999, 0.4087, [0.001, 0.92], [1.43, 0.9], [-0.1, 6.4]),
+    # the bracket spans four orders of magnitude; plain bisection needs 47
+    (0.7875, 0.9, [0.001, 1.75], [0.1, 0.35], [8.0, 5.9]),
+], ids=["float-resolution", "far-first-probe", "wide-bracket"])
+def test_reallocation_with_a_thousandfold_cheaper_asset(case):
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    prob = two_node_problem(*case)
+    D, sol = asset_reallocation(prob)
+    assert sol.iterations <= 40
+    assert reallocation_feasible(prob, D)[0]
+    check_lift(prob, D, D @ prob.network.p)
+    best, violation = slsqp_minimum(prob, D, minimize)
+    scale = scale_of(prob)
+    assert violation <= 1e-12 * scale
+    assert best >= sol.objective - 1e-10 * scale
+    assert sol.objective - best <= sol.optimality_gap <= 1e-9 * scale
+
+
+def test_stalled_warm_start_reprojects_cold(monkeypatch):
+    # a projection warm-started from a far kappa's multipliers can run out of
+    # Newton steps; the solve then repeats it from zero multipliers
+    prob = ReallocationProblem(network=fixtures.complete10(), v=np.full(10, 0.8))
+    D, sol = asset_reallocation(prob)
+    warm = []
+    def cold_only(A, b, y, lam=None):
+        if lam is not None:
+            warm.append(lam)
+            raise IterationLimitError("stalled")
+        return project_polyhedron(A, b, y)
+    monkeypatch.setattr(intervene, "project_polyhedron", cold_only)
+    D_cold, cold = asset_reallocation(prob)
+    assert len(warm) == cold.iterations - 1
+    assert abs(cold.objective - sol.objective) <= 1e-12 * 10.0
+    assert cold.optimality_gap <= intervene.REALLOCATION_TOL * 10.0
+    assert np.abs(D_cold - D).max() <= 1e-9
 
 
 def test_benchmark_drive_reallocates_once_with_a_certificate(monkeypatch):
