@@ -1,7 +1,8 @@
 """Batch command-line front-end over JSON scenarios.
 
-Each subcommand reads one scenario document, runs one analysis, and
-writes a JSON report (plus a CSV trajectory where that makes sense).
+Each subcommand reads one scenario document, runs one library analysis,
+and writes what it returns as a JSON report (dataclasses by their fields;
+plus a CSV trajectory where that makes sense).
 No plotting and no interaction; the reports carry plot-ready data.
 
 Exit codes: 0 on success, 2 when the scenario or a flag fails to parse
@@ -11,6 +12,7 @@ or validate, 3 when a solver gives up.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -29,9 +31,11 @@ from .intervene import (
     minimal_injection,
 )
 from .invariance import (
+    NoPositiveEquilibriumError,
     NotDeterminedError,
+    Polyhedron,
     finite_determination_index,
-    intermediate_not_invariant,
+    invariance_report,
     last_orthant_invariant,
     maximal_invariant_region,
     orthant0_invariant,
@@ -46,16 +50,7 @@ from .numerics import (
     UnboundedError,
     lp_solve,
 )
-from .robust import (
-    IntervalNetwork,
-    NoPositiveEquilibriumError,
-    extremal_fixed_points,
-    last_hope_membership,
-    last_hope_region,
-    robust_invariant_set,
-    sandwich_bounds,
-    uniform_sampler,
-)
+from .robust import IntervalNetwork, robust_report
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -178,6 +173,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 
@@ -225,7 +222,6 @@ def cmd_equilibria(args, doc: dict) -> dict:
     net = _network_from(doc)
     model = ShiftedModel.from_network(net)
     records = enumerate_equilibria(model)
-    existence = existence_conditions(model)
     return {
         "count": len(records),
         "equilibria": [
@@ -233,74 +229,39 @@ def cmd_equilibria(args, doc: dict) -> dict:
              "v": rec.v, "interior": rec.interior}
             for rec in records
         ],
-        "existence": {
-            "positive_exists": existence.positive_exists,
-            "positive_unique": existence.positive_unique,
-            "negative_exists": existence.negative_exists,
-            "negative_unique": existence.negative_unique,
-            "w_plus": existence.w_plus,
-            "w_minus": existence.w_minus,
-        },
+        "existence": existence_conditions(model),
     }
+
+
+def _region_entry(region: Polyhedron | str) -> dict:
+    """A region's fields plus its truncation index, or the reason it was not built."""
+    if isinstance(region, str):
+        return {"error": region}
+    return {"tau": int(region.row_power.max()), **vars(region)}
 
 
 def cmd_invariance(args, doc: dict) -> dict:
-    net = _network_from(doc)
-    model = ShiftedModel.from_network(net)
-    last = 2 ** net.n - 1
-    results: dict = {
-        "healthy_orthant_invariant": orthant0_invariant(model),
-        "failed_orthant_invariant": last_orthant_invariant(model),
-        "regions": {},
-        "intermediates": [],
-    }
-    for label, k in (("healthy", 0), ("failed", last)):
-        try:
-            poly = maximal_invariant_region(model, k)
-        except (ValueError, NotDeterminedError) as e:
-            results["regions"][label] = {"error": str(e)}
-            continue
-        results["regions"][label] = {"tau": int(poly.row_power.max()), **poly.to_dict()}
-    if net.n <= 4:
-        for k in range(1, last):
-            verdict = intermediate_not_invariant(model, k, seed=args.seed)
-            results["intermediates"].append({
-                "k": verdict.k,
-                "status": verdict.status,
-                "reason": verdict.reason,
-                "witness": None if verdict.witness is None else verdict.witness,
-            })
-    return results
+    rep = invariance_report(ShiftedModel.from_network(_network_from(doc)), seed=args.seed)
+    return {**vars(rep),
+            "regions": {label: _region_entry(r) for label, r in rep.regions.items()}}
 
 
 def cmd_robust(args, doc: dict) -> dict:
     inet = _interval_from(doc)
+    x0 = _x0_from(doc, inet.n) if "x0" in doc else None
+    T = _horizon(args, doc, 200)
     try:
-        x_lower, x_upper = extremal_fixed_points(inet)
+        rep = robust_report(inet, x0, T, seed=args.seed)
     except SOLVER_ERRORS:
         raise
     except ValueError as e:
-        # ordering precondition on the data, not a solver giving up
+        # a precondition on the data (ordered extremes, x0 in the robust
+        # invariant set), not a solver giving up
         raise ScenarioError(f"interval system rejected: {e}")
-    results: dict = {
-        "x_lower": x_lower,
-        "x_upper": x_upper,
-        "robust_region": robust_invariant_set(inet).to_dict(),
-        "last_hope": last_hope_region(inet).to_dict(),
-    }
-    if "x0" in doc:
-        x0 = _x0_from(doc, inet.n)
-        res = sandwich_bounds(inet, x0, _horizon(args, doc, 200),
-                              sampler=uniform_sampler(inet, seed=args.seed))
-        results["sandwich"] = {
-            "T": res.T,
-            "liminf_estimate": res.liminf_estimate,
-            "limsup_estimate": res.limsup_estimate,
-            "ordered": bool(np.all(res.lower <= res.sampled + 1e-9)
-                            and np.all(res.sampled <= res.upper + 1e-9)),
-        }
-        results["last_hope_membership"] = last_hope_membership(inet, np.maximum(x0, 0.0))
-    return results
+    sw = rep.sandwich
+    return {**vars(rep), "sandwich": None if sw is None else {
+        "T": sw.T, "liminf_estimate": sw.liminf_estimate,
+        "limsup_estimate": sw.limsup_estimate, "ordered": sw.ordered}}
 
 
 def cmd_cycles(args, doc: dict) -> dict:
@@ -309,23 +270,14 @@ def cmd_cycles(args, doc: dict) -> dict:
     x0 = _x0_from(doc, net.n)
     traj = simulate(model, x0, _horizon(args, doc, 10000))
     cls = classify_trajectory(traj, rho=args.rho, tol=args.tol, h_max=args.hmax)
-    results: dict = {
-        "kind": cls.kind,
-        "rho": cls.rho,
-        "period": cls.period,
-        "transient": cls.transient,
-        "first_critical": cls.first_critical,
-        "point": cls.point,
-        "orbit": None if cls.orbit is None else cls.orbit,
-    }
     try:
         hit = detect_cycle(traj, tol=args.tol, h_max=args.hmax)
-        results["detected"] = None if hit is None else {
+        detected = None if hit is None else {
             "period": hit.period, "phase": hit.phase,
             "is_equilibrium": hit.is_equilibrium}
     except InsufficientLengthError as e:
-        results["detected"] = {"error": str(e)}
-    return results
+        detected = {"error": str(e)}
+    return {**vars(cls), "detected": detected}
 
 
 def cmd_intervene(args, doc: dict) -> dict:

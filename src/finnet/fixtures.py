@@ -107,15 +107,6 @@ SAMPLE_INJECTION10 = np.array([
 SAMPLE_SURPLUS_COMPONENTS = (7, 9)      # zero-based indices of the surplus
 
 
-def named(name: str) -> FinancialNetwork:
-    """Look up a bundled network by CLI name."""
-    table = {"two_bank": two_bank, "ring4": ring4, "complete10": complete10}
-    try:
-        return table[name]()
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}, expected one of {sorted(table)}")
-
-
 # -- random instances for property sweeps ------------------------------------
 
 def random_network(rng: np.random.Generator, n: int, m: int | None = None,

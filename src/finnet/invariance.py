@@ -17,7 +17,7 @@ smallest power at which that happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,10 @@ TAU_CAP = 10000             # finite-determination search cap
 
 class NotDeterminedError(RuntimeError):
     """Raised when the truncation index is not found within TAU_CAP."""
+
+
+class NoPositiveEquilibriumError(ValueError):
+    """The candidate equilibrium of orthant 0 or 2^n - 1 lies outside that orthant."""
 
 
 @dataclass(frozen=True)
@@ -67,15 +71,6 @@ class Polyhedron:
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         return bool(np.all(self.margins(x) >= -tol))
-
-    def to_dict(self) -> dict:
-        return {
-            "A": self.A.tolist(),
-            "b": self.b.tolist(),
-            "row_power": self.row_power.tolist(),
-            "certified": self.certified,
-            "note": self.note,
-        }
 
 
 def orthant0_invariant(model: ShiftedModel) -> bool:
@@ -154,18 +149,26 @@ def region_of_attraction(model: ShiftedModel, eq: EquilibriumRecord,
                       note=f"orthant {eq.k} truncated at tau={tau}")
 
 
-def finite_determination_index(model: ShiftedModel, k: int) -> int:
+def _monotone_candidate(model: ShiftedModel, k: int) -> EquilibriumRecord:
+    """Candidate equilibrium of orthant k = 0 or 2^n - 1, which must lie in that orthant."""
+    if k not in (0, 2 ** model.n - 1):
+        raise ValueError("finite determination applies to k=0 or k=2^n-1 only")
+    eq = candidate_equilibrium(model, k)
+    if not eq.consistent:
+        raise NoPositiveEquilibriumError(f"orthant {k} has no consistent equilibrium")
+    return eq
+
+
+def finite_determination_index(model: ShiftedModel, k: int,
+                               eq: EquilibriumRecord | None = None) -> int:
     """Smallest tau >= 1 with C^tau (-x_k) + x_k signed like orthant k.
 
     Only the healthy (k=0) and all-failed (k=2^n-1) orthants admit this
     finite test. tau = 1 recovers the two closed-form invariance tests.
+    eq is orthant k's candidate equilibrium, solved here when not given.
     """
-    n = model.n
-    if k not in (0, 2 ** n - 1):
-        raise ValueError("finite determination applies to k=0 or k=2^n-1 only")
-    eq = candidate_equilibrium(model, k)
-    if not eq.consistent:
-        raise ValueError(f"orthant {k} has no consistent equilibrium")
+    if eq is None:
+        eq = _monotone_candidate(model, k)
     gap = -eq.x            # threshold minus equilibrium, shifted coordinates
     P = model.C.copy()
     for tau in range(1, TAU_CAP + 1):
@@ -179,21 +182,14 @@ def finite_determination_index(model: ShiftedModel, k: int) -> int:
 
 
 def maximal_invariant_region(model: ShiftedModel, k: int) -> Polyhedron:
-    """Largest forward-invariant subset of orthant k (k = 0 or 2^n - 1)."""
-    tau = finite_determination_index(model, k)
-    eq = candidate_equilibrium(model, k)
-    return region_of_attraction(model, eq, tau, certified=True)
+    """Largest forward-invariant subset of orthant k (k = 0 or 2^n - 1).
 
-
-def healthy_invariant_region(C, r) -> Polyhedron:
-    """Maximal invariant set of x(t+1) = C x(t) + r inside x >= 0.
-
-    Shared by the nominal model (k = 0, where the failure term is inactive)
-    and the interval-uncertain system, which has no failure term at all.
+    Raises NoPositiveEquilibriumError when orthant k's candidate equilibrium
+    lies outside orthant k.
     """
-    C = np.asarray(C, dtype=float)
-    model = ShiftedModel.from_parts(C, r, beta=np.ones(C.shape[0]))
-    return maximal_invariant_region(model, 0)
+    eq = _monotone_candidate(model, k)
+    return region_of_attraction(model, eq, finite_determination_index(model, k, eq),
+                                certified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -286,32 +282,31 @@ def stable_region(model: ShiftedModel, eq: EquilibriumRecord,
 
 @dataclass
 class InvarianceReport:
-    """Bundle of the orthant-level invariance answers for one model."""
+    """Orthant-level invariance answers for one model.
 
-    orthant0: bool
-    last_orthant: bool
-    intermediate: dict[int, IntermediateVerdict] = field(default_factory=dict)
-    region0: Polyhedron | None = None
-    region_last: Polyhedron | None = None
-    tau0: int | None = None
-    tau_last: int | None = None
+    regions maps 'healthy' and 'failed' to the maximal invariant region of
+    orthant 0 or 2^n - 1, or to the reason it could not be built.
+    intermediates holds one verdict per intermediate orthant when n <= 4.
+    """
+
+    healthy_orthant_invariant: bool
+    failed_orthant_invariant: bool
+    regions: dict[str, Polyhedron | str]
+    intermediates: list[IntermediateVerdict]
 
 
-def invariance_report(model: ShiftedModel, intermediate_ks=None) -> InvarianceReport:
+def invariance_report(model: ShiftedModel, seed: int = 0) -> InvarianceReport:
     """Run the standard battery: closed-form tests, regions, verdicts."""
-    n = model.n
-    rep = InvarianceReport(orthant0=orthant0_invariant(model),
-                           last_orthant=last_orthant_invariant(model))
-    eq0 = candidate_equilibrium(model, 0)
-    if eq0.consistent:
-        rep.tau0 = finite_determination_index(model, 0)
-        rep.region0 = region_of_attraction(model, eq0, rep.tau0, certified=True)
-    eq_last = candidate_equilibrium(model, 2 ** n - 1)
-    if eq_last.consistent:
-        rep.tau_last = finite_determination_index(model, 2 ** n - 1)
-        rep.region_last = region_of_attraction(model, eq_last, rep.tau_last, certified=True)
-    if intermediate_ks is None:
-        intermediate_ks = range(1, 2 ** n - 1) if n <= 4 else []
-    for k in intermediate_ks:
-        rep.intermediate[k] = intermediate_not_invariant(model, k)
-    return rep
+    last = 2 ** model.n - 1
+    regions: dict[str, Polyhedron | str] = {}
+    for label, k in (("healthy", 0), ("failed", last)):
+        try:
+            regions[label] = maximal_invariant_region(model, k)
+        except (ValueError, NotDeterminedError) as e:
+            regions[label] = str(e)
+    ks = range(1, last) if model.n <= 4 else ()
+    return InvarianceReport(
+        healthy_orthant_invariant=orthant0_invariant(model),
+        failed_orthant_invariant=last_orthant_invariant(model),
+        regions=regions,
+        intermediates=[intermediate_not_invariant(model, k, seed=seed) for k in ks])

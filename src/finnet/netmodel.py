@@ -244,13 +244,16 @@ def simulate(model: ShiftedModel, x0, T: int) -> Trajectory:
     Each step is bitwise model.step; a batch is stepped as one (n, batch)
     block. A step depends on the float64 state alone, so at the first
     repeat of a state's bit pattern (-0.0 and 0.0 differ) the rest of the
-    trajectory is tiled from the cycle instead of computed.
+    trajectory is tiled from the cycle instead of computed. ValueError on a
+    negative T, a wrong shape or a non-finite x0.
     """
     if T < 0:
         raise ValueError("horizon must be nonnegative")
     x = np.asarray(x0, dtype=float)
     if x.shape[:1] != (model.n,) or x.ndim > 2:
         raise ValueError(f"x0 must have shape ({model.n},) or ({model.n}, batch), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 contains non-finite entries")
     col = (model.n,) + (1,) * (x.ndim - 1)
     C, r, beta = model.C, model.r.reshape(col), model.beta.reshape(col)
     states = np.empty((T + 1,) + x.shape)

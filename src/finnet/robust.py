@@ -22,13 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .invariance import Polyhedron, healthy_invariant_region
+from .invariance import NoPositiveEquilibriumError, Polyhedron, maximal_invariant_region
 from .netmodel import ShiftedModel, simulate
 from .numerics import solve_linear
-
-
-class NoPositiveEquilibriumError(ValueError):
-    """Lower-extreme system admits no equilibrium in the healthy region."""
 
 
 @dataclass(frozen=True)
@@ -78,20 +74,17 @@ class IntervalNetwork:
     @cached_property
     def lower_region(self) -> Polyhedron:
         """Maximal invariant set of the lower extreme, built once; see robust_invariant_set."""
-        return _extreme_region(self.c_lower, self.r, "lower")
+        return maximal_invariant_region(_extreme_model(self.c_lower, self.r), 0)
 
     @cached_property
     def upper_region(self) -> Polyhedron:
         """Maximal invariant set of the upper extreme, built once; see last_hope_region."""
-        return _extreme_region(self.c_upper, self.r, "upper")
+        return maximal_invariant_region(_extreme_model(self.c_upper, self.r), 0)
 
 
-def _extreme_region(c: np.ndarray, r: np.ndarray, name: str) -> Polyhedron:
-    """Maximal invariant set of x -> c x + r; its fixed point must be nonnegative."""
-    x = solve_linear(np.eye(r.size) - c, r)
-    if np.any(x < 0):
-        raise NoPositiveEquilibriumError(f"{name}-extreme fixed point has negative components: {x}")
-    return healthy_invariant_region(c, r)
+def _extreme_model(c: np.ndarray, r: np.ndarray) -> ShiftedModel:
+    """x -> c x + r: beta = 0 makes the kernel's step C x + r - 0.0, bitwise C x + r."""
+    return ShiftedModel.from_parts(c, r, np.zeros(r.size))
 
 
 def extremal_fixed_points(inet: IntervalNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -172,6 +165,12 @@ class SandwichResult:
     def T(self) -> int:
         return self.sampled.shape[0] - 1
 
+    @property
+    def ordered(self) -> bool:
+        """Sampled trajectory between the two extremes, within 1e-9."""
+        return bool(np.all(self.lower <= self.sampled + 1e-9)
+                    and np.all(self.sampled <= self.upper + 1e-9))
+
 
 def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
                     sampler: Callable[[int], np.ndarray] | None = None,
@@ -194,8 +193,7 @@ def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
         xs = sampler(t) @ xs
         xs += inet.r
         sampled[t + 1] = xs
-    # beta = 0 makes the kernel's step C x + r - 0.0, bitwise C x + r
-    lower, upper = (simulate(ShiftedModel.from_parts(c, inet.r, np.zeros(inet.n)), x0, T).states
+    lower, upper = (simulate(_extreme_model(c, inet.r), x0, T).states
                     for c in (inet.c_lower, inet.c_upper))
     win = sampled[-min(tail, T + 1):]
     return SandwichResult(sampled=sampled, lower=lower, upper=upper,
@@ -205,15 +203,26 @@ def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
 
 @dataclass
 class RobustReport:
+    """Extremal fixed points and the two nested invariant regions; with a start
+    x0, also the sandwich from x0 and whether max(x0, 0) is in the last-hope region."""
+
     x_lower: np.ndarray
     x_upper: np.ndarray
-    invariant: Polyhedron
+    robust_region: Polyhedron
     last_hope: Polyhedron
+    sandwich: SandwichResult | None = None
+    last_hope_membership: bool | None = None
 
 
-def robust_report(inet: IntervalNetwork) -> RobustReport:
-    """Extremal fixed points plus the two nested invariant regions."""
+def robust_report(inet: IntervalNetwork, x0=None, T: int = 200, seed: int = 0) -> RobustReport:
+    """The robust battery. ValueError when the extremal fixed points are not
+    ordered or x0 lies outside the robust invariant set; NoPositiveEquilibriumError
+    when an extreme system has no nonnegative fixed point."""
     x_lower, x_upper = extremal_fixed_points(inet)
-    return RobustReport(x_lower=x_lower, x_upper=x_upper,
-                        invariant=robust_invariant_set(inet),
-                        last_hope=last_hope_region(inet))
+    rep = RobustReport(x_lower=x_lower, x_upper=x_upper,
+                       robust_region=robust_invariant_set(inet),
+                       last_hope=last_hope_region(inet))
+    if x0 is not None:
+        rep.sandwich = sandwich_bounds(inet, x0, T, sampler=uniform_sampler(inet, seed=seed))
+        rep.last_hope_membership = last_hope_membership(inet, np.maximum(x0, 0.0))
+    return rep

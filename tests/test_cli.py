@@ -1,5 +1,6 @@
 """Command-line front end: reports, CSV output, exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -181,9 +182,9 @@ def test_robust_builds_each_region_once(tmp_path, monkeypatch):
     # the robust region, the last-hope region and last-hope membership share
     # two builds: one per extreme, cached on the IntervalNetwork
     builds = []
-    build = robust.healthy_invariant_region
-    monkeypatch.setattr(robust, "healthy_invariant_region",
-                        lambda C, r: builds.append(C) or build(C, r))
+    build = robust.maximal_invariant_region
+    monkeypatch.setattr(robust, "maximal_invariant_region",
+                        lambda model, k: builds.append(model.C) or build(model, k))
     path = write_scenario(tmp_path, json.loads(
         json.dumps(_horizon_scenario("robust")).replace('"HORIZON"', "60")))
     assert main(["robust", "--scenario", path, "--out", str(tmp_path / "out")]) == EXIT_OK
@@ -191,6 +192,122 @@ def test_robust_builds_each_region_once(tmp_path, monkeypatch):
     assert len(builds) == 2
     np.testing.assert_array_equal(builds[0], 0.9 * net.C)
     np.testing.assert_array_equal(builds[1], 1.1 * net.C)
+
+
+def test_robust_start_outside_robust_set_exit2(tmp_path, capsys):
+    doc = {"interval": {"c_lower": [[0.0, 0.45], [0.45, 0.0]],
+                        "c_upper": [[0.0, 0.55], [0.55, 0.0]], "r": [0.5, 0.5]},
+           "x0": [-1.0, 1.0]}
+    assert main(["robust", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == ("error: interval system rejected: x0 is outside the robust "
+                            "invariant set; bounds would not apply\n")
+    assert captured.out == ""
+
+
+def test_intervene_without_healthy_equilibrium_exit3(tmp_path, capsys):
+    doc = {"network": net_doc(fixtures.two_bank()), "x0": [-3.0, -3.0]}
+    doc["network"]["p"] = [1.0, 1.0]
+    assert main(["intervene", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == "solver failure: orthant 0 has no consistent equilibrium\n"
+    assert captured.out == ""
+
+
+def key_paths(obj, prefix=""):
+    """Dotted paths of every key in a report; list items share the path 'name[]'."""
+    paths = set()
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            paths |= {prefix + k} | key_paths(v, prefix + k + ".")
+    elif isinstance(obj, list):
+        for v in obj:
+            paths |= key_paths(v, prefix[:-1] + "[].")
+    return paths
+
+
+def region_paths(name):
+    return {name} | {f"{name}.{k}" for k in ("A", "b", "certified", "note", "row_power")}
+
+
+REPORT_PATHS = {
+    "simulate": {"T", "csv", "final_v", "final_x", "orthants"},
+    "equilibria": {"count", "equilibria", "existence"}
+    | {f"equilibria[].{k}" for k in ("interior", "k", "phi", "v", "x")}
+    | {f"existence.{k}" for k in ("negative_exists", "negative_unique", "positive_exists",
+                                  "positive_unique", "w_minus", "w_plus")},
+    "invariance": {"failed_orthant_invariant", "healthy_orthant_invariant", "intermediates",
+                   "regions", "regions.failed.tau", "regions.healthy.tau"}
+    | {f"intermediates[].{k}" for k in ("k", "reason", "status", "witness")}
+    | region_paths("regions.failed") | region_paths("regions.healthy"),
+    "robust": {"last_hope_membership", "sandwich", "x_lower", "x_upper"}
+    | {f"sandwich.{k}" for k in ("T", "liminf_estimate", "limsup_estimate", "ordered")}
+    | region_paths("last_hope") | region_paths("robust_region"),
+    "cycles": {"detected", "first_critical", "kind", "orbit", "period", "point", "rho",
+               "transient"} | {f"detected.{k}" for k in ("is_equilibrium", "period", "phase")},
+    "intervene": {"final_x", "injection", "iterations", "mode", "region_rows", "steps", "success"}
+    | {f"steps[].{k}" for k in ("D", "iteration", "objective", "residuals", "v", "x")}
+    | {f"steps[].residuals.{k}" for k in ("colsum", "equilibrium", "nonneg")},
+    "fixtures": {"checks", "notes", "ok"} | {f"checks[].{k}" for k in ("detail", "name", "ok")},
+}
+
+
+def fixture_scenario(command):
+    if command == "robust":
+        return _horizon_scenario("robust") | {"horizon": 60}
+    if command == "cycles":
+        return {"network": net_doc(fixtures.ring4()),
+                "x0": fixtures.RING4_ORBIT[0].tolist(), "horizon": 500}
+    x0 = [-3.0, -3.0] if command == "intervene" else [-1.0, -1.0]
+    return {"network": net_doc(fixtures.two_bank()), "x0": x0, "horizon": 40}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_PATHS))
+def test_report_key_paths_are_pinned(tmp_path, capsys, command):
+    argv = [command]
+    if command != "fixtures":
+        argv += ["--scenario", write_scenario(tmp_path, fixture_scenario(command))]
+    assert main(argv) == EXIT_OK
+    assert key_paths(json.loads(capsys.readouterr().out)["results"]) == REPORT_PATHS[command]
+
+
+def test_robust_report_without_start_has_null_sandwich(tmp_path, capsys):
+    doc = _horizon_scenario("robust")
+    del doc["x0"], doc["horizon"]
+    assert main(["robust", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_OK
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["sandwich"] is None and res["last_hope_membership"] is None
+    assert key_paths(res) == REPORT_PATHS["robust"] - {
+        f"sandwich.{k}" for k in ("T", "liminf_estimate", "limsup_estimate", "ordered")}
+
+
+@dataclasses.dataclass
+class _Inner:
+    values: np.ndarray
+    flag: np.bool_
+
+
+@dataclasses.dataclass
+class _Outer:
+    inner: _Inner
+    items: list
+    table: dict
+    count: np.int64
+    note: str | None = None
+
+
+def test_jsonable_serialises_nested_dataclasses_by_fields():
+    obj = _Outer(inner=_Inner(values=np.array([[1.0, 2.0]]), flag=np.bool_(True)),
+                 items=[_Inner(values=np.zeros(1), flag=np.bool_(False)), (1, 2)],
+                 table={3: _Inner(values=np.array([]), flag=np.bool_(True))},
+                 count=np.int64(7))
+    out = cli._jsonable(obj)
+    assert out == {"inner": {"values": [[1.0, 2.0]], "flag": True},
+                   "items": [{"values": [0.0], "flag": False}, [1, 2]],
+                   "table": {"3": {"values": [], "flag": True}},
+                   "count": 7, "note": None}
+    assert type(out["count"]) is int and type(out["inner"]["flag"]) is bool
+    assert cli._jsonable(_Inner) is _Inner          # a dataclass type is not an instance
 
 
 def test_cycles_report(tmp_path):

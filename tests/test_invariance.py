@@ -10,7 +10,6 @@ from finnet.invariance import (
     Polyhedron,
     _implied,
     finite_determination_index,
-    healthy_invariant_region,
     intermediate_not_invariant,
     invariance_report,
     last_orthant_invariant,
@@ -184,14 +183,6 @@ def test_escape_witness_is_checked_against_dynamics():
     if v.witness is not None:
         x = np.asarray(v.witness)
         assert not np.array_equal(indicator(ring.step(x)), indicator(x))
-
-
-def test_healthy_invariant_region_matches_k0_region():
-    net = fixtures.two_bank()
-    model = ShiftedModel.from_network(net)
-    poly_a = maximal_invariant_region(model, 0)
-    poly_b = healthy_invariant_region(net.C, model.r)
-    assert polyhedra_equivalent(poly_a, poly_b)
 
 
 def test_redundancy_pruning_keeps_geometry():
@@ -400,7 +391,18 @@ def test_fixed_point_property_tau_vs_tau_plus_one():
 def test_invariance_report_bundles_everything():
     model = ShiftedModel.from_network(fixtures.two_bank())
     rep = invariance_report(model)
-    assert rep.orthant0 and rep.last_orthant
-    assert rep.tau0 == 1 and rep.tau_last == 1
-    assert len(rep.intermediate) == 2
-    assert rep.region0.certified
+    assert rep.healthy_orthant_invariant and rep.failed_orthant_invariant
+    assert set(rep.regions) == {"healthy", "failed"}
+    for region in rep.regions.values():
+        assert region.certified and region.row_power.max() == 1
+    assert [v.k for v in rep.intermediates] == [1, 2]
+
+
+def test_invariance_report_names_a_missing_region():
+    # p = (1, 1) puts the healthy candidate of two_bank outside orthant 0
+    net = fixtures.two_bank()
+    net = FinancialNetwork(C=net.C, D=net.D, p=np.ones(2), beta=net.beta,
+                           threshold=net.threshold)
+    rep = invariance_report(ShiftedModel.from_network(net))
+    assert rep.regions["healthy"] == "orthant 0 has no consistent equilibrium"
+    assert isinstance(rep.regions["failed"], Polyhedron)

@@ -130,6 +130,16 @@ def test_simulate_replay_and_orthants():
     assert len(ks) == 21
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("batch", [False, True])
+def test_simulate_rejects_non_finite_start(value, batch):
+    # a NaN start once gave an all-NaN trajectory that classify_limit called undetermined
+    model = ShiftedModel.from_network(fixtures.two_bank())
+    x0 = np.array([[1.0, value], [-1.0, 2.0]]) if batch else np.array([value, 1.0])
+    with pytest.raises(ValueError, match="x0 contains non-finite entries"):
+        simulate(model, x0, 10)
+
+
 def test_trajectories_stay_bounded_and_contract():
     # column sums below one give an ell-1 contraction toward each fixed piece
     rng = np.random.default_rng(2)

@@ -376,11 +376,15 @@ def active_set_projection(A, b, y):
     restricted to the other coordinates, are independent, so that the
     equality-constrained projection and its multipliers are unique. Some
     optimal multipliers have such an independent support (Caratheodory),
-    so the candidate meeting KKT is the projection. None on an empty set.
+    so the candidate meeting KKT is the projection. Of the candidates that
+    meet KKT within tol, the one with the least violation is returned, so a
+    slightly infeasible candidate never shadows an exact one. None on an
+    empty set.
     """
     m, n = A.shape
     assert n <= 5 and m <= 4
     tol = 1e-9 * scale_of(A, b, y)
+    best, least = None, tol
     for bound in itertools.product((False, True), repeat=n):
         free = ~np.array(bound)
         for active in itertools.product((False, True), repeat=m):
@@ -394,10 +398,11 @@ def active_set_projection(A, b, y):
                 lam[rows] = np.linalg.solve(A_RF @ A_RF.T, b[rows] - A_RF @ y[free])
             w = y + A.T @ lam
             z = np.where(free, w, 0.0)
-            if min(lam.min(initial=0.0), -w[~free].max(initial=0.0), z.min(),
-                   (A @ z - b).min(initial=0.0)) >= -tol:
-                return z
-    return None
+            violation = -min(lam.min(initial=0.0), -w[~free].max(initial=0.0), z.min(),
+                             (A @ z - b).min(initial=0.0))
+            if violation <= least:
+                best, least = z, violation
+    return best
 
 
 def test_halfspace_projection_identity_inside():
@@ -517,14 +522,18 @@ def polyhedra_with_interior(draw):
 
 
 # The first explicit example once stopped Dykstra's sweep on a stall outside
-# the set. In the other two, full Newton steps that had to halve only the last
+# the set. In the next two, full Newton steps that had to halve only the last
 # residual, not the least one so far, cycled between two multiplier vectors
-# (the second under an earlier choice of delta).
+# (the second under an earlier choice of delta). In the last, the projection
+# is exactly z = 0, and the oracle once returned an infeasible candidate with
+# z_1 = -1.19e-8, inside its KKT tolerance, before the exact one.
 @settings(max_examples=200, deadline=None)
 @example((np.array([[0.0, 0.0, -1.0, 1.0]]), np.array([1.0]), np.array([0.0, 0.0, 0.0, -1.0])))
 @example((np.array([[0.0, -1.0, 0.0], [0.0, -2.0, 2.0]]), np.array([-2.0, -1.0]),
           np.array([0.0, 2.0, 0.0])))
 @example((np.array([[2.0], [-2.0], [-3.0]]), np.array([4.0, -5.0, -7.0]), np.array([2.7])))
+@example((np.array([[3.0, -2.0, -2.0, 1.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, -1.0, -3.0]]),
+          np.array([0.0, -4.0, -13.0]), np.array([-1.1920929e-07, 0.0, 0.0, 0.0])))
 @given(polyhedra_with_interior())
 def test_projection_matches_active_set_oracle(case):
     A, b, y = case

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finnet import fixtures, robust
+from finnet.invariance import maximal_invariant_region, polyhedra_equivalent
 from finnet.netmodel import ShiftedModel
 from finnet.robust import (
     IntervalNetwork,
@@ -65,13 +66,16 @@ def test_collapsed_interval_reduces_to_nominal():
     xl, xu = extremal_fixed_points(inet)
     np.testing.assert_allclose(xl, xu, atol=1e-12)
     np.testing.assert_allclose(xl, [1.0, 1.0], atol=1e-9)
+    # the failure term is inactive on orthant 0, so the region is the nominal one
+    assert polyhedra_equivalent(robust_invariant_set(inet), maximal_invariant_region(model, 0))
 
 
 def test_negative_lower_equilibrium_is_rejected():
     inet = IntervalNetwork(c_lower=np.array([[0.1]]), c_upper=np.array([[0.2]]),
                            r=np.array([-1.0]))
     for _ in range(2):      # on every call: the rejection is never cached
-        with pytest.raises(NoPositiveEquilibriumError):
+        with pytest.raises(NoPositiveEquilibriumError,
+                           match="^orthant 0 has no consistent equilibrium$"):
             robust_invariant_set(inet)
         with pytest.raises(NoPositiveEquilibriumError):
             sandwich_bounds(inet, np.array([1.0]), T=5)
@@ -151,9 +155,9 @@ def test_sandwich_extremes_are_the_plain_iteration(inet):
 
 def test_sandwiches_share_one_robust_region(monkeypatch):
     builds = []
-    build = robust.healthy_invariant_region
-    monkeypatch.setattr(robust, "healthy_invariant_region",
-                        lambda C, r: builds.append(C) or build(C, r))
+    build = robust.maximal_invariant_region
+    monkeypatch.setattr(robust, "maximal_invariant_region",
+                        lambda model, k: builds.append(model.C) or build(model, k))
     inet = two_bank_interval()
     for seed in (1, 2):
         sandwich_bounds(inet, np.array([1.0, 1.0]), T=20, sampler=uniform_sampler(inet, seed))
@@ -177,5 +181,9 @@ def test_last_hope_membership_needs_nonneg():
 def test_report_bundle():
     inet = two_bank_interval()
     rep = robust_report(inet)
-    assert rep.invariant.certified and rep.last_hope.certified
+    assert rep.robust_region.certified and rep.last_hope.certified
     assert np.all(rep.x_lower <= rep.x_upper)
+    assert rep.sandwich is None and rep.last_hope_membership is None
+    rep = robust_report(inet, np.array([1.0, 1.0]), T=30, seed=4)
+    assert rep.sandwich.T == 30 and rep.sandwich.ordered
+    assert rep.last_hope_membership is True
