@@ -1,12 +1,16 @@
 """Batch command-line front-end over JSON scenarios.
 
-Each subcommand reads one scenario document, runs one library analysis,
-and writes what it returns as a JSON report (dataclasses by their fields;
-plus a CSV trajectory where that makes sense).
+Each subcommand parses its inputs, runs one library analysis and writes
+what it returns as a JSON report in one encoding pass (numpy values by
+`.tolist()`, dataclasses by their fields), plus a CSV trajectory where that
+makes sense. `fixtures` needs no scenario: it reports `fixture_report`'s
+checks of the bundled networks against the values pinned in
+`finnet.fixtures`, one stderr line per check.
 No plotting and no interaction; the reports carry plot-ready data.
 
-Exit codes: 0 on success, 2 when the scenario or a flag fails to parse
-or validate, 3 when a solver gives up.
+Exit codes: 0 on success, 1 when a report's `ok` is false (a pinned
+fixture value is off), 2 when the scenario or a flag fails to parse or
+validate, 3 when a solver gives up.
 """
 
 from __future__ import annotations
@@ -21,52 +25,25 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import fixtures as fixture_lib
 from .cycles import InsufficientLengthError, classify_trajectory, detect_cycle
 from .equilibria import DimensionTooLargeError, enumerate_equilibria, existence_conditions
-from .intervene import (
-    InjectionProblem,
-    IterationCapReached,
-    drive_to_invariant,
-    minimal_injection,
-)
-from .invariance import (
-    NoPositiveEquilibriumError,
-    NotDeterminedError,
-    Polyhedron,
-    finite_determination_index,
-    invariance_report,
-    last_orthant_invariant,
-    maximal_invariant_region,
-    orthant0_invariant,
-    stable_region,
-)
+from .fixtures import FixtureReport, fixture_report
+from .intervene import IterationCapReached, drive_to_invariant
+from .invariance import (NoPositiveEquilibriumError, NotDeterminedError, Polyhedron,
+                         invariance_report)
 from .netmodel import FinancialNetwork, ShiftedModel, simulate, validate
-from .numerics import (
-    InfeasibleError,
-    IterationLimitError,
-    LinearProgram,
-    SingularMatrixError,
-    UnboundedError,
-    lp_solve,
-)
+from .numerics import (InfeasibleError, IterationLimitError, SingularMatrixError,
+                       UnboundedError)
 from .robust import IntervalNetwork, robust_report
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_SOLVER = 3
 
-SOLVER_ERRORS = (
-    SingularMatrixError,
-    DimensionTooLargeError,
-    InfeasibleError,
-    UnboundedError,
-    NoPositiveEquilibriumError,
-    NotDeterminedError,
-    InsufficientLengthError,
-    IterationCapReached,
-    IterationLimitError,
-)
+SOLVER_ERRORS = (SingularMatrixError, DimensionTooLargeError, InfeasibleError, UnboundedError,
+                 NoPositiveEquilibriumError, NotDeterminedError, InsufficientLengthError,
+                 IterationCapReached, IterationLimitError)
 
 
 class ScenarioError(ValueError):
@@ -77,9 +54,9 @@ def _reject_constant(token: str) -> float:
     raise ScenarioError(f"non-finite number {token} is not allowed")
 
 
-def _load_scenario(path: str | None) -> dict:
+def _load_scenario(path: str | None) -> dict | None:
     if path is None:
-        raise ScenarioError("this command needs --scenario <path>")
+        return None
     p = Path(path)
     if not p.is_file():
         raise ScenarioError(f"scenario file not found: {path}")
@@ -95,7 +72,9 @@ def _load_scenario(path: str | None) -> dict:
     return doc
 
 
-def _field(doc: dict, name: str, where: str = "scenario") -> object:
+def _field(doc: dict | None, name: str, where: str = "scenario") -> object:
+    if doc is None:
+        raise ScenarioError("this command needs --scenario <path>")
     if name not in doc:
         raise ScenarioError(f"{where} is missing required field '{name}'")
     return doc[name]
@@ -105,9 +84,8 @@ def _network_from(doc: dict) -> FinancialNetwork:
     raw = _field(doc, "network")
     if not isinstance(raw, dict):
         raise ScenarioError("field 'network' must be an object")
-    kwargs = {}
-    for name in ("C", "D", "p", "beta", "threshold"):
-        kwargs[name] = np.asarray(_field(raw, name, "network"), dtype=float)
+    kwargs = {name: np.asarray(_field(raw, name, "network"), dtype=float)
+              for name in ("C", "D", "p", "beta", "threshold")}
     try:
         net = FinancialNetwork(**kwargs)
     except (ValueError, TypeError) as e:
@@ -123,16 +101,12 @@ def _interval_from(doc: dict) -> IntervalNetwork:
     if not isinstance(raw, dict):
         raise ScenarioError("field 'interval' must be an object")
     try:
-        inet = IntervalNetwork(
+        return IntervalNetwork(
             c_lower=np.asarray(_field(raw, "c_lower", "interval"), dtype=float),
             c_upper=np.asarray(_field(raw, "c_upper", "interval"), dtype=float),
             r=np.asarray(_field(raw, "r", "interval"), dtype=float))
     except ValueError as e:
         raise ScenarioError(f"interval bounds rejected: {e}")
-    for name in ("c_lower", "c_upper", "r"):
-        if not np.all(np.isfinite(getattr(inet, name))):
-            raise ScenarioError(f"interval {name} contains non-finite entries")
-    return inet
 
 
 def _x0_from(doc: dict, n: int) -> np.ndarray:
@@ -160,30 +134,17 @@ def _check_flags(args) -> None:
         raise ScenarioError(f"--hmax must be an integer >= 1, got {args.hmax}")
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
+def _encode(obj):
+    """json.dumps default=: numpy arrays and scalars by .tolist(), dataclass
+    instances by their fields; TypeError for anything else. main lists a dict
+    report's top-level arrays before encoding: listed here, after the scenario
+    echo's text, a large array fragments the heap (30 dynamics passes peaked 6 %
+    higher in RSS)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    return obj
-
-
-def _has_non_finite(doc) -> bool:
-    try:
-        json.dumps(doc, allow_nan=False)
-    except ValueError:
-        return True
-    return False
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
 
 
 def _write_csv(path: Path, states: np.ndarray) -> None:
@@ -200,14 +161,12 @@ def _write_csv(path: Path, states: np.ndarray) -> None:
 
 def cmd_simulate(args, doc: dict) -> dict:
     net = _network_from(doc)
-    model = ShiftedModel.from_network(net)
-    x0 = _x0_from(doc, net.n)
-    traj = simulate(model, x0, _horizon(args, doc, 100))
+    traj = simulate(ShiftedModel.from_network(net), _x0_from(doc, net.n), _horizon(args, doc, 100))
     results = {
         "T": traj.T,
         "final_x": traj.states[-1],
         "final_v": traj.states[-1] + net.threshold,
-        "orthants": [int(k) for k in traj.orthant_sequence()],
+        "orthants": traj.orthant_sequence(),
         "csv": None,
     }
     if args.out is not None:
@@ -219,16 +178,12 @@ def cmd_simulate(args, doc: dict) -> dict:
 
 
 def cmd_equilibria(args, doc: dict) -> dict:
-    net = _network_from(doc)
-    model = ShiftedModel.from_network(net)
+    model = ShiftedModel.from_network(_network_from(doc))
     records = enumerate_equilibria(model)
     return {
         "count": len(records),
-        "equilibria": [
-            {"k": rec.k, "phi": rec.phi.tolist(), "x": rec.x,
-             "v": rec.v, "interior": rec.interior}
-            for rec in records
-        ],
+        "equilibria": [{"k": rec.k, "phi": rec.phi, "x": rec.x, "v": rec.v,
+                        "interior": rec.interior} for rec in records],
         "existence": existence_conditions(model),
     }
 
@@ -237,7 +192,7 @@ def _region_entry(region: Polyhedron | str) -> dict:
     """A region's fields plus its truncation index, or the reason it was not built."""
     if isinstance(region, str):
         return {"error": region}
-    return {"tau": int(region.row_power.max()), **vars(region)}
+    return {"tau": region.row_power.max(), **vars(region)}
 
 
 def cmd_invariance(args, doc: dict) -> dict:
@@ -266,9 +221,8 @@ def cmd_robust(args, doc: dict) -> dict:
 
 def cmd_cycles(args, doc: dict) -> dict:
     net = _network_from(doc)
-    model = ShiftedModel.from_network(net)
-    x0 = _x0_from(doc, net.n)
-    traj = simulate(model, x0, _horizon(args, doc, 10000))
+    traj = simulate(ShiftedModel.from_network(net), _x0_from(doc, net.n),
+                    _horizon(args, doc, 10000))
     cls = classify_trajectory(traj, rho=args.rho, tol=args.tol, h_max=args.hmax)
     try:
         hit = detect_cycle(traj, tol=args.tol, h_max=args.hmax)
@@ -301,99 +255,15 @@ def cmd_intervene(args, doc: dict) -> dict:
     }
 
 
-def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
-    checks.append({"name": name, "ok": bool(ok), "detail": detail})
-
-
-def cmd_fixtures(args, doc: dict | None) -> dict:
-    """Re-run the three bundled example networks against their pinned values."""
-    checks: list[dict] = []
-    notes: list[str] = []
-
-    # Example network 1: mutual 2-bank holdings.
-    net = fixture_lib.two_bank()
-    model = ShiftedModel.from_network(net)
-    _check(checks, "two_bank.healthy_invariant", orthant0_invariant(model))
-    _check(checks, "two_bank.failed_invariant", last_orthant_invariant(model))
-    recs = {rec.k: rec for rec in enumerate_equilibria(model)}
-    quad = {0: (6.0, 6.0), 1: (16 / 3, 14 / 3), 2: (14 / 3, 16 / 3), 3: (4.0, 4.0)}
-    for k, v in quad.items():
-        ok = k in recs and np.allclose(recs[k].v, v, atol=1e-3)
-        _check(checks, f"two_bank.equilibrium_k{k}", ok)
-    for k, lo, hi in ((1, (5.0, 4.0), (6.0, 5.0)), (2, (4.0, 5.0), (5.0, 6.0))):
-        poly, _ = stable_region(model, recs[k])
-        box_ok = True
-        for i in range(2):
-            c = np.zeros(2)
-            c[i] = 1.0
-            low = lp_solve(LinearProgram(c=c, A=poly.A, b=poly.b)).objective
-            high = -lp_solve(LinearProgram(c=-c, A=poly.A, b=poly.b)).objective
-            box_ok &= abs(low + net.threshold[i] - lo[i]) <= 1e-6
-            box_ok &= abs(high + net.threshold[i] - hi[i]) <= 1e-6
-        _check(checks, f"two_bank.quadrant_box_k{k}", box_ok)
-    for k in (0, 3):
-        _check(checks, f"two_bank.tau_k{k}", finite_determination_index(model, k) == 1)
-
-    # Example network 2: 4-cycle with the period-8 orbit.
-    net = fixture_lib.ring4()
-    model = ShiftedModel.from_network(net)
-    recs = enumerate_equilibria(model)
-    _check(checks, "ring4.count", len(recs) == 8, f"found {len(recs)}")
-    values = {rec.k: rec.x for rec in recs}
-    a, g, d = fixture_lib.RING4_ALPHA, fixture_lib.RING4_GAMMA, fixture_lib.RING4_DELTA
-    expected = {
-        0: (5.0, 5.0, 5.0, 5.0),
-        15: (-5.0, -5.0, -5.0, -5.0),
-        3: (a, g, -a, -g), 12: (-a, -g, a, g),
-        5: (d, -d, d, -d), 10: (-d, d, -d, d),
-        6: (g, -a, -g, a), 9: (-g, a, g, -a),
-    }
-    for k, pat in expected.items():
-        ok = k in values and np.allclose(values[k], pat, atol=1e-3)
-        _check(checks, f"ring4.equilibrium_k{k}", ok)
-    traj = simulate(model, fixture_lib.RING4_ORBIT[0], 400)
-    err = float(np.max(np.abs(traj.states[:8] - fixture_lib.RING4_ORBIT)))
-    _check(checks, "ring4.orbit_rows", err <= 1e-3, f"max err {err:.2e}")
-    hit = detect_cycle(traj)
-    _check(checks, "ring4.period", hit is not None and hit.period == 8)
-    for k in (0, 15):
-        _check(checks, f"ring4.tau_k{k}", finite_determination_index(model, k) == 1)
-
-    # Example network 3: complete graph, injection and the driving loop.
-    net = fixture_lib.complete10()
-    model = ShiftedModel.from_network(net)
-    region = maximal_invariant_region(model, 0)
-    x0 = np.asarray(fixture_lib.SAMPLE_STATE10)
-    v = minimal_injection(InjectionProblem(region=region, x=x0))
-    sample = np.asarray(fixture_lib.SAMPLE_INJECTION10)
-    flip = np.ones(10, dtype=bool)
-    flip[list(fixture_lib.SAMPLE_SURPLUS_COMPONENTS)] = False
-    _check(checks, "complete10.flips",
-           bool(np.max(np.abs(v[flip] + x0[flip])) <= 1e-3))
-    # Each deficit row (C y)_i + r_i >= 0 with C = 1/12, r_i = -0.075 and
-    # y >= 0 bounds 1.y below by 0.9; components 8 and 10 tie, so the
-    # optimum is the segment y_8 + y_10 = 0.9 and the LP returns one end.
-    total = float(np.sum(v + x0))
-    _check(checks, "complete10.minimal_total", abs(total - 0.9) <= 1e-9,
-           f"1.(x0 + v) = {total:.6f}")
-    mag_err = float(np.max(np.abs(v[~flip] - sample[~flip])))
-    if mag_err > 1e-3:
-        notes.append(
-            f"surplus magnitudes differ from the bundled sample by {mag_err:.4f}: "
-            "components 8 and 10 tie, so any split of the minimal total 0.9 "
-            "between them is optimal, and the sample (total "
-            f"{float(np.sum(x0 + sample)):.4f}) is not minimal on this network")
-    rng = np.random.default_rng(args.seed)
-    start = rng.uniform(-1.0, 1.0, size=10)
-    plan = drive_to_invariant(net, start)
-    _check(checks, "complete10.drive_terminates", plan.success,
-           f"{plan.iterations} iterations")
-    worst = max((max(s.residuals.values()) for s in plan.steps), default=0.0)
-    _check(checks, "complete10.drive_feasible_steps", worst <= 1e-8,
-           f"worst residual {worst:.2e}")
-
-    ok = all(c["ok"] for c in checks)
-    return {"ok": ok, "checks": checks, "notes": notes}
+def cmd_fixtures(args, doc: dict | None) -> FixtureReport:
+    """Check the bundled networks against their pinned values; one stderr line per check."""
+    rep = fixture_report(args.seed)
+    for c in rep.checks:
+        detail = f" ({c['detail']})" if c["detail"] else ""
+        print(f"[{'ok ' if c['ok'] else 'FAIL'}] {c['name']}{detail}", file=sys.stderr)
+    for note in rep.notes:
+        print(f"note: {note}", file=sys.stderr)
+    return rep
 
 
 COMMANDS = {
@@ -436,12 +306,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         _check_flags(args)
-        if args.command == "fixtures":
-            doc = _load_scenario(args.scenario) if args.scenario else None
-            results = cmd_fixtures(args, doc)
-        else:
-            doc = _load_scenario(args.scenario)
-            results = COMMANDS[args.command](args, doc)
+        doc = _load_scenario(args.scenario)
+        results = COMMANDS[args.command](args, doc)
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
@@ -449,6 +315,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
 
+    if isinstance(results, dict):       # see _encode
+        results = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in results.items()}
     report = {
         "command": args.command,
         "version": __version__,
@@ -462,13 +330,15 @@ def main(argv: list[str] | None = None) -> int:
             "nonnegative_injection": args.nonnegative_injection,
             "v_update": "clamped" if args.clamped_v_update else "verbatim",
         },
-        "results": _jsonable(results),
+        "results": results,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
     try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_encode)
     except ValueError:
-        if _has_non_finite(doc):
+        try:
+            json.dumps(doc, allow_nan=False)
+        except ValueError:
             print("error: scenario contains a non-finite number", file=sys.stderr)
             return EXIT_INVALID
         print("solver failure: results contain a non-finite number", file=sys.stderr)
@@ -479,19 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         (out / f"{args.command}_report.json").write_text(text + "\n")
     else:
         print(text)
-
-    if args.command == "fixtures":
-        for c in results["checks"]:
-            mark = "ok " if c["ok"] else "FAIL"
-            line = f"[{mark}] {c['name']}"
-            if c["detail"]:
-                line += f" ({c['detail']})"
-            print(line, file=sys.stderr)
-        for note in results["notes"]:
-            print(f"note: {note}", file=sys.stderr)
-        if not results["ok"]:
-            return 1
-    return EXIT_OK
+    return EXIT_OK if getattr(results, "ok", True) else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

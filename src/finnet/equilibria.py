@@ -59,7 +59,9 @@ def _record(model: ShiftedModel, k: int, x: np.ndarray, phi: np.ndarray) -> Equi
 
 
 def candidate_equilibrium(model: ShiftedModel, k: int) -> EquilibriumRecord:
-    """Solve the affine fixed-point equation of orthant k and classify it."""
+    """Solve the affine fixed-point equation of orthant k and classify it.
+    Raises ValueError on non-finite data."""
+    _require_finite(model)
     phi = OrthantIndex(k, model.n).phi
     x = solve_linear(np.eye(model.n) - model.C, model.r - model.beta * phi)
     return _record(model, k, x, phi)

@@ -1,19 +1,26 @@
 """Bundled reference networks and regression targets.
 
-Three small networks exercise every analysis path and anchor the
-regression values used by the `fixtures` CLI command and the acceptance
-tests: a symmetric two-bank pair, a four-organization directed ring with
-a known period-8 orbit, and a ten-organization complete graph used for
-intervention runs. Also hosts the random generators the test-suite sweeps
-rely on.
+Three small networks exercise every analysis path and anchor the pinned
+values that `fixture_report` (the `fixtures` CLI command) and the
+acceptance tests check: a symmetric two-bank pair, a four-organization
+directed ring with a known period-8 orbit, and a ten-organization complete
+graph used for intervention runs. Also hosts the random generators the
+test-suite sweeps rely on.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .netmodel import FinancialNetwork, ShiftedModel
-from .numerics import solve_linear
+from .cycles import detect_cycle
+from .equilibria import enumerate_equilibria
+from .intervene import InjectionProblem, drive_to_invariant, minimal_injection
+from .invariance import (finite_determination_index, last_orthant_invariant,
+                         maximal_invariant_region, orthant0_invariant, stable_region)
+from .netmodel import FinancialNetwork, ShiftedModel, simulate
+from .numerics import LinearProgram, lp_solve, solve_linear
 
 
 def two_bank() -> FinancialNetwork:
@@ -46,13 +53,27 @@ def ring4() -> FinancialNetwork:
     )
 
 
-# Equilibrium coordinates of the ring network, to 4 decimals:
-# +-(RING4_ALPHA, RING4_GAMMA, -RING4_ALPHA, -RING4_GAMMA),
-# +-RING4_DELTA * (1, -1, 1, -1), +-(RING4_GAMMA, -RING4_ALPHA,
-# -RING4_GAMMA, RING4_ALPHA), and +-5 * ones.
+# Equity levels v = x + threshold of the two-bank equilibria, by orthant k.
+TWO_BANK_EQUILIBRIA = {0: (6.0, 6.0), 1: (16 / 3, 14 / 3), 2: (14 / 3, 16 / 3),
+                       3: (4.0, 4.0)}
+# Stable region of each mixed-sign orthant k of the two-bank pair: one
+# interval of v per coordinate.
+TWO_BANK_BOXES = {1: ((5.0, 6.0), (4.0, 5.0)), 2: ((4.0, 5.0), (5.0, 6.0))}
+
+# Equilibrium coordinates x of the ring network, to 4 decimals, by orthant k.
 RING4_ALPHA = 0.1220
 RING4_GAMMA = 1.0976
 RING4_DELTA = 0.5556
+RING4_EQUILIBRIA = {
+    0: (5.0, 5.0, 5.0, 5.0),
+    15: (-5.0, -5.0, -5.0, -5.0),
+    3: (RING4_ALPHA, RING4_GAMMA, -RING4_ALPHA, -RING4_GAMMA),
+    12: (-RING4_ALPHA, -RING4_GAMMA, RING4_ALPHA, RING4_GAMMA),
+    5: (RING4_DELTA, -RING4_DELTA, RING4_DELTA, -RING4_DELTA),
+    10: (-RING4_DELTA, RING4_DELTA, -RING4_DELTA, RING4_DELTA),
+    6: (RING4_GAMMA, -RING4_ALPHA, -RING4_GAMMA, RING4_ALPHA),
+    9: (-RING4_GAMMA, RING4_ALPHA, RING4_GAMMA, -RING4_ALPHA),
+}
 
 # One full period of the known period-8 orbit, rows are x(0)..x(7).
 RING4_ORBIT = np.array([
@@ -105,6 +126,78 @@ SAMPLE_INJECTION10 = np.array([
     -0.0954, 0.0425, 5.5322, 0.7542, 5.1135,
 ])
 SAMPLE_SURPLUS_COMPONENTS = (7, 9)      # zero-based indices of the surplus
+
+
+@dataclass
+class FixtureReport:
+    """Checks {"name", "ok", "detail"} against the pinned values, in a fixed order, and notes."""
+
+    ok: bool
+    checks: list[dict]
+    notes: list[str]
+
+
+def fixture_report(seed: int = 0) -> FixtureReport:
+    """Check the bundled networks against their pinned values; seed starts the drive."""
+    checks, notes = [], []
+
+    def check(name: str, ok, detail: str = "") -> None:
+        checks.append({"name": name, "ok": bool(ok), "detail": detail})
+
+    net = two_bank()
+    model = ShiftedModel.from_network(net)
+    check("two_bank.healthy_invariant", orthant0_invariant(model))
+    check("two_bank.failed_invariant", last_orthant_invariant(model))
+    recs = {rec.k: rec for rec in enumerate_equilibria(model)}
+    for k, v in TWO_BANK_EQUILIBRIA.items():
+        check(f"two_bank.equilibrium_k{k}", k in recs and np.allclose(recs[k].v, v, atol=1e-3))
+    for k, box in TWO_BANK_BOXES.items():
+        poly, _ = stable_region(model, recs[k])
+        bounds = [(lp_solve(LinearProgram(c=c, A=poly.A, b=poly.b)).objective,
+                   -lp_solve(LinearProgram(c=-c, A=poly.A, b=poly.b)).objective)
+                  for c in np.eye(2)]
+        v_box = np.array(bounds) + net.threshold[:, None]
+        check(f"two_bank.quadrant_box_k{k}", np.all(np.abs(v_box - box) <= 1e-6))
+    for k in (0, 3):
+        check(f"two_bank.tau_k{k}", finite_determination_index(model, k) == 1)
+
+    model = ShiftedModel.from_network(ring4())
+    found = {rec.k: rec.x for rec in enumerate_equilibria(model)}
+    check("ring4.count", len(found) == len(RING4_EQUILIBRIA), f"found {len(found)}")
+    for k, x in RING4_EQUILIBRIA.items():
+        check(f"ring4.equilibrium_k{k}", k in found and np.allclose(found[k], x, atol=1e-3))
+    traj = simulate(model, RING4_ORBIT[0], 400)
+    err = float(np.max(np.abs(traj.states[:8] - RING4_ORBIT)))
+    check("ring4.orbit_rows", err <= 1e-3, f"max err {err:.2e}")
+    hit = detect_cycle(traj)
+    check("ring4.period", hit is not None and hit.period == 8)
+    for k in (0, 15):
+        check(f"ring4.tau_k{k}", finite_determination_index(model, k) == 1)
+
+    net = complete10()
+    region = maximal_invariant_region(ShiftedModel.from_network(net), 0)
+    v = minimal_injection(InjectionProblem(region=region, x=SAMPLE_STATE10))
+    flip = np.ones(10, dtype=bool)
+    flip[list(SAMPLE_SURPLUS_COMPONENTS)] = False
+    check("complete10.flips", np.max(np.abs(v[flip] + SAMPLE_STATE10[flip])) <= 1e-3)
+    # Each deficit row (C y)_i + r_i >= 0 with C = 1/12, r_i = -0.075 and
+    # y >= 0 bounds 1.y below by 0.9; components 8 and 10 tie, so the
+    # optimum is the segment y_8 + y_10 = 0.9 and the LP returns one end.
+    total = float(np.sum(v + SAMPLE_STATE10))
+    check("complete10.minimal_total", abs(total - 0.9) <= 1e-9, f"1.(x0 + v) = {total:.6f}")
+    mag_err = float(np.max(np.abs(v[~flip] - SAMPLE_INJECTION10[~flip])))
+    if mag_err > 1e-3:
+        notes.append(
+            f"surplus magnitudes differ from the bundled sample by {mag_err:.4f}: "
+            "components 8 and 10 tie, so any split of the minimal total 0.9 "
+            "between them is optimal, and the sample (total "
+            f"{float(np.sum(SAMPLE_STATE10 + SAMPLE_INJECTION10)):.4f}) is not minimal "
+            "on this network")
+    plan = drive_to_invariant(net, np.random.default_rng(seed).uniform(-1.0, 1.0, size=10))
+    check("complete10.drive_terminates", plan.success, f"{plan.iterations} iterations")
+    worst = max((max(s.residuals.values()) for s in plan.steps), default=0.0)
+    check("complete10.drive_feasible_steps", worst <= 1e-8, f"worst residual {worst:.2e}")
+    return FixtureReport(ok=all(c["ok"] for c in checks), checks=checks, notes=notes)
 
 
 # -- random instances for property sweeps ------------------------------------

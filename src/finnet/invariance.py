@@ -149,11 +149,12 @@ def region_of_attraction(model: ShiftedModel, eq: EquilibriumRecord,
                       note=f"orthant {eq.k} truncated at tau={tau}")
 
 
-def _monotone_candidate(model: ShiftedModel, k: int) -> EquilibriumRecord:
-    """Candidate equilibrium of orthant k = 0 or 2^n - 1, which must lie in that orthant."""
+def _monotone_candidate(model: ShiftedModel, k: int,
+                        eq: EquilibriumRecord | None = None) -> EquilibriumRecord:
+    """Candidate equilibrium of orthant k = 0 or 2^n - 1 (solved unless given), inside it."""
     if k not in (0, 2 ** model.n - 1):
         raise ValueError("finite determination applies to k=0 or k=2^n-1 only")
-    eq = candidate_equilibrium(model, k)
+    eq = candidate_equilibrium(model, k) if eq is None else eq
     if not eq.consistent:
         raise NoPositiveEquilibriumError(f"orthant {k} has no consistent equilibrium")
     return eq
@@ -165,10 +166,10 @@ def finite_determination_index(model: ShiftedModel, k: int,
 
     Only the healthy (k=0) and all-failed (k=2^n-1) orthants admit this
     finite test. tau = 1 recovers the two closed-form invariance tests.
-    eq is orthant k's candidate equilibrium, solved here when not given.
+    eq is orthant k's candidate equilibrium, solved here when not given; it
+    must lie in orthant k (NoPositiveEquilibriumError otherwise).
     """
-    if eq is None:
-        eq = _monotone_candidate(model, k)
+    eq = _monotone_candidate(model, k, eq)
     gap = -eq.x            # threshold minus equilibrium, shifted coordinates
     P = model.C.copy()
     for tau in range(1, TAU_CAP + 1):
@@ -185,10 +186,14 @@ def maximal_invariant_region(model: ShiftedModel, k: int) -> Polyhedron:
     """Largest forward-invariant subset of orthant k (k = 0 or 2^n - 1).
 
     Raises NoPositiveEquilibriumError when orthant k's candidate equilibrium
-    lies outside orthant k.
+    lies outside orthant k, ValueError on non-finite data.
     """
-    eq = _monotone_candidate(model, k)
-    return region_of_attraction(model, eq, finite_determination_index(model, k, eq),
+    return _region_from(model, _monotone_candidate(model, k))
+
+
+def _region_from(model: ShiftedModel, eq: EquilibriumRecord) -> Polyhedron:
+    """maximal_invariant_region of orthant eq.k from its candidate equilibrium eq."""
+    return region_of_attraction(model, eq, finite_determination_index(model, eq.k, eq),
                                 certified=True)
 
 

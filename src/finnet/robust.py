@@ -22,9 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .invariance import NoPositiveEquilibriumError, Polyhedron, maximal_invariant_region
+from .equilibria import EquilibriumRecord, candidate_equilibrium
+from .invariance import NoPositiveEquilibriumError, Polyhedron, _region_from
 from .netmodel import ShiftedModel, simulate
-from .numerics import solve_linear
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class IntervalNetwork:
     """Entrywise interval [c_lower, c_upper] for C, plus the fixed drift r.
 
     Zero-width intervals are allowed (diagonals are normally pinned to 0).
-    Both extremes must have column sums < 1.
+    Every entry must be finite, and both extremes must have column sums < 1.
     """
 
     c_lower: np.ndarray
@@ -46,6 +46,9 @@ class IntervalNetwork:
         object.__setattr__(self, "c_lower", cl)
         object.__setattr__(self, "c_upper", cu)
         object.__setattr__(self, "r", r)
+        for name, a in (("c_lower", cl), ("c_upper", cu), ("r", r)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} contains non-finite entries")
         if cl.shape != cu.shape or cl.ndim != 2 or cl.shape[0] != cl.shape[1]:
             raise ValueError("interval bounds must be square matrices of equal shape")
         if r.shape != (cl.shape[0],):
@@ -72,14 +75,20 @@ class IntervalNetwork:
                    r=np.asarray(r, dtype=float))
 
     @cached_property
+    def _extremes(self) -> tuple[tuple[ShiftedModel, EquilibriumRecord], ...]:
+        """Each extreme system with its orthant-0 candidate, the one solve of (I - c) x = r."""
+        models = (_extreme_model(c, self.r) for c in (self.c_lower, self.c_upper))
+        return tuple((model, candidate_equilibrium(model, 0)) for model in models)
+
+    @cached_property
     def lower_region(self) -> Polyhedron:
         """Maximal invariant set of the lower extreme, built once; see robust_invariant_set."""
-        return maximal_invariant_region(_extreme_model(self.c_lower, self.r), 0)
+        return _region_from(*self._extremes[0])
 
     @cached_property
     def upper_region(self) -> Polyhedron:
         """Maximal invariant set of the upper extreme, built once; see last_hope_region."""
-        return maximal_invariant_region(_extreme_model(self.c_upper, self.r), 0)
+        return _region_from(*self._extremes[1])
 
 
 def _extreme_model(c: np.ndarray, r: np.ndarray) -> ShiftedModel:
@@ -88,10 +97,8 @@ def _extreme_model(c: np.ndarray, r: np.ndarray) -> ShiftedModel:
 
 
 def extremal_fixed_points(inet: IntervalNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed points of the two constant-extreme systems, lower then upper."""
-    n = inet.n
-    x_lower = solve_linear(np.eye(n) - inet.c_lower, inet.r)
-    x_upper = solve_linear(np.eye(n) - inet.c_upper, inet.r)
+    """Fixed points of the two constant-extreme systems, lower then upper (cached on inet)."""
+    x_lower, x_upper = (eq.x for _, eq in inet._extremes)
     if np.any(x_lower > x_upper + 1e-12):
         raise ValueError("extremal fixed points are not ordered; check r sign pattern")
     return x_lower, x_upper

@@ -56,15 +56,8 @@ def test_criterion_01_ring_equilibrium_census():
     model = ShiftedModel.from_network(fixtures.ring4())
     recs = enumerate_equilibria(model)
     assert len(recs) == 8
-    a, g, d = 0.1220, 1.0976, 0.5556
-    expected = [
-        (5.0, 5.0, 5.0, 5.0), (-5.0, -5.0, -5.0, -5.0),
-        (a, g, -a, -g), (-a, -g, a, g),
-        (d, -d, d, -d), (-d, d, -d, d),
-        (g, -a, -g, a), (-g, a, g, -a),
-    ]
     found = [rec.x for rec in recs]
-    for pat in expected:
+    for pat in fixtures.RING4_EQUILIBRIA.values():
         hits = [x for x in found if np.allclose(x, pat, atol=1e-3)]
         assert len(hits) == 1, f"pattern {pat} matched {len(hits)} equilibria"
     assert time.perf_counter() - start < 1.0
@@ -112,17 +105,15 @@ def test_criterion_04_two_bank_invariance_and_quadrants():
     assert last_orthant_invariant(model)
 
     recs = {rec.k: rec for rec in enumerate_equilibria(model)}
-    expected_v = {0: (6.0, 6.0), 1: (16 / 3, 14 / 3), 2: (14 / 3, 16 / 3),
-                  3: (4.0, 4.0)}
     assert sorted(recs) == [0, 1, 2, 3]
-    for k, v in expected_v.items():
+    for k, v in fixtures.TWO_BANK_EQUILIBRIA.items():
         np.testing.assert_allclose(recs[k].v, v, atol=1e-3)
 
     # mixed-sign quadrants: boxes in original coordinates
-    boxes = {2: ((4.0, 5.0), (5.0, 6.0)), 1: ((5.0, 6.0), (4.0, 5.0))}
-    for k, (b1, b2) in boxes.items():
+    assert sorted(fixtures.TWO_BANK_BOXES) == [1, 2]
+    for k, box in fixtures.TWO_BANK_BOXES.items():
         poly, _ = stable_region(model, recs[k])
-        for i, (lo, hi) in enumerate((b1, b2)):
+        for i, (lo, hi) in enumerate(box):
             low, high = coordinate_bounds(poly, i, 2)
             assert abs(low + net.threshold[i] - lo) <= 1e-6
             assert abs(high + net.threshold[i] - hi) <= 1e-6

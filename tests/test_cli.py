@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -182,9 +183,9 @@ def test_robust_builds_each_region_once(tmp_path, monkeypatch):
     # the robust region, the last-hope region and last-hope membership share
     # two builds: one per extreme, cached on the IntervalNetwork
     builds = []
-    build = robust.maximal_invariant_region
-    monkeypatch.setattr(robust, "maximal_invariant_region",
-                        lambda model, k: builds.append(model.C) or build(model, k))
+    build = robust._region_from
+    monkeypatch.setattr(robust, "_region_from",
+                        lambda model, eq: builds.append(model.C) or build(model, eq))
     path = write_scenario(tmp_path, json.loads(
         json.dumps(_horizon_scenario("robust")).replace('"HORIZON"', "60")))
     assert main(["robust", "--scenario", path, "--out", str(tmp_path / "out")]) == EXIT_OK
@@ -296,18 +297,19 @@ class _Outer:
     note: str | None = None
 
 
-def test_jsonable_serialises_nested_dataclasses_by_fields():
+def test_encode_serialises_nested_dataclasses_by_fields():
     obj = _Outer(inner=_Inner(values=np.array([[1.0, 2.0]]), flag=np.bool_(True)),
                  items=[_Inner(values=np.zeros(1), flag=np.bool_(False)), (1, 2)],
                  table={3: _Inner(values=np.array([]), flag=np.bool_(True))},
                  count=np.int64(7))
-    out = cli._jsonable(obj)
+    out = json.loads(json.dumps(obj, default=cli._encode))
     assert out == {"inner": {"values": [[1.0, 2.0]], "flag": True},
                    "items": [{"values": [0.0], "flag": False}, [1, 2]],
                    "table": {"3": {"values": [], "flag": True}},
                    "count": 7, "note": None}
     assert type(out["count"]) is int and type(out["inner"]["flag"]) is bool
-    assert cli._jsonable(_Inner) is _Inner          # a dataclass type is not an instance
+    with pytest.raises(TypeError):                  # a dataclass type is not an instance
+        json.dumps({"cls": _Inner}, default=cli._encode)
 
 
 def test_cycles_report(tmp_path):
@@ -478,6 +480,36 @@ def test_unordered_extremes_exit2(tmp_path, capsys):
     doc = {"interval": {"c_lower": [[0.1]], "c_upper": [[0.2]], "r": [-1.0]}}
     assert main(["robust", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_INVALID
     assert "interval system rejected" in capsys.readouterr().err
+
+
+FIXTURE_CHECKS = (
+    ["two_bank.healthy_invariant", "two_bank.failed_invariant"]
+    + [f"two_bank.equilibrium_k{k}" for k in range(4)]
+    + ["two_bank.quadrant_box_k1", "two_bank.quadrant_box_k2", "two_bank.tau_k0",
+       "two_bank.tau_k3", "ring4.count"]
+    + [f"ring4.equilibrium_k{k}" for k in (0, 15, 3, 12, 5, 10, 6, 9)]
+    + ["ring4.orbit_rows", "ring4.period", "ring4.tau_k0", "ring4.tau_k15",
+       "complete10.flips", "complete10.minimal_total", "complete10.drive_terminates",
+       "complete10.drive_feasible_steps"])
+
+
+def test_fixtures_checks_are_pinned_in_order(capsys):
+    assert main(["fixtures"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert len(FIXTURE_CHECKS) == 27
+    assert [c["name"] for c in json.loads(captured.out)["results"]["checks"]] == FIXTURE_CHECKS
+    assert re.findall(r"^\[ok \] (\S+)", captured.err, re.M) == FIXTURE_CHECKS
+
+
+def test_fixtures_off_pinned_value_exit1(capsys, monkeypatch):
+    monkeypatch.setitem(fixtures.TWO_BANK_EQUILIBRIA, 0, (6.5, 6.0))
+    assert main(["fixtures"]) == cli.EXIT_CHECK_FAILED == 1
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if "FAIL" in line] == [
+        "[FAIL] two_bank.equilibrium_k0"]
+    results = json.loads(captured.out)["results"]
+    assert results["ok"] is False
+    assert [c["name"] for c in results["checks"] if not c["ok"]] == ["two_bank.equilibrium_k0"]
 
 
 def test_fixtures_command(tmp_path, capsys):

@@ -406,3 +406,17 @@ def test_invariance_report_names_a_missing_region():
     rep = invariance_report(ShiftedModel.from_network(net))
     assert rep.regions["healthy"] == "orthant 0 has no consistent equilibrium"
     assert isinstance(rep.regions["failed"], Polyhedron)
+
+
+def test_non_finite_drift_fails_fast():
+    # a NaN drift used to pass as consistent and run all TAU_CAP matrix products
+    model = ShiftedModel.from_network(fixtures.two_bank())
+    bad = ShiftedModel.from_parts(model.C, [np.nan, 1.0], model.beta)
+    for build in (lambda: candidate_equilibrium(bad, 0),
+                  lambda: finite_determination_index(bad, 0),
+                  lambda: maximal_invariant_region(bad, 0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            build()
+    rep = invariance_report(bad)
+    assert rep.regions["healthy"] == rep.regions["failed"] == (
+        "model data C, r or beta contains non-finite entries")

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from finnet import fixtures, robust
+from finnet import equilibria, fixtures, invariance, robust
+from finnet.numerics import solve_linear
 from finnet.invariance import maximal_invariant_region, polyhedra_equivalent
 from finnet.netmodel import ShiftedModel
 from finnet.robust import (
@@ -36,6 +37,17 @@ def test_interval_validation():
         IntervalNetwork(c_lower=C, c_upper=2.2 * C, r=np.ones(2))   # col sums > 1
     with pytest.raises(ValueError):
         IntervalNetwork(c_lower=-C, c_upper=C, r=np.ones(2))
+
+
+@pytest.mark.parametrize("name", ["c_lower", "c_upper", "r"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_interval_rejects_non_finite_data(name, bad):
+    # NaN passes every ordering and column-sum test, so finiteness is checked first
+    C = np.array([[0.0, 0.4], [0.4, 0.0]])
+    parts = {"c_lower": C, "c_upper": 1.25 * C, "r": np.ones(2)}
+    parts[name] = np.where(parts[name] > 0, bad, parts[name])
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+        IntervalNetwork(**parts)
 
 
 def test_from_nominal_keeps_zero_entries_pinned():
@@ -155,9 +167,9 @@ def test_sandwich_extremes_are_the_plain_iteration(inet):
 
 def test_sandwiches_share_one_robust_region(monkeypatch):
     builds = []
-    build = robust.maximal_invariant_region
-    monkeypatch.setattr(robust, "maximal_invariant_region",
-                        lambda model, k: builds.append(model.C) or build(model, k))
+    build = robust._region_from
+    monkeypatch.setattr(robust, "_region_from",
+                        lambda model, eq: builds.append(model.C) or build(model, eq))
     inet = two_bank_interval()
     for seed in (1, 2):
         sandwich_bounds(inet, np.array([1.0, 1.0]), T=20, sampler=uniform_sampler(inet, seed))
@@ -176,6 +188,21 @@ def test_last_hope_membership_needs_nonneg():
     assert last_hope_membership(inet, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         last_hope_membership(inet, np.array([-1.0, 1.0]))
+
+
+def test_report_solves_each_extreme_once(monkeypatch):
+    # the extremal fixed point and the region of each extreme share one solve
+    inet = two_bank_interval()
+    expected = [solve_linear(np.eye(2) - c, inet.r) for c in (inet.c_lower, inet.c_upper)]
+    solves = []
+    for mod in (equilibria, invariance, robust):
+        monkeypatch.setattr(mod, "solve_linear",
+                            lambda A, b: solves.append(A) or solve_linear(A, b), raising=False)
+    rep = robust_report(inet, np.array([1.0, 1.0]), T=30)
+    assert len(solves) == 2
+    # bitwise the plain solves: beta = 0 adds nothing to r
+    np.testing.assert_array_equal(rep.x_lower.view(np.uint64), expected[0].view(np.uint64))
+    np.testing.assert_array_equal(rep.x_upper.view(np.uint64), expected[1].view(np.uint64))
 
 
 def test_report_bundle():
