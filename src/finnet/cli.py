@@ -1,16 +1,20 @@
 """Batch command-line front-end over JSON scenarios.
 
 Each subcommand parses its inputs, runs one library analysis and writes
-what it returns as a JSON report in one encoding pass (numpy values by
-`.tolist()`, dataclasses by their fields), plus a CSV trajectory where that
-makes sense. `fixtures` needs no scenario: it reports `fixture_report`'s
-checks of the bundled networks against the values pinned in
-`finnet.fixtures`, one stderr line per check.
-No plotting and no interaction; the reports carry plot-ready data.
+what it returns as a JSON report, plus a CSV trajectory where that makes
+sense. `encode_report` writes the report in one pass (numpy values by
+`.tolist()`, dataclasses by their fields), byte for byte as
+`json.dumps(indent=2, sort_keys=True, allow_nan=False)` would, but it joins
+each list of plain floats or ints at once instead of float by float.
+`fixtures` needs no scenario: it reports `fixture_report`'s checks of the
+bundled networks against the values pinned in `finnet.fixtures`, one stderr
+line per check. No plotting and no interaction; the reports carry
+plot-ready data.
 
 Exit codes: 0 on success, 1 when a report's `ok` is false (a pinned
 fixture value is off), 2 when the scenario or a flag fails to parse or
-validate, 3 when a solver gives up.
+validate (a non-finite number in the echoed inputs included), 3 when a
+solver gives up (a non-finite number in the results included).
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import dataclasses
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -134,17 +140,115 @@ def _check_flags(args) -> None:
         raise ScenarioError(f"--hmax must be an integer >= 1, got {args.hmax}")
 
 
-def _encode(obj):
-    """json.dumps default=: numpy arrays and scalars by .tolist(), dataclass
-    instances by their fields; TypeError for anything else. main lists a dict
-    report's top-level arrays before encoding: listed here, after the scenario
-    echo's text, a large array fragments the heap (30 dynamics passes peaked 6 %
-    higher in RSS)."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
+class NonFiniteError(ValueError):
+    """encode_report met inf or nan; path lists the dict keys down to it."""
+
+    def __init__(self, value: float):
+        super().__init__(f"Out of range float values are not JSON compliant: {value!r}")
+        self.path: list = []
+
+
+_FLOATS, _INTS = frozenset({float}), frozenset({int})
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    if "n" in text:         # 'inf', '-inf' and 'nan' are the only float reprs with an n
+        raise NonFiniteError(x)
+    return text
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float(key)
+    if key is True or key is False or key is None:
+        return json.dumps(key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def encode_report(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False), byte for byte,
+    with numpy arrays and scalars written by .tolist() and dataclass instances
+    by their fields; TypeError for anything else, a dataclass type included.
+    A non-finite float raises NonFiniteError, a circular container ValueError."""
+    out: list[str] = []
+    _write(obj, out, "\n", set())
+    return "".join(out)
+
+
+def _enter(obj, walking: set) -> None:
+    if id(obj) in walking:
+        raise ValueError("Circular reference detected")
+    walking.add(id(obj))
+
+
+def _write(obj, out: list, nl: str, walking: set) -> None:
+    """Append obj's text to out. nl is a newline and obj's indentation;
+    walking holds the ids of the containers being written, as json's markers."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, obj))
+        if kinds == _FLOATS or kinds == _INTS:      # one join, no walk
+            text = float.__repr__ if kinds == _FLOATS else int.__repr__
+            body = ("," + inner).join(map(text, obj))
+            if "n" in body:                         # see _float
+                raise NonFiniteError(next(x for x in obj if not isfinite(x)))
+            out += "[", inner, body, nl, "]"
+            return
+        _enter(obj, walking)
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, out, inner, walking)
+            sep = "," + inner
+        out.append(nl + "]")
+        walking.discard(id(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        _enter(obj, walking)
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + encode_basestring_ascii(_key(key)) + ": ")
+            try:
+                _write(value, out, inner, walking)
+            except NonFiniteError as e:
+                e.path.insert(0, key)
+                raise
+            sep = "," + inner
+        out.append(nl + "}")
+        walking.discard(id(obj))
+    else:
+        if isinstance(obj, (np.ndarray, np.generic)):
+            plain = obj.tolist()
+        elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            plain = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        else:
+            raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
+        _enter(obj, walking)
+        _write(plain, out, nl, walking)
+        walking.discard(id(obj))
 
 
 def _write_csv(path: Path, states: np.ndarray) -> None:
@@ -315,8 +419,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
 
-    if isinstance(results, dict):       # see _encode
-        results = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in results.items()}
     report = {
         "command": args.command,
         "version": __version__,
@@ -334,11 +436,9 @@ def main(argv: list[str] | None = None) -> int:
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
     try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_encode)
-    except ValueError:
-        try:
-            json.dumps(doc, allow_nan=False)
-        except ValueError:
+        text = encode_report(report)
+    except NonFiniteError as e:
+        if e.path[0] == "inputs":
             print("error: scenario contains a non-finite number", file=sys.stderr)
             return EXIT_INVALID
         print("solver failure: results contain a non-finite number", file=sys.stderr)

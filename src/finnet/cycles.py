@@ -187,10 +187,12 @@ def classify_trajectory(traj: Trajectory, rho: float = 1e-6, tol: float = 1e-9,
 
     The criticality screen runs first: any state component within rho of
     zero makes the whole trajectory Critical. Undetermined means no period
-    up to h_max closed within the horizon.
+    up to h_max closed within the horizon. Both scans stop at traj.repeat:
+    the rows after it are copies.
     """
     states = traj.states
-    near = np.abs(states) < rho
+    settled = states if traj.repeat is None else states[:traj.repeat[1] + 1]
+    near = np.abs(settled) < rho
     if near.any():
         t, i = np.argwhere(near)[0]
         return LimitClassification(kind="critical", rho=rho,
@@ -199,12 +201,27 @@ def classify_trajectory(traj: Trajectory, rho: float = 1e-6, tol: float = 1e-9,
     if hit is None:
         return LimitClassification(kind="undetermined", rho=rho)
     h = hit.period
-    # earliest start from which closure holds through the end
-    diff = np.max(np.abs(states[h:] - states[:-h]), axis=1)
-    bad = np.nonzero(diff > tol)[0]
-    transient = int(bad[-1] + 1) if bad.size else 0
+    transient = _transient(states, h, tol, traj.repeat)
     if h == 1:
         return LimitClassification(kind="equilibrium", rho=rho, period=1,
                                    point=states[-1].copy(), transient=transient)
     return LimitClassification(kind="cycle", rho=rho, period=h,
                                orbit=states[-h:].copy(), transient=transient)
+
+
+def _transient(states: np.ndarray, h: int, tol: float,
+               repeat: tuple[int, int] | None) -> int:
+    """Earliest start from which |x(t+h) - x(t)| <= tol holds through the end.
+
+    With repeat = (t0, t1) the diff repeats with period t1 - t0 from t0 on,
+    so it is taken only up to t1 - 1. A bad start at or after t0 recurs up
+    to the end, and then the whole diff is scanned.
+    """
+    end = states.shape[0] - 1 - h
+    if repeat is not None:
+        end = min(end, repeat[1] - 1)
+    diff = np.max(np.abs(states[h:end + h + 1] - states[:end + 1]), axis=1)
+    bad = np.nonzero(diff > tol)[0]
+    if repeat is not None and bad.size and bad[-1] >= repeat[0]:
+        return _transient(states, h, tol, None)
+    return int(bad[-1] + 1) if bad.size else 0

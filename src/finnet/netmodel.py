@@ -124,9 +124,11 @@ def positivity_holds(net: FinancialNetwork) -> bool:
 def indicator(x) -> np.ndarray:
     """Componentwise failure indicator: 1.0 where x_i < 0, else 0.0.
 
-    The boundary x_i = 0 counts as healthy.
+    The boundary x_i = 0 counts as healthy. ValueError on a NaN entry.
     """
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("indicator of a state with NaN entries")
     return (x < 0).astype(float)
 
 
@@ -219,10 +221,15 @@ class ShiftedModel:
 
 @dataclass
 class Trajectory:
-    """States of a simulation run, indexed t = 0..T."""
+    """States of a simulation run, indexed t = 0..T.
+
+    repeat = (t0, t1) when states[t1] equals states[t0] bit for bit (t0 < t1,
+    the first such t1): every later row is a copy, with period t1 - t0.
+    """
 
     states: np.ndarray          # (T+1, n)
     model: ShiftedModel
+    repeat: tuple[int, int] | None = None
 
     @property
     def T(self) -> int:
@@ -267,5 +274,5 @@ def simulate(model: ShiftedModel, x0, T: int) -> Trajectory:
         t0 = seen.setdefault(hash(x.tobytes()), t)
         if t0 < t and states[t0].tobytes() == x.tobytes():
             states[t:] = states[t0 + (np.arange(t, T + 1) - t0) % (t - t0)]
-            break
+            return Trajectory(states=states, model=model, repeat=(t0, t))
     return Trajectory(states=states, model=model)

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from finnet import cli, fixtures, intervene, numerics, robust
 from finnet.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main
@@ -302,14 +303,89 @@ def test_encode_serialises_nested_dataclasses_by_fields():
                  items=[_Inner(values=np.zeros(1), flag=np.bool_(False)), (1, 2)],
                  table={3: _Inner(values=np.array([]), flag=np.bool_(True))},
                  count=np.int64(7))
-    out = json.loads(json.dumps(obj, default=cli._encode))
+    out = json.loads(cli.encode_report(obj))
     assert out == {"inner": {"values": [[1.0, 2.0]], "flag": True},
                    "items": [{"values": [0.0], "flag": False}, [1, 2]],
                    "table": {"3": {"values": [], "flag": True}},
                    "count": 7, "note": None}
     assert type(out["count"]) is int and type(out["inner"]["flag"]) is bool
     with pytest.raises(TypeError):                  # a dataclass type is not an instance
-        json.dumps({"cls": _Inner}, default=cli._encode)
+        cli.encode_report({"cls": _Inner})
+
+
+def reference_default(obj):
+    """The json.dumps default= hook that encode_report replaces."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
+
+
+def reference_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=reference_default)
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_PATHS))
+def test_encode_report_matches_json_dumps_on_cli_reports(tmp_path, capsys, monkeypatch, command):
+    reports, encode = [], cli.encode_report
+    monkeypatch.setattr(cli, "encode_report",
+                        lambda report: reports.append(report) or encode(report))
+    argv = [command]
+    if command != "fixtures":
+        argv += ["--scenario", write_scenario(tmp_path, fixture_scenario(command))]
+    assert main(argv) == EXIT_OK
+    (report,) = reports
+    assert capsys.readouterr().out == reference_dumps(report) + "\n"
+
+
+_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 0.0, 1e16, 5e-324, -5e-324, 1.7976931348623157e308]))
+_NUMPY = (st.lists(_FLOATS, max_size=6).map(np.array)
+          | st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=3).map(np.array)
+          | st.lists(st.integers(-2**63, 2**63 - 1), max_size=4).map(
+              lambda xs: np.array(xs, dtype=np.int64))
+          | _FLOATS.map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64)
+          | st.booleans().map(np.bool_))
+_LEAVES = st.text(max_size=4) | st.integers() | st.booleans() | st.none() | _FLOATS | _NUMPY
+_NESTED = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(_FLOATS, max_size=4)
+                   | st.lists(st.integers(), max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.dictionaries(st.integers(-5, 5), inner, max_size=3)),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_NESTED)
+@example({"a": [-0.0, 1e16, 5e-324], "b": [], "c": {}, "d": [[], {}, 0.0, 1, True, None, "s"],
+          "e": [1, -0.0, 2.5], "f": [3, -4], "g": [True, False]})
+@example([-0.0, 1e16, 5e-324, np.float64(-0.0), np.array([1e16, 5e-324, -0.0])])
+def test_encode_report_is_json_dumps(obj):
+    assert cli.encode_report(obj) == reference_dumps(obj)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["float list", "mixed list", "scalar", "numpy"])
+def test_encode_report_rejects_non_finite(value, where):
+    inner = {"float list": [1.0, value, 2.0], "mixed list": [1, "a", value], "scalar": value,
+             "numpy": np.array([0.5, value])}[where]
+    with pytest.raises(cli.NonFiniteError) as caught:
+        cli.encode_report({"results": {"x": inner}, "inputs": {"tol": 1e-9}})
+    assert caught.value.path == ["results", "x"]
+    with pytest.raises(ValueError):
+        reference_dumps(inner)
+
+
+def test_encode_report_rejects_circular_containers():
+    loop = [1.0, "a"]
+    loop.append(loop)
+    table = {"a": 1}
+    table["self"] = [table]
+    for obj in (loop, {"x": table}):
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            cli.encode_report(obj)
 
 
 def test_cycles_report(tmp_path):

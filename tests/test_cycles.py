@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finnet import fixtures
 from finnet.cycles import (
@@ -9,10 +10,11 @@ from finnet.cycles import (
     InsufficientLengthError,
     build_lifted,
     classify_limit,
+    classify_trajectory,
     detect_cycle,
     verify_no_period2,
 )
-from finnet.netmodel import ShiftedModel, simulate
+from finnet.netmodel import ShiftedModel, Trajectory, simulate
 
 
 def ring_model():
@@ -130,3 +132,57 @@ def test_classify_undetermined_when_hmax_too_small():
     model = ring_model()
     res = classify_limit(model, fixtures.RING4_ORBIT[0], h_max=4)
     assert res.kind == "undetermined"
+
+
+def classify_fields(traj, **kw):
+    try:
+        res = classify_trajectory(traj, **kw)
+    except InsufficientLengthError as e:
+        return str(e)
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(res).items()}
+
+
+def assert_prefix_scan_is_full_scan(traj, **kw):
+    full = Trajectory(states=traj.states, model=traj.model)         # repeat=None
+    assert classify_fields(traj, **kw) == classify_fields(full, **kw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       T=st.integers(0, 40) | st.integers(40, 500),
+       start=st.sampled_from(["random", "critical", "ring4"]), h_max=st.integers(1, 16),
+       rho=st.sampled_from([1e-6, 1e-3, 0.05]), tol=st.sampled_from([1e-9, 1e-3, 0.5, 1.5]))
+def test_classify_prefix_scan_matches_full_scan(n, seed, T, start, h_max, rho, tol):
+    rng = np.random.default_rng(seed)
+    if start == "ring4":            # converges onto the period-8 orbit, repeat (117, 125)
+        model, x0 = ring_model(), fixtures.RING4_ORBIT[rng.integers(8)]
+    else:
+        model = ShiftedModel.from_network(fixtures.random_network(rng, n))
+        x0 = rng.uniform(-3.0, 3.0, size=n)
+        if start == "critical":
+            x0[rng.random(n) < 0.5] = rng.choice([0.0, -0.0, 1e-8, -1e-8])
+    assert_prefix_scan_is_full_scan(simulate(model, x0, T), rho=rho, tol=tol, h_max=h_max)
+
+
+@pytest.mark.parametrize("h_max", [1, 4, 7, 8])
+def test_classify_prefix_scan_on_ring4_orbit(h_max):
+    traj = simulate(ring_model(), fixtures.RING4_ORBIT[0], 500)
+    assert traj.repeat == (117, 125)
+    assert_prefix_scan_is_full_scan(traj, h_max=h_max)
+    expected = "cycle" if h_max == 8 else "undetermined"       # kernel period 8 > h_max
+    assert classify_trajectory(traj, h_max=h_max).kind == expected
+
+
+def test_classify_transient_past_repeat_with_kernel_period_above_hmax():
+    # period 5 from t = 2, a ramp of steps 0.1 that falls back by 0.4 at
+    # t = 6, 11, ...: h = 1 closes at tol = 0.2 over the h_max = 2 window,
+    # and the last fall before the end sets the transient
+    ramp = np.array([1.0, 1.1, 1.2, 1.3, 1.4])
+    states = np.concatenate([[3.0, 2.0], np.tile(ramp, 21)[:105]])[:, None]
+    traj = Trajectory(states=states, model=ShiftedModel.from_parts(C=[[0.0]], r=[1.0], beta=[1.0]),
+                      repeat=(2, 7))
+    res = classify_trajectory(traj, tol=0.2, h_max=2)
+    assert res.kind == "equilibrium" and res.transient == 102
+    assert_prefix_scan_is_full_scan(traj, tol=0.2, h_max=2)
+    # the first state within rho of zero lies in the repeating part
+    assert classify_trajectory(traj, rho=1.05, h_max=2).first_critical == (2, 0)

@@ -67,6 +67,15 @@ def test_indicator_boundary_is_healthy():
     np.testing.assert_array_equal(indicator(x), [0, 0, 0, 1])
 
 
+@pytest.mark.parametrize("x", [[np.nan], [1.0, -np.nan], [[0.0, -1.0], [np.nan, np.inf]]])
+def test_indicator_rejects_nan(x):
+    with pytest.raises(ValueError, match="NaN"):
+        indicator(x)
+    model = ShiftedModel.from_parts(C=[[0.0]], r=[1.0], beta=[1.0])
+    with pytest.raises(ValueError, match="NaN"):
+        model.step([np.nan])
+
+
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32),
                 min_size=1, max_size=6))
 def test_indicator_agrees_with_sign(xs):
