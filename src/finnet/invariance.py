@@ -205,7 +205,7 @@ def _region_from(model: ShiftedModel, eq: EquilibriumRecord) -> Polyhedron:
 def _implied(start: _FeasibleBasis, a: np.ndarray, rhs: float, tol: float) -> bool:
     """row_redundant over the polyhedron whose feasible basis is start."""
     try:
-        return float(a @ _vertex(start, a)[0]) >= rhs - tol
+        return float(a @ _vertex(start, a)) >= rhs - tol
     except UnboundedError:
         return False
 

@@ -7,9 +7,11 @@ project_polyhedron (the exact projection onto {z >= 0, A z >= b}, with its
 KKT multipliers; the reallocation's root search calls it once per step).
 Problems are small (tens of variables), so the solvers are dense: the
 simplex keeps Bland's rule and pivots with whole-array updates, and Python
-loops are left only where a rule is sequential. Phase 2 starts from
-_phase1's basis or, with no phase 1, from _anchored's slack basis at a
-point known to lie on the polyhedron.
+loops are left only where a rule is sequential. lp_solve pivots on the dual's
+n-row tableau. LPs that share one polyhedron across many objectives (the
+invariance checks) keep the primal form: _vertex starts from _phase1's basis
+or, with no phase 1, from _anchored's slack basis at a point known to lie on
+the polyhedron. One phase-1 routine, _feasible, serves both forms.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ def solve_linear(A, b) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Linear programming: min c.z  s.t.  A z >= b, z free.
-# Two-phase primal simplex on the standard form [A, -A, -I], Bland's rule
-# for anti-cycling.
+# lp_solve: two-phase simplex on the dual max b.y s.t. A^T y = c, y >= 0.
+# _phase1/_vertex: primal simplex on the standard form [A, -A, -I], for
+# many objectives over one polyhedron. Bland's rule for anti-cycling.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -145,37 +148,27 @@ def _simplex(T: np.ndarray, basis: list[int], cost: np.ndarray):
 
 @dataclass(frozen=True)
 class _FeasibleBasis:
-    """A feasible basic tableau for {A z >= b}, for any c.
+    """A feasible basic tableau T = [B^-1 A_std | B^-1 b] of {A z >= b}'s standard form, for any c.
 
     Over w = [u, v, s] >= 0 with z = x0 + u - v (x0 None: the origin, as in _phase1)
-    and A z - s = b, rows negated where flip holds and dependent rows dropped (keep).
+    and A z - s = b, with some rows negated and dependent rows dropped.
     """
 
-    A: np.ndarray
-    b: np.ndarray
-    A_std: np.ndarray
-    flip: np.ndarray
-    keep: list[int]
     T: np.ndarray
     basis: list[int]
     x0: np.ndarray | None = None
 
 
-def _phase1(A: np.ndarray, b: np.ndarray) -> _FeasibleBasis:
-    """Find a feasible basis of {A z >= b}; raises InfeasibleError.
+def _feasible(A_std: np.ndarray, b_std: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Phase 1 for {w >= 0, A_std w = b_std}: a feasible tableau [B^-1 A_std | B^-1 b] and basis B.
 
-    Depends on (A, b) only, so callers testing many objectives over one
-    polyhedron run it once and call _phase2 per objective.
+    Rows with b_std < 0 are negated and get an artificial each; artificials left basic
+    at zero are pivoted out where possible, and rows where they cannot be (dependent
+    rows) are dropped. Raises InfeasibleError when the set is empty.
     """
-    m, n = A.shape
-    A_std = np.hstack([A, -A, -np.eye(m)])
-    b_std = b.copy()
-    flip = b_std < 0
-    A_std[flip] *= -1.0
-    b_std[flip] *= -1.0
-    nw = 2 * n + m
-
-    T = np.hstack([A_std, np.eye(m), b_std.reshape(-1, 1)])
+    m, nw = A_std.shape
+    sign = np.where(b_std < 0, -1.0, 1.0)[:, None]
+    T = np.hstack([sign * A_std, np.eye(m), sign * b_std[:, None]])
     basis = list(range(nw, nw + m))
     cost1 = np.zeros(nw + m + 1)
     cost1[nw:nw + m] = 1.0
@@ -183,8 +176,6 @@ def _phase1(A: np.ndarray, b: np.ndarray) -> _FeasibleBasis:
     phase1 = cost1[basis] @ T[:, -1]
     if status != "optimal" or phase1 > 1e-7:
         raise InfeasibleError(f"phase-1 infeasibility measure {phase1:.3e}")
-
-    # pivot artificials out of the basis where possible, drop dead rows
     keep = []
     for i in range(m):
         if basis[i] >= nw:
@@ -194,9 +185,16 @@ def _phase1(A: np.ndarray, b: np.ndarray) -> _FeasibleBasis:
             _pivot(T, i, int(cols[0]))
             basis[i] = int(cols[0])
         keep.append(i)
-    T = T[keep][:, list(range(nw)) + [nw + m]]
-    return _FeasibleBasis(A=A, b=b, A_std=A_std, flip=flip, keep=keep,
-                          T=T, basis=[basis[i] for i in keep])
+    return T[keep][:, list(range(nw)) + [nw + m]], [basis[i] for i in keep]
+
+
+def _phase1(A: np.ndarray, b: np.ndarray) -> _FeasibleBasis:
+    """Find a feasible basis of {A z >= b}; raises InfeasibleError.
+
+    Depends on (A, b) only, so callers testing many objectives over one
+    polyhedron run it once and call _vertex per objective.
+    """
+    return _FeasibleBasis(*_feasible(np.hstack([A, -A, -np.eye(A.shape[0])]), b))
 
 
 def _anchored(A: np.ndarray, b: np.ndarray, x0: np.ndarray) -> _FeasibleBasis:
@@ -207,56 +205,62 @@ def _anchored(A: np.ndarray, b: np.ndarray, x0: np.ndarray) -> _FeasibleBasis:
     if not margin.min(initial=0.0) >= -PIVOT_TOL * scale:
         raise ValueError(f"anchor point violates a row by {-margin.min():.3e}")
     T = np.hstack([-A, A, np.eye(m), np.maximum(margin, 0.0)[:, None]])
-    return _FeasibleBasis(A=A, b=b, A_std=T[:, :-1], flip=np.ones(m, dtype=bool),
-                          keep=list(range(m)), T=T, basis=list(range(2 * n, 2 * n + m)), x0=x0)
+    return _FeasibleBasis(T=T, basis=list(range(2 * n, 2 * n + m)), x0=x0)
 
 
-def _vertex(start: _FeasibleBasis, c: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """Optimal vertex z of min c.z from start (not modified), its basis and its costs."""
-    m, n = start.A.shape
+def _vertex(start: _FeasibleBasis, c: np.ndarray) -> np.ndarray:
+    """Optimal vertex z of min c.z from start (not modified); raises UnboundedError."""
+    n = c.size
     T, basis = start.T.copy(), list(start.basis)
-    cost2 = np.concatenate([c, -c, np.zeros(m), [0.0]])
-    if _simplex(T, basis, cost2) == "unbounded":
+    cost = np.zeros(T.shape[1])
+    cost[:n], cost[n:2 * n] = c, -c
+    if _simplex(T, basis, cost) == "unbounded":
         raise UnboundedError("objective unbounded below on the feasible set")
-    w = np.zeros(2 * n + m)
+    w = np.zeros(T.shape[1] - 1)
     w[basis] = T[:, -1]
     z = w[:n] - w[n:2 * n]
-    return (z if start.x0 is None else z + start.x0), basis, cost2
+    return z if start.x0 is None else z + start.x0
 
 
-def _phase2(start: _FeasibleBasis, c: np.ndarray) -> LPSolution:
-    """Minimise c.z from start as _vertex does, with duals and the certificate residual."""
-    A, b, keep = start.A, start.b, start.keep
-    z, basis, cost2 = _vertex(start, c)
-    objective = float(c @ z)
+def lp_solve(lp: LinearProgram) -> LPSolution:
+    """Solve min c.z s.t. A z >= b (z free) to a vertex optimum, through its dual.
 
-    # duals from the final basis: solve B^T y = c_B in the flipped frame
-    B = start.A_std[np.ix_(keep, basis)]
+    The dual max b.y s.t. A^T y = c, y >= 0 has n equality rows, so its tableau
+    is n x (m + n). The basic y are the duals, and z solves the active rows
+    A_B z = b_B. Raises InfeasibleError / UnboundedError for the two failure
+    modes; an infeasible dual is told apart by a phase 1 of the primal. The
+    returned solution carries the certificate residual, which stays below
+    OPT_TOL on well-scaled inputs.
+    """
+    A, b, c = lp.A, lp.b, lp.c
+    unit = np.abs(c).max(initial=0.0) or 1.0    # phase 1's tolerance is absolute: solve for c / unit
     try:
-        y_std = solve_linear(B.T, cost2[basis])
-    except SingularMatrixError:
-        y_std = np.linalg.lstsq(B.T, cost2[basis], rcond=None)[0]
+        T, basis = _feasible(A.T, c / unit)
+    except InfeasibleError:
+        _phase1(A, b)
+        raise UnboundedError("objective unbounded below on the feasible set") from None
+    if _simplex(T, basis, -b) == "unbounded":
+        raise InfeasibleError("dual objective unbounded: A z >= b has no solution")
     y = np.zeros(b.size)
-    y[keep] = y_std
-    y[start.flip] *= -1.0
+    y[basis] = unit * T[:, -1]
+    z = None
+    if len(basis) == c.size:        # fewer rows when A is rank deficient
+        try:
+            z = solve_linear(A[basis], b[basis])
+        except SingularMatrixError:
+            pass
+    if z is None:
+        z = np.linalg.lstsq(A[basis], b[basis], rcond=None)[0]
+    objective = float(c @ z)
     slack = A @ z - b
     cs = float(max(
         abs(objective - b @ y),
         np.max(np.abs(y * slack), initial=0.0),
+        np.max(np.abs(y @ A - c), initial=0.0),
         -np.min(y, initial=0.0),
         -np.min(slack, initial=0.0),
     ))
     return LPSolution(z=z, objective=objective, dual=y, cs_residual=cs)
-
-
-def lp_solve(lp: LinearProgram) -> LPSolution:
-    """Solve min c.z s.t. A z >= b (z free) to a vertex optimum.
-
-    Raises InfeasibleError / UnboundedError for the two failure modes.
-    The returned solution carries constraint duals and the certificate
-    residual, which stays below OPT_TOL on well-scaled inputs.
-    """
-    return _phase2(_phase1(lp.A, lp.b), lp.c)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from finnet.numerics import (
     UnboundedError,
     _anchored,
     _phase1,
-    _phase2,
+    _vertex,
     lp_solve,
     project_polyhedron,
     solve_linear,
@@ -151,6 +151,7 @@ def test_lp_duals_certify_objective():
         assert sol.dual is not None
         assert abs(sol.dual @ lp.b - sol.objective) <= 1e-7
         assert np.min(sol.dual) >= -1e-8
+        assert np.max(np.abs(sol.dual @ lp.A - lp.c)) <= 1e-8
 
 
 def random_lp(rng, kind):
@@ -170,27 +171,69 @@ def random_lp(rng, kind):
     return LinearProgram(c=rng.normal(size=n), A=A, b=b)
 
 
+def check_against_highs(lp, linprog):
+    """lp_solve's answer on lp against HiGHS': the objective, or the same failure; returns the status."""
+    ref = linprog(lp.c, A_ub=-lp.A, b_ub=-lp.b, bounds=[(None, None)] * lp.c.size, method="highs")
+    if ref.status == 0:
+        sol = lp_solve(lp)
+        assert abs(sol.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+        assert sol.cs_residual <= OPT_TOL
+    else:
+        assert ref.status in (2, 3)
+        with pytest.raises(InfeasibleError if ref.status == 2 else UnboundedError):
+            lp_solve(lp)
+    return ref.status
+
+
 def test_lp_matches_highs_on_random_instances():
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(7)
-    seen = set()
-    for kind in ("box", "free", "infeasible") * 40:
-        lp = random_lp(rng, kind)
-        ref = linprog(lp.c, A_ub=-lp.A, b_ub=-lp.b, bounds=[(None, None)] * lp.c.size,
-                      method="highs")
-        seen.add(ref.status)
-        if ref.status == 0:
-            sol = lp_solve(lp)
-            assert abs(sol.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
-            assert sol.cs_residual <= OPT_TOL
-        else:
-            assert ref.status in (2, 3)
-            with pytest.raises(InfeasibleError if ref.status == 2 else UnboundedError):
-                lp_solve(lp)
+    seen = {check_against_highs(random_lp(rng, kind), linprog)
+            for kind in ("box", "free", "infeasible") * 40}
     assert seen == {0, 2, 3}
 
 
-def test_phase2_from_shared_phase1_matches_fresh_solve():
+def test_lp_matches_highs_on_scaled_rows():
+    # the same instances with each row (a_i, b_i) scaled by 10^U(-4, 4): the
+    # polyhedron, the optimum and the failure class are unchanged
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(7)
+    seen = set()
+    for kind in ("box", "free", "infeasible") * 60:
+        lp = random_lp(rng, kind)
+        row = 10.0 ** rng.uniform(-4.0, 4.0, lp.b.size)
+        seen.add(check_against_highs(LinearProgram(c=lp.c, A=lp.A * row[:, None], b=lp.b * row),
+                                     linprog))
+    assert seen == {0, 2, 3}
+
+
+def test_lp_answer_scales_with_the_objective():
+    # scaling c scales the optimum and the duals and keeps z and the failure
+    # class. The dual's phase-1 tolerance is absolute, so without the scaling
+    # of c it takes |c| < 1e-7 for feasible: the unbounded LP below returned
+    # z = 0 with y = -1e-8.
+    with pytest.raises(UnboundedError):
+        lp_solve(LinearProgram(c=np.array([-1e-8]), A=np.array([[1.0]]), b=np.array([0.0])))
+    rng = np.random.default_rng(9)
+    for kind in ("box", "free", "infeasible") * 10:
+        lp = random_lp(rng, kind)
+        try:
+            ref = lp_solve(lp)
+        except (InfeasibleError, UnboundedError) as e:
+            for k in (1e-8, 1e8):
+                with pytest.raises(type(e)):
+                    lp_solve(LinearProgram(c=k * lp.c, A=lp.A, b=lp.b))
+            continue
+        for k in (1e-8, 1e8):
+            sol = lp_solve(LinearProgram(c=k * lp.c, A=lp.A, b=lp.b))
+            assert np.max(np.abs(sol.z - ref.z)) <= 1e-9 * scale_of(lp.A, lp.b, ref.z)
+            assert np.max(np.abs(sol.dual - k * ref.dual)) <= 1e-9 * k * max(1.0, np.abs(ref.dual).max())
+            assert abs(sol.objective - k * ref.objective) <= 1e-9 * k * max(1.0, abs(ref.objective))
+
+
+def test_vertex_from_shared_phase1_matches_fresh_solve():
+    # one _phase1 serves many objectives: each vertex is the one a fresh phase 1
+    # gives, bit for bit, and its objective is lp_solve's certified optimum
     rng = np.random.default_rng(8)
     for kind in ("box", "free") * 15:
         lp = random_lp(rng, kind)
@@ -200,17 +243,18 @@ def test_phase2_from_shared_phase1_matches_fresh_solve():
             try:
                 fresh = lp_solve(LinearProgram(c=c, A=lp.A, b=lp.b))
             except UnboundedError:
-                with pytest.raises(UnboundedError):
-                    _phase2(start, c)
+                for begin in (start, _phase1(lp.A, lp.b)):
+                    with pytest.raises(UnboundedError):
+                        _vertex(begin, c)
                 continue
-            shared = _phase2(start, c)
-            assert shared.objective == fresh.objective
-            assert np.array_equal(shared.z, fresh.z)
-            assert np.array_equal(shared.dual, fresh.dual)
+            shared = _vertex(start, c)
+            assert np.array_equal(shared, _vertex(_phase1(lp.A, lp.b), c))
+            assert abs(c @ shared - fresh.objective) <= 1e-9 * max(1.0, abs(fresh.objective))
+            assert np.all(lp.A @ shared >= lp.b - 1e-9 * scale_of(lp.A, lp.b, shared))
         assert np.array_equal(start.T, tableau)
 
 
-def test_anchored_phase2_matches_lp_solve_on_highs_instances():
+def test_anchored_vertex_matches_lp_solve_on_highs_instances():
     # the instances of test_lp_matches_highs_on_random_instances, each anchored
     # at a HiGHS Chebyshev centre (radius capped at 1), so no phase 1 runs
     linprog = pytest.importorskip("scipy.optimize").linprog
@@ -230,13 +274,12 @@ def test_anchored_phase2_matches_lp_solve_on_highs_instances():
             fresh = lp_solve(lp)
         except UnboundedError:
             with pytest.raises(UnboundedError):
-                _phase2(start, lp.c)
+                _vertex(start, lp.c)
             continue
-        anchored = _phase2(start, lp.c)
-        scale = scale_of(lp.A, lp.b, lp.c)
-        assert abs(anchored.objective - fresh.objective) <= 1e-12 * scale
-        assert np.max(np.abs(anchored.dual - fresh.dual)) <= 1e-12 * scale
-        assert anchored.cs_residual <= OPT_TOL
+        anchored = _vertex(start, lp.c)
+        assert abs(lp.c @ anchored - fresh.objective) <= 1e-9 * max(1.0, abs(fresh.objective))
+        assert np.all(lp.A @ anchored >= lp.b - 1e-9 * scale_of(lp.A, lp.b, anchored))
+        assert fresh.cs_residual <= OPT_TOL
         solved += 1
     assert solved >= 60
 
@@ -246,12 +289,42 @@ def test_anchored_margins_roundoff_and_violation():
     b = np.array([0.0, 0.0, 1.0])
     start = _anchored(A, b, np.array([0.5, 0.5 - 1e-15]))     # third margin -1e-15: roundoff
     assert np.all(start.T[:, -1] >= 0.0)
-    sol = _phase2(start, np.array([1.0, 2.0]))
-    np.testing.assert_allclose(sol.z, [1.0, 0.0], atol=1e-12)
-    assert sol.cs_residual <= OPT_TOL
+    z = _vertex(start, np.array([1.0, 2.0]))
+    np.testing.assert_allclose(z, [1.0, 0.0], atol=1e-12)
+    assert np.all(A @ z >= b - 1e-12)
     for x0 in (np.array([0.5, 0.4]), np.array([np.nan, 0.5])):
         with pytest.raises(ValueError, match="anchor"):
             _anchored(A, b, x0)
+
+
+@st.composite
+def bounded_lps(draw):
+    """min c.z over {A z >= b} boxed around z0, with A z0 >= b (rows may be tight at z0)."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 6))
+    ints = st.integers(-3, 3)
+    A = np.array(draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                               min_size=k, max_size=k)), dtype=float).reshape(k, n)
+    z0 = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=float)
+    slack = np.array(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)), dtype=float)
+    width = float(draw(st.integers(1, 4)))
+    c = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    A = np.vstack([A, np.eye(n), -np.eye(n)])
+    b = np.concatenate([A[:k] @ z0 - slack, z0 - width, -(z0 + width)])
+    return LinearProgram(c=c, A=A, b=b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_lps())
+def test_lp_duals_certify_bounded_lps(lp):
+    # LP duality: y >= 0 with A^T y = c is dual feasible, so b.y bounds c.z below
+    # on the polyhedron, and b.y = c.z at a feasible z proves z optimal
+    sol = lp_solve(lp)
+    tol = 1e-9 * scale_of(lp.A, lp.b, lp.c)
+    assert np.min(sol.dual) >= -tol
+    assert np.max(np.abs(sol.dual @ lp.A - lp.c)) <= tol
+    assert abs(lp.b @ sol.dual - lp.c @ sol.z) <= tol
+    assert np.all(lp.A @ sol.z >= lp.b - tol)
 
 
 def beale_tableau():
