@@ -13,8 +13,8 @@ plot-ready data.
 
 Exit codes: 0 on success, 1 when a report's `ok` is false (a pinned
 fixture value is off), 2 when the scenario or a flag fails to parse or
-validate (a non-finite number in the echoed inputs included), 3 when a
-solver gives up (a non-finite number in the results included).
+validate (a malformed or non-finite number, or a horizon too long to
+allocate), 3 when a solver gives up (or returns a non-finite number).
 """
 
 from __future__ import annotations
@@ -79,23 +79,35 @@ def _load_scenario(path: str | None) -> dict | None:
 
 
 def _field(doc: dict | None, name: str, where: str = "scenario") -> object:
-    if doc is None:
-        raise ScenarioError("this command needs --scenario <path>")
+    if not isinstance(doc, dict):
+        raise ScenarioError("this command needs --scenario <path>" if where == "scenario"
+                            else f"field '{where}' must be an object")
     if name not in doc:
         raise ScenarioError(f"{where} is missing required field '{name}'")
     return doc[name]
 
 
-def _network_from(doc: dict) -> FinancialNetwork:
-    raw = _field(doc, "network")
-    if not isinstance(raw, dict):
-        raise ScenarioError("field 'network' must be an object")
-    kwargs = {name: np.asarray(_field(raw, name, "network"), dtype=float)
-              for name in ("C", "D", "p", "beta", "threshold")}
+def _floats(doc: dict, name: str, where: str = "scenario", n: int | None = None) -> np.ndarray:
+    """Field `name` as an array of finite floats, of shape (n,) if n is given."""
+    value = _field(doc, name, where)
     try:
-        net = FinancialNetwork(**kwargs)
-    except (ValueError, TypeError) as e:
-        raise ScenarioError(f"network does not assemble: {e}")
+        arr = np.asarray(value)
+        if arr.dtype == object and all(type(x) in (int, float) for x in arr.flat):
+            arr = arr.astype(float)     # ints past int64; OverflowError past float range
+    except (ValueError, OverflowError) as e:
+        raise ScenarioError(f"{name} is not an array of numbers: {e}")
+    if arr.dtype.kind not in "iuf":
+        raise ScenarioError(f"{name} is not an array of numbers: it holds {arr.dtype} entries")
+    if not np.all(np.isfinite(arr)):
+        raise ScenarioError(f"{name} contains non-finite entries")
+    if n is not None and arr.shape != (n,):
+        raise ScenarioError(f"{name} has shape {arr.shape}, expected ({n},)")
+    return arr.astype(float, copy=False)
+
+
+def _network_from(doc: dict) -> FinancialNetwork:
+    net = FinancialNetwork(**{name: _floats(_field(doc, "network"), name, "network")
+                              for name in ("C", "D", "p", "beta", "threshold")})
     report = validate(net)
     if not report.ok:
         raise ScenarioError("network validation failed: " + "; ".join(report.violations))
@@ -104,24 +116,11 @@ def _network_from(doc: dict) -> FinancialNetwork:
 
 def _interval_from(doc: dict) -> IntervalNetwork:
     raw = _field(doc, "interval")
-    if not isinstance(raw, dict):
-        raise ScenarioError("field 'interval' must be an object")
+    bounds = {name: _floats(raw, name, "interval") for name in ("c_lower", "c_upper", "r")}
     try:
-        return IntervalNetwork(
-            c_lower=np.asarray(_field(raw, "c_lower", "interval"), dtype=float),
-            c_upper=np.asarray(_field(raw, "c_upper", "interval"), dtype=float),
-            r=np.asarray(_field(raw, "r", "interval"), dtype=float))
+        return IntervalNetwork(**bounds)
     except ValueError as e:
         raise ScenarioError(f"interval bounds rejected: {e}")
-
-
-def _x0_from(doc: dict, n: int) -> np.ndarray:
-    x0 = np.asarray(_field(doc, "x0"), dtype=float)
-    if x0.shape != (n,):
-        raise ScenarioError(f"x0 has shape {x0.shape}, expected ({n},)")
-    if not np.all(np.isfinite(x0)):
-        raise ScenarioError("x0 contains non-finite entries")
-    return x0
 
 
 def _horizon(args, doc: dict, default: int) -> int:
@@ -265,7 +264,8 @@ def _write_csv(path: Path, states: np.ndarray) -> None:
 
 def cmd_simulate(args, doc: dict) -> dict:
     net = _network_from(doc)
-    traj = simulate(ShiftedModel.from_network(net), _x0_from(doc, net.n), _horizon(args, doc, 100))
+    traj = simulate(ShiftedModel.from_network(net), _floats(doc, "x0", n=net.n),
+                    _horizon(args, doc, 100))
     results = {
         "T": traj.T,
         "final_x": traj.states[-1],
@@ -307,7 +307,7 @@ def cmd_invariance(args, doc: dict) -> dict:
 
 def cmd_robust(args, doc: dict) -> dict:
     inet = _interval_from(doc)
-    x0 = _x0_from(doc, inet.n) if "x0" in doc else None
+    x0 = _floats(doc, "x0", n=inet.n) if "x0" in doc else None
     T = _horizon(args, doc, 200)
     try:
         rep = robust_report(inet, x0, T, seed=args.seed)
@@ -325,7 +325,7 @@ def cmd_robust(args, doc: dict) -> dict:
 
 def cmd_cycles(args, doc: dict) -> dict:
     net = _network_from(doc)
-    traj = simulate(ShiftedModel.from_network(net), _x0_from(doc, net.n),
+    traj = simulate(ShiftedModel.from_network(net), _floats(doc, "x0", n=net.n),
                     _horizon(args, doc, 10000))
     cls = classify_trajectory(traj, rho=args.rho, tol=args.tol, h_max=args.hmax)
     try:
@@ -340,7 +340,7 @@ def cmd_cycles(args, doc: dict) -> dict:
 
 def cmd_intervene(args, doc: dict) -> dict:
     net = _network_from(doc)
-    x0 = _x0_from(doc, net.n)
+    x0 = _floats(doc, "x0", n=net.n)
     mode = "clamped" if args.clamped_v_update else "verbatim"
     plan = drive_to_invariant(net, x0, mode=mode,
                               nonnegative_injection=args.nonnegative_injection)
@@ -412,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_flags(args)
         doc = _load_scenario(args.scenario)
         results = COMMANDS[args.command](args, doc)
-    except ScenarioError as e:
+    except (ScenarioError, MemoryError) as e:   # MemoryError: say, a horizon too long to hold
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except SOLVER_ERRORS as e:

@@ -7,7 +7,7 @@ column-sum condition, so every consistent candidate is locally stable (the
 error dynamics in the orthant are y(t+1) = C y(t)), and C >= 0 makes
 M = sum_t C^t B >= 0: x(phi) falls monotonically as failure bits are set, the
 structure behind Eisenberg and Noe's fictitious-default algorithm, and the
-enumeration prunes on it.
+enumeration prunes on it, one array pass per block of sibling nodes.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import OrthantIndex, ShiftedModel, indicator
+from .netmodel import OrthantIndex, ShiftedModel, orthant_codes, orthant_of
 from .numerics import SingularMatrixError, solve_linear
 
 ENUMERATION_LIMIT = 24      # 2**n candidates; refuse past this
 INTERIOR_TOL = 1e-9         # entries closer to zero than this are boundary
+_BLOCK_ROWS = 1024          # nodes per stack entry; bounds memory, census levels fit in one
 
 
 class DimensionTooLargeError(ValueError):
@@ -52,19 +53,14 @@ def _require_finite(model: ShiftedModel) -> None:
         raise ValueError("model data C, r or beta contains non-finite entries")
 
 
-def _record(model: ShiftedModel, k: int, x: np.ndarray, phi: np.ndarray) -> EquilibriumRecord:
-    return EquilibriumRecord(k=k, x=x, v=x + model.threshold,
-                             consistent=bool(np.array_equal(indicator(x), phi)),
-                             interior=bool(np.min(np.abs(x)) > INTERIOR_TOL))
-
-
 def candidate_equilibrium(model: ShiftedModel, k: int) -> EquilibriumRecord:
     """Solve the affine fixed-point equation of orthant k and classify it.
     Raises ValueError on non-finite data."""
     _require_finite(model)
     phi = OrthantIndex(k, model.n).phi
     x = solve_linear(np.eye(model.n) - model.C, model.r - model.beta * phi)
-    return _record(model, k, x, phi)
+    return EquilibriumRecord(k=k, x=x, v=x + model.threshold, consistent=orthant_of(x) == k,
+                             interior=bool(np.min(np.abs(x)) > INTERIOR_TOL))
 
 
 def enumerate_equilibria(model: ShiftedModel) -> list[EquilibriumRecord]:
@@ -77,8 +73,7 @@ def enumerate_equilibria(model: ShiftedModel) -> list[EquilibriumRecord]:
     has (x - tail_d)_i >= tol; tol = INTERIOR_TOL * data scale >> rounding.
     A leaf is kept iff indicator(x) == phi. Raises ValueError on non-finite
     data or when M has an entry below -tol (the bounds would not hold)."""
-    n = model.n
-    if n > ENUMERATION_LIMIT:
+    if (n := model.n) > ENUMERATION_LIMIT:
         raise DimensionTooLargeError(f"n={n} exceeds enumeration guard {ENUMERATION_LIMIT}")
     _require_finite(model)
     WM = solve_linear(np.eye(n) - model.C, np.column_stack([model.r, np.diag(model.beta)]))
@@ -87,17 +82,22 @@ def enumerate_equilibria(model: ShiftedModel) -> list[EquilibriumRecord]:
     if np.min(M) < -tol:
         raise ValueError("(I - C)^-1 B has a negative entry; the enumeration needs it nonnegative")
     tail = np.hstack([np.cumsum(M[:, ::-1], axis=1)[:, ::-1], np.zeros((n, 1))])
-    E, out = np.eye(n), []
-    stack = [(0, 0, w, np.zeros(n))]        # (fixed bits d, prefix of k, x, phi)
+    out, stack = [], [(0, w[None, :], np.zeros((1, n), dtype=bool))]    # (depth, x rows, bits)
     while stack:
-        d, k, x, phi = stack.pop()
-        if np.any(np.where(phi[:d] > 0, x[:d] - tail[:d, d] >= tol, x[:d] < -tol)):
+        d, X, F = stack.pop()
+        X, F = X.repeat(2, axis=0), F.repeat(2, axis=0)
+        X[1::2] -= M[:, d]                  # healthy then failed child: k ascends
+        F[1::2, d] = True
+        t = tol if d + 1 < n else 0.0       # at a leaf tail is 0: t = 0 keeps indicator(x) == phi
+        live = ~np.where(F, X - tail[:, d + 1] >= t, X < -t)[:, :d + 1].any(axis=1)
+        X, F = X[live], F[live]
+        if d + 1 < n:
+            stack.extend((d + 1, X[i:i + _BLOCK_ROWS], F[i:i + _BLOCK_ROWS])
+                         for i in reversed(range(0, len(X), _BLOCK_ROWS)))
             continue
-        if d < n:
-            stack.append((d + 1, 2 * k + 1, x - M[:, d], phi + E[d]))
-            stack.append((d + 1, 2 * k, x, phi))    # healthy child pops first: k ascends
-        elif (rec := _record(model, k, x, phi)).consistent:
-            out.append(rec)
+        out += [EquilibriumRecord(k=k, x=x, v=x + model.threshold, consistent=True,
+                                  interior=bool(np.min(np.abs(x)) > INTERIOR_TOL))
+                for k, x in zip(orthant_codes(X).tolist(), X)]
     return out
 
 

@@ -112,6 +112,58 @@ def test_bad_horizon_exit2(tmp_path, capsys, command, horizon, flag):
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["simulate", "cycles", "robust"])
+def test_unallocatable_horizon_exit2(tmp_path, capsys, command):
+    # 10^15 + 1 states of two floats is 14 PiB, past the address space, so
+    # numpy refuses the allocation at once and nothing is touched
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_horizon_scenario(command)).replace('"HORIZON"', "40"))
+    assert main([command, "--scenario", str(path), f"--horizon={10 ** 15}"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+MALFORMED = {"string": "abc", "object": {"a": 1}, "ragged": [[1.0, 2.0], [3.0]],
+             "strings": ["1", "2"], "past_float_range": 10 ** 400, "null": None,
+             "boolean": True}
+
+
+@pytest.mark.parametrize("bad", sorted(MALFORMED))
+@pytest.mark.parametrize("field", ["network.C", "network.D", "network.p", "network.beta",
+                                   "network.threshold", "x0", "interval.c_lower",
+                                   "interval.c_upper", "interval.r"])
+def test_malformed_number_exit2(tmp_path, capsys, field, bad):
+    command = "robust" if field.startswith("interval.") else "simulate"
+    doc = {**_horizon_scenario(command), "horizon": 5}
+    *parent, name = field.split(".")
+    (doc[parent[0]] if parent else doc)[name] = MALFORMED[bad]
+    assert main([command, "--scenario", write_scenario(tmp_path, doc)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} ") and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("value", [None, [1.0], 5, "net"], ids=["null", "list", "number", "string"])
+@pytest.mark.parametrize("command, field", [("simulate", "network"), ("robust", "interval")])
+def test_section_not_an_object_exit2(tmp_path, capsys, command, field, value):
+    doc = {**_horizon_scenario(command), "horizon": 5, field: value}
+    assert main([command, "--scenario", write_scenario(tmp_path, doc)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == f"error: field '{field}' must be an object\n" and captured.out == ""
+
+
+def test_integers_past_int64_are_numbers(tmp_path, capsys):
+    # JSON integers are exact; one past int64 still reads as the nearest float
+    doc = {**_horizon_scenario("simulate"), "horizon": 5}
+    reports = []
+    for price in (2 ** 64, float(2 ** 64)):
+        doc["network"]["p"] = [price, 4]
+        assert main(["simulate", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_OK
+        reports.append(json.loads(capsys.readouterr().out)["results"])
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
                                          ("--rho", "inf"), ("--rho", "nan"), ("--rho", "-1e-6"),
                                          ("--hmax", "0"), ("--hmax", "-5")])

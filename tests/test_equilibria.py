@@ -1,10 +1,15 @@
 """Per-orthant equilibrium enumeration and existence conditions."""
 
+import tracemalloc
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finnet import fixtures
+from equilibria_reference import reference_enumerate
+from finnet import equilibria, fixtures
 from finnet.equilibria import (
     DimensionTooLargeError,
     candidate_equilibrium,
@@ -33,6 +38,22 @@ def weak_holding_model(rng, n):
     C *= rng.uniform(0.3, 0.6, size=n) / C.sum(axis=0)
     beta = rng.uniform(1.0, 2.0, size=n)
     return ShiftedModel.from_parts(C=C, r=rng.uniform(0.15, 0.55, size=n) * (C @ beta), beta=beta)
+
+
+def census_model(kind, seed, n):
+    rng = np.random.default_rng(seed)
+    if kind == "random_network":
+        return ShiftedModel.from_network(fixtures.random_network(rng, n))
+    return weak_holding_model(rng, n)
+
+
+def assert_same_records(got, want):
+    """Bitwise equality: same k order, and the same bytes in x and v (-0.0 included)."""
+    assert [rec.k for rec in got] == [rec.k for rec in want]
+    for a, b in zip(got, want):
+        assert type(a.k) is int
+        assert a.x.tobytes() == b.x.tobytes() and a.v.tobytes() == b.v.tobytes()
+        assert (a.consistent, a.interior) == (b.consistent, b.interior)
 
 
 def test_two_bank_equilibria_values():
@@ -96,23 +117,24 @@ def test_interior_flag_on_boundary_candidate():
     ([[0.0]], [1.0], [1.0], [0], []),                           # failed x = 0 counts healthy
     ([[0.0, 0.5], [0.5, 0.0]], [0.0, 0.0], [1.0, 1.0], [0, 3], [0]),
     ([[0.0, 0.0], [0.0, 0.0]], [0.5, 0.0], [1.0, 1.0], [0, 1, 2, 3], [0, 2]),
-], ids=["r_zero", "failed_on_boundary", "coupled_r_zero", "mixed_boundary"])
-def test_enumeration_on_exact_boundaries(C, r, beta, ks, boundary):
+    (np.zeros((8, 8)), np.ones(8), np.ones(8), [0], []),         # every failed x = 0: no prune
+], ids=["r_zero", "failed_on_boundary", "coupled_r_zero", "mixed_boundary", "all_on_boundary"])
+def test_enumeration_on_exact_boundaries(C, r, beta, ks, boundary, monkeypatch):
     model = ShiftedModel.from_parts(C=np.array(C), r=np.array(r), beta=np.array(beta))
     recs = enumerate_equilibria(model)
     assert [rec.k for rec in recs] == ks == brute_force_census(model)[0]
     assert [rec.k for rec in recs if not rec.interior] == boundary
+    assert_same_records(recs, reference_enumerate(model))
+    for rows in (1, 3):                 # blocks split at every level
+        monkeypatch.setattr(equilibria, "_BLOCK_ROWS", rows)
+        assert_same_records(enumerate_equilibria(model), reference_enumerate(model))
 
 
 @settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from(["random_network", "weak_holding"]),
        n=st.integers(2, 10), seed=st.integers(0, 2 ** 32 - 1))
 def test_enumeration_matches_brute_force(kind, n, seed):
-    rng = np.random.default_rng(seed)
-    if kind == "random_network":
-        model = ShiftedModel.from_network(fixtures.random_network(rng, n))
-    else:
-        model = weak_holding_model(rng, n)
+    model = census_model(kind, seed, n)
     recs = enumerate_equilibria(model)
     ks, X = brute_force_census(model)
     assert [rec.k for rec in recs] == ks
@@ -121,6 +143,35 @@ def test_enumeration_matches_brute_force(kind, n, seed):
         np.testing.assert_allclose(rec.x, x, rtol=0, atol=1e-12 * scale)
         np.testing.assert_array_equal(rec.phi, indicator(rec.x))
         assert rec.consistent
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["default_rows", "rows1", "rows3"])
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["random_network", "weak_holding"]),
+       n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_enumeration_matches_node_reference(rows, kind, n, seed):
+    # the node-at-a-time stack loop the blocks replaced: same arithmetic, so
+    # the records agree bit for bit, also when every block is split
+    model = census_model(kind, seed, n)
+    patch = nullcontext() if rows is None else mock.patch.object(equilibria, "_BLOCK_ROWS", rows)
+    with patch:
+        assert_same_records(enumerate_equilibria(model), reference_enumerate(model))
+
+
+def test_enumeration_memory_stays_bounded_without_pruning():
+    # C = 0, r = beta = 1 puts every failed bit exactly on its boundary, so no
+    # node is pruned and all 2^18 leaves are visited; a whole-level frontier
+    # would hold 2^18 rows of 18 floats (36 MiB)
+    n = 18
+    model = ShiftedModel.from_parts(C=np.zeros((n, n)), r=np.ones(n), beta=np.ones(n))
+    tracemalloc.start()
+    try:
+        recs = enumerate_equilibria(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [rec.k for rec in recs] == [0]
+    assert peak < 16 * 2 ** 20
 
 
 def test_negative_resolvent_is_rejected():
