@@ -87,9 +87,17 @@ def _field(doc: dict | None, name: str, where: str = "scenario") -> object:
     return doc[name]
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value has a boolean at any depth; numpy reads [true, 4.0] as [1.0, 4.0]."""
+    kinds = set(map(type, value)) if type(value) is list else {type(value)}
+    return bool in kinds or (list in kinds and any(map(_holds_bool, value)))
+
+
 def _floats(doc: dict, name: str, where: str = "scenario", n: int | None = None) -> np.ndarray:
     """Field `name` as an array of finite floats, of shape (n,) if n is given."""
     value = _field(doc, name, where)
+    if _holds_bool(value):
+        raise ScenarioError(f"{name} is not an array of numbers: it holds a boolean")
     try:
         arr = np.asarray(value)
         if arr.dtype == object and all(type(x) in (int, float) for x in arr.flat):

@@ -32,7 +32,8 @@ from .numerics import (
     LinearProgram,
     PROJECTION_TOL,
     STRICT_MARGIN,
-    lp_solve,
+    _dual_phase2,
+    _DualStart,
     project_polyhedron,
     solve_linear,
 )
@@ -58,7 +59,7 @@ def minimal_injection(prob: InjectionProblem) -> np.ndarray:
 
     The region rows bound the total downward; the LP is infeasible only if
     the region itself is empty. Withdrawals (negative entries) are allowed
-    unless the problem says otherwise.
+    unless the problem says otherwise. Each region keeps its LP's phase 1 (_DualStart).
     """
     n = prob.x.shape[0]
     A = prob.region.A
@@ -66,8 +67,11 @@ def minimal_injection(prob: InjectionProblem) -> np.ndarray:
     if prob.nonnegative:
         A = np.vstack([A, np.eye(n)])
         b = np.concatenate([b, np.zeros(n)])
-    sol = lp_solve(LinearProgram(c=np.ones(n), A=A, b=b))
-    return sol.z
+    lp = LinearProgram(c=np.ones(n), A=A, b=b)
+    start = prob.region._injection_lps.get(prob.nonnegative)
+    if start is None or not np.array_equal(start.A, lp.A):
+        start = prob.region._injection_lps[prob.nonnegative] = _DualStart(lp.A, lp.c)
+    return _dual_phase2(start, lp.b).z
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ smallest power at which that happens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,11 @@ class Polyhedron:
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         return bool(np.all(self.margins(x) >= -tol))
+
+    @cached_property
+    def _injection_lps(self) -> dict:
+        """minimal_injection's numerics._DualStart per nonnegative flag; not a field."""
+        return {}
 
 
 def orthant0_invariant(model: ShiftedModel) -> bool:

@@ -8,10 +8,13 @@ KKT multipliers; the reallocation's root search calls it once per step).
 Problems are small (tens of variables), so the solvers are dense: the
 simplex keeps Bland's rule and pivots with whole-array updates, and Python
 loops are left only where a rule is sequential. lp_solve pivots on the dual's
-n-row tableau. LPs that share one polyhedron across many objectives (the
-invariance checks) keep the primal form: _vertex starts from _phase1's basis
-or, with no phase 1, from _anchored's slack basis at a point known to lie on
-the polyhedron. One phase-1 routine, _feasible, serves both forms.
+n-row tableau: a _DualStart holds its phase 1, which depends on A and c only, and
+_dual_phase2 runs phase 2 for b. One region's injection LPs keep their start and warm
+phase 2 from the last optimum, whose answer is kept only at a strictly complementary
+(unique) basis, so z never depends on call order. LPs that share one polyhedron
+across many objectives (the invariance checks) keep the primal form: _vertex starts
+from _phase1's basis or, with no phase 1, from _anchored's slack basis at a point
+known to lie on the polyhedron. One phase-1 routine, _feasible, serves both forms.
 """
 
 from __future__ import annotations
@@ -222,45 +225,64 @@ def _vertex(start: _FeasibleBasis, c: np.ndarray) -> np.ndarray:
     return z if start.x0 is None else z + start.x0
 
 
+class _DualStart:
+    """lp_solve's phase 1, for every b: a feasible tableau T and basis of the dual
+    {A^T y = c / unit, y >= 0} (T None: it is empty), a copy of A to tell it stale by,
+    and last, the last optimal (T, basis)."""
+
+    def __init__(self, A: np.ndarray, c: np.ndarray):
+        unit = np.abs(c).max(initial=0.0) or 1.0    # tolerances are absolute: solve for c / unit
+        self.A, self.c, self.unit, self.T, self.basis, self.last = A.copy(), c, unit, None, [], None
+        try:
+            self.T, self.basis = _feasible(A.T, c / unit)
+        except InfeasibleError:
+            pass
+
+
+def _dual_phase2(start: _DualStart, b: np.ndarray) -> LPSolution:
+    """Optimise start's dual max b.y for b; the final (T, basis) is kept as start.last.
+
+    It first runs from start.last, if any (dual feasible, as only b changed), and keeps that
+    basis only if it is strictly complementary: n rows, every basic y and nonbasic reduced
+    cost (primal slack) above _SIMPLEX_EPS. Then z is the unique optimum and the basis the
+    unique optimal one; otherwise phase 2 reruns from start's phase-1 tableau.
+    """
+    A, c, unit = start.A, start.c, start.unit
+    if start.T is None:     # an infeasible dual is told apart by a phase 1 of the primal
+        _phase1(A, b)
+        raise UnboundedError("objective unbounded below on the feasible set")
+    for T0, basis in ([start.last] if start.last else []) + [(start.T, start.basis)]:
+        T, basis, cold = T0.copy(), list(basis), T0 is start.T
+        if _simplex(T, basis, -b) == "unbounded" and cold:     # a warm run then fails the gate
+            raise InfeasibleError("dual objective unbounded: A z >= b has no solution")
+        if cold or (len(basis) == c.size and T[:, -1].min(initial=np.inf) > _SIMPLEX_EPS and
+                    np.delete(b[basis] @ T[:, :-1] - b, basis).min(initial=np.inf) > _SIMPLEX_EPS):
+            break
+    start.last = T, basis
+    y = np.zeros(b.size)
+    y[basis] = unit * T[:, -1]
+    try:        # A_B has fewer rows, or is singular, when A is rank deficient
+        z = solve_linear(A[basis], b[basis])
+    except ValueError:
+        z = np.linalg.lstsq(A[basis], b[basis], rcond=None)[0]
+    slack = A @ z - b
+    objective = float(c @ z)
+    cs = float(max(abs(objective - b @ y), np.max(np.abs(y * slack), initial=0.0),
+                   np.max(np.abs(y @ A - c), initial=0.0), -np.min(y, initial=0.0),
+                   -np.min(slack, initial=0.0)))
+    return LPSolution(z=z, objective=objective, dual=y, cs_residual=cs)
+
+
 def lp_solve(lp: LinearProgram) -> LPSolution:
     """Solve min c.z s.t. A z >= b (z free) to a vertex optimum, through its dual.
 
     The dual max b.y s.t. A^T y = c, y >= 0 has n equality rows, so its tableau
     is n x (m + n). The basic y are the duals, and z solves the active rows
     A_B z = b_B. Raises InfeasibleError / UnboundedError for the two failure
-    modes; an infeasible dual is told apart by a phase 1 of the primal. The
-    returned solution carries the certificate residual, which stays below
-    OPT_TOL on well-scaled inputs.
+    modes. The returned solution carries the certificate residual, which stays
+    below OPT_TOL on well-scaled inputs.
     """
-    A, b, c = lp.A, lp.b, lp.c
-    unit = np.abs(c).max(initial=0.0) or 1.0    # phase 1's tolerance is absolute: solve for c / unit
-    try:
-        T, basis = _feasible(A.T, c / unit)
-    except InfeasibleError:
-        _phase1(A, b)
-        raise UnboundedError("objective unbounded below on the feasible set") from None
-    if _simplex(T, basis, -b) == "unbounded":
-        raise InfeasibleError("dual objective unbounded: A z >= b has no solution")
-    y = np.zeros(b.size)
-    y[basis] = unit * T[:, -1]
-    z = None
-    if len(basis) == c.size:        # fewer rows when A is rank deficient
-        try:
-            z = solve_linear(A[basis], b[basis])
-        except SingularMatrixError:
-            pass
-    if z is None:
-        z = np.linalg.lstsq(A[basis], b[basis], rcond=None)[0]
-    objective = float(c @ z)
-    slack = A @ z - b
-    cs = float(max(
-        abs(objective - b @ y),
-        np.max(np.abs(y * slack), initial=0.0),
-        np.max(np.abs(y @ A - c), initial=0.0),
-        -np.min(y, initial=0.0),
-        -np.min(slack, initial=0.0),
-    ))
-    return LPSolution(z=z, objective=objective, dual=y, cs_residual=cs)
+    return _dual_phase2(_DualStart(lp.A, lp.c), lp.b)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,27 @@ def test_section_not_an_object_exit2(tmp_path, capsys, command, field, value):
     assert captured.err == f"error: field '{field}' must be an object\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("field, index, number", [
+    ("network.p", (0,), 1), ("network.C", (1, 1), 0), ("x0", (1,), 1), ("interval.r", (0,), 0)],
+    ids=["p", "C", "x0", "interval.r"])
+def test_boolean_inside_numbers_exit2(tmp_path, capsys, field, index, number):
+    # numpy reads [true, 4.0] as [1.0, 4.0], so the JSON values are checked
+    # first; the same entry as a number runs
+    command = "robust" if field.startswith("interval.") else "simulate"
+    doc = {**_horizon_scenario(command), "horizon": 5}
+    *parent, name = field.split(".")
+    entries = (doc[parent[0]] if parent else doc)[name]
+    for i in index[:-1]:
+        entries = entries[i]
+    for value, code in ((bool(number), EXIT_INVALID), (number, EXIT_OK)):
+        entries[index[-1]] = value
+        assert main([command, "--scenario", write_scenario(tmp_path, doc)]) == code
+        captured = capsys.readouterr()
+        if code == EXIT_INVALID:
+            assert captured.err == f"error: {name} is not an array of numbers: it holds a boolean\n"
+            assert captured.out == ""
+
+
 def test_integers_past_int64_are_numbers(tmp_path, capsys):
     # JSON integers are exact; one past int64 still reads as the nearest float
     doc = {**_horizon_scenario("simulate"), "horizon": 5}

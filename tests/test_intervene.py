@@ -1,5 +1,6 @@
 """Cash injection LP, holdings reallocation, and the driving loop."""
 
+import functools
 import itertools
 from unittest import mock
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finnet import fixtures, intervene
+from finnet import fixtures, intervene, numerics
 from finnet.intervene import (
     InjectionProblem,
     InterventionPlan,
@@ -18,9 +19,10 @@ from finnet.intervene import (
     minimal_injection,
     reallocation_feasible,
 )
-from finnet.invariance import maximal_invariant_region
+from finnet.invariance import Polyhedron, maximal_invariant_region
 from finnet.netmodel import FinancialNetwork, ShiftedModel
-from finnet.numerics import PROJECTION_TOL, InfeasibleError, IterationLimitError, project_polyhedron
+from finnet.numerics import (PROJECTION_TOL, InfeasibleError, IterationLimitError, LinearProgram,
+                             UnboundedError, lp_solve, project_polyhedron)
 from reallocation_reference import build_reallocation_program, reference_reallocate
 
 
@@ -100,6 +102,123 @@ def test_injection_complete10_flips_eight_components():
     # components 8 and 10 tie, so the LP may split the minimal 0.9 between them
     assert abs(surplus[7] + surplus[9] - 0.9) <= 1e-9
     assert np.abs(surplus[flips]).max() <= 1e-9
+
+
+def injection_lp(region, x, nonnegative):
+    A, b, n = region.A, region.b - region.A @ x, x.size
+    if nonnegative:
+        A, b = np.vstack([A, np.eye(n)]), np.concatenate([b, np.zeros(n)])
+    return LinearProgram(c=np.ones(n), A=A, b=b)
+
+
+def distressed_states(net, rng, count):
+    """The healthy equilibrium with one to three nodes pushed into distress, and draws around it."""
+    model = ShiftedModel.from_network(net)
+    x_eq = np.linalg.solve(np.eye(net.n) - model.C, model.r)
+    states = []
+    for _ in range(count):
+        x = x_eq.copy()
+        idx = rng.choice(net.n, size=int(rng.integers(1, 4)), replace=False)
+        x[idx] -= rng.uniform(0.2, 1.5, size=idx.size)
+        states += [x, x_eq + rng.uniform(-1.5, 0.5, net.n)]
+    return states
+
+
+@pytest.mark.parametrize("nonnegative", [False, True])
+@pytest.mark.parametrize("label", ["complete10", "gap6"])
+def test_injection_does_not_depend_on_call_order(label, nonnegative):
+    # one region's LPs share a phase 1 and warm-start phase 2 from the last
+    # optimal tableau, which is kept only at a unique optimum: every v is a
+    # cold lp_solve's, bit for bit, whatever ran before it
+    rng = np.random.default_rng(17)
+    net = fixtures.complete10() if label == "complete10" else fixtures.random_gap_network(rng, 6)
+    region = healthy_region(net)
+    states = distressed_states(net, rng, 12) + [fixtures.SAMPLE_STATE10] * (net.n == 10)
+    with mock.patch.object(numerics, "_pivot", wraps=numerics._pivot) as pivots:
+        cold = [lp_solve(injection_lp(region, x, nonnegative)).z for x in states]
+        cold_pivots, pivots.call_count = pivots.call_count, 0
+        orders = [range(len(states)), range(len(states))[::-1]]
+        for order in orders + [rng.permutation(len(states)) for _ in range(5)]:
+            for i in order:
+                v = minimal_injection(InjectionProblem(region=region, x=states[i],
+                                                       nonnegative=nonnegative))
+                assert v.tobytes() == cold[i].tobytes()
+    assert pivots.call_count < 7 * cold_pivots       # the shared phase 1 alone saves pivots
+    if label == "complete10" and not nonnegative:
+        # the optimum at SAMPLE_STATE10 is a segment, where the warm answer is
+        # refused: v stays the cold run's end, 0.9 on component 8
+        assert abs((fixtures.SAMPLE_STATE10 + cold[-1])[7] - 0.9) <= 1e-9
+
+
+def test_injection_follows_rows_changed_in_place():
+    rng = np.random.default_rng(5)
+    region = healthy_region(fixtures.complete10())
+    x = fixtures.SAMPLE_STATE10
+    before = {}
+    for nonnegative in (False, True):
+        before[nonnegative] = minimal_injection(InjectionProblem(region=region, x=x,
+                                                                 nonnegative=nonnegative))
+    region.A[:] *= rng.uniform(0.5, 2.0, region.A.shape)  # nonnegative rows: M+ stays nonempty
+    for nonnegative in (False, True):
+        v = minimal_injection(InjectionProblem(region=region, x=x, nonnegative=nonnegative))
+        assert v.tobytes() == lp_solve(injection_lp(region, x, nonnegative)).z.tobytes()
+        assert not np.array_equal(v, before[nonnegative])
+
+
+@functools.lru_cache(maxsize=None)
+def gap_model(n, seed):
+    """A random_gap_network's model and M+, built once so examples share the region's LPs."""
+    model = ShiftedModel.from_network(fixtures.random_gap_network(np.random.default_rng(seed), n))
+    return model, maximal_invariant_region(model, 0)
+
+
+@st.composite
+def distressed_gap_states(draw):
+    n = draw(st.integers(3, 8))
+    model, region = gap_model(n, draw(st.integers(0, 3)))
+    x_eq = np.linalg.solve(np.eye(n) - model.C, model.r)
+    deficit = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    return model, region, x_eq - np.array(deficit), draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(distressed_gap_states())
+def test_injected_state_stays_in_the_invariant_region(case):
+    # x + v enters M+, and M+ is invariant, so one step keeps it there; the
+    # examples share 24 regions in hypothesis's own order, so later examples
+    # on a region start phase 2 warm
+    model, region, x, nonnegative = case
+    v = minimal_injection(InjectionProblem(region=region, x=x, nonnegative=nonnegative))
+    tol = 1e-9 * max(1.0, np.abs(region.A).max(), np.abs(region.b).max(), np.abs(x).max())
+    assert region.contains(x + v, tol=tol)
+    assert region.contains(model.step(x + v), tol=tol)
+    if nonnegative:
+        assert v.min() >= -tol
+
+
+def test_injection_failures_repeat():
+    empty = Polyhedron(A=[[1.0], [-1.0]], b=[1.0, 0.0], row_power=[0, 0])   # 1 <= x <= 0
+    open_below = Polyhedron(A=[[1.0, 0.0]], b=[0.0], row_power=[0])        # x_2 unbounded
+    capped = Polyhedron(A=[[-1.0]], b=[-1.0], row_power=[0])                # x <= 1
+    for _ in range(3):
+        for nonnegative in (False, True):
+            with pytest.raises(InfeasibleError):
+                minimal_injection(InjectionProblem(region=empty, x=[0.0], nonnegative=nonnegative))
+        with pytest.raises(UnboundedError):
+            minimal_injection(InjectionProblem(region=open_below, x=[0.0, 0.0]))
+        v = minimal_injection(InjectionProblem(region=open_below, x=[-1.0, 0.0], nonnegative=True))
+        np.testing.assert_array_equal(v, [1.0, 0.0])
+        # no withdrawal brings x = 2 under the cap; x = 0 and x = -3 need none
+        for x, expected in ((0.0, [0.0]), (2.0, None), (-3.0, [0.0])):
+            prob = InjectionProblem(region=capped, x=[x], nonnegative=True)
+            if expected is None:
+                with pytest.raises(InfeasibleError):
+                    minimal_injection(prob)
+            else:
+                np.testing.assert_array_equal(minimal_injection(prob), expected)
+        for region, x in ((empty, [np.nan]), (open_below, [0.0, np.inf])):
+            with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
+                minimal_injection(InjectionProblem(region=region, x=x))
 
 
 def test_reallocation_trivial_target():

@@ -1,6 +1,7 @@
 """Kernel checks against independent oracles (numpy.linalg, vertex and active-set enumeration)."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -205,6 +206,35 @@ def test_lp_matches_highs_on_scaled_rows():
         seen.add(check_against_highs(LinearProgram(c=lp.c, A=lp.A * row[:, None], b=lp.b * row),
                                      linprog))
     assert seen == {0, 2, 3}
+
+
+def test_warm_phase2_matches_highs_on_scaled_rows():
+    # one dual start per polyhedron serves 20 right-hand sides in turn, each
+    # phase 2 starting from the last optimal tableau; rows are scaled by
+    # 10^U(-4, 4) as above
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(11)
+    seen, warm = set(), 0
+    for kind in ("box", "free") * 8:
+        lp = random_lp(rng, kind)
+        row = 10.0 ** rng.uniform(-4.0, 4.0, lp.b.size)
+        start = numerics._DualStart(lp.A * row[:, None], lp.c)
+        for _ in range(20):
+            b = (lp.b + rng.uniform(-0.5, 0.5, lp.b.size)) * row
+            ref = linprog(lp.c, A_ub=-start.A, b_ub=-b, bounds=[(None, None)] * lp.c.size,
+                          method="highs")
+            seen.add(ref.status)
+            had_last = start.last is not None
+            with mock.patch.object(numerics, "_simplex", wraps=numerics._simplex) as simplex:
+                if ref.status != 0:
+                    with pytest.raises(InfeasibleError if ref.status == 2 else UnboundedError):
+                        numerics._dual_phase2(start, b)
+                    continue
+                sol = numerics._dual_phase2(start, b)
+            assert abs(sol.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+            assert sol.cs_residual <= OPT_TOL
+            warm += had_last and simplex.call_count == 1     # the warm answer was kept
+    assert seen == {0, 2, 3} and warm >= 100
 
 
 def test_lp_answer_scales_with_the_objective():
