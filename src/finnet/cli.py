@@ -143,8 +143,9 @@ def _check_flags(args) -> None:
         value = getattr(args, name)
         if not (np.isfinite(value) and value >= 0):
             raise ScenarioError(f"--{name} must be finite and >= 0, got {value!r}")
-    if args.hmax < 1:
-        raise ScenarioError(f"--hmax must be an integer >= 1, got {args.hmax}")
+    for name, low in (("hmax", 1), ("seed", 0)):
+        if getattr(args, name) < low:
+            raise ScenarioError(f"--{name} must be an integer >= {low}, got {getattr(args, name)}")
 
 
 class NonFiniteError(ValueError):

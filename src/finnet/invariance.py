@@ -9,16 +9,18 @@ as raw stacked halfspaces {x : A x >= b}. Three facts drive the module:
   whose whole forward orbit stays in the orthant is the intersection of
   the rows J_k C^t x >= J_k (C^t - I) x_k over t = 0, 1, 2, ...
 
-For the two monotone orthants (k = 0 and k = 2^n - 1) the intersection is
-finitely determined: once C^tau maps the threshold gap past the
-equilibrium, every later row is implied. The truncation index tau is the
-smallest power at which that happens.
+Every region here stacks blocks of those rows from one generator,
+`_orthant_rows`. For the two monotone orthants (k = 0 and k = 2^n - 1)
+the intersection is finitely determined: once C^tau maps the threshold
+gap past the equilibrium, every later row is implied. The truncation
+index tau is the smallest power at which that happens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -130,28 +132,26 @@ def intermediate_not_invariant(model: ShiftedModel, k: int,
     return IntermediateVerdict(k=k, status="unknown", reason="no-witness-found")
 
 
-def region_of_attraction(model: ShiftedModel, eq: EquilibriumRecord,
-                         tau: int, certified: bool = False) -> Polyhedron:
+def _orthant_rows(model: ShiftedModel, eq: EquilibriumRecord):
+    """Yield (C^t, J C^t, J (C^t - I) x_k) for t = 0, 1, 2, ..., with J the sign matrix of eq.k."""
+    J, P = OrthantIndex(eq.k, model.n).J, np.eye(model.n)
+    while True:
+        yield P, J @ P, J @ ((P - np.eye(model.n)) @ eq.x)
+        P = P @ model.C
+
+
+def region_of_attraction(model: ShiftedModel, eq: EquilibriumRecord, tau: int) -> Polyhedron:
     """Stack rows J_k C^t x >= J_k (C^t - I) x_k for t = 0..tau.
 
     States satisfying every row stay in orthant k forever and converge to
     the equilibrium. For intermediate orthants a finite tau is only an
-    outer truncation; certified stays False unless the caller proved the
-    tail redundant.
+    outer truncation, so the region is not certified.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    n = model.n
-    J = OrthantIndex(eq.k, n).J
-    rows_A, rows_b, powers = [], [], []
-    P = np.eye(n)
-    for t in range(tau + 1):
-        rows_A.append(J @ P)
-        rows_b.append(J @ ((P - np.eye(n)) @ eq.x))
-        powers.extend([t] * n)
-        P = P @ model.C
-    return Polyhedron(A=np.vstack(rows_A), b=np.concatenate(rows_b),
-                      row_power=np.array(powers), certified=certified,
+    _, A, b = zip(*islice(_orthant_rows(model, eq), tau + 1))
+    return Polyhedron(A=np.vstack(A), b=np.concatenate(b),
+                      row_power=np.repeat(np.arange(tau + 1), model.n),
                       note=f"orthant {eq.k} truncated at tau={tau}")
 
 
@@ -160,6 +160,8 @@ def _monotone_candidate(model: ShiftedModel, k: int,
     """Candidate equilibrium of orthant k = 0 or 2^n - 1 (solved unless given), inside it."""
     if k not in (0, 2 ** model.n - 1):
         raise ValueError("finite determination applies to k=0 or k=2^n-1 only")
+    if eq is not None and eq.k != k:
+        raise ValueError(f"equilibrium record of orthant {eq.k} given for orthant {k}")
     eq = candidate_equilibrium(model, k) if eq is None else eq
     if not eq.consistent:
         raise NoPositiveEquilibriumError(f"orthant {k} has no consistent equilibrium")
@@ -172,19 +174,14 @@ def finite_determination_index(model: ShiftedModel, k: int,
 
     Only the healthy (k=0) and all-failed (k=2^n-1) orthants admit this
     finite test. tau = 1 recovers the two closed-form invariance tests.
-    eq is orthant k's candidate equilibrium, solved here when not given; it
-    must lie in orthant k (NoPositiveEquilibriumError otherwise).
+    eq is orthant k's candidate equilibrium (ValueError for another orthant's),
+    solved when not given; it must lie in orthant k (NoPositiveEquilibriumError).
     """
     eq = _monotone_candidate(model, k, eq)
-    gap = -eq.x            # threshold minus equilibrium, shifted coordinates
-    P = model.C.copy()
-    for tau in range(1, TAU_CAP + 1):
-        test = P @ gap + eq.x
-        if k == 0 and np.all(test >= 0):
+    sign = 1.0 if k == 0 else -1.0
+    for tau, (P, _, _) in zip(range(1, TAU_CAP + 1), islice(_orthant_rows(model, eq), 1, None)):
+        if np.all(sign * (P @ -eq.x + eq.x) >= 0):
             return tau
-        if k != 0 and np.all(test <= 0):
-            return tau
-        P = P @ model.C
     raise NotDeterminedError(f"no truncation index up to {TAU_CAP} for orthant {k}")
 
 
@@ -199,8 +196,8 @@ def maximal_invariant_region(model: ShiftedModel, k: int) -> Polyhedron:
 
 def _region_from(model: ShiftedModel, eq: EquilibriumRecord) -> Polyhedron:
     """maximal_invariant_region of orthant eq.k from its candidate equilibrium eq."""
-    return region_of_attraction(model, eq, finite_determination_index(model, eq.k, eq),
-                                certified=True)
+    tau = finite_determination_index(model, eq.k, eq)
+    return replace(region_of_attraction(model, eq, tau), certified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -271,23 +268,15 @@ def stable_region(model: ShiftedModel, eq: EquilibriumRecord,
     stabilized. Raises NotDeterminedError if tau_cap is hit first. Its LPs
     start from the slack basis at eq.x, where each row has margin (J x_k)_i >= 0.
     """
-    n = model.n
-    J = OrthantIndex(eq.k, n).J
-    poly = region_of_attraction(model, eq, 0)
-    P = model.C.copy()
-    for tau in range(1, tau_cap + 1):
-        A_new = J @ P
-        b_new = J @ ((P - np.eye(n)) @ eq.x)
-        start = _anchored(poly.A, poly.b, eq.x)
-        if all(_implied(start, A_new[i], float(b_new[i]), OPT_TOL) for i in range(n)):
-            return Polyhedron(A=poly.A, b=poly.b, row_power=poly.row_power,
+    rows = _orthant_rows(model, eq)
+    _, A, b = next(rows)
+    for tau, (_, A_new, b_new) in zip(range(1, tau_cap + 1), rows):
+        start = _anchored(A, b, eq.x)
+        if all(_implied(start, A_new[i], float(b_new[i]), OPT_TOL) for i in range(model.n)):
+            return Polyhedron(A=A, b=b, row_power=np.repeat(np.arange(tau), model.n),
                               certified=True,
                               note=f"orthant {eq.k} stabilized at tau={tau - 1}"), tau - 1
-        poly = Polyhedron(A=np.vstack([poly.A, A_new]),
-                          b=np.concatenate([poly.b, b_new]),
-                          row_power=np.concatenate([poly.row_power, [tau] * n]),
-                          note=poly.note)
-        P = P @ model.C
+        A, b = np.vstack([A, A_new]), np.concatenate([b, b_new])
     raise NotDeterminedError(f"membership did not stabilize within tau_cap={tau_cap}")
 
 

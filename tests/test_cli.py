@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from finnet import cli, fixtures, intervene, numerics, robust
+from finnet import cli, fixtures, intervene, invariance, numerics, robust
 from finnet.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main
 from finnet.netmodel import ShiftedModel
 
@@ -187,7 +187,7 @@ def test_integers_past_int64_are_numbers(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
                                          ("--rho", "inf"), ("--rho", "nan"), ("--rho", "-1e-6"),
-                                         ("--hmax", "0"), ("--hmax", "-5")])
+                                         ("--hmax", "0"), ("--hmax", "-5"), ("--seed", "-1")])
 def test_bad_flag_exit2(capsys, two_bank_scenario, flag, value):
     assert main(["cycles", "--scenario", two_bank_scenario, f"{flag}={value}"]) == EXIT_INVALID
     captured = capsys.readouterr()
@@ -196,7 +196,8 @@ def test_bad_flag_exit2(capsys, two_bank_scenario, flag, value):
 
 
 def test_flags_at_their_bounds_exit0(capsys, two_bank_scenario):
-    argv = ["cycles", "--scenario", two_bank_scenario, "--tol=0", "--rho=0", "--hmax=1"]
+    argv = ["cycles", "--scenario", two_bank_scenario, "--tol=0", "--rho=0", "--hmax=1",
+            "--seed=0"]
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().err == ""
 
@@ -230,6 +231,17 @@ def test_invariance_report(tmp_path, two_bank_scenario):
     assert res["regions"]["failed"]["tau"] == 1
     assert len(res["intermediates"]) == 2
     assert all(item["status"] == "not_invariant" for item in res["intermediates"])
+
+
+def test_invariance_region_past_tau_cap_is_an_error_entry(tmp_path, monkeypatch):
+    # the first gap network drawn from seed 11 has truncation index 2 in orthant 0
+    net = fixtures.random_gap_network(np.random.default_rng(11), 3)
+    monkeypatch.setattr(invariance, "TAU_CAP", 1)
+    out = tmp_path / "out"
+    path = write_scenario(tmp_path, {"network": net_doc(net)})
+    assert main(["invariance", "--scenario", path, "--out", str(out)]) == EXIT_OK
+    res = load_report(out, "invariance")["results"]
+    assert res["regions"]["healthy"] == {"error": "no truncation index up to 1 for orthant 0"}
 
 
 def test_robust_report_with_sandwich(tmp_path):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from finnet import fixtures
+from finnet import fixtures, invariance
 from finnet.equilibria import candidate_equilibrium, enumerate_equilibria
 from finnet.invariance import (
+    NotDeterminedError,
     Polyhedron,
     _implied,
     finite_determination_index,
@@ -90,6 +91,59 @@ def test_tau_grows_past_one_on_gapped_network():
     assert found > 0
 
 
+def test_truncation_index_past_tau_cap_raises(monkeypatch):
+    model = ShiftedModel.from_network(fixtures.random_gap_network(np.random.default_rng(11), 3))
+    assert finite_determination_index(model, 0) == 2
+    monkeypatch.setattr(invariance, "TAU_CAP", 1)
+    for build in (lambda: finite_determination_index(model, 0),
+                  lambda: maximal_invariant_region(model, 0)):
+        with pytest.raises(NotDeterminedError, match="no truncation index up to 1 for orthant 0"):
+            build()
+
+
+def test_equilibrium_record_of_another_orthant_is_rejected(monkeypatch):
+    model = ShiftedModel.from_network(fixtures.random_gap_network(np.random.default_rng(11), 3))
+    eq7 = candidate_equilibrium(model, 7)
+    assert eq7.consistent
+    # the record is refused before any matrix power is taken
+    monkeypatch.setattr(invariance, "_orthant_rows", None)
+    with pytest.raises(ValueError, match="record of orthant 7 given for orthant 0"):
+        finite_determination_index(model, 0, eq7)
+
+
+def oracle_rows(model, eq, tau):
+    """J C^t and J (C^t - I) x_k for t = 0..tau by matrix_power, J from the bits of eq.k."""
+    J = np.diag(1.0 - 2.0 * np.array(list(np.binary_repr(eq.k, model.n)), dtype=float))
+    powers = [np.linalg.matrix_power(model.C, t) for t in range(tau + 1)]
+    return (np.vstack([J @ P for P in powers]),
+            np.concatenate([J @ ((P - np.eye(model.n)) @ eq.x) for P in powers]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 5), weak=st.booleans())
+def test_region_rows_match_matrix_power_oracle(seed, n, weak):
+    model = weak_holding_network(seed, n) if weak else ShiftedModel.from_network(
+        fixtures.random_gap_network(np.random.default_rng(seed), n))
+    last = 2 ** n - 1
+    recs = [candidate_equilibrium(model, k) for k in (0, last)]
+    recs += [rec for rec in enumerate_equilibria(model) if rec.k not in (0, last)]
+    for eq in recs:
+        taus = [0, 1, 3]
+        if eq.k in (0, last) and eq.consistent:
+            taus.append(finite_determination_index(model, eq.k))
+            region = maximal_invariant_region(model, eq.k)
+            ref = region_of_attraction(model, eq, taus[-1])
+            assert region.A.tobytes() == ref.A.tobytes() and region.b.tobytes() == ref.b.tobytes()
+            assert region.certified and not ref.certified and region.note == ref.note
+        for tau in taus:
+            poly = region_of_attraction(model, eq, tau)
+            A, b = oracle_rows(model, eq, tau)
+            scale = 1.0 + max(np.abs(A).max(), np.abs(b).max())
+            np.testing.assert_allclose(poly.A, A, rtol=0.0, atol=1e-12 * scale)
+            np.testing.assert_allclose(poly.b, b, rtol=0.0, atol=1e-12 * scale)
+            np.testing.assert_array_equal(poly.row_power, np.repeat(np.arange(tau + 1), n))
+
+
 def test_region_rows_grow_with_horizon_and_contain_equilibrium():
     model = ShiftedModel.from_network(fixtures.ring4())
     eq = candidate_equilibrium(model, 0)
@@ -150,6 +204,15 @@ def test_stable_region_short_trajectories_stay_inside():
         for state in traj.states:
             assert poly.contains(state, tol=1e-7)
         np.testing.assert_allclose(traj.states[-1], recs[1].x, atol=1e-6)
+
+
+def test_stable_region_past_tau_cap_raises():
+    # orthant 1 of two_bank stabilizes at horizon 1, which tau_cap = 1 cannot confirm
+    model = ShiftedModel.from_network(fixtures.two_bank())
+    rec = {rec.k: rec for rec in enumerate_equilibria(model)}[1]
+    assert stable_region(model, rec, tau_cap=2)[1] == 1
+    with pytest.raises(NotDeterminedError, match="tau_cap=1"):
+        stable_region(model, rec, tau_cap=1)
 
 
 def test_intermediate_orthants_not_invariant_on_fixtures():
