@@ -58,7 +58,6 @@ from .cycles import (
     LiftedSystem,
     LimitClassification,
     build_lifted,
-    classify_limit,
     detect_cycle,
     verify_no_period2,
 )

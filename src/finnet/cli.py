@@ -14,7 +14,8 @@ plot-ready data.
 Exit codes: 0 on success, 1 when a report's `ok` is false (a pinned
 fixture value is off), 2 when the scenario or a flag fails to parse or
 validate (a malformed or non-finite number, or a horizon too long to
-allocate), 3 when a solver gives up (or returns a non-finite number).
+allocate or too short for the cycle search), 3 when a solver gives up
+(or returns a non-finite number).
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cycles import InsufficientLengthError, classify_trajectory, detect_cycle
+from .cycles import (DETECT_TOL, H_MAX, RHO, InsufficientLengthError, classify_trajectory,
+                     detect_cycle)
 from .equilibria import DimensionTooLargeError, enumerate_equilibria, existence_conditions
 from .fixtures import FixtureReport, fixture_report
 from .intervene import IterationCapReached, drive_to_invariant
@@ -48,8 +50,8 @@ EXIT_INVALID = 2
 EXIT_SOLVER = 3
 
 SOLVER_ERRORS = (SingularMatrixError, DimensionTooLargeError, InfeasibleError, UnboundedError,
-                 NoPositiveEquilibriumError, NotDeterminedError, InsufficientLengthError,
-                 IterationCapReached, IterationLimitError)
+                 NoPositiveEquilibriumError, NotDeterminedError, IterationCapReached,
+                 IterationLimitError)
 
 
 class ScenarioError(ValueError):
@@ -336,15 +338,13 @@ def cmd_cycles(args, doc: dict) -> dict:
     net = _network_from(doc)
     traj = simulate(ShiftedModel.from_network(net), _floats(doc, "x0", n=net.n),
                     _horizon(args, doc, 10000))
-    cls = classify_trajectory(traj, rho=args.rho, tol=args.tol, h_max=args.hmax)
     try:
         hit = detect_cycle(traj, tol=args.tol, h_max=args.hmax)
-        detected = None if hit is None else {
-            "period": hit.period, "phase": hit.phase,
-            "is_equilibrium": hit.is_equilibrium}
     except InsufficientLengthError as e:
-        detected = {"error": str(e)}
-    return {**vars(cls), "detected": detected}
+        raise ScenarioError(f"horizon {traj.T} too short for --hmax {args.hmax}: {e}")
+    cls = classify_trajectory(traj, rho=args.rho, tol=args.tol, h_max=args.hmax)
+    return {**vars(cls), "detected": None if hit is None else {
+        "period": hit.period, "phase": hit.phase, "is_equilibrium": hit.is_equilibrium}}
 
 
 def cmd_intervene(args, doc: dict) -> dict:
@@ -399,10 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", help="path to the JSON scenario document")
     parser.add_argument("--out", help="directory for report and CSV files")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed where sampling is involved")
-    parser.add_argument("--tol", type=float, default=1e-9, help="detection tolerance")
+    parser.add_argument("--tol", type=float, default=DETECT_TOL, help="detection tolerance")
     parser.add_argument("--horizon", type=int, default=None, help="simulation horizon override")
-    parser.add_argument("--hmax", type=int, default=64, help="largest period searched")
-    parser.add_argument("--rho", type=float, default=1e-6, help="criticality margin")
+    parser.add_argument("--hmax", type=int, default=H_MAX, help="largest period searched")
+    parser.add_argument("--rho", type=float, default=RHO, help="criticality margin")
     parser.add_argument("--nonnegative-injection", action="store_true",
                         help="restrict injections to v >= 0")
     update = parser.add_mutually_exclusive_group()

@@ -6,7 +6,7 @@ lifted matrices are block-circulant with C (resp. diag(beta)) on the
 subdiagonal blocks and the top-right corner. The dynamics admit no
 period-2 orbits, which verify_no_period2 probes empirically, and
 trajectories that stay clear of the switching boundaries settle on an
-equilibrium or a cycle, which classify_limit reports. Every trajectory
+equilibrium or a cycle, which classify_trajectory reports. Every trajectory
 here comes from netmodel.simulate: bitwise the plain step loop (the
 no-period-2 trials as one block), though a settled one costs few steps.
 """
@@ -18,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmodel import ShiftedModel, Trajectory, indicator, orthant_codes, simulate
+
+DETECT_TOL = 1e-9       # closure tolerance of the cycle search
+H_MAX = 64              # largest period searched
+RHO = 1e-6              # criticality margin around the switching boundaries
 
 
 class InsufficientLengthError(ValueError):
@@ -95,18 +99,19 @@ def _detect(states: np.ndarray, tol: float, h_max: int) -> CycleHit | None:
     return None
 
 
-def detect_cycle(traj: Trajectory, tol: float = 1e-9, h_max: int = 64,
-                 transient: int = 8) -> CycleHit | None:
+def detect_cycle(traj: Trajectory, tol: float = DETECT_TOL,
+                 h_max: int = H_MAX) -> CycleHit | None:
     """Smallest period h <= h_max sustained over the last h_max steps.
 
     Closure means ||x(t+h) - x(t)||_inf <= tol for every start t in the
     window. period=1 is an equilibrium. None means nothing closed, either
-    an unsettled transient or a longer cycle.
+    an unsettled transient or a longer cycle. InsufficientLengthError on
+    fewer than 2 h_max + 8 states.
     """
     states = traj.states
-    if states.shape[0] < 2 * h_max + transient:
+    if states.shape[0] < 2 * h_max + 8:
         raise InsufficientLengthError(
-            f"need at least {2 * h_max + transient} states, got {states.shape[0]}")
+            f"need at least {2 * h_max + 8} states, got {states.shape[0]}")
     return _detect(states, tol, h_max)
 
 
@@ -122,21 +127,18 @@ class Period2Report:
         return not self.violations
 
 
-def verify_no_period2(model: ShiftedModel, trials: int = 100, seed: int = 0,
-                      h_max: int = 8, tol: float = 1e-7,
-                      scale: float | None = None) -> Period2Report:
+def verify_no_period2(model: ShiftedModel, trials: int = 100, seed: int = 0) -> Period2Report:
     """Probe random initial states for genuine period-2 limit behavior.
 
     Initial states are sampled from a box sized by the asymptotic bound
     ||x||_1 <= (||r||_1 + ||beta||_1) / (1 - max column sum). Counts the
-    detected period per trial; a hit at period 2 with two distinct states
-    is recorded as a violation.
+    detected period (up to 8, at closure tolerance 1e-7) per trial; a hit at
+    period 2 with two distinct states is recorded as a violation.
     """
     rng = np.random.default_rng(seed)
-    n = model.n
+    n, tol, h_max = model.n, 1e-7, 8
     slack = 1.0 - float(model.C.sum(axis=0).max())
-    if scale is None:
-        scale = min(100.0, (np.abs(model.r).sum() + model.beta.sum()) / max(slack, 1e-2))
+    scale = min(100.0, (np.abs(model.r).sum() + model.beta.sum()) / max(slack, 1e-2))
     # enough steps for the 1-norm contraction to push a transient of size
     # `scale` two orders below tol
     settle = np.log(tol / (100.0 * n * max(scale, 1.0))) / np.log(max(1.0 - slack, 0.1))
@@ -175,14 +177,8 @@ class LimitClassification:
     first_critical: tuple[int, int] | None = None   # (t, i)
 
 
-def classify_limit(model: ShiftedModel, x0, T: int = 10000, rho: float = 1e-6,
-                   tol: float = 1e-9, h_max: int = 64) -> LimitClassification:
-    """Simulate T steps and classify the limit behavior (classify_trajectory)."""
-    return classify_trajectory(simulate(model, x0, T), rho=rho, tol=tol, h_max=h_max)
-
-
-def classify_trajectory(traj: Trajectory, rho: float = 1e-6, tol: float = 1e-9,
-                        h_max: int = 64) -> LimitClassification:
+def classify_trajectory(traj: Trajectory, rho: float = RHO, tol: float = DETECT_TOL,
+                        h_max: int = H_MAX) -> LimitClassification:
     """Classify where a simulated trajectory settled.
 
     The criticality screen runs first: any state component within rho of

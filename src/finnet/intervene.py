@@ -80,7 +80,6 @@ class ReallocationProblem:
 
     network: FinancialNetwork
     v: np.ndarray
-    epsilon: float = STRICT_MARGIN     # margin closing the strict constraint
 
     def __post_init__(self):
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
@@ -99,7 +98,8 @@ def reallocation_feasible(prob: ReallocationProblem, D: np.ndarray,
     residuals = {
         "nonneg": float(-min(np.min(D), 0.0)),
         "colsum": float(max(np.max(D.sum(axis=0)) - 1.0, 0.0)),
-        "equilibrium": float(max(np.max(net.threshold + prob.epsilon - prob.G @ (D @ net.p)), 0.0)),
+        "equilibrium": float(max(np.max(net.threshold + STRICT_MARGIN - prob.G @ (D @ net.p)),
+                                 0.0)),
     }
     return all(v <= tol for v in residuals.values()), residuals
 
@@ -129,7 +129,7 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
     """Solve the reallocation program exactly; returns (D, solver diagnostics).
 
     It sees D only through y = D p and s = 1^T D: min |y - v| + |s| over y in
-    P = {y >= 0, G y >= threshold + epsilon, 1^T y <= sum p}, 0 <= s <= 1, p.s = 1^T y.
+    P = {y >= 0, G y >= threshold + STRICT_MARGIN, 1^T y <= sum p}, 0 <= s <= 1, p.s = 1^T y.
     Given 1^T y, s is _column_sums'; y is then y(kappa), the projection of v - kappa 1 onto
     P, at a root of phi = kappa / |y(kappa) - v| - h'(1^T y(kappa)). As g + n = -phi 1 for a
     subgradient g of the objective and n in P's normal cone, y(kappa) is within |phi| sum p
@@ -143,7 +143,7 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
     """
     net, v, p = prob.network, prob.v, prob.network.p
     A = np.vstack([prob.G, -np.ones(net.n)])
-    b = np.append(net.threshold + prob.epsilon, -p.sum())
+    b = np.append(net.threshold + STRICT_MARGIN, -p.sum())
     scale = max(1.0, float(np.abs(v).max(initial=0.0)), float(np.abs(b).max()))
     lam, calls = None, 0
 
@@ -251,7 +251,7 @@ class InterventionPlan:
 
 
 def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
-                       epsilon: float = STRICT_MARGIN, max_iterations: int = 1000,
+                       max_iterations: int = 1000,
                        nonnegative_injection: bool = False) -> InterventionPlan:
     """Iterate reallocation steps until the state enters M+ of the network.
 
@@ -276,7 +276,7 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
         if region.contains(x):
             plan.success = True
             return plan
-        prob = ReallocationProblem(network=current, v=v, epsilon=epsilon)
+        prob = ReallocationProblem(network=current, v=v)
         D, sol = asset_reallocation(prob)
         current = replace(current, D=D)
         x = ShiftedModel.from_network(current).step(x)

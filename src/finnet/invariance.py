@@ -10,10 +10,11 @@ as raw stacked halfspaces {x : A x >= b}. Three facts drive the module:
   the rows J_k C^t x >= J_k (C^t - I) x_k over t = 0, 1, 2, ...
 
 Every region here stacks blocks of those rows from one generator,
-`_orthant_rows`. For the two monotone orthants (k = 0 and k = 2^n - 1)
-the intersection is finitely determined: once C^tau maps the threshold
-gap past the equilibrium, every later row is implied. The truncation
-index tau is the smallest power at which that happens.
+`_orthant_rows`, over the powers of C from `_powers`. For the two
+monotone orthants (k = 0 and k = 2^n - 1) the intersection is finitely
+determined: once C^tau maps the threshold gap past the equilibrium,
+every later row is implied. The truncation index tau is the smallest
+power at which that happens; its search reads the powers alone.
 """
 
 from __future__ import annotations
@@ -108,13 +109,13 @@ class IntermediateVerdict:
 
 
 def intermediate_not_invariant(model: ShiftedModel, k: int,
-                               samples: int = 200, seed: int = 0,
-                               scale: float = 10.0) -> IntermediateVerdict:
+                               samples: int = 200, seed: int = 0) -> IntermediateVerdict:
     """Decide non-invariance of intermediate orthant k.
 
     With all off-diagonal C entries strictly positive no intermediate
     orthant is invariant. Otherwise the answer is Unknown unless a
-    sampled one-step escape witness is found.
+    one-step escape witness is found among states sampled with entries
+    of magnitude up to 10.
     """
     n = model.n
     if k in (0, 2 ** n - 1):
@@ -125,19 +126,25 @@ def intermediate_not_invariant(model: ShiftedModel, k: int,
     signs = 1.0 - 2.0 * OrthantIndex(k, n).phi
     rng = np.random.default_rng(seed)
     for _ in range(samples):
-        x = signs * rng.uniform(0.0, scale, size=n)
+        x = signs * rng.uniform(0.0, 10.0, size=n)
         if orthant_of(model.step(x)) != k:
             return IntermediateVerdict(k=k, status="not_invariant",
                                        reason="escape-witness", witness=x)
     return IntermediateVerdict(k=k, status="unknown", reason="no-witness-found")
 
 
-def _orthant_rows(model: ShiftedModel, eq: EquilibriumRecord):
-    """Yield (C^t, J C^t, J (C^t - I) x_k) for t = 0, 1, 2, ..., with J the sign matrix of eq.k."""
-    J, P = OrthantIndex(eq.k, model.n).J, np.eye(model.n)
+def _powers(C: np.ndarray):
+    """Yield C^t for t = 0, 1, 2, ..."""
+    P = np.eye(C.shape[0])
     while True:
-        yield P, J @ P, J @ ((P - np.eye(model.n)) @ eq.x)
-        P = P @ model.C
+        yield P
+        P = P @ C
+
+
+def _orthant_rows(model: ShiftedModel, eq: EquilibriumRecord):
+    """Generator of (J C^t, J (C^t - I) x_k) for t = 0, 1, 2, ..., J the sign matrix of eq.k."""
+    J, eye = OrthantIndex(eq.k, model.n).J, np.eye(model.n)
+    return ((J @ P, J @ ((P - eye) @ eq.x)) for P in _powers(model.C))
 
 
 def region_of_attraction(model: ShiftedModel, eq: EquilibriumRecord, tau: int) -> Polyhedron:
@@ -149,7 +156,7 @@ def region_of_attraction(model: ShiftedModel, eq: EquilibriumRecord, tau: int) -
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    _, A, b = zip(*islice(_orthant_rows(model, eq), tau + 1))
+    A, b = zip(*islice(_orthant_rows(model, eq), tau + 1))
     return Polyhedron(A=np.vstack(A), b=np.concatenate(b),
                       row_power=np.repeat(np.arange(tau + 1), model.n),
                       note=f"orthant {eq.k} truncated at tau={tau}")
@@ -179,7 +186,7 @@ def finite_determination_index(model: ShiftedModel, k: int,
     """
     eq = _monotone_candidate(model, k, eq)
     sign = 1.0 if k == 0 else -1.0
-    for tau, (P, _, _) in zip(range(1, TAU_CAP + 1), islice(_orthant_rows(model, eq), 1, None)):
+    for tau, P in zip(range(1, TAU_CAP + 1), islice(_powers(model.C), 1, None)):
         if np.all(sign * (P @ -eq.x + eq.x) >= 0):
             return tau
     raise NotDeterminedError(f"no truncation index up to {TAU_CAP} for orthant {k}")
@@ -269,8 +276,8 @@ def stable_region(model: ShiftedModel, eq: EquilibriumRecord,
     start from the slack basis at eq.x, where each row has margin (J x_k)_i >= 0.
     """
     rows = _orthant_rows(model, eq)
-    _, A, b = next(rows)
-    for tau, (_, A_new, b_new) in zip(range(1, tau_cap + 1), rows):
+    A, b = next(rows)
+    for tau, (A_new, b_new) in zip(range(1, tau_cap + 1), rows):
         start = _anchored(A, b, eq.x)
         if all(_implied(start, A_new[i], float(b_new[i]), OPT_TOL) for i in range(model.n)):
             return Polyhedron(A=A, b=b, row_power=np.repeat(np.arange(tau), model.n),

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import SingularMatrixError, solve_linear
-
 
 @dataclass(frozen=True)
 class FinancialNetwork:
@@ -57,7 +55,6 @@ class FinancialNetwork:
 @dataclass
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -67,9 +64,8 @@ class ValidationReport:
 def validate(net: FinancialNetwork) -> ValidationReport:
     """Check the standing assumptions on the network data.
 
-    Violations are conditions the analysis relies on. Singularity of C is
-    reported as a warning only: no computation here inverts C, but the
-    model class nominally requires it.
+    Violations are conditions the analysis relies on. A singular C is not
+    one: no computation inverts C.
     """
     rep = ValidationReport()
     bad = rep.violations.append
@@ -109,10 +105,6 @@ def validate(net: FinancialNetwork) -> ValidationReport:
         bad("p has no positive entry")
     if np.any(beta <= 0):
         bad("beta must be strictly positive")
-    try:
-        solve_linear(C, np.zeros(n))     # raises on a singular C
-    except (SingularMatrixError, ValueError):
-        rep.warnings.append("C is singular or near-singular (not used directly, reported only)")
     return rep
 
 
@@ -181,8 +173,8 @@ class ShiftedModel:
     """Dynamics in shifted coordinates: x(t+1) = C x(t) + r - B phi(x(t)).
 
     Built from a FinancialNetwork (r derived) or directly from parts for
-    synthetic models. threshold is kept so reports can translate back to
-    equity levels V = x + threshold.
+    synthetic models, whose threshold is zero. threshold is kept so reports
+    can translate back to equity levels V = x + threshold.
     """
 
     C: np.ndarray
@@ -199,11 +191,9 @@ class ShiftedModel:
         return cls(C=net.C, r=net.r, beta=net.beta, threshold=net.threshold)
 
     @classmethod
-    def from_parts(cls, C, r, beta, threshold=None) -> "ShiftedModel":
+    def from_parts(cls, C, r, beta) -> "ShiftedModel":
         C = np.asarray(C, dtype=float)
-        n = C.shape[0]
-        thr = np.zeros(n) if threshold is None else threshold
-        return cls(C=C, r=r, beta=beta, threshold=thr)
+        return cls(C=C, r=r, beta=beta, threshold=np.zeros(C.shape[0]))
 
     @property
     def n(self) -> int:

@@ -180,14 +180,16 @@ class SandwichResult:
 
 
 def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
-                    sampler: Callable[[int], np.ndarray] | None = None,
-                    tail: int = 10) -> SandwichResult:
+                    sampler: Callable[[int], np.ndarray] | None = None) -> SandwichResult:
     """Simulate sampled and extreme trajectories from a common x0.
 
     x0 must lie in the robust invariant set, which keeps every admissible
     trajectory nonnegative and therefore ordered between the extremes.
-    Limit estimates are taken over the last `tail` states.
+    Limit estimates are taken over the last 10 states. ValueError on a
+    negative T.
     """
+    if T < 0:
+        raise ValueError("horizon must be nonnegative")
     x0 = np.asarray(x0, dtype=float)
     region = robust_invariant_set(inet)
     if not region.contains(x0):
@@ -202,7 +204,7 @@ def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
         sampled[t + 1] = xs
     lower, upper = (simulate(_extreme_model(c, inet.r), x0, T).states
                     for c in (inet.c_lower, inet.c_upper))
-    win = sampled[-min(tail, T + 1):]
+    win = sampled[-10:]
     return SandwichResult(sampled=sampled, lower=lower, upper=upper,
                           liminf_estimate=win.min(axis=0),
                           limsup_estimate=win.max(axis=0))

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from finnet.numerics import OPT_TOL, project_polyhedron
+from finnet.numerics import OPT_TOL, STRICT_MARGIN, project_polyhedron
 
 
 @dataclass
@@ -86,7 +86,7 @@ def reallocation_pieces(prob):
     # {z : A z >= b} over the C-order flattening z of D: column sums at most
     # one, then the healthy equilibrium G D p at least threshold + epsilon.
     A = np.vstack([-np.tile(np.eye(m), n), np.kron(prob.G, p)])
-    b = np.concatenate([-np.ones(m), net.threshold + prob.epsilon])
+    b = np.concatenate([-np.ones(m), net.threshold + STRICT_MARGIN])
 
     last = [None]   # multipliers of the last projection, the next one's warm start
     def project(z: np.ndarray) -> np.ndarray:

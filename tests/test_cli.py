@@ -1,6 +1,7 @@
 """Command-line front end: reports, CSV output, exit codes."""
 
 import dataclasses
+import inspect
 import json
 import re
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from finnet import cli, fixtures, intervene, invariance, numerics, robust
+from finnet import cli, cycles, fixtures, intervene, invariance, numerics, robust
 from finnet.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main
 from finnet.netmodel import ShiftedModel
 
@@ -200,6 +201,29 @@ def test_flags_at_their_bounds_exit0(capsys, two_bank_scenario):
             "--seed=0"]
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("flags", [[], ["--rho=10"]], ids=["healthy", "critical"])
+def test_cycles_horizon_too_short_exit2(tmp_path, capsys, flags):
+    # 21 states for 2 hmax + 8 = 136: the same exit whether or not the
+    # trajectory grazes a switching boundary (rho 10 makes it critical)
+    doc = {"network": net_doc(fixtures.two_bank()), "x0": [1.0, 1.0], "horizon": 20}
+    assert main(["cycles", "--scenario", write_scenario(tmp_path, doc)] + flags) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == ("error: horizon 20 too short for --hmax 64: "
+                            "need at least 136 states, got 21\n")
+    assert captured.out == ""
+
+
+def test_cycle_search_defaults_are_the_named_constants():
+    # `is`: the very objects, not equal literals written out again
+    named = {"tol": cycles.DETECT_TOL, "h_max": cycles.H_MAX, "rho": cycles.RHO}
+    args = cli.build_parser().parse_args(["cycles"])
+    defaults = [(args.tol, "tol"), (args.hmax, "h_max"), (args.rho, "rho")]
+    for fn in (cycles.detect_cycle, cycles.classify_trajectory):
+        params = inspect.signature(fn).parameters
+        defaults += [(params[k].default, k) for k in named if k in params]
+    assert len(defaults) == 8 and all(value is named[k] for value, k in defaults)
 
 
 def test_simulate_prints_to_stdout_without_out(two_bank_scenario, capsys):

@@ -9,7 +9,6 @@ from finnet.cycles import (
     CycleHit,
     InsufficientLengthError,
     build_lifted,
-    classify_limit,
     classify_trajectory,
     detect_cycle,
     verify_no_period2,
@@ -105,7 +104,7 @@ def test_no_period2_random_sweep():
 
 def test_classify_cycle():
     model = ring_model()
-    res = classify_limit(model, fixtures.RING4_ORBIT[0])
+    res = classify_trajectory(simulate(model, fixtures.RING4_ORBIT[0], 10000))
     assert res.kind == "cycle" and res.period == 8
     assert res.orbit.shape == (8, 4)
     # one more step maps the last orbit row back onto the first
@@ -114,7 +113,7 @@ def test_classify_cycle():
 
 def test_classify_equilibrium():
     model = ring_model()
-    res = classify_limit(model, -np.ones(4))
+    res = classify_trajectory(simulate(model, -np.ones(4), 10000))
     assert res.kind == "equilibrium" and res.period == 1
     np.testing.assert_allclose(res.point, -5.0 * np.ones(4), atol=1e-6)
     assert res.transient > 0
@@ -122,7 +121,7 @@ def test_classify_equilibrium():
 
 def test_classify_critical_screens_first():
     model = ring_model()
-    res = classify_limit(model, np.zeros(4))
+    res = classify_trajectory(simulate(model, np.zeros(4), 10000))
     assert res.kind == "critical"
     assert res.first_critical == (0, 0)
     assert res.period is None
@@ -130,7 +129,7 @@ def test_classify_critical_screens_first():
 
 def test_classify_undetermined_when_hmax_too_small():
     model = ring_model()
-    res = classify_limit(model, fixtures.RING4_ORBIT[0], h_max=4)
+    res = classify_trajectory(simulate(model, fixtures.RING4_ORBIT[0], 10000), h_max=4)
     assert res.kind == "undetermined"
 
 

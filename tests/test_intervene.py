@@ -21,8 +21,8 @@ from finnet.intervene import (
 )
 from finnet.invariance import Polyhedron, maximal_invariant_region
 from finnet.netmodel import FinancialNetwork, ShiftedModel
-from finnet.numerics import (PROJECTION_TOL, InfeasibleError, IterationLimitError, LinearProgram,
-                             UnboundedError, lp_solve, project_polyhedron)
+from finnet.numerics import (PROJECTION_TOL, STRICT_MARGIN, InfeasibleError, IterationLimitError,
+                             LinearProgram, UnboundedError, lp_solve, project_polyhedron)
 from reallocation_reference import build_reallocation_program, reference_reallocate
 
 
@@ -447,7 +447,7 @@ def slsqp_minimum(prob, D, minimize):
     """
     net, v = prob.network, prob.v
     n, m = net.D.shape
-    G, lower = np.linalg.inv(np.eye(n) - net.C), net.threshold + prob.epsilon
+    G, lower = np.linalg.inv(np.eye(n) - net.C), net.threshold + STRICT_MARGIN
     unit = lambda z: z / np.linalg.norm(z) if np.linalg.norm(z) > 0 else np.zeros_like(z)
     res = minimize(
         lambda x: np.linalg.norm(x[:n] - v) + np.linalg.norm(x[n:]),
@@ -542,7 +542,7 @@ def test_reallocation_on_a_nearly_singular_network(c):
     # By symmetry the optimum is y = (1 + eps)(1 - c) 1 with s = y: 2 sqrt(2) y_1.
     prob = two_node_problem(c, c, [1.0, 1.0], [1.0, 1.0], [0.0, 0.0])
     D, sol = asset_reallocation(prob)
-    exact = 2.0 * np.sqrt(2.0) * (1.0 + prob.epsilon) * (1.0 - c)
+    exact = 2.0 * np.sqrt(2.0) * (1.0 + STRICT_MARGIN) * (1.0 - c)
     assert abs(sol.objective - exact) <= sol.optimality_gap
     assert sol.optimality_gap <= intervene.REALLOCATION_TOL * 2.0 + PROJECTION_TOL * prob.G.max()
     assert sol.iterations <= 3

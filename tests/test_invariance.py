@@ -106,7 +106,7 @@ def test_equilibrium_record_of_another_orthant_is_rejected(monkeypatch):
     eq7 = candidate_equilibrium(model, 7)
     assert eq7.consistent
     # the record is refused before any matrix power is taken
-    monkeypatch.setattr(invariance, "_orthant_rows", None)
+    monkeypatch.setattr(invariance, "_powers", None)
     with pytest.raises(ValueError, match="record of orthant 7 given for orthant 0"):
         finite_determination_index(model, 0, eq7)
 

@@ -11,6 +11,7 @@ from finnet import fixtures, numerics
 from finnet.intervene import ReallocationProblem
 from finnet.numerics import (
     OPT_TOL,
+    STRICT_MARGIN,
     InfeasibleError,
     IterationLimitError,
     LinearProgram,
@@ -583,7 +584,7 @@ def test_projection_does_not_stall_on_the_reallocation_set():
     prob = ReallocationProblem(network=net, v=np.full(10, 0.8))
     objective = reallocation_pieces(prob)[0]
     s0 = build_reallocation_program(prob)[1][0]
-    A, b = reallocation_set(net, prob.epsilon)
+    A, b = reallocation_set(net, STRICT_MARGIN)
     y = s0 - objective(s0)[1]
     z, lam = project_polyhedron(A, b, y)
     assert kkt_violation(A, b, y, z, lam) <= 1e-12 * scale_of(A, b, y)
@@ -596,7 +597,7 @@ def test_reallocation_projection_uses_the_reallocation_set():
     for net in (fixtures.complete10(), fixtures.random_gap_network(rng, 7), fixtures.two_bank()):
         prob = ReallocationProblem(network=net, v=rng.uniform(-1.0, 1.0, net.n))
         _, project, _, A, b = reallocation_pieces(prob)
-        A_ref, b_ref = reallocation_set(net, prob.epsilon)
+        A_ref, b_ref = reallocation_set(net, STRICT_MARGIN)
         np.testing.assert_allclose(A, A_ref, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(b, b_ref, rtol=1e-12, atol=0.0)
         for z in (net.D.reshape(-1), rng.normal(scale=0.5, size=net.D.size)):

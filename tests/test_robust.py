@@ -177,6 +177,12 @@ def test_sandwiches_share_one_robust_region(monkeypatch):
     assert robust_invariant_set(inet) is inet.lower_region
 
 
+@pytest.mark.parametrize("T", [-1, -3])
+def test_sandwich_rejects_negative_horizon(T):
+    with pytest.raises(ValueError, match="^horizon must be nonnegative$"):
+        sandwich_bounds(two_bank_interval(), np.array([1.0, 1.0]), T=T)
+
+
 def test_sandwich_rejects_outside_start():
     inet = two_bank_interval()
     with pytest.raises(ValueError):
