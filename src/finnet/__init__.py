@@ -9,12 +9,11 @@ minimal cash injections and asset reallocations.
 
 from .netmodel import (
     FinancialNetwork,
-    OrthantIndex,
     ShiftedModel,
     Trajectory,
-    ValidationReport,
     indicator,
     orthant_of,
+    orthant_phi,
     positivity_holds,
     simulate,
     validate,

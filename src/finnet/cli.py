@@ -118,9 +118,9 @@ def _floats(doc: dict, name: str, where: str = "scenario", n: int | None = None)
 def _network_from(doc: dict) -> FinancialNetwork:
     net = FinancialNetwork(**{name: _floats(_field(doc, "network"), name, "network")
                               for name in ("C", "D", "p", "beta", "threshold")})
-    report = validate(net)
-    if not report.ok:
-        raise ScenarioError("network validation failed: " + "; ".join(report.violations))
+    violations = validate(net)
+    if violations:
+        raise ScenarioError("network validation failed: " + "; ".join(violations))
     return net
 
 

@@ -80,7 +80,7 @@ class CycleHit:
 
 
 def _detect(states: np.ndarray, tol: float, h_max: int) -> CycleHit | None:
-    """Core search over a (T+1, n) state array."""
+    """Core search over a (T+1, n) state array of at least 2 h_max states, as both callers pass."""
     lo = max(states.shape[0] - 2 * h_max, 0)    # no window reaches further back
     states = states[lo:]
     T = states.shape[0] - 1
@@ -88,8 +88,6 @@ def _detect(states: np.ndarray, tol: float, h_max: int) -> CycleHit | None:
     for h in range(1, h_max + 1):
         start = T - h_max - h + 1
         stop = T - h                   # inclusive; window of h_max start times
-        if start < 0:
-            return None
         win = slice(start, stop + 1)
         if np.any(codes[start + h:stop + h + 1] != codes[win]):
             continue                   # orthant pattern already rules h out

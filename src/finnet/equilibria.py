@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import OrthantIndex, ShiftedModel, orthant_codes, orthant_of
+from .netmodel import ShiftedModel, orthant_codes, orthant_of, orthant_phi
 from .numerics import SingularMatrixError, solve_linear
 
 ENUMERATION_LIMIT = 24      # 2**n candidates; refuse past this
@@ -45,7 +45,7 @@ class EquilibriumRecord:
 
     @property
     def phi(self) -> np.ndarray:
-        return OrthantIndex(self.k, self.x.shape[0]).phi
+        return orthant_phi(self.k, self.x.shape[0])
 
 
 def _require_finite(model: ShiftedModel) -> None:
@@ -57,8 +57,7 @@ def candidate_equilibrium(model: ShiftedModel, k: int) -> EquilibriumRecord:
     """Solve the affine fixed-point equation of orthant k and classify it.
     Raises ValueError on non-finite data."""
     _require_finite(model)
-    phi = OrthantIndex(k, model.n).phi
-    x = solve_linear(np.eye(model.n) - model.C, model.r - model.beta * phi)
+    x = solve_linear(np.eye(model.n) - model.C, model.r - model.beta * orthant_phi(k, model.n))
     return EquilibriumRecord(k=k, x=x, v=x + model.threshold, consistent=orthant_of(x) == k,
                              interior=bool(np.min(np.abs(x)) > INTERIOR_TOL))
 

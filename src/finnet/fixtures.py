@@ -202,42 +202,37 @@ def fixture_report(seed: int = 0) -> FixtureReport:
 
 # -- random instances for property sweeps ------------------------------------
 
-def random_network(rng: np.random.Generator, n: int, m: int | None = None,
-                   density: float = 1.0) -> FinancialNetwork:
-    """Random network satisfying all standing assumptions.
+def random_network(rng: np.random.Generator, n: int) -> FinancialNetwork:
+    """Random n-organization network with n external assets, satisfying all
+    standing assumptions.
 
-    Column sums of C are scaled into (0.2, 0.9); D, p, beta, threshold are
-    positive with unit-order magnitudes.
+    C is dense off the diagonal, with column sums scaled into (0.2, 0.9);
+    D, p, beta, threshold are positive with unit-order magnitudes.
     """
-    if m is None:
-        m = n
     C = rng.uniform(0.0, 1.0, size=(n, n))
-    if density < 1.0:
-        C *= rng.random(size=(n, n)) < density
     np.fill_diagonal(C, 0.0)
     target = rng.uniform(0.2, 0.9, size=n)
     sums = C.sum(axis=0)
     sums[sums == 0] = 1.0
     C *= target / sums
-    np.fill_diagonal(C, 0.0)
     return FinancialNetwork(
         C=C,
-        D=rng.uniform(0.1, 1.0, size=(n, m)),
-        p=rng.uniform(0.1, 2.0, size=m),
+        D=rng.uniform(0.1, 1.0, size=(n, n)),
+        p=rng.uniform(0.1, 2.0, size=n),
         beta=rng.uniform(0.2, 1.5, size=n),
         threshold=rng.uniform(0.5, 2.0, size=n),
     )
 
 
-def random_gap_network(rng: np.random.Generator, n: int,
-                       max_tries: int = 200) -> FinancialNetwork:
+def random_gap_network(rng: np.random.Generator, n: int) -> FinancialNetwork:
     """Random network whose maximal healthy-invariant region is a strict
     subset of the orthant (drift negative somewhere, equilibrium positive).
 
     Built by drawing the drift r with a few mildly negative components and
-    back-solving the asset income that produces it.
+    back-solving the asset income that produces it. Draws up to 200 times,
+    then raises RuntimeError.
     """
-    for _ in range(max_tries):
+    for _ in range(200):
         C = rng.uniform(0.05, 1.0, size=(n, n))
         np.fill_diagonal(C, 0.0)
         C *= rng.uniform(0.4, 0.9, size=n) / C.sum(axis=0)

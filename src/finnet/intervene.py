@@ -133,9 +133,10 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
     Given 1^T y, s is _column_sums'; y is then y(kappa), the projection of v - kappa 1 onto
     P, at a root of phi = kappa / |y(kappa) - v| - h'(1^T y(kappa)). As g + n = -phi 1 for a
     subgradient g of the objective and n in P's normal cone, y(kappa) is within |phi| sum p
-    of optimal, plus the projection's own tolerance, which grows with G: the gap reports it,
-    but the stop does not wait on it. Secant steps stop once |phi| sum p is below
-    REALLOCATION_TOL * scale or no float lies nearer the root. A projection that stalls from
+    of optimal, plus the projection's own tolerance e, which grows with G; the gap reports
+    both. Secant steps stop once |phi| sum p + min(e, bound / 2) is at most bound =
+    REALLOCATION_TOL * scale, so the gap stays within bound unless e alone passes half of
+    it, or once no float lies nearer the root. A projection that stalls from
     the last multipliers is repeated from zero ones. For v in P, y = v is optimal iff
     phi(0+) >= 0, phi being constant up to the ray's first breakpoint, which v's margins
     bound. Raises InfeasibleError for an empty P, IterationLimitError after
@@ -145,6 +146,7 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
     A = np.vstack([prob.G, -np.ones(net.n)])
     b = np.append(net.threshold + STRICT_MARGIN, -p.sum())
     scale = max(1.0, float(np.abs(v).max(initial=0.0)), float(np.abs(b).max()))
+    bound = REALLOCATION_TOL * scale
     lam, calls = None, 0
 
     def projection_error(kappa: float) -> float:
@@ -189,9 +191,9 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
         lo, hi = (kappa, hi) if phi < 0 else (lo, kappa)
         step = phi - phi_last                   # 0 where phi is flat below v's first breakpoint
         secant = kappa - phi * (kappa - last) / step if step != 0 and np.isfinite(step) else np.nan
-        gap = abs(phi) * p.sum()
-        if gap <= REALLOCATION_TOL * scale or secant == kappa or np.nextafter(lo, hi) == hi:
-            return _lift(prob, y, calls, gap + projection_error(kappa))    # or at float resolution
+        gap, error = abs(phi) * p.sum(), projection_error(kappa)
+        if gap + min(error, bound / 2) <= bound or secant == kappa or np.nextafter(lo, hi) == hi:
+            return _lift(prob, y, calls, gap + error)       # or at float resolution
         if np.isinf(hi):                        # no bracket yet: grow kappa
             secant = min(secant, 64.0 * kappa) if secant > 2.0 * kappa else 2.0 * kappa
         elif not (lo < secant < hi and abs(phi) <= 0.5 * abs(phi_last)):   # it left or stalled:

@@ -26,7 +26,7 @@ from itertools import islice
 import numpy as np
 
 from .equilibria import EquilibriumRecord, candidate_equilibrium
-from .netmodel import OrthantIndex, ShiftedModel, orthant_of
+from .netmodel import ShiftedModel, orthant_of, orthant_phi
 from .numerics import (LinearProgram, OPT_TOL, UnboundedError, _anchored, _FeasibleBasis,
                        _phase1, _vertex, lp_solve)
 
@@ -123,7 +123,7 @@ def intermediate_not_invariant(model: ShiftedModel, k: int,
     offdiag = model.C[~np.eye(n, dtype=bool)]
     if np.all(offdiag > 0):
         return IntermediateVerdict(k=k, status="not_invariant", reason="theorem")
-    signs = 1.0 - 2.0 * OrthantIndex(k, n).phi
+    signs = 1.0 - 2.0 * orthant_phi(k, n)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         x = signs * rng.uniform(0.0, 10.0, size=n)
@@ -143,7 +143,7 @@ def _powers(C: np.ndarray):
 
 def _orthant_rows(model: ShiftedModel, eq: EquilibriumRecord):
     """Generator of (J C^t, J (C^t - I) x_k) for t = 0, 1, 2, ..., J the sign matrix of eq.k."""
-    J, eye = OrthantIndex(eq.k, model.n).J, np.eye(model.n)
+    J, eye = np.diag(1.0 - 2.0 * orthant_phi(eq.k, model.n)), np.eye(model.n)
     return ((J @ P, J @ ((P - eye) @ eq.x)) for P in _powers(model.C))
 
 
@@ -212,22 +212,22 @@ def _region_from(model: ShiftedModel, eq: EquilibriumRecord) -> Polyhedron:
 # truncation index and for comparing regions.
 # ---------------------------------------------------------------------------
 
-def _implied(start: _FeasibleBasis, a: np.ndarray, rhs: float, tol: float) -> bool:
+def _implied(start: _FeasibleBasis, a: np.ndarray, rhs: float) -> bool:
     """row_redundant over the polyhedron whose feasible basis is start."""
     try:
-        return float(a @ _vertex(start, a)) >= rhs - tol
+        return float(a @ _vertex(start, a)) >= rhs - OPT_TOL
     except UnboundedError:
         return False
 
 
-def row_redundant(poly: Polyhedron, a, rhs: float, tol: float = OPT_TOL) -> bool:
-    """True if a.x >= rhs holds everywhere on poly; ValueError on non-finite data."""
+def row_redundant(poly: Polyhedron, a, rhs: float) -> bool:
+    """True if a.x >= rhs - OPT_TOL holds everywhere on poly; ValueError on non-finite data."""
     lp = LinearProgram(c=a, A=poly.A, b=poly.b)
-    return _implied(_phase1(lp.A, lp.b), lp.c, rhs, tol)
+    return _implied(_phase1(lp.A, lp.b), lp.c, rhs)
 
 
-def prune_redundant(poly: Polyhedron, tol: float = OPT_TOL) -> Polyhedron:
-    """Drop rows implied by the others, in one pass over the rows.
+def prune_redundant(poly: Polyhedron) -> Polyhedron:
+    """Drop rows implied by the others to OPT_TOL, in one pass over the rows.
 
     Row i is tested against every row still kept. A row kept was not implied by a superset
     of the rows finally kept, and P(S') contains P(S) when S' is a subset of S, so a second
@@ -246,22 +246,22 @@ def prune_redundant(poly: Polyhedron, tol: float = OPT_TOL) -> Polyhedron:
     keep = list(range(m))
     for idx in range(m):
         others = [i for i in keep if i != idx]
-        if others and _implied(_anchored(A[others], b[others], x0), A[idx], float(b[idx]), tol):
+        if others and _implied(_anchored(A[others], b[others], x0), A[idx], float(b[idx])):
             keep.remove(idx)
     return Polyhedron(A=poly.A[keep], b=poly.b[keep],
                       row_power=poly.row_power[keep],
                       certified=poly.certified, note=poly.note + " (pruned)")
 
 
-def polyhedra_equivalent(p: Polyhedron, q: Polyhedron, tol: float = OPT_TOL) -> bool:
-    """Set equality via mutual row redundancy (one phase 1 per side)."""
+def polyhedra_equivalent(p: Polyhedron, q: Polyhedron) -> bool:
+    """Set equality via mutual row redundancy to OPT_TOL (one phase 1 per side)."""
     if not all(np.isfinite(v).all() for poly in (p, q) for v in (poly.A, poly.b)):
         raise ValueError("polyhedron data has non-finite entries")
     for src, dst in ((p, q), (q, p)):
         if dst.n_rows == 0:
             continue
         start = _phase1(src.A, src.b)
-        if not all(_implied(start, dst.A[i], float(dst.b[i]), tol) for i in range(dst.n_rows)):
+        if not all(_implied(start, dst.A[i], float(dst.b[i])) for i in range(dst.n_rows)):
             return False
     return True
 
@@ -279,7 +279,7 @@ def stable_region(model: ShiftedModel, eq: EquilibriumRecord,
     A, b = next(rows)
     for tau, (A_new, b_new) in zip(range(1, tau_cap + 1), rows):
         start = _anchored(A, b, eq.x)
-        if all(_implied(start, A_new[i], float(b_new[i]), OPT_TOL) for i in range(model.n)):
+        if all(_implied(start, A_new[i], float(b_new[i])) for i in range(model.n)):
             return Polyhedron(A=A, b=b, row_power=np.repeat(np.arange(tau), model.n),
                               certified=True,
                               note=f"orthant {eq.k} stabilized at tau={tau - 1}"), tau - 1

@@ -11,12 +11,14 @@ The shifted coordinates x = V - underbar_v turn this into
 
     x(t+1) = C x(t) + r - B phi(x(t)),     r = (C - I) underbar_v + D p,
 
-which is the form every analysis module works in.
+which is the form every analysis module works in. Orthant k is named by
+its failure pattern phi = orthant_phi(k, n), the binary expansion of k;
+its sign matrix J = diag(1 - 2 phi) makes it {x : J x >= 0}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,40 +54,30 @@ class FinancialNetwork:
         return (self.C - np.eye(self.n)) @ self.threshold + self.D @ self.p
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(net: FinancialNetwork) -> ValidationReport:
-    """Check the standing assumptions on the network data.
+def validate(net: FinancialNetwork) -> list[str]:
+    """Check the standing assumptions on the network data; returns the violations.
 
     Violations are conditions the analysis relies on. A singular C is not
     one: no computation inverts C.
     """
-    rep = ValidationReport()
-    bad = rep.violations.append
+    violations: list[str] = []
+    bad = violations.append
     C, D, p, beta, thr = net.C, net.D, net.p, net.beta, net.threshold
-
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         bad(f"C must be square, got {C.shape}")
-        return rep
+        return violations
     n = C.shape[0]
     if D.ndim != 2 or D.shape[0] != n:
         bad(f"D must have {n} rows, got {D.shape}")
-        return rep
+        return violations
     m = D.shape[1]
     if p.shape != (m,):
         bad(f"p must have shape ({m},), got {p.shape}")
-        return rep
+        return violations
     for name, v in (("beta", beta), ("threshold", thr)):
         if v.shape != (n,):
             bad(f"{name} must have shape ({n},), got {v.shape}")
-            return rep
+            return violations
     for name, v in (("C", C), ("D", D), ("p", p), ("beta", beta), ("threshold", thr)):
         if not np.all(np.isfinite(v)):
             bad(f"{name} contains non-finite entries")
@@ -105,7 +97,7 @@ def validate(net: FinancialNetwork) -> ValidationReport:
         bad("p has no positive entry")
     if np.any(beta <= 0):
         bad("beta must be strictly positive")
-    return rep
+    return violations
 
 
 def positivity_holds(net: FinancialNetwork) -> bool:
@@ -124,30 +116,16 @@ def indicator(x) -> np.ndarray:
     return (x < 0).astype(float)
 
 
-@dataclass(frozen=True)
-class OrthantIndex:
-    """Orthant k of R^n, encoded by the binary expansion of k.
+def orthant_phi(k: int, n: int) -> np.ndarray:
+    """Failure pattern phi of orthant k of R^n, the binary expansion of k.
 
     The first component carries the most significant bit, so for n=2 the
-    point (1, -1) lies in orthant k=1 with phi = (0, 1).
+    point (1, -1) lies in orthant k=1 with phi = (0, 1). Orthant k is
+    {x : J x >= 0} for the sign matrix J = diag(1 - 2 phi).
     """
-
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.k < 2 ** self.n:
-            raise ValueError(f"orthant index {self.k} out of range for n={self.n}")
-
-    @property
-    def phi(self) -> np.ndarray:
-        bits = [(self.k >> (self.n - 1 - i)) & 1 for i in range(self.n)]
-        return np.array(bits, dtype=float)
-
-    @property
-    def J(self) -> np.ndarray:
-        """Sign matrix diag(1 - 2 phi); J x >= 0 characterizes the orthant."""
-        return np.diag(1.0 - 2.0 * self.phi)
+    if not 0 <= k < 2 ** n:
+        raise ValueError(f"orthant index {k} out of range for n={n}")
+    return np.array([(k >> (n - 1 - i)) & 1 for i in range(n)], dtype=float)
 
 
 def orthant_of(x) -> int:
@@ -205,8 +183,7 @@ class ShiftedModel:
 
     def affine_piece(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(C, r - B phi_k): the affine map active on orthant k."""
-        phi = OrthantIndex(k, self.n).phi
-        return self.C, self.r - self.beta * phi
+        return self.C, self.r - self.beta * orthant_phi(k, self.n)
 
 
 @dataclass
@@ -224,12 +201,6 @@ class Trajectory:
     @property
     def T(self) -> int:
         return self.states.shape[0] - 1
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    def __getitem__(self, t):
-        return self.states[t]
 
     def orthant_sequence(self) -> np.ndarray:
         return orthant_codes(self.states)

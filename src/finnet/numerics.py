@@ -14,7 +14,8 @@ phase 2 from the last optimum, whose answer is kept only at a strictly complemen
 (unique) basis, so z never depends on call order. LPs that share one polyhedron
 across many objectives (the invariance checks) keep the primal form: _vertex starts
 from _phase1's basis or, with no phase 1, from _anchored's slack basis at a point
-known to lie on the polyhedron. One phase-1 routine, _feasible, serves both forms.
+known to lie on the polyhedron. One phase-1 routine, _feasible, serves both forms; it
+pivots on rows divided by their largest entry and judges emptiness relative to b.
 """
 
 from __future__ import annotations
@@ -165,19 +166,23 @@ class _FeasibleBasis:
 def _feasible(A_std: np.ndarray, b_std: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Phase 1 for {w >= 0, A_std w = b_std}: a feasible tableau [B^-1 A_std | B^-1 b] and basis B.
 
-    Rows with b_std < 0 are negated and get an artificial each; artificials left basic
-    at zero are pivoted out where possible, and rows where they cannot be (dependent
-    rows) are dropped. Raises InfeasibleError when the set is empty.
+    Each row of [A_std | b_std] is divided by its largest absolute entry, as the simplex's
+    tolerances are absolute, and negated where b_std < 0; each row gets an artificial. The
+    set counts as empty when the least sum of artificials is above 1e-7 times the largest
+    scaled b (InfeasibleError). Artificials left basic at zero are pivoted out where
+    possible, and rows where they cannot be (dependent rows) are dropped.
     """
     m, nw = A_std.shape
-    sign = np.where(b_std < 0, -1.0, 1.0)[:, None]
-    T = np.hstack([sign * A_std, np.eye(m), sign * b_std[:, None]])
+    Ab = np.column_stack([A_std, b_std])
+    row = np.abs(Ab).max(axis=1, initial=0.0)
+    Ab /= (np.where(b_std < 0, -1.0, 1.0) * np.where(row > 0, row, 1.0))[:, None]
+    T = np.hstack([Ab[:, :nw], np.eye(m), Ab[:, nw:]])
     basis = list(range(nw, nw + m))
     cost1 = np.zeros(nw + m + 1)
     cost1[nw:nw + m] = 1.0
     status = _simplex(T, basis, cost1)
     phase1 = cost1[basis] @ T[:, -1]
-    if status != "optimal" or phase1 > 1e-7:
+    if status != "optimal" or phase1 > 1e-7 * Ab[:, -1].max(initial=0.0):
         raise InfeasibleError(f"phase-1 infeasibility measure {phase1:.3e}")
     keep = []
     for i in range(m):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -133,14 +133,6 @@ def last_hope_membership(inet: IntervalNetwork, x0) -> bool:
 # -- holding-sequence samplers ----------------------------------------------
 # A sampler maps the step index t to the matrix C(t) used at that step.
 
-def constant_lower(inet: IntervalNetwork) -> Callable[[int], np.ndarray]:
-    return lambda t: inet.c_lower
-
-
-def constant_upper(inet: IntervalNetwork) -> Callable[[int], np.ndarray]:
-    return lambda t: inet.c_upper
-
-
 def uniform_sampler(inet: IntervalNetwork, seed: int = 0) -> Callable[[int], np.ndarray]:
     """Independent uniform draw per entry per step; zero-width entries stay put.
     Drawn in blocks of about 4096 entries: the stream of one rng.uniform per call.
@@ -150,12 +142,6 @@ def uniform_sampler(inet: IntervalNetwork, seed: int = 0) -> Callable[[int], np.
     size = (max(1, 4096 // lo.size),) + lo.shape
     stream = chain.from_iterable(rng.uniform(lo, hi, size=size) for _ in count())
     return lambda t: next(stream)
-
-
-def sequence_sampler(mats: Sequence[np.ndarray]) -> Callable[[int], np.ndarray]:
-    """Replay a user-supplied matrix sequence (cycled if too short)."""
-    mats = [np.asarray(M, dtype=float) for M in mats]
-    return lambda t: mats[t % len(mats)]
 
 
 @dataclass

@@ -3,12 +3,17 @@
 import dataclasses
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import finnet
 from finnet import cli, cycles, fixtures, intervene, invariance, numerics, robust
 from finnet.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main
 from finnet.netmodel import ShiftedModel
@@ -542,6 +547,40 @@ def test_malformed_json_exit2(tmp_path, capsys):
     assert "invalid JSON at line 1, column" in err
 
 
+@pytest.mark.parametrize("top", [[1.0], 5, "net", None], ids=["list", "number", "string", "null"])
+def test_top_level_not_an_object_exit2(tmp_path, capsys, top):
+    path = write_scenario(tmp_path, top)
+    assert main(["simulate", "--scenario", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: top level must be a JSON object\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("command, doc, where, name", [
+    ("simulate", {"x0": [0.0, 0.0]}, "scenario", "network"),
+    ("simulate", {"network": {"C": [[0.0]], "D": [[1.0]], "p": [1.0], "beta": [1.0]}},
+     "network", "threshold"),
+    ("robust", {"interval": {"c_lower": [[0.1]], "c_upper": [[0.2]]}}, "interval", "r")],
+    ids=["network", "network.threshold", "interval.r"])
+def test_missing_required_field_exit2(tmp_path, capsys, command, doc, where, name):
+    assert main([command, "--scenario", write_scenario(tmp_path, doc)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {where} is missing required field '{name}'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("interval, reason", [
+    ({"c_lower": [[0.2]], "c_upper": [[0.1]], "r": [1.0]}, "c_upper must dominate c_lower entrywise"),
+    ({"c_lower": [[-0.1]], "c_upper": [[0.1]], "r": [1.0]}, "c_lower has negative entries"),
+    ({"c_lower": [[0.1]], "c_upper": [[1.0]], "r": [1.0]}, "c_upper column sums must be < 1"),
+    ({"c_lower": [[0.1]], "c_upper": [[0.2]], "r": [1.0, 1.0]}, "r has wrong shape")],
+    ids=["undominated", "negative", "colsum", "r-shape"])
+def test_rejected_interval_bounds_exit2(tmp_path, capsys, interval, reason):
+    doc = {"interval": interval}
+    assert main(["robust", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == f"error: interval bounds rejected: {reason}\n" and captured.out == ""
+
+
 def test_missing_scenario_exit2(capsys):
     assert main(["simulate"]) == EXIT_INVALID
     assert "needs --scenario" in capsys.readouterr().err
@@ -706,6 +745,16 @@ def test_fixtures_command(tmp_path, capsys):
     assert "[ok ] two_bank.healthy_invariant" in err
     assert "FAIL" not in err
     assert "note:" in err                     # under-pinned sample documented
+
+
+def test_module_entry_point_runs_fixtures(tmp_path):
+    # the finnet these tests import, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(finnet.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "finnet", "fixtures"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert re.findall(r"^\[ok \] (\S+)", proc.stderr, re.M) == FIXTURE_CHECKS
+    assert json.loads(proc.stdout)["results"]["ok"] is True
 
 
 def test_unknown_command_rejected():

@@ -483,6 +483,18 @@ def test_reallocation_lower_bound_is_valid(prob):
     assert early.objective - best <= early.optimality_gap <= 1e-3 * scale
 
 
+def test_reallocation_gap_includes_the_projection_tolerance():
+    # drawn by the property above: the solve stopped once |phi| sum p was within
+    # REALLOCATION_TOL x scale, but reported that plus the projection's tolerance
+    v = np.array([1.14275476, 0.66223285, 0.68861841, 1.25885027, -0.15065452, -0.15696476,
+                  0.16632428, 0.70052585, 0.56388138, 0.24317328])
+    prob = ReallocationProblem(network=fixtures.complete10(), v=v)
+    D, sol = asset_reallocation(prob)
+    assert 0.0 <= sol.optimality_gap <= intervene.REALLOCATION_TOL * scale_of(prob)
+    assert sol.objective <= reference_reallocate(prob).objective + 1e-9
+    assert reallocation_feasible(prob, D)[0]
+
+
 def test_target_inside_the_set_is_kept():
     # v = D p lies inside P, and at prices x1e3 the holdings norm is too cheap
     # to trade for income: y = v and the objective is h(1^T v) = 1^T v / |p|

@@ -22,7 +22,7 @@ from finnet.invariance import (
     row_redundant,
     stable_region,
 )
-from finnet.netmodel import FinancialNetwork, OrthantIndex, ShiftedModel, indicator, simulate
+from finnet.netmodel import FinancialNetwork, ShiftedModel, indicator, orthant_phi, simulate
 from finnet.numerics import (OPT_TOL, InfeasibleError, LinearProgram, UnboundedError, _phase1,
                              lp_solve)
 
@@ -258,7 +258,7 @@ def test_redundancy_pruning_keeps_geometry():
     assert polyhedra_equivalent(poly, pruned)
 
 
-def two_pass_prune(poly, tol=OPT_TOL):
+def two_pass_prune(poly):
     """The while-changed loop that prune_redundant replaced; kept row indices."""
     keep = list(range(poly.n_rows))
     changed = True
@@ -270,7 +270,7 @@ def two_pass_prune(poly, tol=OPT_TOL):
                 continue
             sub = Polyhedron(A=poly.A[others], b=poly.b[others],
                              row_power=poly.row_power[others])
-            if row_redundant(sub, poly.A[idx], float(poly.b[idx]), tol):
+            if row_redundant(sub, poly.A[idx], float(poly.b[idx])):
                 keep.remove(idx)
                 changed = True
     return keep
@@ -300,14 +300,14 @@ def test_prune_one_pass_matches_two_pass_reference():
     assert dropped_total > 0
 
 
-def phase1_prune(poly, tol=OPT_TOL):
+def phase1_prune(poly):
     """The one-pass loop with a phase 1 per row that prune_redundant replaced; kept row indices."""
     keep = list(range(poly.n_rows))
     for idx in range(poly.n_rows):
         others = [i for i in keep if i != idx]
         if others and row_redundant(Polyhedron(A=poly.A[others], b=poly.b[others],
                                                row_power=poly.row_power[others]),
-                                    poly.A[idx], float(poly.b[idx]), tol):
+                                    poly.A[idx], float(poly.b[idx])):
             keep.remove(idx)
     return keep
 
@@ -364,6 +364,21 @@ def test_anchored_prune_keeps_the_phase1_rows(poly):
             assert highs_implied(poly, kept, poly.A[j], poly.b[j], 1e-7 * scale)
 
 
+def test_phase1_prune_on_rows_scaled_by_1e3_and_1e_3():
+    # drawn by the property above; phase 1 on these rows, unscaled, called its own
+    # problem unbounded and raised InfeasibleError on a polyhedron that is not empty
+    small = np.array([[0, -1, -2, 2], [1, 1, -2, 0], [-1, 1, 1, 0], [0, 1, -2, 1], [1, 0, 0, 2],
+                      [0, 1, -2, 1]]) * 1e-3
+    A = np.vstack([small, np.array([[0, 1, -2, 1], [0, 1, -2, 1]]) * 1e3])
+    b = np.concatenate([np.array([4, 2, -1, 2, 2, 2]) * 1e-3, [2e3, 2e3]])
+    poly = Polyhedron(A=A, b=b, row_power=np.arange(8))
+    keep = phase1_prune(poly)
+    for i in range(poly.n_rows):
+        others = [j for j in keep if j < i] + list(range(i + 1, poly.n_rows))
+        assert highs_implied(poly, others, A[i], b[i], OPT_TOL) == (i not in keep)
+    assert prune_redundant(poly).row_power.tolist() == keep
+
+
 def test_prune_raises_on_an_empty_polyhedron():
     # each row's LP over the other one is unbounded, so both rows used to be kept
     poly = Polyhedron(A=np.array([[1.0], [-1.0]]), b=np.array([1.0, 0.0]), row_power=[0, 0])
@@ -403,13 +418,13 @@ def test_polyhedra_equivalent_rejects_non_finite(part, bad_side):
 def phase1_stable_region(model, eq, tau_cap=64):
     """stable_region with a phase 1 per horizon, as before the anchored start."""
     n = model.n
-    J = OrthantIndex(eq.k, n).J
+    J = np.diag(1.0 - 2.0 * orthant_phi(eq.k, n))
     poly = region_of_attraction(model, eq, 0)
     P = model.C.copy()
     for tau in range(1, tau_cap + 1):
         A_new, b_new = J @ P, J @ ((P - np.eye(n)) @ eq.x)
         start = _phase1(poly.A, poly.b)
-        if all(_implied(start, A_new[i], float(b_new[i]), OPT_TOL) for i in range(n)):
+        if all(_implied(start, A_new[i], float(b_new[i])) for i in range(n)):
             return poly, tau - 1
         poly = Polyhedron(A=np.vstack([poly.A, A_new]), b=np.concatenate([poly.b, b_new]),
                           row_power=np.concatenate([poly.row_power, [tau] * n]))

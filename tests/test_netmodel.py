@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from finnet import fixtures
 from finnet.netmodel import (
     FinancialNetwork,
-    OrthantIndex,
     ShiftedModel,
     indicator,
     orthant_codes,
     orthant_of,
+    orthant_phi,
     positivity_holds,
     simulate,
     validate,
@@ -20,9 +20,7 @@ from finnet.netmodel import (
 
 def test_two_bank_assembles_and_validates():
     net = fixtures.two_bank()
-    report = validate(net)
-    assert report.ok
-    assert report.violations == []
+    assert validate(net) == []
     np.testing.assert_allclose(net.r, [0.5, 0.5])
 
 
@@ -30,17 +28,37 @@ def test_validation_catches_shape_and_sign_errors():
     net = fixtures.two_bank()
     bad = FinancialNetwork(C=np.array([[0.0, 1.2], [0.5, 0.0]]), D=net.D,
                            p=net.p, beta=net.beta, threshold=net.threshold)
-    report = validate(bad)
-    assert not report.ok
-    assert any("column" in v for v in report.violations)
+    violations = validate(bad)
+    assert violations
+    assert any("column" in v for v in violations)
 
     bad2 = FinancialNetwork(C=-net.C, D=net.D, p=net.p, beta=net.beta,
                             threshold=net.threshold)
-    assert any("negative" in v for v in validate(bad2).violations)
+    assert any("negative" in v for v in validate(bad2))
 
     bad3 = FinancialNetwork(C=net.C, D=net.D, p=np.array([4.0, -1.0]),
                             beta=net.beta, threshold=net.threshold)
-    assert not validate(bad3).ok
+    assert validate(bad3)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("C", np.zeros((2, 3)), "C must be square, got (2, 3)"),
+    ("D", np.ones((3, 2)), "D must have 2 rows, got (3, 2)"),
+    ("p", np.ones(3), "p must have shape (2,), got (3,)"),
+    ("beta", np.ones(3), "beta must have shape (2,), got (3,)"),
+    ("threshold", np.ones((2, 1)), "threshold must have shape (2,), got (2, 1)"),
+    ("threshold", np.array([5.0, np.nan]), "threshold contains non-finite entries"),
+    ("D", np.array([[0.5, np.inf], [0.25, 0.5]]), "D contains non-finite entries"),
+    ("C", np.array([[0.1, 0.5], [0.5, 0.0]]), "C has nonzero diagonal entries"),
+    ("D", np.array([[0.5, -0.25], [0.25, 0.5]]), "D has negative entries"),
+    ("p", np.zeros(2), "p has no positive entry"),
+    ("beta", np.array([1.0, 0.0]), "beta must be strictly positive")],
+    ids=["C-square", "D-rows", "p-shape", "beta-shape", "threshold-shape", "threshold-nan",
+         "D-inf", "diagonal", "D-negative", "p-zero", "beta-zero"])
+def test_validation_names_each_violation(field, value, message):
+    net = fixtures.two_bank()
+    parts = {name: getattr(net, name) for name in ("C", "D", "p", "beta", "threshold")}
+    assert validate(FinancialNetwork(**{**parts, field: value})) == [message]
 
 
 def test_singular_c_is_reported_as_warning_only():
@@ -48,8 +66,7 @@ def test_singular_c_is_reported_as_warning_only():
     C = np.array([[0.0, 0.0], [0.0, 0.0]])      # singular but column sums fine
     net = FinancialNetwork(C=C, D=0.5 * np.eye(n), p=np.ones(n),
                            beta=np.ones(n), threshold=np.ones(n))
-    report = validate(net)
-    assert report.ok
+    assert validate(net) == []
 
 
 def test_positivity_condition():
@@ -88,16 +105,16 @@ def test_orthant_index_msb_first():
     assert orthant_of(np.array([-1.0, 1.0])) == 2
     assert orthant_of(np.array([1.0, 1.0])) == 0
     assert orthant_of(np.array([-1.0, -1.0])) == 3
-    oi = OrthantIndex(k=5, n=4)
-    np.testing.assert_array_equal(oi.phi, [0, 1, 0, 1])
-    np.testing.assert_array_equal(np.diag(oi.J), [1, -1, 1, -1])
+    np.testing.assert_array_equal(orthant_phi(5, 4), [0, 1, 0, 1])
+    np.testing.assert_array_equal(orthant_phi(0, 3), [0, 0, 0])
+    np.testing.assert_array_equal(orthant_phi(7, 3), [1, 1, 1])
 
 
 def test_orthant_index_rejects_out_of_range():
     with pytest.raises(ValueError):
-        OrthantIndex(k=16, n=4)
+        orthant_phi(16, 4)
     with pytest.raises(ValueError):
-        OrthantIndex(k=-1, n=2)
+        orthant_phi(-1, 2)
 
 
 def test_shifted_model_matches_network_dynamics():
@@ -128,11 +145,11 @@ def test_simulate_replay_and_orthants():
     model = ShiftedModel.from_network(net)
     traj = simulate(model, np.array([1.0, -1.0]), 20)
     assert traj.T == 20
-    assert len(traj) == 21
+    assert traj.states.shape == (21, 2)
     x = np.array([1.0, -1.0])
     for t in range(20):
         x = model.step(x)
-        np.testing.assert_allclose(traj[t + 1], x, atol=1e-12)
+        np.testing.assert_allclose(traj.states[t + 1], x, atol=1e-12)
     ks = traj.orthant_sequence()
     assert ks[0] == 1
     assert len(ks) == 21

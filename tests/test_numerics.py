@@ -124,6 +124,17 @@ def test_lp_unbounded_and_infeasible():
                                A=np.array([[1.0], [-1.0]]), b=np.array([1.0, 0.0])))
 
 
+@pytest.mark.parametrize("width", [1.0, 1e-8, 1e-12])
+def test_phase1_tells_small_sets_from_empty_ones(width):
+    # the acceptance is relative to the right-hand side: 1e-8 <= z <= 0 is empty at any
+    # scale, and 0 <= z <= width holds z = width / 2 however small width is
+    A = np.array([[1.0], [-1.0]])
+    with pytest.raises(InfeasibleError):
+        _phase1(A, np.array([width, 0.0]))
+    z = _vertex(_phase1(A, np.array([0.0, -width])), np.array([-1.0]))
+    assert z[0] == width
+
+
 def test_lp_with_no_rows():
     sol = lp_solve(LinearProgram(c=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0)))
     assert sol.objective == 0.0 and sol.dual.shape == (0,)

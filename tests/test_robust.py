@@ -10,15 +10,12 @@ from finnet.netmodel import ShiftedModel
 from finnet.robust import (
     IntervalNetwork,
     NoPositiveEquilibriumError,
-    constant_lower,
-    constant_upper,
     extremal_fixed_points,
     last_hope_membership,
     last_hope_region,
     robust_invariant_set,
     robust_report,
     sandwich_bounds,
-    sequence_sampler,
     uniform_sampler,
 )
 
@@ -119,18 +116,10 @@ def test_constant_samplers_converge_to_their_fixed_points():
     inet = two_bank_interval()
     xl, xu = extremal_fixed_points(inet)
     x0 = np.array([1.0, 1.0])
-    low = sandwich_bounds(inet, x0, T=300, sampler=constant_lower(inet))
-    high = sandwich_bounds(inet, x0, T=300, sampler=constant_upper(inet))
+    low = sandwich_bounds(inet, x0, T=300, sampler=lambda t: inet.c_lower)
+    high = sandwich_bounds(inet, x0, T=300, sampler=lambda t: inet.c_upper)
     np.testing.assert_allclose(low.sampled[-1], xl, atol=1e-10)
     np.testing.assert_allclose(high.sampled[-1], xu, atol=1e-10)
-
-
-def test_sequence_sampler_cycles_matrices():
-    inet = two_bank_interval()
-    sampler = sequence_sampler([inet.c_lower, inet.c_upper])
-    np.testing.assert_array_equal(sampler(0), inet.c_lower)
-    np.testing.assert_array_equal(sampler(1), inet.c_upper)
-    np.testing.assert_array_equal(sampler(2), inet.c_lower)
 
 
 def ten_bank_interval(seed=0):
