@@ -14,8 +14,8 @@ plot-ready data.
 Exit codes: 0 on success, 1 when a report's `ok` is false (a pinned
 fixture value is off), 2 when the scenario or a flag fails to parse or
 validate (a malformed or non-finite number, or a horizon too long to
-allocate or too short for the cycle search), 3 when a solver gives up
-(or returns a non-finite number).
+allocate or too short for the cycle search) or a file cannot be read or
+written, 3 when a solver gives up (or returns a non-finite number).
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ def _load_scenario(path: str | None) -> dict | None:
         raise ScenarioError(f"scenario file not found: {path}")
     try:
         doc = json.loads(p.read_text(), parse_constant=_reject_constant)
+    except (OSError, UnicodeDecodeError) as e:
+        raise ScenarioError(f"{path}: cannot read scenario file: {e}")
     except json.JSONDecodeError as e:
         raise ScenarioError(
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
@@ -421,43 +423,43 @@ def main(argv: list[str] | None = None) -> int:
         _check_flags(args)
         doc = _load_scenario(args.scenario)
         results = COMMANDS[args.command](args, doc)
+        text = encode_report({
+            "command": args.command,
+            "version": __version__,
+            "inputs": {
+                "scenario": doc,
+                "seed": args.seed,
+                "tol": args.tol,
+                "horizon": args.horizon,
+                "hmax": args.hmax,
+                "rho": args.rho,
+                "nonnegative_injection": args.nonnegative_injection,
+                "v_update": "clamped" if args.clamped_v_update else "verbatim",
+            },
+            "results": results,
+            "wall_time_s": round(time.perf_counter() - started, 6),
+        })
+        if args.out is not None:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / f"{args.command}_report.json").write_text(text + "\n")
+        else:
+            print(text)
     except (ScenarioError, MemoryError) as e:   # MemoryError: say, a horizon too long to hold
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as e:                        # --out, the CSV or the report cannot be written
+        print(f"error: cannot write output: {e}", file=sys.stderr)
         return EXIT_INVALID
     except SOLVER_ERRORS as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
-
-    report = {
-        "command": args.command,
-        "version": __version__,
-        "inputs": {
-            "scenario": doc,
-            "seed": args.seed,
-            "tol": args.tol,
-            "horizon": args.horizon,
-            "hmax": args.hmax,
-            "rho": args.rho,
-            "nonnegative_injection": args.nonnegative_injection,
-            "v_update": "clamped" if args.clamped_v_update else "verbatim",
-        },
-        "results": results,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
-    try:
-        text = encode_report(report)
     except NonFiniteError as e:
         if e.path[0] == "inputs":
             print("error: scenario contains a non-finite number", file=sys.stderr)
             return EXIT_INVALID
         print("solver failure: results contain a non-finite number", file=sys.stderr)
         return EXIT_SOLVER
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{args.command}_report.json").write_text(text + "\n")
-    else:
-        print(text)
     return EXIT_OK if getattr(results, "ok", True) else EXIT_CHECK_FAILED
 
 

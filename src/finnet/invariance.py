@@ -14,7 +14,8 @@ Every region here stacks blocks of those rows from one generator,
 monotone orthants (k = 0 and k = 2^n - 1) the intersection is finitely
 determined: once C^tau maps the threshold gap past the equilibrium,
 every later row is implied. The truncation index tau is the smallest
-power at which that happens; its search reads the powers alone.
+power at which that happens; its search reads the powers alone, up to a
+bound proved from the data, and flags an index that rounding would decide.
 """
 
 from __future__ import annotations
@@ -25,16 +26,14 @@ from itertools import islice
 
 import numpy as np
 
-from .equilibria import EquilibriumRecord, candidate_equilibrium
+from .equilibria import INTERIOR_TOL, EquilibriumRecord, candidate_equilibrium
 from .netmodel import ShiftedModel, orthant_of, orthant_phi
 from .numerics import (LinearProgram, OPT_TOL, UnboundedError, _anchored, _FeasibleBasis,
                        _phase1, _vertex, lp_solve)
 
-TAU_CAP = 10000             # finite-determination search cap
-
 
 class NotDeterminedError(RuntimeError):
-    """Raised when the truncation index is not found within TAU_CAP."""
+    """No certified truncation index (see _truncation_index) or stable_region horizon."""
 
 
 class NoPositiveEquilibriumError(ValueError):
@@ -162,49 +161,58 @@ def region_of_attraction(model: ShiftedModel, eq: EquilibriumRecord, tau: int) -
                       note=f"orthant {eq.k} truncated at tau={tau}")
 
 
-def _monotone_candidate(model: ShiftedModel, k: int,
-                        eq: EquilibriumRecord | None = None) -> EquilibriumRecord:
-    """Candidate equilibrium of orthant k = 0 or 2^n - 1 (solved unless given), inside it."""
-    if k not in (0, 2 ** model.n - 1):
-        raise ValueError("finite determination applies to k=0 or k=2^n-1 only")
-    if eq is not None and eq.k != k:
-        raise ValueError(f"equilibrium record of orthant {eq.k} given for orthant {k}")
-    eq = candidate_equilibrium(model, k) if eq is None else eq
-    if not eq.consistent:
-        raise NoPositiveEquilibriumError(f"orthant {k} has no consistent equilibrium")
-    return eq
-
-
-def finite_determination_index(model: ShiftedModel, k: int,
-                               eq: EquilibriumRecord | None = None) -> int:
+def finite_determination_index(model: ShiftedModel, k: int) -> int:
     """Smallest tau >= 1 with C^tau (-x_k) + x_k signed like orthant k.
 
     Only the healthy (k=0) and all-failed (k=2^n-1) orthants admit this
     finite test. tau = 1 recovers the two closed-form invariance tests.
-    eq is orthant k's candidate equilibrium (ValueError for another orthant's),
-    solved when not given; it must lie in orthant k (NoPositiveEquilibriumError).
+    The candidate x_k must lie in orthant k (NoPositiveEquilibriumError).
     """
-    eq = _monotone_candidate(model, k, eq)
+    return _truncation_index(model, candidate_equilibrium(model, k))
+
+
+def _truncation_index(model: ShiftedModel, eq: EquilibriumRecord) -> int:
+    """finite_determination_index of orthant eq.k from its candidate equilibrium eq.
+
+    With y = |x_k| the test reads C^t y <= y. Let rho be the largest column sum of |C|
+    (below 1 for every validated network). Then |C^t y| <= |C|^t y <= rho^t |y|_1
+    entrywise, at most min y once t >= log(min y / |y|_1) / log rho: tau is at most that
+    bound (1 when C = 0). NotDeterminedError when eq is not interior (rounding would
+    decide), when rho >= 1, or when the search reaches the bound, which only rounding can.
+    """
+    k, y = eq.k, np.abs(eq.x)
+    if k not in (0, 2 ** model.n - 1):
+        raise ValueError("finite determination applies to k=0 or k=2^n-1 only")
+    if not eq.consistent:
+        raise NoPositiveEquilibriumError(f"orthant {k} has no consistent equilibrium")
+    if not eq.interior:
+        raise NotDeterminedError(f"orthant {k} equilibrium lies on the boundary (min |x_i| = "
+                                 f"{y.min():.3e} <= {INTERIOR_TOL:g}): rounding would decide")
+    rho = float(np.abs(model.C).sum(axis=0).max())
+    if rho >= 1.0:
+        raise NotDeterminedError(f"largest column sum of |C| is {rho:.6g} >= 1: "
+                                 f"no truncation bound for orthant {k}")
+    bound = max(1, int(np.ceil(np.log(y.min() / y.sum()) / np.log(rho)))) if rho > 0 else 1
     sign = 1.0 if k == 0 else -1.0
-    for tau, P in zip(range(1, TAU_CAP + 1), islice(_powers(model.C), 1, None)):
+    for tau, P in zip(range(1, bound + 1), islice(_powers(model.C), 1, None)):
         if np.all(sign * (P @ -eq.x + eq.x) >= 0):
             return tau
-    raise NotDeterminedError(f"no truncation index up to {TAU_CAP} for orthant {k}")
+    raise NotDeterminedError(f"no truncation index up to its proved bound {bound} "
+                             f"for orthant {k}: rounding decided")
 
 
 def maximal_invariant_region(model: ShiftedModel, k: int) -> Polyhedron:
     """Largest forward-invariant subset of orthant k (k = 0 or 2^n - 1).
 
-    Raises NoPositiveEquilibriumError when orthant k's candidate equilibrium
-    lies outside orthant k, ValueError on non-finite data.
+    Raises NoPositiveEquilibriumError when orthant k's candidate lies outside orthant k,
+    NotDeterminedError as _truncation_index does, ValueError on non-finite data.
     """
-    return _region_from(model, _monotone_candidate(model, k))
+    return _region_from(model, candidate_equilibrium(model, k))
 
 
 def _region_from(model: ShiftedModel, eq: EquilibriumRecord) -> Polyhedron:
     """maximal_invariant_region of orthant eq.k from its candidate equilibrium eq."""
-    tau = finite_determination_index(model, eq.k, eq)
-    return replace(region_of_attraction(model, eq, tau), certified=True)
+    return replace(region_of_attraction(model, eq, _truncation_index(model, eq)), certified=True)
 
 
 # ---------------------------------------------------------------------------

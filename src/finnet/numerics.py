@@ -200,8 +200,13 @@ def _phase1(A: np.ndarray, b: np.ndarray) -> _FeasibleBasis:
     """Find a feasible basis of {A z >= b}; raises InfeasibleError.
 
     Depends on (A, b) only, so callers testing many objectives over one
-    polyhedron run it once and call _vertex per objective.
+    polyhedron run it once and call _vertex per objective. Each row of [A | b]
+    is divided by its largest entry before the slack block -I is added, which
+    would otherwise keep _feasible from scaling a small row up.
     """
+    row = np.abs(np.column_stack([A, b])).max(axis=1, initial=0.0)
+    row[row == 0.0] = 1.0
+    A, b = A / row[:, None], b / row
     return _FeasibleBasis(*_feasible(np.hstack([A, -A, -np.eye(A.shape[0])]), b))
 
 

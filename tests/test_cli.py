@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import finnet
-from finnet import cli, cycles, fixtures, intervene, invariance, numerics, robust
+from finnet import cli, cycles, fixtures, intervene, numerics, robust
 from finnet.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main
 from finnet.netmodel import ShiftedModel
 
@@ -262,15 +263,32 @@ def test_invariance_report(tmp_path, two_bank_scenario):
     assert all(item["status"] == "not_invariant" for item in res["intermediates"])
 
 
-def test_invariance_region_past_tau_cap_is_an_error_entry(tmp_path, monkeypatch):
-    # the first gap network drawn from seed 11 has truncation index 2 in orthant 0
-    net = fixtures.random_gap_network(np.random.default_rng(11), 3)
-    monkeypatch.setattr(invariance, "TAU_CAP", 1)
+BOUNDARY_DOC = {"network": {"C": [[0, .5], [.5, 0]], "D": [[1, 0], [0, 1]], "p": [1, 1],
+                             "beta": [1, 1], "threshold": [2, 1]}, "x0": [-.5, .5]}
+BOUNDARY_ERROR = ("orthant 0 equilibrium lies on the boundary (min |x_i| = 0.000e+00 <= 1e-09): "
+                  "rounding would decide")
+
+
+def test_invariance_region_of_boundary_equilibrium_is_an_error_entry(tmp_path):
+    # the healthy equilibrium is x = (0, 1); a search capped at 10^4 powers certified tau = 2
     out = tmp_path / "out"
-    path = write_scenario(tmp_path, {"network": net_doc(net)})
+    path = write_scenario(tmp_path, BOUNDARY_DOC)
     assert main(["invariance", "--scenario", path, "--out", str(out)]) == EXIT_OK
     res = load_report(out, "invariance")["results"]
-    assert res["regions"]["healthy"] == {"error": "no truncation index up to 1 for orthant 0"}
+    assert res["regions"]["healthy"] == {"error": BOUNDARY_ERROR}
+    assert res["regions"]["failed"]["tau"] == 1
+
+
+def test_intervene_at_boundary_equilibrium_exit3_at_once(tmp_path, capsys, monkeypatch):
+    # with the region certified, 1,000 futile reallocations ran for seconds before exit 3
+    monkeypatch.setattr(intervene, "asset_reallocation", None)
+    path = write_scenario(tmp_path, BOUNDARY_DOC)
+    started = time.perf_counter()
+    assert main(["intervene", "--scenario", path]) == EXIT_SOLVER
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == f"solver failure: {BOUNDARY_ERROR}\n"
+    assert captured.out == ""
 
 
 def test_robust_report_with_sandwich(tmp_path):
@@ -589,6 +607,26 @@ def test_missing_scenario_exit2(capsys):
 def test_missing_file_exit2(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(tmp_path / "nope.json")]) == EXIT_INVALID
     assert "not found" in capsys.readouterr().err
+
+
+def test_scenario_not_utf8_exit2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"network": "\xe9"}'.encode("latin-1"))
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: cannot read scenario file: 'utf-8' codec")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "invariance"])
+def test_out_under_a_regular_file_exit2(tmp_path, capsys, two_bank_scenario, command):
+    # simulate fails on its CSV, invariance on its report
+    out = tmp_path / "file" / "out"
+    out.parent.write_text("")
+    assert main([command, "--scenario", two_bank_scenario, "--out", str(out)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output: ") and str(out) in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_invalid_network_exit2(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Invariance tests, regions of attraction, and finite determination."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -91,24 +93,88 @@ def test_tau_grows_past_one_on_gapped_network():
     assert found > 0
 
 
-def test_truncation_index_past_tau_cap_raises(monkeypatch):
-    model = ShiftedModel.from_network(fixtures.random_gap_network(np.random.default_rng(11), 3))
-    assert finite_determination_index(model, 0) == 2
-    monkeypatch.setattr(invariance, "TAU_CAP", 1)
+def capped_index(model, k, cap=10_000):
+    """The truncation-index search with a fixed cap of 10^4 powers, which the proved bound
+    replaced; None at the cap. Its powers are those of _powers, P = P @ C from I."""
+    eq = candidate_equilibrium(model, k)
+    sign, P = (1.0 if k == 0 else -1.0), np.eye(model.n)
+    for tau in range(1, cap + 1):
+        P = P @ model.C
+        if np.all(sign * (P @ -eq.x + eq.x) >= 0):
+            return tau
+    return None
+
+
+def proved_bound(model, x):
+    """ceil(log(min y / |y|_1) / log rho), y = |x| and rho the largest column sum of |C|."""
+    y, rho = np.abs(x), np.abs(model.C).sum(axis=0).max()
+    return 1 if rho == 0 else max(1, int(np.ceil(np.log(y.min() / y.sum()) / np.log(rho))))
+
+
+def test_truncation_index_matches_capped_search_within_proved_bound():
+    rng = np.random.default_rng(21)
+    nets = [fixtures.two_bank(), fixtures.ring4(), fixtures.complete10()]
+    for _ in range(100):
+        nets += [fixtures.random_network(rng, int(rng.integers(2, 9))),
+                 fixtures.random_gap_network(rng, int(rng.integers(2, 7)))]
+    checked = set()
+    for i, net in enumerate(nets):
+        model = ShiftedModel.from_network(net)
+        for k in (0, 2 ** net.n - 1):
+            eq = candidate_equilibrium(model, k)
+            if not eq.consistent:
+                with pytest.raises(invariance.NoPositiveEquilibriumError):
+                    finite_determination_index(model, k)
+                continue
+            assert eq.interior
+            tau = finite_determination_index(model, k)
+            assert tau == capped_index(model, k) and 1 <= tau <= proved_bound(model, eq.x)
+            checked.add((i, k))
+    assert len(nets) >= 203 and len(checked) >= 200 and {k for _, k in checked} != {0}
+
+
+def boundary_model(n):
+    """Healthy equilibrium x* with x*_0 = 0, so the solved x_0 is rounding (about 1e-17)."""
+    rng = np.random.default_rng(0)
+    C = rng.uniform(0.0, 1.0, (n, n))
+    np.fill_diagonal(C, 0.0)
+    C *= 0.9 / C.sum(axis=0).max()
+    x = rng.uniform(0.5, 1.5, n)
+    x[0] = 0.0
+    return ShiftedModel.from_parts(C, x - C @ x, np.ones(n))
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_boundary_equilibrium_is_not_determined(n):
+    # a search capped at 10^4 powers certified tau = 80 (810 rows) at n = 10 and 109 at n = 20
+    model = boundary_model(n)
+    assert candidate_equilibrium(model, 0).consistent and capped_index(model, 0) == {10: 80, 20: 109}[n]
     for build in (lambda: finite_determination_index(model, 0),
                   lambda: maximal_invariant_region(model, 0)):
-        with pytest.raises(NotDeterminedError, match="no truncation index up to 1 for orthant 0"):
+        with pytest.raises(NotDeterminedError, match="orthant 0 equilibrium lies on the boundary"):
             build()
+    assert invariance_report(model).regions["healthy"].startswith("orthant 0 equilibrium lies")
 
 
-def test_equilibrium_record_of_another_orthant_is_rejected(monkeypatch):
+def test_column_sum_past_one_is_not_determined():
+    # rho(C) = 0.15 ** 0.5 < 1, but |C|'s second column sums to 1.5: the bound needs it below 1
+    C = np.array([[0.0, 1.5], [0.1, 0.0]])
+    model = ShiftedModel.from_parts(C, np.ones(2) - C @ np.ones(2), np.ones(2))
+    assert candidate_equilibrium(model, 0).interior
+    assert capped_index(model, 0) == 2
+    with pytest.raises(NotDeterminedError, match="largest column sum of [|]C[|] is 1.5 >= 1"):
+        finite_determination_index(model, 0)
+
+
+def test_search_that_reaches_the_proved_bound_raises(monkeypatch):
+    # powers 2I never pass the test, which only rounding could cause with the true powers
     model = ShiftedModel.from_network(fixtures.random_gap_network(np.random.default_rng(11), 3))
-    eq7 = candidate_equilibrium(model, 7)
-    assert eq7.consistent
-    # the record is refused before any matrix power is taken
-    monkeypatch.setattr(invariance, "_powers", None)
-    with pytest.raises(ValueError, match="record of orthant 7 given for orthant 0"):
-        finite_determination_index(model, 0, eq7)
+    bound = proved_bound(model, candidate_equilibrium(model, 0).x)
+    assert finite_determination_index(model, 0) == 2 <= bound
+    monkeypatch.setattr(invariance, "_powers", lambda C: itertools.repeat(2.0 * np.eye(len(C))))
+    with pytest.raises(NotDeterminedError,
+                       match=f"no truncation index up to its proved bound {bound} for orthant 0"):
+        maximal_invariant_region(model, 0)
 
 
 def oracle_rows(model, eq, tau):
@@ -340,8 +406,9 @@ def highs_implied(poly, rows, a, rhs, tol):
 
 
 # row_power numbers the rows, so a pruned region's row_power lists the kept rows.
-# In the second example row 6 is row 2 times 1e-6; the phase-1 simplex finds row
-# 2's LP unbounded (its pivot tolerance is absolute) and keeps row 2, not row 6.
+# In the second example row 6 is row 2 times 1e-6; both loops judge row 2 implied,
+# as HiGHS does, and keep [1, 4, 5, 6]. With phase 1 on unscaled rows the simplex
+# found row 2's LP unbounded and kept row 2, not row 6.
 @settings(max_examples=300, deadline=None)
 @example(Polyhedron(A=np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [1.0, 0.0]]),
                     b=np.array([1.0, -1.0, 0.0, 0.0]), row_power=np.arange(4)))
@@ -351,17 +418,7 @@ def highs_implied(poly, rows, a, rhs, tol):
                     b=np.zeros(7), row_power=np.arange(7)))
 @given(nonempty_polyhedra())
 def test_anchored_prune_keeps_the_phase1_rows(poly):
-    keep = phase1_prune(poly)
-    kept = prune_redundant(poly).row_power.tolist()
-    if kept != keep:
-        # the loops part only where the phase-1 simplex misjudged a row's LP;
-        # there HiGHS must side with prune_redundant, and its result must hold
-        i = min(set(kept) ^ set(keep))
-        others = [j for j in keep if j < i] + list(range(i + 1, poly.n_rows))
-        assert highs_implied(poly, others, poly.A[i], poly.b[i], OPT_TOL) == (i not in kept)
-        scale = max(1.0, np.abs(poly.A).max(), np.abs(poly.b).max())
-        for j in sorted(set(range(poly.n_rows)) - set(kept)):
-            assert highs_implied(poly, kept, poly.A[j], poly.b[j], 1e-7 * scale)
+    assert prune_redundant(poly).row_power.tolist() == phase1_prune(poly)
 
 
 def test_phase1_prune_on_rows_scaled_by_1e3_and_1e_3():
@@ -377,6 +434,42 @@ def test_phase1_prune_on_rows_scaled_by_1e3_and_1e_3():
         others = [j for j in keep if j < i] + list(range(i + 1, poly.n_rows))
         assert highs_implied(poly, others, A[i], b[i], OPT_TOL) == (i not in keep)
     assert prune_redundant(poly).row_power.tolist() == keep
+
+
+def integer_polyhedron(rng):
+    """Small-integer rows through or around an integer z0, with repeated rows and, half the
+    time, an equality pair through z0 (nonempty_polyhedra's shapes, drawn by numpy)."""
+    n, k = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    A = rng.integers(-3, 4, (k, n)).astype(float)
+    z0 = rng.integers(-2, 3, n).astype(float)
+    b = A @ z0 - rng.integers(0, 3, k)
+    if rng.random() < 0.5:
+        a = rng.integers(-3, 4, n).astype(float)
+        A, b = np.vstack([A, a, -a]), np.concatenate([b, [a @ z0, -(a @ z0)]])
+    repeats = rng.integers(0, len(b), int(rng.integers(0, 4)))
+    return Polyhedron(A=np.vstack([A, A[repeats]]), b=np.concatenate([b, b[repeats]]),
+                      row_power=np.arange(len(b) + len(repeats)))
+
+
+def test_redundancy_on_rows_scaled_by_1e4_matches_highs_on_integer_rows():
+    # with phase 1 on unscaled rows, an implied row of the 13th polyhedron was judged not
+    # implied by both row_redundant and polyhedra_equivalent
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(4)
+    verdicts = []
+    for _ in range(40):
+        ref = integer_polyhedron(rng)
+        scale = 10.0 ** rng.uniform(-4.0, 4.0, ref.n_rows)
+        poly = Polyhedron(A=ref.A * scale[:, None], b=ref.b * scale, row_power=ref.row_power)
+        assert polyhedra_equivalent(poly, ref)
+        for i in range(ref.n_rows if ref.n_rows > 1 else 0):
+            others = [j for j in range(ref.n_rows) if j != i]
+            sub = Polyhedron(A=poly.A[others], b=poly.b[others], row_power=others)
+            implied = highs_implied(ref, others, ref.A[i], ref.b[i], 1e-9)
+            assert row_redundant(sub, poly.A[i], poly.b[i]) == implied
+            assert polyhedra_equivalent(poly, sub) == implied
+            verdicts.append(implied)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_prune_raises_on_an_empty_polyhedron():
@@ -487,7 +580,7 @@ def test_invariance_report_names_a_missing_region():
 
 
 def test_non_finite_drift_fails_fast():
-    # a NaN drift used to pass as consistent and run all TAU_CAP matrix products
+    # a NaN drift used to pass as consistent and run the truncation search to its cap
     model = ShiftedModel.from_network(fixtures.two_bank())
     bad = ShiftedModel.from_parts(model.C, [np.nan, 1.0], model.beta)
     for build in (lambda: candidate_equilibrium(bad, 0),
