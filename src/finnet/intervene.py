@@ -9,18 +9,19 @@ healthy-invariant region M+:
   income D p tracks a target v while keeping column sums at most one and
   the healthy equilibrium strictly positive. It depends on D only through
   y = D p and s = 1^T D, so it is solved exactly in those n + m numbers
-  (a scalar root over projections onto the y-polyhedron) and lifted back
-  as the rank-one D = y s^T / (p.s).
+  (a scalar root, taken on the projection path's affine pieces) and lifted
+  back as the rank-one D = y s^T / (p.s).
 
 The driving loop alternates the two: reallocate toward the outstanding
 target, step the network under the new holdings, subtract the realized
-state from the target, and stop once the state enters M+.
+state from the target, and stop once the state enters M+ (kept per network).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from math import inf, nan, sqrt
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .numerics import (
     InfeasibleError,
     IterationLimitError,
     LinearProgram,
+    PIVOT_TOL,
     PROJECTION_TOL,
     STRICT_MARGIN,
     _dual_phase2,
@@ -111,16 +113,23 @@ class ReallocationSolution:
     optimality_gap: float       # certified bound on objective - optimum
 
 
-def _column_sums(p: np.ndarray, sigma: float) -> tuple[np.ndarray, float]:
-    """Least-norm s = min(1, tau p) with p.s = sigma, and the slope tau / |s| of h(sigma) = |s|.
-
-    h is convex and C^1 on [0, sum p]. Columns fill in order of decreasing price: the k-th
-    largest price q_k fills at sigma = sum_{i<k} q_i + sum_{i>=k} q_i^2 / q_k, which grows with k.
-    """
+def _fill_order(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where _column_sums' columns fill: the k-th largest price q_k at
+    sigma = sum_{i<k} q_i + sum_{i>=k} q_i^2 / q_k, which grows with k."""
     q = np.sort(p[p > 0])[::-1]
     head = np.cumsum(q) - q                     # sum of the k larger prices
     tail = np.cumsum((q * q)[::-1])[::-1]       # sum of q_i^2 over i >= k
-    k = min(int(np.searchsorted(head + tail / q, sigma)), q.size - 1)
+    return head, tail, head + tail / q
+
+
+def _column_sums(p: np.ndarray, sigma: float,
+                 order: tuple | None = None) -> tuple[np.ndarray, float]:
+    """Least-norm s = min(1, tau p) with p.s = sigma, and the slope tau / |s| of h(sigma) = |s|.
+
+    h is convex and C^1 on [0, sum p]. Callers that need many slopes pass order = _fill_order(p).
+    """
+    head, tail, fills = _fill_order(p) if order is None else order
+    k = min(int(np.searchsorted(fills, sigma)), tail.size - 1)
     tau = max(sigma - head[k], 0.0) / tail[k]
     return np.minimum(1.0, tau * p), float(1.0 / np.sqrt(tail[k] + (k / tau ** 2 if k else 0.0)))
 
@@ -134,19 +143,24 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
     P, at a root of phi = kappa / |y(kappa) - v| - h'(1^T y(kappa)). As g + n = -phi 1 for a
     subgradient g of the objective and n in P's normal cone, y(kappa) is within |phi| sum p
     of optimal, plus the projection's own tolerance e, which grows with G; the gap reports
-    both. Secant steps stop once |phi| sum p + min(e, bound / 2) is at most bound =
+    both. The search stops once |phi| sum p + min(e, bound / 2) is at most bound =
     REALLOCATION_TOL * scale, so the gap stays within bound unless e alone passes half of
-    it, or once no float lies nearer the root. A projection that stalls from
-    the last multipliers is repeated from zero ones. For v in P, y = v is optimal iff
-    phi(0+) >= 0, phi being constant up to the ray's first breakpoint, which v's margins
-    bound. Raises InfeasibleError for an empty P, IterationLimitError after
-    REALLOCATION_MAX_ITER projections.
+    it, or once no float lies nearer the root. On the last projection's affine piece of
+    y(kappa) (_piece), |y - v|^2 is quadratic and 1^T y affine, so phi's root there costs no
+    projection: it is the next kappa, warm-started on the piece, if it lies in the bracket
+    and phi at least halved on the last step (or this is the first); else a secant step
+    grows kappa or bisects. Each answer is a projection that passed the stop, so its gap
+    certifies it. A projection that stalls from the last multipliers is repeated from zero
+    ones. For v in P, y = v is optimal iff phi(0+) >= 0, phi being constant up to the
+    ray's first breakpoint, which v's margins bound. Raises InfeasibleError for an empty
+    P, IterationLimitError after REALLOCATION_MAX_ITER projections.
     """
     net, v, p = prob.network, prob.v, prob.network.p
     A = np.vstack([prob.G, -np.ones(net.n)])
     b = np.append(net.threshold + STRICT_MARGIN, -p.sum())
     scale = max(1.0, float(np.abs(v).max(initial=0.0)), float(np.abs(b).max()))
     bound = REALLOCATION_TOL * scale
+    order = _fill_order(p)
     lam, calls = None, 0
 
     def projection_error(kappa: float) -> float:
@@ -165,12 +179,38 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
             y, lam = project_polyhedron(A, b, v - kappa)
         return y, float(np.linalg.norm(y - v))
 
+    def piece_root(kappa, y, rho, phi, lo, hi) -> tuple[float, np.ndarray]:
+        """phi's root in (lo, hi) on y's piece at kappa, nan if the model changes no sign
+        below 2^20 kappa; and the piece's dlam / dkappa."""
+        dy, dlam = _piece(A, y, lam)
+        a, b2, c = rho * rho, 2.0 * float((y - v) @ dy), float(dy @ dy)
+        sigma, dsigma = float(y.sum()), float(dy.sum())
+
+        def model(k: float) -> float:       # Python floats: a far k overflows to inf quietly
+            t = k - kappa
+            r = sqrt(max(a + t * (b2 + t * c), 0.0))
+            return (k / r if r > 0 else inf) - _column_sums(p, sigma + t * dsigma, order)[1]
+
+        x0, x1 = (lo, kappa) if phi > 0 else (kappa, min(hi, 2.0 ** 20 * kappa))
+        (f0, f1), side = (model(x0), phi) if phi > 0 else (phi, model(x1)), 0
+        if not f0 < 0 < f1:
+            return nan, dlam
+        for _ in range(100):                # Illinois: regula falsi, halving an end's f kept twice
+            k = (x0 * f1 - x1 * f0) / (f1 - f0)
+            if not x0 < k < x1:
+                break
+            if (fk := model(k)) < 0:
+                x0, f0, f1, side = k, fk, 0.5 * f1 if side < 0 else f1, -1
+            else:
+                x1, f1, f0, side = k, fk, 0.5 * f0 if side > 0 else f0, 1
+        return (x0 if -f0 < f1 else x1), dlam
+
     try:
         y, rho = point(0.0)
     except InfeasibleError:
         raise InfeasibleError("reallocation constraints unreachable: no nonneg holdings "
                               "with colsum at most one meet the equilibrium rows") from None
-    slope = _column_sums(p, float(y.sum()))[1]
+    slope = _column_sums(p, float(y.sum()), order)[1]
     if rho > 0:
         # phi(0) = -h'. Probe at |y - v| h', as at the root, but no further than 64 times the
         # |y - v| / |p| that h' >= 1/|p| gives: the projection stalls on far probes
@@ -187,7 +227,7 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
             return _lift(prob, v, calls, projection_error(kappa))
     last, phi_last, lo, hi = 0.0, phi, 0.0, np.inf
     while True:
-        phi = (kappa / rho if rho > 0 else np.inf) - _column_sums(p, float(y.sum()))[1]
+        phi = (kappa / rho if rho > 0 else np.inf) - _column_sums(p, float(y.sum()), order)[1]
         lo, hi = (kappa, hi) if phi < 0 else (lo, kappa)
         step = phi - phi_last                   # 0 where phi is flat below v's first breakpoint
         secant = kappa - phi * (kappa - last) / step if step != 0 and np.isfinite(step) else np.nan
@@ -198,8 +238,27 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
             secant = min(secant, 64.0 * kappa) if secant > 2.0 * kappa else 2.0 * kappa
         elif not (lo < secant < hi and abs(phi) <= 0.5 * abs(phi_last)):   # it left or stalled:
             secant = np.sqrt(lo * hi) if hi > 4.0 * lo > 0 else 0.5 * (lo + hi)    # bisect
+        if last == 0.0 or abs(phi) <= 0.5 * abs(phi_last):     # first step, or phi halved
+            root, dlam = piece_root(float(kappa), y, rho, float(phi), float(lo), float(hi))
+            if lo < root < hi and root != kappa:
+                secant, lam = root, lam + (root - kappa) * dlam     # warm start on the piece
         last, phi_last, kappa = kappa, phi, secant
         y, rho = point(kappa)
+
+
+def _piece(A: np.ndarray, y: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dy / dkappa and dlam / dkappa of y(kappa) = proj(v - kappa 1) onto {y >= 0, A y >= b},
+    multipliers lam, while its support F and active rows J hold: A_JF y_F = b_J with
+    y_F = v_F - kappa 1_F + A_JF^T lam_J gives (A_JF A_JF^T) dlam_J = A_JF 1_F, dy_F =
+    A_JF^T dlam_J - 1_F. A ridge PIVOT_TOL |a_j|^2, as in project_polyhedron, keeps it solvable."""
+    F, J = y > 0.0, lam > 0.0
+    A_JF = A[J][:, F]
+    H = A_JF @ A_JF.T
+    H.flat[::len(H) + 1] += PIVOT_TOL * np.einsum("ij,ij->i", A[J], A[J])
+    dlam, dy = np.zeros(lam.size), np.zeros(y.size)
+    dlam[J] = np.linalg.solve(H, A_JF.sum(axis=1))
+    dy[F] = dlam[J] @ A_JF - 1.0
+    return dy, dlam
 
 
 def _lift(prob: ReallocationProblem, y: np.ndarray, calls: int,
@@ -257,7 +316,8 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
                        nonnegative_injection: bool = False) -> InterventionPlan:
     """Iterate reallocation steps until the state enters M+ of the network.
 
-    The region is computed once from the initial holdings. Each iteration
+    M+ is computed once per network, from its initial holdings, and kept with it (and
+    its injection LPs' phase 1) until C, r or beta changes. Each iteration
     re-solves the reallocation program toward the outstanding target v,
     swaps the holdings matrix wholesale, steps the state, and updates
     v <- v - x(t) ('verbatim') or v <- max(v - x(t), 0) ('clamped').
@@ -267,8 +327,11 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
     if mode not in ("verbatim", "clamped"):
         raise ValueError(f"unknown v-update mode {mode!r}")
     x = np.asarray(x0, dtype=float)
-    model = ShiftedModel.from_network(net)
-    region = maximal_invariant_region(model, 0)
+    model, memo = ShiftedModel.from_network(net), net._regions
+    if not all(np.array_equal(memo.get(name), getattr(model, name)) for name in ("C", "r", "beta")):
+        memo.update(C=model.C.copy(), r=model.r, beta=model.beta.copy(),
+                    region=maximal_invariant_region(model, 0))
+    region = memo["region"]
     v = minimal_injection(InjectionProblem(region=region, x=x,
                                            nonnegative=nonnegative_injection))
     plan = InterventionPlan(initial_x=x.copy(), injection=v.copy(),

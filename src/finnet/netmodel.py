@@ -19,6 +19,7 @@ its sign matrix J = diag(1 - 2 phi) makes it {x : J x >= 0}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,11 @@ class FinancialNetwork:
     def r(self) -> np.ndarray:
         """Constant drift of the shifted dynamics: (C - I) threshold + D p."""
         return (self.C - np.eye(self.n)) @ self.threshold + self.D @ self.p
+
+    @cached_property
+    def _regions(self) -> dict:
+        """intervene.drive_to_invariant's M+ and the C, r, beta it was built from; not a field."""
+        return {}
 
 
 def validate(net: FinancialNetwork) -> list[str]:

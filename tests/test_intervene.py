@@ -604,14 +604,20 @@ def test_stalled_warm_start_reprojects_cold(monkeypatch):
     assert np.abs(D_cold - D).max() <= 1e-9
 
 
-def test_benchmark_drive_reallocates_once_with_a_certificate(monkeypatch):
-    # a complete10 drive from one deficit node 0.45 below the healthy
-    # equilibrium, as the benchmark builds them
-    net = fixtures.complete10()
+def benchmark_start(net):
+    """complete10's healthy equilibrium with deficit node 0 pushed 0.45 below it."""
     drift = (net.C - np.eye(net.n)) @ net.threshold + net.D @ net.p
     x0 = np.linalg.solve(np.eye(net.n) - net.C, drift)
     assert drift[0] < 0
     x0[0] -= 0.45
+    return x0
+
+
+def test_benchmark_drive_reallocates_once_with_a_certificate(monkeypatch):
+    # a complete10 drive from one deficit node 0.45 below the healthy
+    # equilibrium, as the benchmark builds them
+    net = fixtures.complete10()
+    x0 = benchmark_start(net)
     calls = []
     def counted(*args):
         calls.append(args)
@@ -620,4 +626,99 @@ def test_benchmark_drive_reallocates_once_with_a_certificate(monkeypatch):
     plan = drive_to_invariant(net, x0)
     assert plan.success and plan.iterations == 1
     assert plan.steps[0].iterations == len(calls)
+    assert plan.steps[0].iterations <= 3      # y(0), the probe, the root on the probe's piece
     assert 0.0 <= plan.steps[0].optimality_gap <= intervene.REALLOCATION_TOL * 10.0
+
+
+def test_piece_slope_is_the_projection_path_slope():
+    # along the benchmark drive's target, v - kappa 1 projects onto one piece for kappa in
+    # [0.2, 0.3]: y > 0 throughout and the nine equilibrium rows of nodes 1-9 active
+    net = fixtures.complete10()
+    region = healthy_region(net)
+    v = minimal_injection(InjectionProblem(region=region, x=benchmark_start(net)))
+    G = ReallocationProblem(network=net, v=v).G
+    A = np.vstack([G, -np.ones(net.n)])
+    b = np.append(net.threshold + STRICT_MARGIN, -net.p.sum())
+    (y1, lam1), (y2, lam2) = (project_polyhedron(A, b, v - kappa) for kappa in (0.2, 0.3))
+    assert np.array_equal(y1 > 0, y2 > 0) and np.array_equal(lam1 > 0, lam2 > 0)
+    assert np.flatnonzero(lam1 > 0).tolist() == list(range(1, 10))
+    dy, _ = intervene._piece(A, y1, lam1)
+    assert np.abs(dy + 1.0).max() > 0.1        # the active rows bend the path
+    np.testing.assert_allclose(dy, (y2 - y1) / (0.3 - 0.2), rtol=0.0, atol=1e-9)
+
+
+def test_piece_steps_cut_projections_at_spread_prices():
+    # 100 complete10 problems at prices 10^U(-1, 3), 99 of them feasible: secant
+    # steps alone spent 804 projections on those 99
+    rng = np.random.default_rng(2024)
+    total = 0
+    for _ in range(100):
+        scale = 10.0 ** rng.uniform(-1.0, 3.0)
+        prob = ReallocationProblem(network=with_prices(fixtures.complete10(), scale),
+                                   v=rng.uniform(-0.5, 1.5, 10) * scale)
+        try:
+            D, sol = asset_reallocation(prob)
+        except InfeasibleError:                 # prices too low to meet the thresholds
+            continue
+        assert sol.optimality_gap <= intervene.REALLOCATION_TOL * scale_of(prob)
+        total += sol.iterations
+    assert total <= 0.6 * 804
+
+
+def test_weakly_active_row_does_not_stall_the_piece_step():
+    # the sum row keeps lam > 0 at slack 4e-13, so the piece through it holds 1^T y
+    # fixed; a piece model that misreads such a row can propose kappa + 1e-10 over and
+    # over until the projection cap. Secant steps alone needed 4 projections here.
+    C = np.array([[0, .16260398, .5213771, .31535937], [.10778622, 0, .24723095, .0392033],
+                  [.16641478, .37926513, 0, .19008324], [.42569858, .34173153, .10990171, 0]])
+    net = FinancialNetwork(C=C, D=np.diag([.619742238, .0309798733, 1.01875118, 2.77129001e-4]),
+                           p=np.ones(4), beta=[.86690924, .25288584, .2786366, .63445502],
+                           threshold=[1.85954769, .54785721, 1.47647773, 1.08135706])
+    prob = ReallocationProblem(network=net, v=[.32104819, 1.19643036, 1.47205314, 1.08820203])
+    D, sol = asset_reallocation(prob)
+    assert sol.iterations <= 4
+    assert sol.optimality_gap <= intervene.REALLOCATION_TOL * scale_of(prob)
+    assert abs(sol.objective - 2.03886686) <= 1e-8
+    assert reallocation_feasible(prob, D)[0]
+
+
+def counted_regions(monkeypatch):
+    calls = []
+    def counted(model, k):
+        calls.append(k)
+        return maximal_invariant_region(model, k)
+    monkeypatch.setattr(intervene, "maximal_invariant_region", counted)
+    return calls
+
+
+def test_drives_of_one_network_share_its_region(monkeypatch):
+    calls = counted_regions(monkeypatch)
+    net = fixtures.complete10()
+    first = drive_to_invariant(net, benchmark_start(net))
+    second = drive_to_invariant(net, fixtures.SAMPLE_STATE10, mode="clamped")
+    assert len(calls) == 1 and first.region is second.region
+
+
+def test_region_follows_a_network_changed_in_place(monkeypatch):
+    calls = counted_regions(monkeypatch)
+    net = fixtures.complete10()
+    drive_to_invariant(net, benchmark_start(net))
+    net.C[0, 1] *= 0.5
+    plan = drive_to_invariant(net, benchmark_start(net))
+    assert len(calls) == 2
+    fresh = healthy_region(FinancialNetwork(C=net.C.copy(), D=net.D, p=net.p, beta=net.beta,
+                                            threshold=net.threshold))
+    assert plan.region.A.tobytes() == fresh.A.tobytes()
+    assert plan.region.b.tobytes() == fresh.b.tobytes()
+
+
+def test_plans_on_a_shared_network_match_fresh_ones():
+    shared = fixtures.complete10()
+    starts = [benchmark_start(shared), fixtures.SAMPLE_STATE10]
+    for x0, mode in itertools.product(starts, ("verbatim", "clamped")):
+        a = drive_to_invariant(shared, x0, mode=mode)
+        b = drive_to_invariant(fixtures.complete10(), x0, mode=mode)
+        assert a.iterations == b.iterations and a.success == b.success
+        assert a.injection.tobytes() == b.injection.tobytes()
+        for sa, sb in zip(a.steps, b.steps):
+            assert sa.D.tobytes() == sb.D.tobytes() and sa.x.tobytes() == sb.x.tobytes()
