@@ -9,8 +9,8 @@ healthy-invariant region M+:
   income D p tracks a target v while keeping column sums at most one and
   the healthy equilibrium strictly positive. It depends on D only through
   y = D p and s = 1^T D, so it is solved exactly in those n + m numbers
-  (a scalar root, taken on the projection path's affine pieces) and lifted
-  back as the rank-one D = y s^T / (p.s).
+  (a scalar root: each step takes the root on the projection path's affine
+  piece, or bisects a bracket) and lifted back as the rank-one D = y s^T / (p.s).
 
 The driving loop alternates the two: reallocate toward the outstanding
 target, step the network under the new holdings, subtract the realized
@@ -54,6 +54,8 @@ class InjectionProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        if not np.isfinite(self.x).all():
+            raise ValueError("injection state x has non-finite entries")
 
 
 def minimal_injection(prob: InjectionProblem) -> np.ndarray:
@@ -85,6 +87,8 @@ class ReallocationProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
+        if not np.isfinite(self.v).all():
+            raise ValueError("reallocation target v has non-finite entries")
 
     @cached_property
     def G(self) -> np.ndarray:
@@ -142,18 +146,17 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
     Given 1^T y, s is _column_sums'; y is then y(kappa), the projection of v - kappa 1 onto
     P, at a root of phi = kappa / |y(kappa) - v| - h'(1^T y(kappa)). As g + n = -phi 1 for a
     subgradient g of the objective and n in P's normal cone, y(kappa) is within |phi| sum p
-    of optimal, plus the projection's own tolerance e, which grows with G; the gap reports
-    both. The search stops once |phi| sum p + min(e, bound / 2) is at most bound =
-    REALLOCATION_TOL * scale, so the gap stays within bound unless e alone passes half of
-    it, or once no float lies nearer the root. On the last projection's affine piece of
-    y(kappa) (_piece), |y - v|^2 is quadratic and 1^T y affine, so phi's root there costs no
-    projection: it is the next kappa, warm-started on the piece, if it lies in the bracket
-    and phi at least halved on the last step (or this is the first); else a secant step
-    grows kappa or bisects. Each answer is a projection that passed the stop, so its gap
-    certifies it. A projection that stalls from the last multipliers is repeated from zero
-    ones. For v in P, y = v is optimal iff phi(0+) >= 0, phi being constant up to the
-    ray's first breakpoint, which v's margins bound. Raises InfeasibleError for an empty
-    P, IterationLimitError after REALLOCATION_MAX_ITER projections.
+    of optimal, plus the projection's own tolerance e (it grows with G); the gap reports both.
+    The search stops once |phi| sum p + min(e, bound / 2) <= bound = REALLOCATION_TOL * scale.
+    On the last projection's affine piece of y(kappa) (_piece), |y - v|^2 is quadratic and
+    1^T y affine, so phi's root there costs no projection. It is the next kappa, warm-started
+    on the piece, if it lies strictly inside the bracket; else kappa doubles (no bracket yet)
+    or the bracket is bisected. At float resolution (that root is kappa, or no float lies
+    inside the bracket) rounding decides phi, so the answer is the projection with the least
+    gap seen. A stalled warm projection is repeated cold. For v in P, y = v is optimal iff
+    phi(0+) >= 0, phi being constant up to the ray's first breakpoint, which v's margins
+    bound. Raises InfeasibleError for an empty P, IterationLimitError after
+    REALLOCATION_MAX_ITER projections.
     """
     net, v, p = prob.network, prob.v, prob.network.p
     A = np.vstack([prob.G, -np.ones(net.n)])
@@ -214,7 +217,7 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
     if rho > 0:
         # phi(0) = -h'. Probe at |y - v| h', as at the root, but no further than 64 times the
         # |y - v| / |p| that h' >= 1/|p| gives: the projection stalls on far probes
-        phi, kappa = -slope, rho * min(slope, 64.0 / float(np.linalg.norm(p)))
+        kappa = rho * min(slope, 64.0 / float(np.linalg.norm(p)))
         y, rho = point(kappa)
     else:                                       # v in P: probe below the first breakpoint
         margins = np.append(A @ v - b, v)
@@ -225,24 +228,23 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
         phi = (kappa / rho if rho > 0 else np.inf) - slope       # phi(0+)
         if phi >= 0:
             return _lift(prob, v, calls, projection_error(kappa))
-    last, phi_last, lo, hi = 0.0, phi, 0.0, np.inf
+    lo, hi, best = 0.0, np.inf, (np.inf, y)
     while True:
         phi = (kappa / rho if rho > 0 else np.inf) - _column_sums(p, float(y.sum()), order)[1]
         lo, hi = (kappa, hi) if phi < 0 else (lo, kappa)
-        step = phi - phi_last                   # 0 where phi is flat below v's first breakpoint
-        secant = kappa - phi * (kappa - last) / step if step != 0 and np.isfinite(step) else np.nan
         gap, error = abs(phi) * p.sum(), projection_error(kappa)
-        if gap + min(error, bound / 2) <= bound or secant == kappa or np.nextafter(lo, hi) == hi:
-            return _lift(prob, y, calls, gap + error)       # or at float resolution
-        if np.isinf(hi):                        # no bracket yet: grow kappa
-            secant = min(secant, 64.0 * kappa) if secant > 2.0 * kappa else 2.0 * kappa
-        elif not (lo < secant < hi and abs(phi) <= 0.5 * abs(phi_last)):   # it left or stalled:
-            secant = np.sqrt(lo * hi) if hi > 4.0 * lo > 0 else 0.5 * (lo + hi)    # bisect
-        if last == 0.0 or abs(phi) <= 0.5 * abs(phi_last):     # first step, or phi halved
-            root, dlam = piece_root(float(kappa), y, rho, float(phi), float(lo), float(hi))
-            if lo < root < hi and root != kappa:
-                secant, lam = root, lam + (root - kappa) * dlam     # warm start on the piece
-        last, phi_last, kappa = kappa, phi, secant
+        if gap + min(error, bound / 2) <= bound:
+            return _lift(prob, y, calls, gap + error)
+        best = min(best, (gap + error, y), key=lambda seen: seen[0])
+        root, dlam = piece_root(float(kappa), y, rho, float(phi), float(lo), float(hi))
+        if root == kappa or np.nextafter(lo, hi) == hi:     # float resolution: the best seen
+            return _lift(prob, best[1], calls, best[0])
+        if lo < root < hi:
+            kappa, lam = root, lam + (root - kappa) * dlam      # warm start on the piece
+        elif np.isinf(hi):                      # no bracket yet: grow kappa
+            kappa = 2.0 * kappa
+        else:                                   # bisect
+            kappa = np.sqrt(lo * hi) if hi > 4.0 * lo > 0 else 0.5 * (lo + hi)
         y, rho = point(kappa)
 
 

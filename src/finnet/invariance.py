@@ -31,6 +31,8 @@ from .netmodel import ShiftedModel, orthant_of, orthant_phi
 from .numerics import (LinearProgram, OPT_TOL, UnboundedError, _anchored, _FeasibleBasis,
                        _phase1, _vertex, lp_solve)
 
+_TAU_CAP = 64   # horizons stable_region tries before NotDeterminedError
+
 
 class NotDeterminedError(RuntimeError):
     """No certified truncation index (see _truncation_index) or stable_region horizon."""
@@ -274,25 +276,24 @@ def polyhedra_equivalent(p: Polyhedron, q: Polyhedron) -> bool:
     return True
 
 
-def stable_region(model: ShiftedModel, eq: EquilibriumRecord,
-                  tau_cap: int = 64) -> tuple[Polyhedron, int]:
+def stable_region(model: ShiftedModel, eq: EquilibriumRecord) -> tuple[Polyhedron, int]:
     """Grow the truncation horizon until one extra block adds nothing.
 
     Intended for intermediate orthants, where no closed-form truncation
     index exists. Returns the region and the horizon at which membership
-    stabilized. Raises NotDeterminedError if tau_cap is hit first. Its LPs
+    stabilized. Raises NotDeterminedError if it has not within _TAU_CAP horizons. Its LPs
     start from the slack basis at eq.x, where each row has margin (J x_k)_i >= 0.
     """
     rows = _orthant_rows(model, eq)
     A, b = next(rows)
-    for tau, (A_new, b_new) in zip(range(1, tau_cap + 1), rows):
+    for tau, (A_new, b_new) in zip(range(1, _TAU_CAP + 1), rows):
         start = _anchored(A, b, eq.x)
         if all(_implied(start, A_new[i], float(b_new[i])) for i in range(model.n)):
             return Polyhedron(A=A, b=b, row_power=np.repeat(np.arange(tau), model.n),
                               certified=True,
                               note=f"orthant {eq.k} stabilized at tau={tau - 1}"), tau - 1
         A, b = np.vstack([A, A_new]), np.concatenate([b, b_new])
-    raise NotDeterminedError(f"membership did not stabilize within tau_cap={tau_cap}")
+    raise NotDeterminedError(f"membership did not stabilize within {_TAU_CAP} horizons")
 
 
 @dataclass

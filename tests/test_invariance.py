@@ -272,13 +272,15 @@ def test_stable_region_short_trajectories_stay_inside():
         np.testing.assert_allclose(traj.states[-1], recs[1].x, atol=1e-6)
 
 
-def test_stable_region_past_tau_cap_raises():
-    # orthant 1 of two_bank stabilizes at horizon 1, which tau_cap = 1 cannot confirm
+def test_stable_region_past_tau_cap_raises(monkeypatch):
+    # orthant 1 of two_bank stabilizes at horizon 1, which a cap of 1 cannot confirm
     model = ShiftedModel.from_network(fixtures.two_bank())
     rec = {rec.k: rec for rec in enumerate_equilibria(model)}[1]
-    assert stable_region(model, rec, tau_cap=2)[1] == 1
-    with pytest.raises(NotDeterminedError, match="tau_cap=1"):
-        stable_region(model, rec, tau_cap=1)
+    monkeypatch.setattr(invariance, "_TAU_CAP", 2)
+    assert stable_region(model, rec)[1] == 1
+    monkeypatch.setattr(invariance, "_TAU_CAP", 1)
+    with pytest.raises(NotDeterminedError, match="within 1 horizons"):
+        stable_region(model, rec)
 
 
 def test_intermediate_orthants_not_invariant_on_fixtures():
