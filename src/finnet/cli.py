@@ -3,7 +3,7 @@
 Each subcommand parses its inputs, runs one library analysis and writes
 what it returns as a JSON report, plus a CSV trajectory where that makes
 sense. `encode_report` writes the report in one pass (numpy values by
-`.tolist()`, dataclasses by their fields), byte for byte as
+`.tolist()`, dataclasses by their fields, string keys only), byte for byte as
 `json.dumps(indent=2, sort_keys=True, allow_nan=False)` would, but it joins
 each list of plain floats or ints at once instead of float by float.
 `fixtures` needs no scenario: it reports `fixture_report`'s checks of the
@@ -170,37 +170,18 @@ def _float(x: float) -> str:
     return text
 
 
-def _key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float(key)
-    if key is True or key is False or key is None:
-        return json.dumps(key)
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def encode_report(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False), byte for byte,
-    with numpy arrays and scalars written by .tolist() and dataclass instances
-    by their fields; TypeError for anything else, a dataclass type included.
-    A non-finite float raises NonFiniteError, a circular container ValueError."""
+    """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False), byte for byte, on trees
+    with string keys (as every report is), numpy values written by .tolist() and dataclass
+    instances by their fields. TypeError for anything else, a non-string key or a dataclass
+    type included; NonFiniteError for a non-finite float."""
     out: list[str] = []
-    _write(obj, out, "\n", set())
+    _write(obj, out, "\n")
     return "".join(out)
 
 
-def _enter(obj, walking: set) -> None:
-    if id(obj) in walking:
-        raise ValueError("Circular reference detected")
-    walking.add(id(obj))
-
-
-def _write(obj, out: list, nl: str, walking: set) -> None:
-    """Append obj's text to out. nl is a newline and obj's indentation;
-    walking holds the ids of the containers being written, as json's markers."""
+def _write(obj, out: list, nl: str) -> None:
+    """Append obj's text to out. nl is a newline and obj's indentation."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -213,10 +194,9 @@ def _write(obj, out: list, nl: str, walking: set) -> None:
         out.append(int.__repr__(obj))
     elif isinstance(obj, float):
         out.append(_float(obj))
+    elif isinstance(obj, (list, tuple, dict)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
         inner = nl + "  "
         kinds = set(map(type, obj))
         if kinds == _FLOATS or kinds == _INTS:      # one join, no walk
@@ -226,31 +206,24 @@ def _write(obj, out: list, nl: str, walking: set) -> None:
                 raise NonFiniteError(next(x for x in obj if not isfinite(x)))
             out += "[", inner, body, nl, "]"
             return
-        _enter(obj, walking)
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _write(item, out, inner, walking)
+            _write(item, out, inner)
             sep = "," + inner
         out.append(nl + "]")
-        walking.discard(id(obj))
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        _enter(obj, walking)
         inner = nl + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            out.append(sep + encode_basestring_ascii(_key(key)) + ": ")
+            out.append(sep + encode_basestring_ascii(key) + ": ")     # TypeError unless a str
             try:
-                _write(value, out, inner, walking)
+                _write(value, out, inner)
             except NonFiniteError as e:
                 e.path.insert(0, key)
                 raise
             sep = "," + inner
         out.append(nl + "}")
-        walking.discard(id(obj))
     else:
         if isinstance(obj, (np.ndarray, np.generic)):
             plain = obj.tolist()
@@ -258,9 +231,7 @@ def _write(obj, out: list, nl: str, walking: set) -> None:
             plain = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
         else:
             raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
-        _enter(obj, walking)
-        _write(plain, out, nl, walking)
-        walking.discard(id(obj))
+        _write(plain, out, nl)
 
 
 def _write_csv(path: Path, states: np.ndarray) -> None:

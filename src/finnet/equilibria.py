@@ -57,7 +57,8 @@ def candidate_equilibrium(model: ShiftedModel, k: int) -> EquilibriumRecord:
     """Solve the affine fixed-point equation of orthant k and classify it.
     Raises ValueError on non-finite data."""
     _require_finite(model)
-    x = solve_linear(np.eye(model.n) - model.C, model.r - model.beta * orthant_phi(k, model.n))
+    C, c = model.affine_piece(k)
+    x = solve_linear(np.eye(model.n) - C, c)
     return EquilibriumRecord(k=k, x=x, v=x + model.threshold, consistent=orthant_of(x) == k,
                              interior=bool(np.min(np.abs(x)) > INTERIOR_TOL))
 

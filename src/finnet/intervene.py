@@ -32,11 +32,12 @@ from .numerics import (
     IterationLimitError,
     LinearProgram,
     PIVOT_TOL,
-    PROJECTION_TOL,
     STRICT_MARGIN,
     _dual_phase2,
     _DualStart,
+    _vector,
     project_polyhedron,
+    projection_tol,
     solve_linear,
 )
 
@@ -53,9 +54,7 @@ class InjectionProblem:
     nonnegative: bool = False      # forbid withdrawals when True
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if not np.isfinite(self.x).all():
-            raise ValueError("injection state x has non-finite entries")
+        object.__setattr__(self, "x", _vector(self.x, self.region.dim, "injection state x"))
 
 
 def minimal_injection(prob: InjectionProblem) -> np.ndarray:
@@ -86,9 +85,7 @@ class ReallocationProblem:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if not np.isfinite(self.v).all():
-            raise ValueError("reallocation target v has non-finite entries")
+        object.__setattr__(self, "v", _vector(self.v, self.network.n, "reallocation target v"))
 
     @cached_property
     def G(self) -> np.ndarray:
@@ -97,9 +94,9 @@ class ReallocationProblem:
         return solve_linear(np.eye(net.n) - net.C, np.eye(net.n))
 
 
-def reallocation_feasible(prob: ReallocationProblem, D: np.ndarray,
-                          tol: float = 1e-8) -> tuple[bool, dict[str, float]]:
-    """Residuals of the three constraint groups at D."""
+def reallocation_feasible(prob: ReallocationProblem,
+                          D: np.ndarray) -> tuple[bool, dict[str, float]]:
+    """Whether the three constraint groups hold at D to 1e-8, and their residuals."""
     net = prob.network
     residuals = {
         "nonneg": float(-min(np.min(D), 0.0)),
@@ -107,7 +104,7 @@ def reallocation_feasible(prob: ReallocationProblem, D: np.ndarray,
         "equilibrium": float(max(np.max(net.threshold + STRICT_MARGIN - prob.G @ (D @ net.p)),
                                  0.0)),
     }
-    return all(v <= tol for v in residuals.values()), residuals
+    return all(v <= 1e-8 for v in residuals.values()), residuals
 
 
 @dataclass(frozen=True)
@@ -151,8 +148,8 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
     On the last projection's affine piece of y(kappa) (_piece), |y - v|^2 is quadratic and
     1^T y affine, so phi's root there costs no projection. It is the next kappa, warm-started
     on the piece, if it lies strictly inside the bracket; else kappa doubles (no bracket yet)
-    or the bracket is bisected. At float resolution (that root is kappa, or no float lies
-    inside the bracket) rounding decides phi, so the answer is the projection with the least
+    or the bracket is bisected. At float resolution (no float lies inside the bracket, or
+    that root is kappa) rounding decides phi, so the answer is the projection with the least
     gap seen. A stalled warm projection is repeated cold. For v in P, y = v is optimal iff
     phi(0+) >= 0, phi being constant up to the ray's first breakpoint, which v's margins
     bound. Raises InfeasibleError for an empty P, IterationLimitError after
@@ -165,10 +162,6 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
     bound = REALLOCATION_TOL * scale
     order = _fill_order(p)
     lam, calls = None, 0
-
-    def projection_error(kappa: float) -> float:
-        """The KKT residual at which project_polyhedron stops on v - kappa 1."""
-        return PROJECTION_TOL * max(float(np.abs(A).max()), scale, float(np.abs(v - kappa).max()))
 
     def point(kappa: float) -> tuple[np.ndarray, float]:
         """y(kappa) and |y(kappa) - v|, warm-started at the last multipliers."""
@@ -221,23 +214,24 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
         y, rho = point(kappa)
     else:                                       # v in P: probe below the first breakpoint
         margins = np.append(A @ v - b, v)
-        loose = margins > projection_error(0.0)
+        loose = margins > projection_tol(A, b, v)
         norms = np.append(np.linalg.norm(A, axis=1), np.ones(net.n))[loose]
         kappa = float(np.min(margins[loose] / norms, initial=scale)) / np.sqrt(net.n)
         y, rho = point(kappa)
         phi = (kappa / rho if rho > 0 else np.inf) - slope       # phi(0+)
         if phi >= 0:
-            return _lift(prob, v, calls, projection_error(kappa))
+            return _lift(prob, v, calls, projection_tol(A, b, v - kappa))
     lo, hi, best = 0.0, np.inf, (np.inf, y)
     while True:
         phi = (kappa / rho if rho > 0 else np.inf) - _column_sums(p, float(y.sum()), order)[1]
         lo, hi = (kappa, hi) if phi < 0 else (lo, kappa)
-        gap, error = abs(phi) * p.sum(), projection_error(kappa)
+        gap, error = abs(phi) * p.sum(), projection_tol(A, b, v - kappa)
         if gap + min(error, bound / 2) <= bound:
             return _lift(prob, y, calls, gap + error)
         best = min(best, (gap + error, y), key=lambda seen: seen[0])
-        root, dlam = piece_root(float(kappa), y, rho, float(phi), float(lo), float(hi))
-        if root == kappa or np.nextafter(lo, hi) == hi:     # float resolution: the best seen
+        root, dlam = (kappa, None) if np.nextafter(lo, hi) == hi else \
+            piece_root(float(kappa), y, rho, float(phi), float(lo), float(hi))
+        if root == kappa:                       # float resolution: the best seen
             return _lift(prob, best[1], calls, best[0])
         if lo < root < hi:
             kappa, lam = root, lam + (root - kappa) * dlam      # warm start on the piece
@@ -339,10 +333,9 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
     plan = InterventionPlan(initial_x=x.copy(), injection=v.copy(),
                             region=region, mode=mode)
     current = net
-    for it in range(1, max_iterations + 1):
-        if region.contains(x):
-            plan.success = True
-            return plan
+    while not region.contains(x):
+        if plan.iterations >= max_iterations:
+            raise IterationCapReached(plan)
         prob = ReallocationProblem(network=current, v=v)
         D, sol = asset_reallocation(prob)
         current = replace(current, D=D)
@@ -350,10 +343,8 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
         v = v - x
         if mode == "clamped":
             v = np.maximum(v, 0.0)
-        plan.steps.append(PlanStep(it, D, x.copy(), v.copy(), sol.objective,
+        plan.steps.append(PlanStep(plan.iterations + 1, D, x.copy(), v.copy(), sol.objective,
                                    reallocation_feasible(prob, D)[1], iterations=sol.iterations,
                                    optimality_gap=sol.optimality_gap))
-    if region.contains(x):
-        plan.success = True
-        return plan
-    raise IterationCapReached(plan)
+    plan.success = True
+    return plan

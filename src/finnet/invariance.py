@@ -74,8 +74,9 @@ class Polyhedron:
         """A x - b; nonnegative entries mean the row is satisfied."""
         return self.A @ np.asarray(x, dtype=float) - self.b
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.margins(x) >= -tol))
+    def contains(self, x) -> bool:
+        """Every row holds to 1e-9; compare margins(x) for any other tolerance."""
+        return bool(np.all(self.margins(x) >= -1e-9))
 
     @cached_property
     def _injection_lps(self) -> dict:
@@ -109,14 +110,13 @@ class IntermediateVerdict:
     witness: np.ndarray | None = None
 
 
-def intermediate_not_invariant(model: ShiftedModel, k: int,
-                               samples: int = 200, seed: int = 0) -> IntermediateVerdict:
+def intermediate_not_invariant(model: ShiftedModel, k: int, seed: int = 0) -> IntermediateVerdict:
     """Decide non-invariance of intermediate orthant k.
 
     With all off-diagonal C entries strictly positive no intermediate
     orthant is invariant. Otherwise the answer is Unknown unless a
-    one-step escape witness is found among states sampled with entries
-    of magnitude up to 10.
+    one-step escape witness is found among 200 states sampled with
+    entries of magnitude up to 10.
     """
     n = model.n
     if k in (0, 2 ** n - 1):
@@ -126,7 +126,7 @@ def intermediate_not_invariant(model: ShiftedModel, k: int,
         return IntermediateVerdict(k=k, status="not_invariant", reason="theorem")
     signs = 1.0 - 2.0 * orthant_phi(k, n)
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
+    for _ in range(200):
         x = signs * rng.uniform(0.0, 10.0, size=n)
         if orthant_of(model.step(x)) != k:
             return IntermediateVerdict(k=k, status="not_invariant",

@@ -201,7 +201,6 @@ class Trajectory:
     """
 
     states: np.ndarray          # (T+1, n)
-    model: ShiftedModel
     repeat: tuple[int, int] | None = None
 
     @property
@@ -241,5 +240,5 @@ def simulate(model: ShiftedModel, x0, T: int) -> Trajectory:
         t0 = seen.setdefault(hash(x.tobytes()), t)
         if t0 < t and states[t0].tobytes() == x.tobytes():
             states[t:] = states[t0 + (np.arange(t, T + 1) - t0) % (t - t0)]
-            return Trajectory(states=states, model=model, repeat=(t0, t))
-    return Trajectory(states=states, model=model)
+            return Trajectory(states=states, repeat=(t0, t))
+    return Trajectory(states=states)

@@ -49,6 +49,16 @@ class IterationLimitError(RuntimeError):
     """Raised when an iterative solver reaches its iteration cap uncertified."""
 
 
+def _vector(x, n: int, name: str) -> np.ndarray:
+    """x as floats of shape (n,); a ValueError names it for another shape or a non-finite entry."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"{name} has shape {x.shape}, expected ({n},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return x
+
+
 def solve_linear(A, b) -> np.ndarray:
     """Solve A x = b by LAPACK (b a vector or a matrix of right-hand sides).
 
@@ -299,7 +309,12 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
 # Euclidean projection onto {z >= 0, A z >= b}.
 # ---------------------------------------------------------------------------
 
-def project_polyhedron(A, b, y, lam=None, max_iter: int = PROJECTION_MAX_ITER) -> tuple:
+def projection_tol(A, b, y) -> float:
+    """KKT residual at which project_polyhedron stops: PROJECTION_TOL * max(1, |A|, |b|, |y|)."""
+    return PROJECTION_TOL * max(1.0, *(float(np.abs(v).max(initial=0.0)) for v in (A, b, y)))
+
+
+def project_polyhedron(A, b, y, lam=None) -> tuple:
     """Nearest point z to y in {z >= 0, A z >= b} and its row multipliers lam.
 
     z(lam) = max(y + A^T lam, 0) meets stationarity and bound complementarity, so
@@ -310,14 +325,14 @@ def project_polyhedron(A, b, y, lam=None, max_iter: int = PROJECTION_MAX_ITER) -
     squared row norms and delta = max(min(1, max_J s_i^2 / R_i), PIVOT_TOL), as A may
     be rank deficient. A full step is kept if it halves the least residual so far, else
     it is halved until Armijo's rule on f holds, or doubled while f falls. Stops at
-    residual PROJECTION_TOL * max(1, |A|, |b|, |y|), or raises InfeasibleError (empty
-    set) or IterationLimitError.
+    residual projection_tol(A, b, y), or raises InfeasibleError (empty set) or
+    IterationLimitError after PROJECTION_MAX_ITER Newton steps.
     """
     A, b, y = (np.asarray(v, dtype=float) for v in (A, b, y))
     lam = np.zeros(b.shape[0]) if lam is None else np.maximum(lam, 0.0)
     r2 = np.einsum("ij,ij->i", A, A)   # R: delta scales with the rows, as A_JF A_JF^T does
     r2[r2 == 0.0] = 1.0
-    tol = PROJECTION_TOL * max(1.0, *(float(np.abs(v).max(initial=0.0)) for v in (A, b, y)))
+    tol = projection_tol(A, b, y)
 
     def dual(lam):
         w = y + lam @ A
@@ -327,7 +342,7 @@ def project_polyhedron(A, b, y, lam=None, max_iter: int = PROJECTION_MAX_ITER) -
 
     lam, w, z, s, f, res = dual(lam)
     best = res      # full steps may raise f; halving the least residual keeps them from cycling
-    for _ in range(max_iter):
+    for _ in range(PROJECTION_MAX_ITER):
         if res <= tol:
             break
         J = (lam > 0.0) | (s <= 0.0)
@@ -351,5 +366,6 @@ def project_polyhedron(A, b, y, lam=None, max_iter: int = PROJECTION_MAX_ITER) -
         best = min(best, res)
     if res > tol:
         _phase1(np.vstack([A, np.eye(y.size)]), np.concatenate([b, np.zeros(y.size)]))
-        raise IterationLimitError(f"projection residual {res:.3e} after {max_iter} Newton steps")
+        raise IterationLimitError(
+            f"projection residual {res:.3e} after {PROJECTION_MAX_ITER} Newton steps")
     return z, lam

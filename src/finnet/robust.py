@@ -25,6 +25,7 @@ import numpy as np
 from .equilibria import EquilibriumRecord, candidate_equilibrium
 from .invariance import NoPositiveEquilibriumError, Polyhedron, _region_from
 from .netmodel import ShiftedModel, simulate
+from .numerics import _vector
 
 
 @dataclass(frozen=True)
@@ -172,11 +173,11 @@ def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
     x0 must lie in the robust invariant set, which keeps every admissible
     trajectory nonnegative and therefore ordered between the extremes.
     Limit estimates are taken over the last 10 states. ValueError on a
-    negative T.
+    negative T, or an x0 not of shape (n,) or with non-finite entries.
     """
     if T < 0:
         raise ValueError("horizon must be nonnegative")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _vector(x0, inet.n, "x0")
     region = robust_invariant_set(inet)
     if not region.contains(x0):
         raise ValueError("x0 is outside the robust invariant set; bounds would not apply")

@@ -152,7 +152,7 @@ def test_criterion_06_region_maximality_sampling():
             outside.append(x)
 
     stay_violations = sum(
-        0 if region.contains(model.step(x), tol=1e-9) else 1 for x in inside)
+        0 if region.contains(model.step(x)) else 1 for x in inside)
     exit_violations = 0
     for x in outside:
         traj = simulate(model, x, tau + 1)
@@ -269,7 +269,7 @@ def test_criterion_09_driving_loop_terminates():
     assert (x0 < 0).any() and (x0 > 0).any()
     plan = drive_to_invariant(net, x0)
     assert plan.success
-    assert plan.region.contains(plan.final_x, tol=1e-7)
+    assert plan.region.margins(plan.final_x).min() >= -1e-7
     for step in plan.steps:
         assert max(step.residuals.values()) <= 1e-8
     assert time.perf_counter() - start < 10.0

@@ -49,6 +49,11 @@ def test_lifted_residual_vanishes_on_equilibrium():
     assert np.max(np.abs(lift.residual(x + 0.3))) > 1e-3
 
 
+def test_lift_rejects_period_zero():
+    with pytest.raises(ValueError, match="period must be >= 1"):
+        build_lifted(ring_model(), 0)
+
+
 def test_stack_orbit_shape_guard():
     lift = build_lifted(ring_model(), 8)
     with pytest.raises(ValueError):
@@ -142,7 +147,7 @@ def classify_fields(traj, **kw):
 
 
 def assert_prefix_scan_is_full_scan(traj, **kw):
-    full = Trajectory(states=traj.states, model=traj.model)         # repeat=None
+    full = Trajectory(states=traj.states)      # repeat=None
     assert classify_fields(traj, **kw) == classify_fields(full, **kw)
 
 
@@ -178,8 +183,7 @@ def test_classify_transient_past_repeat_with_kernel_period_above_hmax():
     # and the last fall before the end sets the transient
     ramp = np.array([1.0, 1.1, 1.2, 1.3, 1.4])
     states = np.concatenate([[3.0, 2.0], np.tile(ramp, 21)[:105]])[:, None]
-    traj = Trajectory(states=states, model=ShiftedModel.from_parts(C=[[0.0]], r=[1.0], beta=[1.0]),
-                      repeat=(2, 7))
+    traj = Trajectory(states=states, repeat=(2, 7))
     res = classify_trajectory(traj, tol=0.2, h_max=2)
     assert res.kind == "equilibrium" and res.transient == 102
     assert_prefix_scan_is_full_scan(traj, tol=0.2, h_max=2)

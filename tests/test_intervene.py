@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finnet import fixtures, intervene, numerics
+from finnet.equilibria import candidate_equilibrium
 from finnet.intervene import (
     InjectionProblem,
     InterventionPlan,
@@ -23,6 +25,7 @@ from finnet.invariance import Polyhedron, maximal_invariant_region
 from finnet.netmodel import FinancialNetwork, ShiftedModel
 from finnet.numerics import (PROJECTION_TOL, STRICT_MARGIN, InfeasibleError, IterationLimitError,
                              LinearProgram, UnboundedError, lp_solve, project_polyhedron)
+from finnet.robust import IntervalNetwork, robust_report
 from reallocation_reference import build_reallocation_program, reference_reallocate
 
 
@@ -59,7 +62,7 @@ def test_injection_two_bank_distressed():
     x = np.array([-1.0, -1.0])
     v = minimal_injection(InjectionProblem(region=region, x=x))
     np.testing.assert_allclose(v, [1.0, 1.0], atol=1e-9)
-    assert region.contains(x + v, tol=1e-8)
+    assert region.margins(x + v).min() >= -1e-8
     # independent vertex enumeration on the same constraint rows
     oracle = lp_oracle(np.ones(2), region.A, region.b - region.A @ x)
     assert abs(float(v.sum()) - oracle) <= 1e-8
@@ -72,7 +75,7 @@ def test_injection_lands_inside_region_random():
     for _ in range(40):
         x = rng.uniform(-3.0, 3.0, size=2)
         v = minimal_injection(InjectionProblem(region=region, x=x))
-        assert region.contains(x + v, tol=1e-7)
+        assert region.margins(x + v).min() >= -1e-7
         oracle = lp_oracle(np.ones(2), region.A, region.b - region.A @ x)
         assert abs(float(v.sum()) - oracle) <= 1e-8
 
@@ -86,7 +89,7 @@ def test_injection_nonnegative_flag():
     capped = minimal_injection(InjectionProblem(region=region, x=x,
                                                 nonnegative=True))
     assert capped.min() >= -1e-9
-    assert region.contains(x + capped, tol=1e-7)
+    assert region.margins(x + capped).min() >= -1e-7
     assert capped.sum() >= free.sum() - 1e-9
 
 
@@ -190,8 +193,8 @@ def test_injected_state_stays_in_the_invariant_region(case):
     model, region, x, nonnegative = case
     v = minimal_injection(InjectionProblem(region=region, x=x, nonnegative=nonnegative))
     tol = 1e-9 * max(1.0, np.abs(region.A).max(), np.abs(region.b).max(), np.abs(x).max())
-    assert region.contains(x + v, tol=tol)
-    assert region.contains(model.step(x + v), tol=tol)
+    assert region.margins(x + v).min() >= -tol
+    assert region.margins(model.step(x + v)).min() >= -tol
     if nonnegative:
         assert v.min() >= -tol
 
@@ -233,6 +236,20 @@ def test_non_finite_target_is_named(name, bad):
             asset_reallocation(ReallocationProblem(network=net, v=[bad, 0.5]))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda net: InjectionProblem(region=healthy_region(net), x=[0.5, 0.5, 0.5]),
+     "injection state x has shape (3,), expected (2,)"),
+    (lambda net: ReallocationProblem(network=net, v=[[0.5, 0.5]]),
+     "reallocation target v has shape (1, 2), expected (2,)"),
+    (lambda net: robust_report(IntervalNetwork.from_nominal(net.C, [0.5, 0.5], 0.1), x0=[1.0]),
+     "x0 has shape (1,), expected (2,)"),
+], ids=["injection-x", "reallocation-v", "robust-x0"])
+def test_wrong_shape_is_named(make, message):
+    # checked where the problem is built, so the error names the argument and its shape
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(fixtures.two_bank())
+
+
 def test_reallocation_trivial_target():
     # v equals the current income vector, so the gap term can reach zero
     # and only the holdings norm remains: ||(0.75, 0.75)||
@@ -261,8 +278,8 @@ def test_reallocation_multi_start_prefers_tracking():
     assert len(starts) == 2
     # both of the reference's starts must already be feasible points
     for start in starts:
-        ok, _ = reallocation_feasible(prob, start.reshape(10, 10), tol=1e-6)
-        assert ok
+        _, residuals = reallocation_feasible(prob, start.reshape(10, 10))
+        assert max(residuals.values()) <= 1e-6
 
 
 def test_reallocation_infeasible_names_group():
@@ -297,7 +314,7 @@ def test_drive_complete10_both_modes():
     for mode in ("verbatim", "clamped"):
         plan = drive_to_invariant(net, fixtures.SAMPLE_STATE10, mode=mode)
         assert plan.success, mode
-        assert plan.region.contains(plan.final_x, tol=1e-7)
+        assert plan.region.margins(plan.final_x).min() >= -1e-7
         for step in plan.steps:
             assert max(step.residuals.values()) <= 1e-8
             assert step.D.shape == (10, 10)
@@ -317,6 +334,21 @@ def test_iteration_cap_carries_partial_plan():
     plan = err.value.plan
     assert plan.iterations == 1 and not plan.success
     assert "after 1 iterations" in str(err.value)
+
+
+def test_drive_entering_on_its_last_allowed_iteration_succeeds():
+    # a mild start (one deficit node 0.45 below the healthy equilibrium) needs one
+    # reallocation: a cap of 1 lets it succeed, a cap of 0 stops it outside M+
+    net = fixtures.complete10()
+    x0 = candidate_equilibrium(ShiftedModel.from_network(net), 0).x
+    x0[0] -= 0.45
+    assert not healthy_region(net).contains(x0)
+    plan = drive_to_invariant(net, x0, max_iterations=1)
+    assert plan.success and plan.iterations == 1
+    assert plan.region.contains(plan.final_x)
+    with pytest.raises(IterationCapReached) as err:
+        drive_to_invariant(net, x0, max_iterations=0)
+    assert err.value.plan.iterations == 0 and not err.value.plan.success
 
 
 def test_unconverged_reallocation_raises(monkeypatch):

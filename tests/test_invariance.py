@@ -235,7 +235,7 @@ def test_maximal_region_is_invariant_and_maximal():
         inside = pts[np.all(margins >= -1e-9, axis=1)]
         outside = pts[np.any(margins < -1e-9, axis=1)]
         for x in inside[:50]:
-            assert poly.contains(model.step(x), tol=1e-7)
+            assert poly.margins(model.step(x)).min() >= -1e-7
         for x in outside[:50]:
             traj = simulate(model, x, tau + 1)
             assert np.min(traj.states[1:]) < 1e-12
@@ -268,7 +268,7 @@ def test_stable_region_short_trajectories_stay_inside():
             continue
         traj = simulate(model, x, 30)
         for state in traj.states:
-            assert poly.contains(state, tol=1e-7)
+            assert poly.margins(state).min() >= -1e-7
         np.testing.assert_allclose(traj.states[-1], recs[1].x, atol=1e-6)
 
 
@@ -290,13 +290,35 @@ def test_intermediate_orthants_not_invariant_on_fixtures():
     assert verdict.reason == "theorem"         # off-diagonal C strictly positive
 
     ring = ShiftedModel.from_network(fixtures.ring4())
-    v = intermediate_not_invariant(ring, 5, samples=500, seed=0)
+    v = intermediate_not_invariant(ring, 5, seed=0)
     assert v.status in ("not_invariant", "unknown")
     if v.status == "not_invariant":
         assert v.reason == "escape-witness"
         x = np.asarray(v.witness)
         assert indicator(x).tolist() == [0, 1, 0, 1]
         assert not np.array_equal(indicator(ring.step(x)), indicator(x))
+
+
+def test_finite_determination_rejects_intermediate_orthants():
+    model = ShiftedModel.from_network(fixtures.two_bank())
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="k=0 or k=2\\^n-1 only"):
+            finite_determination_index(model, k)
+
+
+def test_region_of_attraction_rejects_negative_tau():
+    model = ShiftedModel.from_network(fixtures.two_bank())
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        region_of_attraction(model, candidate_equilibrium(model, 0), tau=-1)
+
+
+def test_polyhedra_equivalent_with_a_side_without_rows():
+    # no rows is the whole plane: equal to itself, not to a half-plane, in either order
+    plane = Polyhedron(A=np.zeros((0, 2)), b=np.zeros(0), row_power=np.zeros(0))
+    half = Polyhedron(A=np.array([[1.0, 0.0]]), b=np.array([0.0]), row_power=[0])
+    assert polyhedra_equivalent(plane, plane)
+    assert not polyhedra_equivalent(plane, half)
+    assert not polyhedra_equivalent(half, plane)
 
 
 def test_intermediate_guard_rejects_monotone_orthants():
@@ -310,7 +332,7 @@ def test_intermediate_guard_rejects_monotone_orthants():
 def test_escape_witness_is_checked_against_dynamics():
     # ring4 k=5 is an actual equilibrium orthant, yet still not invariant
     ring = ShiftedModel.from_network(fixtures.ring4())
-    v = intermediate_not_invariant(ring, 6, samples=300, seed=1)
+    v = intermediate_not_invariant(ring, 6, seed=1)
     if v.witness is not None:
         x = np.asarray(v.witness)
         assert not np.array_equal(indicator(ring.step(x)), indicator(x))

@@ -520,10 +520,12 @@ def active_set_projection(A, b, y):
     return best
 
 
-def test_halfspace_projection_identity_inside():
+def test_halfspace_projection_identity_inside(monkeypatch):
     A, b = np.array([[1.0, -1.0]]), np.array([1.0])
-    x = np.array([3.0, 1.0])        # a.x = 2 >= 1, already inside
-    z, lam = project_polyhedron(A, b, x, max_iter=0)
+    x = np.array([3.0, 1.0])        # a.x = 2 >= 1, already inside: no Newton step needed
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "PROJECTION_MAX_ITER", 0)
+        z, lam = project_polyhedron(A, b, x)
     np.testing.assert_array_equal(z, x)
     np.testing.assert_array_equal(lam, [0.0])
     y = project_polyhedron(A, b, np.array([0.0, 2.0]))[0]
@@ -545,10 +547,11 @@ def test_projection_of_an_empty_set_raises():
         project_polyhedron(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), np.array([0.5]))
 
 
-def test_projection_past_its_cap_raises():
+def test_projection_past_its_cap_raises(monkeypatch):
     A, b = np.array([[1.0, 1.0]]), np.array([3.0])
-    with pytest.raises(IterationLimitError, match="Newton steps"):
-        project_polyhedron(A, b, np.array([-1.0, 0.5]), max_iter=0)
+    monkeypatch.setattr(numerics, "PROJECTION_MAX_ITER", 0)
+    with pytest.raises(IterationLimitError, match="after 0 Newton steps"):
+        project_polyhedron(A, b, np.array([-1.0, 0.5]))
 
 
 def reallocation_set(net, epsilon=1e-6):
@@ -579,12 +582,14 @@ def polyhedron_cases():
             yield A, b, x0
 
 
-def test_projection_certifies_kkt_on_polyhedron_cases():
+def test_projection_certifies_kkt_on_polyhedron_cases(monkeypatch):
     for A, b, y in polyhedron_cases():
         z, lam = project_polyhedron(A, b, y)
         assert kkt_violation(A, b, y, z, lam) <= 1e-12 * scale_of(A, b, y)
         # warm-started at its own multipliers, the projection is already certified
-        z_warm, lam_warm = project_polyhedron(A, b, y, lam, max_iter=0)
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "PROJECTION_MAX_ITER", 0)
+            z_warm, lam_warm = project_polyhedron(A, b, y, lam)
         assert np.array_equal(z_warm, z) and np.array_equal(lam_warm, lam)
 
 
