@@ -54,10 +54,9 @@ from .robust import (
 from .cycles import (
     CycleHit,
     InsufficientLengthError,
-    LiftedSystem,
     LimitClassification,
-    build_lifted,
     detect_cycle,
+    periodic_points,
     verify_no_period2,
 )
 from .intervene import (

@@ -1,14 +1,15 @@
 """Periodic orbits of the switched dynamics.
 
 A period-h orbit of the n-dimensional system is a fixed point of the
-lifted nh-dimensional system whose state stacks h consecutive states; the
-lifted matrices are block-circulant with C (resp. diag(beta)) on the
-subdiagonal blocks and the top-right corner. The dynamics admit no
-period-2 orbits, which verify_no_period2 probes empirically, and
-trajectories that stay clear of the switching boundaries settle on an
-equilibrium or a cycle, which classify_trajectory reports. Every trajectory
-here comes from netmodel.simulate: bitwise the plain step loop (the
-no-period-2 trials as one block), though a settled one costs few steps.
+lifted nh-dimensional system whose state stacks h consecutive states. The
+lift keeps C >= 0 and its column sums, so periodic_points finds every
+period-h point by the census that enumerates equilibria, for n h up to the
+enumeration guard. The dynamics admit no period-2 orbits, which
+periodic_points(model, 2) checks exactly and verify_no_period2 probes by
+sampling. Trajectories that stay clear of the switching boundaries settle
+on an equilibrium or a cycle, which classify_trajectory reports. Every
+trajectory here comes from netmodel.simulate: bitwise the plain step loop
+(the no-period-2 trials as one block), though a settled one costs few steps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import ShiftedModel, Trajectory, indicator, orthant_codes, simulate
+from .equilibria import ENUMERATION_LIMIT, DimensionTooLargeError, _census, _require_finite
+from .netmodel import ShiftedModel, Trajectory, orthant_codes, simulate
+from .numerics import solve_linear
 
 DETECT_TOL = 1e-9       # closure tolerance of the cycle search
 H_MAX = 64              # largest period searched
@@ -28,43 +31,24 @@ class InsufficientLengthError(ValueError):
     """Trajectory too short for the requested cycle search."""
 
 
-@dataclass(frozen=True)
-class LiftedSystem:
-    """Fixed-point form Z = C_lift Z + constant - B_lift phi(Z)."""
+def periodic_points(model: ShiftedModel, h: int) -> np.ndarray:
+    """Every point whose period divides h, as (count, h, n) stacks of consecutive states.
 
-    h: int
-    n: int
-    C_lift: np.ndarray
-    B_lift: np.ndarray
-    constant: np.ndarray
-
-    def residual(self, Z) -> np.ndarray:
-        """Zero exactly on lifts of period-h orbits."""
-        Z = np.asarray(Z, dtype=float)
-        return Z - (self.C_lift @ Z + self.constant - self.B_lift @ indicator(Z))
-
-    def stack_orbit(self, states) -> np.ndarray:
-        """Stack h consecutive states into a lifted point."""
-        states = np.asarray(states, dtype=float)
-        if states.shape != (self.h, self.n):
-            raise ValueError(f"expected ({self.h}, {self.n}) states, got {states.shape}")
-        return states.reshape(-1)
-
-
-def build_lifted(model: ShiftedModel, h: int) -> LiftedSystem:
-    """Block-circulant lift for period-h analysis."""
+    Stack j holds x, step(x), ..., step^(h-1)(x) for a point x with step^h(x) = x, so each
+    orbit appears once per phase and every equilibrium once, as h equal rows. They are the
+    fixed points of the lift Z = C_lift Z + tile(r, h) - B_lift phi(Z) with C_lift =
+    kron(P, C), B_lift = kron(P, diag(beta)) and P the h x h cyclic shift, found by the
+    equilibrium census on its (w, M). Raises ValueError for h < 1 or non-finite data and
+    DimensionTooLargeError when n h exceeds ENUMERATION_LIMIT."""
     if h < 1:
         raise ValueError("period must be >= 1")
-    n = model.n
-    C_lift = np.zeros((n * h, n * h))
-    B_lift = np.zeros((n * h, n * h))
-    B = np.diag(model.beta)
-    for i in range(h):
-        j = (i - 1) % h            # predecessor block; row 0 wraps to the last
-        C_lift[i * n:(i + 1) * n, j * n:(j + 1) * n] = model.C
-        B_lift[i * n:(i + 1) * n, j * n:(j + 1) * n] = B
-    return LiftedSystem(h=h, n=n, C_lift=C_lift, B_lift=B_lift,
-                        constant=np.tile(model.r, h))
+    if (nh := model.n * h) > ENUMERATION_LIMIT:
+        raise DimensionTooLargeError(f"n*h={nh} exceeds enumeration guard {ENUMERATION_LIMIT}")
+    _require_finite(model)
+    P = np.roll(np.eye(h), 1, axis=0)       # block i reads block i - 1; block 0 the last
+    WM = solve_linear(np.eye(nh) - np.kron(P, model.C),
+                      np.column_stack([np.tile(model.r, h), np.kron(P, np.diag(model.beta))]))
+    return _census(WM[:, 0], WM[:, 1:]).reshape(-1, h, model.n)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ column-sum condition, so every consistent candidate is locally stable (the
 error dynamics in the orthant are y(t+1) = C y(t)), and C >= 0 makes
 M = sum_t C^t B >= 0: x(phi) falls monotonically as failure bits are set, the
 structure behind Eisenberg and Noe's fictitious-default algorithm, and the
-enumeration prunes on it, one array pass per block of sibling nodes.
+census prunes on it, one array pass per block of sibling nodes. The census
+takes any (w, M) with M >= 0: cycles.periodic_points runs it on the lift whose
+fixed points are the period-h points.
 """
 
 from __future__ import annotations
@@ -63,30 +65,27 @@ def candidate_equilibrium(model: ShiftedModel, k: int) -> EquilibriumRecord:
                              interior=bool(np.min(np.abs(x)) > INTERIOR_TOL))
 
 
-def enumerate_equilibria(model: ShiftedModel) -> list[EquilibriumRecord]:
-    """Every consistent orthant candidate, in increasing k, by branch and bound.
+def _census(w: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Every x = w - M phi with indicator(x) == phi, as rows in increasing orthant code.
 
-    Failure bits are fixed depth first, component 0 (the top bit of k)
-    first. With bits 0..d-1 fixed and x = w - M phi, every completion lies
-    in [x - tail_d, x] (tail_d sums the columns of M from d on), so a node
-    is pruned when a fixed healthy bit has x_i < -tol or a fixed failed bit
-    has (x - tail_d)_i >= tol; tol = INTERIOR_TOL * data scale >> rounding.
-    A leaf is kept iff indicator(x) == phi. Raises ValueError on non-finite
-    data or when M has an entry below -tol (the bounds would not hold)."""
-    if (n := model.n) > ENUMERATION_LIMIT:
-        raise DimensionTooLargeError(f"n={n} exceeds enumeration guard {ENUMERATION_LIMIT}")
-    _require_finite(model)
-    WM = solve_linear(np.eye(n) - model.C, np.column_stack([model.r, np.diag(model.beta)]))
-    w, M = WM[:, 0], WM[:, 1:]
-    tol = INTERIOR_TOL * max(1.0, float(np.max(np.abs(WM))))
+    Branch and bound over phi in {0, 1}^N. Failure bits are fixed depth first,
+    component 0 (the top bit of the code) first. With bits 0..d-1 fixed, every
+    completion lies in [x - tail_d, x] (tail_d sums the columns of M from d on), so a
+    node is pruned when a fixed healthy bit has x_i < -tol or a fixed failed bit has
+    (x - tail_d)_i >= tol; tol = INTERIOR_TOL * data scale >> rounding. A leaf is kept
+    iff indicator(x) == phi. Raises ValueError when M has an entry below -tol (the
+    bounds would not hold)."""
+    n = w.size
+    tol = INTERIOR_TOL * max(1.0, float(np.max(np.abs(w))), float(np.max(np.abs(M))))
     if np.min(M) < -tol:
         raise ValueError("(I - C)^-1 B has a negative entry; the enumeration needs it nonnegative")
     tail = np.hstack([np.cumsum(M[:, ::-1], axis=1)[:, ::-1], np.zeros((n, 1))])
-    out, stack = [], [(0, w[None, :], np.zeros((1, n), dtype=bool))]    # (depth, x rows, bits)
+    out = [np.empty((0, n))]
+    stack = [(0, w[None, :], np.zeros((1, n), dtype=bool))]    # (depth, x rows, bits)
     while stack:
         d, X, F = stack.pop()
         X, F = X.repeat(2, axis=0), F.repeat(2, axis=0)
-        X[1::2] -= M[:, d]                  # healthy then failed child: k ascends
+        X[1::2] -= M[:, d]                  # healthy then failed child: codes ascend
         F[1::2, d] = True
         t = tol if d + 1 < n else 0.0       # at a leaf tail is 0: t = 0 keeps indicator(x) == phi
         live = ~np.where(F, X - tail[:, d + 1] >= t, X < -t)[:, :d + 1].any(axis=1)
@@ -94,11 +93,24 @@ def enumerate_equilibria(model: ShiftedModel) -> list[EquilibriumRecord]:
         if d + 1 < n:
             stack.extend((d + 1, X[i:i + _BLOCK_ROWS], F[i:i + _BLOCK_ROWS])
                          for i in reversed(range(0, len(X), _BLOCK_ROWS)))
-            continue
-        out += [EquilibriumRecord(k=k, x=x, v=x + model.threshold, consistent=True,
-                                  interior=bool(np.min(np.abs(x)) > INTERIOR_TOL))
-                for k, x in zip(orthant_codes(X).tolist(), X)]
-    return out
+        else:
+            out.append(X)
+    return np.concatenate(out)
+
+
+def enumerate_equilibria(model: ShiftedModel) -> list[EquilibriumRecord]:
+    """Every consistent orthant candidate, in increasing k: the census of
+    (w, M) = (I - C)^-1 [r, B]. Raises DimensionTooLargeError past
+    ENUMERATION_LIMIT, and ValueError on non-finite data or when M has an
+    entry below -tol."""
+    if (n := model.n) > ENUMERATION_LIMIT:
+        raise DimensionTooLargeError(f"n={n} exceeds enumeration guard {ENUMERATION_LIMIT}")
+    _require_finite(model)
+    WM = solve_linear(np.eye(n) - model.C, np.column_stack([model.r, np.diag(model.beta)]))
+    X = _census(WM[:, 0], WM[:, 1:])
+    return [EquilibriumRecord(k=k, x=x, v=x + model.threshold, consistent=True,
+                              interior=bool(np.min(np.abs(x)) > INTERIOR_TOL))
+            for k, x in zip(orthant_codes(X).tolist(), X)]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from finnet import fixtures
-from finnet.cycles import detect_cycle, verify_no_period2
+from finnet.cycles import detect_cycle, periodic_points, verify_no_period2
 from finnet.equilibria import candidate_equilibrium, enumerate_equilibria
 from finnet.intervene import (
     InjectionProblem,
@@ -86,6 +86,24 @@ def test_criterion_03_no_period2_sweep():
         violations += len(rep.violations)
     assert violations == 0
     assert time.perf_counter() - start < 60.0
+
+
+def test_criterion_03_no_period2_exact():
+    # the sweep's 1,000 networks, each period-2 point found by the lifted census:
+    # every one is an equilibrium, so no network has a proper period-2 orbit
+    rng = np.random.default_rng(2026)
+    points = 0
+    for _ in range(1000):
+        n = int(rng.integers(2, 6))
+        model = ShiftedModel.from_network(fixtures.random_network(rng, n))
+        rng.integers(1 << 31)       # the sweep's trial seed, drawn to keep the stream aligned
+        pairs = periodic_points(model, 2)
+        equilibria = np.array([rec.x for rec in enumerate_equilibria(model)])
+        assert pairs.shape == (len(equilibria), 2, n)
+        for state in (0, 1):
+            np.testing.assert_allclose(pairs[:, state], equilibria, rtol=0.0, atol=1e-9)
+        points += len(pairs)
+    assert points == 1462
 
 
 def coordinate_bounds(poly, i, n):

@@ -1,18 +1,20 @@
-"""Periodic orbits: lifted fixed-point form, detection, classification."""
+"""Periodic orbits: the lifted census, detection, classification."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equilibria_reference import reference_enumerate
 from finnet import fixtures
 from finnet.cycles import (
     CycleHit,
     InsufficientLengthError,
-    build_lifted,
     classify_trajectory,
     detect_cycle,
+    periodic_points,
     verify_no_period2,
 )
+from finnet.equilibria import DimensionTooLargeError, enumerate_equilibria
 from finnet.netmodel import ShiftedModel, Trajectory, simulate
 
 
@@ -20,44 +22,76 @@ def ring_model():
     return ShiftedModel.from_network(fixtures.ring4())
 
 
-def test_lifted_block_structure():
+def lifted_brute_force(model, h):
+    """Every fixed point of the block-circulant lift, one dense solve per orthant of R^(nh),
+    in increasing orthant code, as (count, h, n) stacks."""
+    n, N = model.n, model.n * h
+    C_lift, B_lift = np.zeros((N, N)), np.zeros((N, N))
+    for i in range(h):
+        j = (i - 1) % h             # block i reads its predecessor; block 0 wraps to the last
+        C_lift[i * n:(i + 1) * n, j * n:(j + 1) * n] = model.C
+        B_lift[i * n:(i + 1) * n, j * n:(j + 1) * n] = np.diag(model.beta)
+    phi = (np.arange(2 ** N)[:, None] >> np.arange(N - 1, -1, -1)) & 1     # row k: orthant k
+    X = np.linalg.solve(np.eye(N) - C_lift, np.tile(model.r, h)[:, None] - B_lift @ phi.T).T
+    return X[np.all((X < 0) == phi, axis=1)].reshape(-1, h, n)
+
+
+def test_periodic_points_at_period_one_are_the_reference_census():
+    rng = np.random.default_rng(5)
+    models = [ShiftedModel.from_network(make())
+              for make in (fixtures.two_bank, fixtures.ring4, fixtures.complete10)]
+    models += [ShiftedModel.from_network(fixtures.random_network(rng, int(rng.integers(2, 11))))
+               for _ in range(100)]
+    for model in models:
+        points, ref = periodic_points(model, 1), reference_enumerate(model)
+        assert points.shape == (len(ref), 1, model.n)
+        for x, rec in zip(points[:, 0], ref):
+            assert np.array_equal(x, rec.x)
+
+
+def test_periodic_points_match_brute_force_over_lifted_orthants():
+    rng = np.random.default_rng(17)
+    cases = [(ShiftedModel.from_network(fixtures.two_bank()), h) for h in range(1, 7)]
+    cases += [(ring_model(), h) for h in range(1, 4)]
+    for h in range(1, 7):
+        for _ in range(12):
+            n = int(rng.integers(1, 12 // h + 1))
+            cases.append((ShiftedModel.from_network(fixtures.random_network(rng, n)), h))
+    for model, h in cases:
+        points, ref = periodic_points(model, h), lifted_brute_force(model, h)
+        assert points.shape == ref.shape
+        np.testing.assert_allclose(points, ref, rtol=0.0, atol=1e-9)
+
+
+def test_periodic_points_on_ring4():
     model = ring_model()
-    lift = build_lifted(model, 3)
-    n = model.n
-    assert lift.C_lift.shape == (3 * n, 3 * n)
-    # row block i reads from column block i-1, with block row 0 wrapping
-    np.testing.assert_array_equal(lift.C_lift[:n, 2 * n:], model.C)
-    np.testing.assert_array_equal(lift.C_lift[n:2 * n, :n], model.C)
-    np.testing.assert_array_equal(lift.C_lift[2 * n:, n:2 * n], model.C)
-    assert lift.C_lift[:n, :2 * n].sum() == 0.0
-    np.testing.assert_array_equal(lift.B_lift[:n, 2 * n:], np.diag(model.beta))
-    np.testing.assert_array_equal(lift.constant, np.tile(model.r, 3))
+    equilibria = np.array([rec.x for rec in enumerate_equilibria(model)])
+    two = periodic_points(model, 2)
+    assert two.shape == (8, 2, 4)
+    for state in (0, 1):            # both states are the equilibrium: no proper period-2 point
+        np.testing.assert_allclose(two[:, state], equilibria, rtol=0.0, atol=1e-12)
+    six = periodic_points(model, 6)
+    assert six.shape == (20, 6, 4)
+    on_orbit = np.abs(six - six[:, :1]).max(axis=(1, 2)) > 1e-9
+    assert on_orbit.sum() == 12
+    for points in six[on_orbit]:            # no period 2 or 3 in between
+        assert all(np.abs(points[d] - points[0]).max() > 1e-3 for d in (1, 2, 3))
+    starts = six[on_orbit, 0]
+    i = np.argmin(np.abs(starts - [2.4038, 0.0707, -2.4038, -0.0707]).max(axis=1))
+    np.testing.assert_allclose(starts[i], [2.4038, 0.0707, -2.4038, -0.0707], atol=5e-5)
+    for points in six:              # consecutive states, and step 6 closes the orbit
+        states = simulate(model, points[0], 6).states
+        assert np.abs(states - np.vstack([points, points[:1]])).max() <= 1e-12
 
 
-def test_lifted_residual_vanishes_on_known_orbit():
-    # orbit coordinates are pinned to 4 decimals, hence the loose tol
-    lift = build_lifted(ring_model(), 8)
-    Z = lift.stack_orbit(fixtures.RING4_ORBIT)
-    assert np.max(np.abs(lift.residual(Z))) < 1e-3
-
-
-def test_lifted_residual_vanishes_on_equilibrium():
-    model = ring_model()
-    lift = build_lifted(model, 1)
-    x = np.full(4, -5.0)            # all-failed fixed point of the ring
-    assert np.max(np.abs(lift.residual(x))) < 1e-12
-    assert np.max(np.abs(lift.residual(x + 0.3))) > 1e-3
+def test_periodic_points_past_the_enumeration_guard():
+    with pytest.raises(DimensionTooLargeError, match="n\\*h=32 exceeds enumeration guard 24"):
+        periodic_points(ring_model(), 8)
 
 
 def test_lift_rejects_period_zero():
     with pytest.raises(ValueError, match="period must be >= 1"):
-        build_lifted(ring_model(), 0)
-
-
-def test_stack_orbit_shape_guard():
-    lift = build_lifted(ring_model(), 8)
-    with pytest.raises(ValueError):
-        lift.stack_orbit(np.zeros((7, 4)))
+        periodic_points(ring_model(), 0)
 
 
 def test_detect_cycle_period8_on_ring():
