@@ -31,8 +31,10 @@ from .numerics import (
     InfeasibleError,
     IterationLimitError,
     LinearProgram,
+    OPT_TOL,
     PIVOT_TOL,
     STRICT_MARGIN,
+    _basic_point,
     _dual_phase2,
     _DualStart,
     _vector,
@@ -63,6 +65,10 @@ def minimal_injection(prob: InjectionProblem) -> np.ndarray:
     The region rows bound the total downward; the LP is infeasible only if
     the region itself is empty. Withdrawals (negative entries) are allowed
     unless the problem says otherwise. Each region keeps its LP's phase 1 (_DualStart).
+    With free v, the dual max b.y on {A^T y = 1, y >= 0}, b = region.b - A x, moves by the
+    constant -1.x, so its path and optimal basis B do not depend on x; z = A_B^-1 b_B = w - x,
+    w B's point at x = 0, so A z - b = A w - region.b >= 0. After a region's first solve z is
+    B's point (no simplex) while its slack is >= -OPT_TOL; else (region.b changed) it re-solves.
     """
     n = prob.x.shape[0]
     A = prob.region.A
@@ -74,6 +80,10 @@ def minimal_injection(prob: InjectionProblem) -> np.ndarray:
     start = prob.region._injection_lps.get(prob.nonnegative)
     if start is None or not np.array_equal(start.A, lp.A):
         start = prob.region._injection_lps[prob.nonnegative] = _DualStart(lp.A, lp.c)
+    if not prob.nonnegative and start.last:
+        z = _basic_point(lp.A, lp.b, start.last[1])
+        if (lp.A @ z - lp.b).min(initial=0.0) >= -OPT_TOL:
+            return z
     return _dual_phase2(start, lp.b).z
 
 

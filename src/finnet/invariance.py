@@ -80,7 +80,7 @@ class Polyhedron:
 
     @cached_property
     def _injection_lps(self) -> dict:
-        """minimal_injection's numerics._DualStart per nonnegative flag; not a field."""
+        """minimal_injection's _DualStart and last basis per nonnegative flag; not a field."""
         return {}
 
 

@@ -9,12 +9,12 @@ Problems are small (tens of variables), so the solvers are dense: the
 simplex keeps Bland's rule and pivots with whole-array updates, and Python
 loops are left only where a rule is sequential. lp_solve pivots on the dual's
 n-row tableau: a _DualStart holds its phase 1, which depends on A and c only, and
-_dual_phase2 runs phase 2 for b. One region's injection LPs keep their start and warm
-phase 2 from the last optimum, whose answer is kept only at a strictly complementary
-(unique) basis, so z never depends on call order. LPs that share one polyhedron
-across many objectives (the invariance checks) keep the primal form: _vertex starts
-from _phase1's basis or, with no phase 1, from _anchored's slack basis at a point
-known to lie on the polyhedron. One phase-1 routine, _feasible, serves both forms; it
+_dual_phase2 runs phase 2 for b, warm from the last optimum, kept only at a strictly
+complementary (unique) basis; z is the basis's point (_basic_point). A region's injection
+LPs share a start; free ones skip phase 2 after the first (see minimal_injection). LPs that
+share one polyhedron across many objectives (the invariance checks) keep the primal form:
+_vertex starts from _phase1's basis or, with no phase 1, from _anchored's slack basis at a
+point known to lie on the polyhedron. One phase-1 routine, _feasible, serves both forms; it
 pivots on rows divided by their largest entry and judges emptiness relative to b.
 """
 
@@ -259,6 +259,14 @@ class _DualStart:
             pass
 
 
+def _basic_point(A: np.ndarray, b: np.ndarray, basis: list[int]) -> np.ndarray:
+    """z on a dual basis's rows, A_B z = b_B; lstsq if A is rank deficient (A_B short/singular)."""
+    try:
+        return solve_linear(A[basis], b[basis])
+    except ValueError:
+        return np.linalg.lstsq(A[basis], b[basis], rcond=None)[0]
+
+
 def _dual_phase2(start: _DualStart, b: np.ndarray) -> LPSolution:
     """Optimise start's dual max b.y for b; the final (T, basis) is kept as start.last.
 
@@ -281,10 +289,7 @@ def _dual_phase2(start: _DualStart, b: np.ndarray) -> LPSolution:
     start.last = T, basis
     y = np.zeros(b.size)
     y[basis] = unit * T[:, -1]
-    try:        # A_B has fewer rows, or is singular, when A is rank deficient
-        z = solve_linear(A[basis], b[basis])
-    except ValueError:
-        z = np.linalg.lstsq(A[basis], b[basis], rcond=None)[0]
+    z = _basic_point(A, b, basis)
     slack = A @ z - b
     objective = float(c @ z)
     cs = float(max(abs(objective - b @ y), np.max(np.abs(y * slack), initial=0.0),

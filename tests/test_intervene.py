@@ -115,7 +115,8 @@ def injection_lp(region, x, nonnegative):
 
 
 def distressed_states(net, rng, count):
-    """The healthy equilibrium with one to three nodes pushed into distress, and draws around it."""
+    """The healthy equilibrium with one to three nodes pushed into distress, draws around it,
+    and two states far from M+, x_eq +- 100 |x_eq|."""
     model = ShiftedModel.from_network(net)
     x_eq = np.linalg.solve(np.eye(net.n) - model.C, model.r)
     states = []
@@ -124,33 +125,56 @@ def distressed_states(net, rng, count):
         idx = rng.choice(net.n, size=int(rng.integers(1, 4)), replace=False)
         x[idx] -= rng.uniform(0.2, 1.5, size=idx.size)
         states += [x, x_eq + rng.uniform(-1.5, 0.5, net.n)]
-    return states
+    return states + [x_eq + 100.0 * np.abs(x_eq), x_eq - 100.0 * np.abs(x_eq)]
 
 
 @pytest.mark.parametrize("nonnegative", [False, True])
-@pytest.mark.parametrize("label", ["complete10", "gap6"])
+@pytest.mark.parametrize("label", ["complete10", "gap6", "gap8"])
 def test_injection_does_not_depend_on_call_order(label, nonnegative):
-    # one region's LPs share a phase 1 and warm-start phase 2 from the last
-    # optimal tableau, which is kept only at a unique optimum: every v is a
-    # cold lp_solve's, bit for bit, whatever ran before it
+    # one region's LPs share a phase 1. Free v is the first optimal basis's point for
+    # every x, with no simplex call after the first; nonnegative v warm-starts phase 2
+    # from the last optimal tableau, kept only at a unique optimum. Either way every v
+    # is a cold lp_solve's, bit for bit, whatever ran before it
     rng = np.random.default_rng(17)
-    net = fixtures.complete10() if label == "complete10" else fixtures.random_gap_network(rng, 6)
+    net = fixtures.complete10() if label == "complete10" else \
+        fixtures.random_gap_network(rng, int(label[3:]))
     region = healthy_region(net)
     states = distressed_states(net, rng, 12) + [fixtures.SAMPLE_STATE10] * (net.n == 10)
-    with mock.patch.object(numerics, "_pivot", wraps=numerics._pivot) as pivots:
+    with mock.patch.object(numerics, "_pivot", wraps=numerics._pivot) as pivots, \
+            mock.patch.object(numerics, "_simplex", wraps=numerics._simplex) as simplex:
         cold = [lp_solve(injection_lp(region, x, nonnegative)).z for x in states]
         cold_pivots, pivots.call_count = pivots.call_count, 0
         orders = [range(len(states)), range(len(states))[::-1]]
+        simplex_calls = []
         for order in orders + [rng.permutation(len(states)) for _ in range(5)]:
             for i in order:
                 v = minimal_injection(InjectionProblem(region=region, x=states[i],
                                                        nonnegative=nonnegative))
                 assert v.tobytes() == cold[i].tobytes()
-    assert pivots.call_count < 7 * cold_pivots       # the shared phase 1 alone saves pivots
+                simplex_calls.append(simplex.call_count)
+    # the shared phase 1 alone saves pivots; free v pivots on the first call only
+    assert pivots.call_count < 7 * cold_pivots
+    if not nonnegative:
+        assert simplex_calls[-1] == simplex_calls[0]
     if label == "complete10" and not nonnegative:
-        # the optimum at SAMPLE_STATE10 is a segment, where the warm answer is
-        # refused: v stays the cold run's end, 0.9 on component 8
+        # the optimum at SAMPLE_STATE10 is a segment: v is the cold run's end, which is
+        # the first basis's point, 0.9 on component 8
         assert abs((fixtures.SAMPLE_STATE10 + cold[-1])[7] - 0.9) <= 1e-9
+
+
+def test_injection_on_a_rank_deficient_region():
+    # A's rows are parallel, so a dual basis has one row and z is lstsq's least-norm point
+    # on it; every x, in any order, still gets a cold lp_solve's z, bit for bit
+    region = Polyhedron(A=[[1.0, 1.0], [2.0, 2.0]], b=[0.0, 1.0], row_power=[0, 0])
+    states = [np.array(x) for x in ([0.0, 0.0], [-1.0, 0.5], [3.0, -2.0], [-40.0, -7.5],
+                                    [0.25, 0.25], [1e3, -1e3])]
+    cold = [lp_solve(injection_lp(region, x, False)).z for x in states]
+    for order in (range(len(states)), *(np.random.default_rng(k).permutation(len(states))
+                                        for k in range(3))):
+        for i in order:
+            v = minimal_injection(InjectionProblem(region=region, x=states[i]))
+            assert v.tobytes() == cold[i].tobytes()
+            assert region.margins(states[i] + v).min() >= -1e-9
 
 
 def test_injection_follows_rows_changed_in_place():
@@ -161,11 +185,17 @@ def test_injection_follows_rows_changed_in_place():
     for nonnegative in (False, True):
         before[nonnegative] = minimal_injection(InjectionProblem(region=region, x=x,
                                                                  nonnegative=nonnegative))
-    region.A[:] *= rng.uniform(0.5, 2.0, region.A.shape)  # nonnegative rows: M+ stays nonempty
-    for nonnegative in (False, True):
-        v = minimal_injection(InjectionProblem(region=region, x=x, nonnegative=nonnegative))
-        assert v.tobytes() == lp_solve(injection_lp(region, x, nonnegative)).z.tobytes()
-        assert not np.array_equal(v, before[nonnegative])
+    # nonnegative rows: M+ stays nonempty. A new b keeps the start, but the kept basis's
+    # point then violates a row, so the LP is solved again
+    for A, b in ((rng.uniform(0.5, 2.0, region.A.shape), 0.0),
+                 (1.0, rng.uniform(0.0, 1.0, region.b.shape))):
+        region.A[:] *= A
+        region.b[:] -= b
+        for nonnegative in (False, True):
+            v = minimal_injection(InjectionProblem(region=region, x=x, nonnegative=nonnegative))
+            assert v.tobytes() == lp_solve(injection_lp(region, x, nonnegative)).z.tobytes()
+            assert not np.array_equal(v, before[nonnegative])
+            before[nonnegative] = v
 
 
 @functools.lru_cache(maxsize=None)
