@@ -218,8 +218,8 @@ def _region_from(model: ShiftedModel, eq: EquilibriumRecord) -> Polyhedron:
 
 
 # ---------------------------------------------------------------------------
-# LP-backed redundancy checks, used for the fixed-point property of the
-# truncation index and for comparing regions.
+# LP-backed redundancy checks, used by the prune, stable_region and
+# polyhedra_equivalent.
 # ---------------------------------------------------------------------------
 
 def _implied(start: _FeasibleBasis, a: np.ndarray, rhs: float) -> bool:
@@ -245,6 +245,16 @@ def prune_redundant(poly: Polyhedron) -> Polyhedron:
     tolerances are absolute. One LP finds x0 in poly, the Chebyshev centre with radius t
     capped at 1 (finite on unbounded polys), and each row's LP starts from the slack basis
     at x0. Raises InfeasibleError on an empty poly, ValueError on non-finite A or b.
+
+    Two certificates settle most rows without their LP; the others run it over the same
+    kept rows, so the kept set is the LP's wherever the LP is exact to OPT_TOL.
+    * Sign (drop): b_i <= 0, and each coordinate c with a_c != 0 has another kept signed
+      unit row s x_c >= 0 (one nonzero, b = 0) with s a_c > 0. Then a.x >= 0 >= b_i on
+      P(others), so the LP finds row i implied.
+    * Ray (keep), when t > 0: the ray x0 - s a_i leaves row i at s = slack_i and row j at
+      slack_j / (a_j.a_i) when a_j.a_i > 0. If every other kept row is left later by more
+      than OPT_TOL, the point on the ray where the first of them is left lies in P(others)
+      and violates row i by more than OPT_TOL, so the LP keeps row i.
     """
     m, n = poly.A.shape
     norm = np.linalg.norm(poly.A, axis=1)
@@ -252,12 +262,25 @@ def prune_redundant(poly: Polyhedron) -> Polyhedron:
     A, b = poly.A / unit[:, None], poly.b / unit
     t = np.eye(1, n + 1, n)
     cheb = np.vstack([np.column_stack([A, -np.sign(norm)]), t, -t])
-    x0 = lp_solve(LinearProgram(c=-t[0], A=cheb, b=np.append(b, [0.0, -1.0]))).z[:n]
+    z = lp_solve(LinearProgram(c=-t[0], A=cheb, b=np.append(b, [0.0, -1.0]))).z
+    x0, slack = z[:n], A @ z[:n] - b
+    signed = np.hstack([A > 0, A < 0])                 # row i's signed coordinates s x_c
+    lone = (signed.sum(axis=1) == 1) & (b == 0)        # the signed unit rows s x_c >= 0
+    cover = signed[lone].sum(axis=0)                   # kept signed unit rows per s x_c
     keep = list(range(m))
     for idx in range(m):
         others = [i for i in keep if i != idx]
-        if others and _implied(_anchored(A[others], b[others], x0), A[idx], float(b[idx])):
+        if not others:
+            continue
+        cos = A[others] @ A[idx]                       # the ray meets row j where cos_j > 0
+        if z[n] > 0 and norm[idx] > 0 and np.min(slack[others][cos > 0] / cos[cos > 0],
+                                                 initial=np.inf) - slack[idx] > OPT_TOL:
+            continue
+        cover_others = cover - (signed[idx] & lone[idx])
+        if (b[idx] <= 0 and cover_others[signed[idx]].all()
+                or _implied(_anchored(A[others], b[others], x0), A[idx], float(b[idx]))):
             keep.remove(idx)
+            cover = cover_others
     return Polyhedron(A=poly.A[keep], b=poly.b[keep],
                       row_power=poly.row_power[keep],
                       certified=poly.certified, note=poly.note + " (pruned)")

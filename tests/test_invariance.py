@@ -1,6 +1,7 @@
 """Invariance tests, regions of attraction, and finite determination."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -494,6 +495,78 @@ def test_redundancy_on_rows_scaled_by_1e4_matches_highs_on_integer_rows():
             assert polyhedra_equivalent(poly, sub) == implied
             verdicts.append(implied)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def unit_rows(poly):
+    """poly with every nonzero row scaled to unit length, as prune_redundant scales it."""
+    norm = np.linalg.norm(poly.A, axis=1)
+    unit = np.where(norm > 0.0, norm, 1.0)
+    return replace(poly, A=poly.A / unit[:, None], b=poly.b / unit)
+
+
+def traced_prune(poly, monkeypatch):
+    """prune_redundant(poly) with its row LPs counted, and the rows it settled without one:
+    (kept rows, LP count, [(row, the rows kept when it was settled)]). Rows are numbered
+    in order; an LP call is matched to its row by its objective and number of rows."""
+    calls, implied = [], invariance._implied
+
+    def counted(start, a, rhs):
+        calls.append((start.T.shape[0], a.tolist(), rhs))
+        return implied(start, a, rhs)
+
+    monkeypatch.setattr(invariance, "_implied", counted)
+    keep = prune_redundant(replace(poly, row_power=np.arange(poly.n_rows))).row_power.tolist()
+    monkeypatch.undo()
+    scaled = unit_rows(poly)
+    lps, settled = list(calls), []
+    for i in range(poly.n_rows):
+        others = [j for j in keep if j < i] + list(range(i + 1, poly.n_rows))
+        if others and lps[:1] == [(len(others), scaled.A[i].tolist(), float(scaled.b[i]))]:
+            lps.pop(0)
+        elif others:
+            settled.append((i, others))
+    assert not lps
+    return keep, len(calls), settled
+
+
+def gap_regions():
+    nets = [fixtures.complete10()] + [fixtures.random_gap_network(np.random.default_rng(14), n)
+                                      for n in (3, 4, 5, 6, 8, 10, 12)]
+    return [maximal_invariant_region(ShiftedModel.from_network(net), 0) for net in nets]
+
+
+def test_prune_runs_at_most_three_row_lps_per_region(monkeypatch):
+    # one row LP per row before the sign and ray certificates: 9 to 36 per region here
+    for region in gap_regions():
+        keep, lps, _ = traced_prune(region, monkeypatch)
+        assert lps <= 3
+        assert keep == phase1_prune(region)
+
+
+def test_every_certificate_verdict_matches_highs(monkeypatch):
+    # over the unit-scaled rows, where prune_redundant's OPT_TOL applies
+    rng = np.random.default_rng(27)
+    polys = gap_regions() + [integer_polyhedron(rng) for _ in range(60)]
+    verdicts = []
+    for poly in polys:
+        keep, _, settled = traced_prune(poly, monkeypatch)
+        scaled = unit_rows(poly)
+        for i, others in settled:
+            implied = highs_implied(scaled, others, scaled.A[i], scaled.b[i], OPT_TOL)
+            assert implied == (i not in keep)
+            verdicts.append(implied)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("A, b, kept", [
+    (np.zeros((0, 2)), [], []),                                 # no rows
+    ([[0, 0], [1, 0]], [-1, 0], [1]),                            # a zero row with b <= 0
+    ([[1, 0], [-1, 0], [1, 1]], [0, 0, -1], [0, 1, 2]),          # flat: radius 0, no ray
+    ([[1, 0], [1, 0], [0, 1]], [0, 0, 0], [1, 2]),               # a repeated unit row
+])
+def test_prune_edge_cases_keep_the_lp_rows(A, b, kept):
+    poly = Polyhedron(A=np.reshape(A, (-1, 2)), b=b, row_power=np.arange(len(b)))
+    assert prune_redundant(poly).row_power.tolist() == kept == phase1_prune(poly)
 
 
 def test_prune_raises_on_an_empty_polyhedron():
