@@ -199,9 +199,8 @@ def _write(obj, out: list, nl: str) -> None:
     elif isinstance(obj, (list, tuple)):
         inner = nl + "  "
         kinds = set(map(type, obj))
-        if kinds == _FLOATS or kinds == _INTS:      # one join, no walk
-            text = float.__repr__ if kinds == _FLOATS else int.__repr__
-            body = ("," + inner).join(map(text, obj))
+        if kinds == _FLOATS or kinds == _INTS:      # one join, no walk; exact types, so repr
+            body = ("," + inner).join(map(repr, obj))     # is float.__repr__ or int.__repr__
             if "n" in body:                         # see _float
                 raise NonFiniteError(next(x for x in obj if not isfinite(x)))
             out += "[", inner, body, nl, "]"
@@ -268,10 +267,13 @@ def cmd_simulate(args, doc: dict) -> dict:
 def cmd_equilibria(args, doc: dict) -> dict:
     model = ShiftedModel.from_network(_network_from(doc))
     records = enumerate_equilibria(model)
+    X = np.reshape([rec.x for rec in records], (len(records), model.n))
+    rows = zip(records, (X < 0).astype(float).tolist(), X.tolist(),   # phi: x lies in orthant k
+               np.reshape([rec.v for rec in records], X.shape).tolist())
     return {
         "count": len(records),
-        "equilibria": [{"k": rec.k, "phi": rec.phi, "x": rec.x, "v": rec.v,
-                        "interior": rec.interior} for rec in records],
+        "equilibria": [{"k": rec.k, "phi": phi, "x": x, "v": v, "interior": rec.interior}
+                       for rec, phi, x, v in rows],
         "existence": existence_conditions(model),
     }
 

@@ -108,9 +108,9 @@ def enumerate_equilibria(model: ShiftedModel) -> list[EquilibriumRecord]:
     _require_finite(model)
     WM = solve_linear(np.eye(n) - model.C, np.column_stack([model.r, np.diag(model.beta)]))
     X = _census(WM[:, 0], WM[:, 1:])
-    return [EquilibriumRecord(k=k, x=x, v=x + model.threshold, consistent=True,
-                              interior=bool(np.min(np.abs(x)) > INTERIOR_TOL))
-            for k, x in zip(orthant_codes(X).tolist(), X)]
+    interior = (np.min(np.abs(X), axis=1) > INTERIOR_TOL).tolist()
+    return [EquilibriumRecord(k=k, x=x, v=v, consistent=True, interior=i)
+            for k, x, v, i in zip(orthant_codes(X).tolist(), X, X + model.threshold, interior)]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import finnet
-from finnet import cli, cycles, fixtures, intervene, numerics, robust
+from finnet import cli, cycles, equilibria, fixtures, intervene, numerics, robust
 from finnet.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main
 from finnet.netmodel import ShiftedModel
 
@@ -248,6 +248,23 @@ def test_equilibria_report(tmp_path, two_bank_scenario):
     assert res["existence"]["positive_unique"] is False
     ks = sorted(rec["k"] for rec in res["equilibria"])
     assert ks == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("name", ["ring4", "complete10", "boundary"])
+def test_equilibria_report_rows_are_the_records(tmp_path, capsys, name):
+    """Each report row is its library record: phi the bits of k, v = x + threshold,
+    interior the INTERIOR_TOL test; the boundary network has an x_i of exactly 0."""
+    doc = BOUNDARY_DOC if name == "boundary" else {"network": net_doc(getattr(fixtures, name)())}
+    assert main(["equilibria", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["results"]["equilibria"]
+    model = ShiftedModel.from_network(cli._network_from(doc))
+    records = equilibria.enumerate_equilibria(model)
+    assert [row["k"] for row in rows] == [rec.k for rec in records]
+    for row, rec in zip(rows, records):
+        assert row["phi"] == rec.phi.tolist() and row["x"] == rec.x.tolist()
+        assert row["v"] == rec.v.tolist() == (rec.x + model.threshold).tolist()
+        assert row["interior"] is rec.interior is bool(np.min(np.abs(rec.x)) > equilibria.INTERIOR_TOL)
+    assert name != "boundary" or not all(row["interior"] for row in rows)
 
 
 def test_invariance_report(tmp_path, two_bank_scenario):
