@@ -9,19 +9,22 @@ each list of plain floats or ints at once instead of float by float.
 `fixtures` needs no scenario: it reports `fixture_report`'s checks of the
 bundled networks against the values pinned in `finnet.fixtures`, one stderr
 line per check. No plotting and no interaction; the reports carry
-plot-ready data.
+plot-ready data. The argument parser is built once per process, on the first
+main() call, and every later call parses with it.
 
 Exit codes: 0 on success, 1 when a report's `ok` is false (a pinned
 fixture value is off), 2 when the scenario or a flag fails to parse or
-validate (a malformed or non-finite number, or a horizon too long to
-allocate or too short for the cycle search) or a file cannot be read or
-written, 3 when a solver gives up (or returns a non-finite number).
+validate (a malformed or non-finite number, a horizon too long to allocate
+or too short for the cycle search, or nesting past the recursion limit) or a
+file cannot be read or written, 3 when a solver gives up (or returns a
+non-finite number).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -365,7 +368,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later main() call."""
     parser = argparse.ArgumentParser(
         prog="finnet",
         description="Financial-network dynamics: simulation, equilibria, "
@@ -389,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         _check_flags(args)
@@ -420,6 +424,9 @@ def main(argv: list[str] | None = None) -> int:
             print(text)
     except (ScenarioError, MemoryError) as e:   # MemoryError: say, a horizon too long to hold
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except RecursionError:      # json.loads, _holds_bool and encode_report recurse per level
+        print("error: scenario is nested too deeply", file=sys.stderr)
         return EXIT_INVALID
     except OSError as e:                        # --out, the CSV or the report cannot be written
         print(f"error: cannot write output: {e}", file=sys.stderr)

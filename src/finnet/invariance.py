@@ -222,18 +222,20 @@ def _region_from(model: ShiftedModel, eq: EquilibriumRecord) -> Polyhedron:
 # polyhedra_equivalent.
 # ---------------------------------------------------------------------------
 
-def _implied(start: _FeasibleBasis, a: np.ndarray, rhs: float) -> bool:
-    """row_redundant over the polyhedron whose feasible basis is start."""
+def _implied(start: _FeasibleBasis, a: np.ndarray, rhs: float) -> _FeasibleBasis | None:
+    """row_redundant over the polyhedron whose feasible basis is start: min a.x's optimal basis
+    (a start for the next row's LP) if the row is implied, else None."""
     try:
-        return float(a @ _vertex(start, a)) >= rhs - OPT_TOL
+        z, end = _vertex(start, a)
     except UnboundedError:
-        return False
+        return None
+    return end if float(a @ z) >= rhs - OPT_TOL else None
 
 
 def row_redundant(poly: Polyhedron, a, rhs: float) -> bool:
     """True if a.x >= rhs - OPT_TOL holds everywhere on poly; ValueError on non-finite data."""
     lp = LinearProgram(c=a, A=poly.A, b=poly.b)
-    return _implied(_phase1(lp.A, lp.b), lp.c, rhs)
+    return _implied(_phase1(lp.A, lp.b), lp.c, rhs) is not None
 
 
 def prune_redundant(poly: Polyhedron) -> Polyhedron:
@@ -304,14 +306,18 @@ def stable_region(model: ShiftedModel, eq: EquilibriumRecord) -> tuple[Polyhedro
 
     Intended for intermediate orthants, where no closed-form truncation
     index exists. Returns the region and the horizon at which membership
-    stabilized. Raises NotDeterminedError if it has not within _TAU_CAP horizons. Its LPs
-    start from the slack basis at eq.x, where each row has margin (J x_k)_i >= 0.
+    stabilized. Raises NotDeterminedError if it has not within _TAU_CAP horizons. A horizon's
+    first LP starts from the slack basis at eq.x, where each row has margin (J x_k)_i >= 0,
+    and each later one from the optimal basis of the one before, a vertex of the same rows.
     """
     rows = _orthant_rows(model, eq)
     A, b = next(rows)
     for tau, (A_new, b_new) in zip(range(1, _TAU_CAP + 1), rows):
         start = _anchored(A, b, eq.x)
-        if all(_implied(start, A_new[i], float(b_new[i])) for i in range(model.n)):
+        for a, rhs in zip(A_new, b_new.tolist()):
+            if (start := _implied(start, a, rhs)) is None:
+                break
+        else:
             return Polyhedron(A=A, b=b, row_power=np.repeat(np.arange(tau), model.n),
                               certified=True,
                               note=f"orthant {eq.k} stabilized at tau={tau - 1}"), tau - 1

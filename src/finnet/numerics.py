@@ -13,8 +13,9 @@ _dual_phase2 runs phase 2 for b, warm from the last optimum, kept only at a stri
 complementary (unique) basis; z is the basis's point (_basic_point). A region's injection
 LPs share a start; free ones skip phase 2 after the first (see minimal_injection). LPs that
 share one polyhedron across many objectives (the invariance checks) keep the primal form:
-_vertex starts from _phase1's basis or, with no phase 1, from _anchored's slack basis at a
-point known to lie on the polyhedron. One phase-1 routine, _feasible, serves both forms; it
+_vertex starts from _phase1's basis, from _anchored's slack basis at a point known to lie on
+the polyhedron (no phase 1), or from the optimal basis that an earlier _vertex call over the
+same polyhedron hands back. One phase-1 routine, _feasible, serves both forms; it
 pivots on rows divided by their largest entry and judges emptiness relative to b.
 """
 
@@ -231,8 +232,9 @@ def _anchored(A: np.ndarray, b: np.ndarray, x0: np.ndarray) -> _FeasibleBasis:
     return _FeasibleBasis(T=T, basis=list(range(2 * n, 2 * n + m)), x0=x0)
 
 
-def _vertex(start: _FeasibleBasis, c: np.ndarray) -> np.ndarray:
-    """Optimal vertex z of min c.z from start (not modified); raises UnboundedError."""
+def _vertex(start: _FeasibleBasis, c: np.ndarray) -> tuple[np.ndarray, _FeasibleBasis]:
+    """Optimal vertex z of min c.z from start (not modified), and its optimal basis, a feasible
+    start for any other objective over the same polyhedron; raises UnboundedError."""
     n = c.size
     T, basis = start.T.copy(), list(start.basis)
     cost = np.zeros(T.shape[1])
@@ -242,7 +244,7 @@ def _vertex(start: _FeasibleBasis, c: np.ndarray) -> np.ndarray:
     w = np.zeros(T.shape[1] - 1)
     w[basis] = T[:, -1]
     z = w[:n] - w[n:2 * n]
-    return z if start.x0 is None else z + start.x0
+    return (z if start.x0 is None else z + start.x0), _FeasibleBasis(T, basis, start.x0)
 
 
 class _DualStart:

@@ -1,5 +1,6 @@
 """Command-line front end: reports, CSV output, exit codes."""
 
+import argparse
 import dataclasses
 import inspect
 import json
@@ -797,11 +798,15 @@ def test_fixtures_command(tmp_path, capsys):
     assert "note:" in err                     # under-pinned sample documented
 
 
-def test_module_entry_point_runs_fixtures(tmp_path):
-    # the finnet these tests import, installed or not
+def run_module(argv, cwd):
+    """`python -m finnet *argv` in a fresh process, on the finnet these tests import."""
     env = {**os.environ, "PYTHONPATH": str(Path(finnet.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "finnet", "fixtures"], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, "-m", "finnet", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_fixtures(tmp_path):
+    proc = run_module(["fixtures"], tmp_path)
     assert proc.returncode == EXIT_OK
     assert re.findall(r"^\[ok \] (\S+)", proc.stderr, re.M) == FIXTURE_CHECKS
     assert json.loads(proc.stdout)["results"]["ok"] is True
@@ -810,3 +815,101 @@ def test_module_entry_point_runs_fixtures(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_parser_is_built_once_per_process(monkeypatch, two_bank_scenario, capsys):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["simulate", "--scenario", two_bank_scenario]) == EXIT_OK
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--frobnicate"])
+        assert cli.build_parser() is cli.build_parser() is built[0]
+    finally:
+        cli.build_parser.cache_clear()      # later calls build a plain parser again
+    assert len(built) == 1 and exit_info.value.code == EXIT_INVALID
+    assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
+
+
+def _without_wall_time(text):
+    return re.sub(r'^\s*"wall_time_s": [^\n]*\n', "", text, flags=re.M)
+
+
+def test_shared_parser_reports_match_fresh_processes(tmp_path, two_bank_scenario, capsys):
+    # flags from one call must not leak into the next: each report, wall_time_s aside, is the
+    # one a fresh `finnet` process writes
+    runs = [["invariance", "--seed", "7"], ["simulate", "--horizon", "5"],
+            ["intervene", "--clamped-v-update"], ["simulate", "--out", "{out}"], ["simulate"]]
+    for argv in runs:
+        argv += ["--scenario", two_bank_scenario]
+        assert main([a.format(out=tmp_path / "in_process") for a in argv]) == EXIT_OK
+        here = capsys.readouterr().out
+        fresh = run_module([a.format(out=tmp_path / "fresh") for a in argv], tmp_path)
+        assert fresh.returncode == EXIT_OK and fresh.stderr == ""
+        if "--out" in argv:
+            assert here == fresh.stdout == ""
+            here, fresh_text = ((tmp_path / d / "simulate_report.json").read_text()
+                                for d in ("in_process", "fresh"))
+            assert ((tmp_path / "in_process" / "trajectory.csv").read_bytes()
+                    == (tmp_path / "fresh" / "trajectory.csv").read_bytes())
+        else:
+            fresh_text = fresh.stdout
+        assert "wall_time_s" in here and _without_wall_time(here) == _without_wall_time(fresh_text)
+
+
+def nested(value, depth):
+    """value inside depth levels of JSON lists."""
+    return "[" * depth + json.dumps(value) + "]" * depth
+
+
+def deep_scenario(tmp_path, field, depth):
+    """two_bank's scenario with field (x0, network.C or an unread extra) nested depth deep."""
+    doc = {"network": net_doc(fixtures.two_bank()), "x0": [-1.0, -1.0], "extra": 0.0}
+    (doc["network"] if field == "network.C" else doc)[field.split(".")[-1]] = "DEEP"
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc).replace('"DEEP"', nested(1.0, depth)))
+    return path
+
+
+def assert_nesting_rejected(proc):
+    assert proc.returncode == EXIT_INVALID and proc.stdout == ""
+    assert proc.stderr == "error: scenario is nested too deeply\n"
+
+
+def test_scenario_nested_past_the_json_decoder_exit2(tmp_path):
+    # json.loads gives up at this depth
+    assert_nesting_rejected(run_module(
+        ["simulate", "--scenario", str(deep_scenario(tmp_path, "x0", 5000))], tmp_path))
+
+
+@pytest.mark.parametrize("field", ["x0", "network.C"])
+def test_number_field_nested_too_deeply_exit2(tmp_path, field):
+    # json.loads reads 900 levels; the boolean scan of the field cannot
+    assert_nesting_rejected(run_module(
+        ["simulate", "--scenario", str(deep_scenario(tmp_path, field, 900))], tmp_path))
+
+
+def test_echoed_field_nested_too_deeply_exit2(tmp_path, capsys, monkeypatch):
+    # An unread field is only echoed, so encode_report meets its depth. From a file that
+    # takes a depth just under json.loads's own limit (989 levels on Python 3.11), so the
+    # parsed document is nested further here.
+    load = cli._load_scenario
+
+    def deeper(path):
+        doc = load(path)
+        for _ in range(5000):
+            doc["extra"] = [doc["extra"]]
+        return doc
+
+    monkeypatch.setattr(cli, "_load_scenario", deeper)
+    path = deep_scenario(tmp_path, "extra", 100)
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == "error: scenario is nested too deeply\n" and captured.out == ""

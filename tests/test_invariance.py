@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from finnet import fixtures, invariance
+from finnet import fixtures, invariance, numerics
 from finnet.equilibria import candidate_equilibrium, enumerate_equilibria
 from finnet.invariance import (
     NotDeterminedError,
@@ -631,11 +631,14 @@ def weak_holding_network(seed=3, n=6):
     return ShiftedModel.from_parts(C=C, r=rng.uniform(0.15, 0.55, size=n) * (C @ beta), beta=beta)
 
 
-@pytest.mark.parametrize("model", [ShiftedModel.from_network(fixtures.two_bank()),
-                                   ShiftedModel.from_network(fixtures.ring4()),
-                                   ShiftedModel.from_network(fixtures.complete10()),
-                                   weak_holding_network()],
-                         ids=["two_bank", "ring4", "complete10", "weak_holding6"])
+many_equilibria = pytest.mark.parametrize(
+    "model", [ShiftedModel.from_network(fixtures.two_bank()),
+              ShiftedModel.from_network(fixtures.ring4()),
+              ShiftedModel.from_network(fixtures.complete10()), weak_holding_network()],
+    ids=["two_bank", "ring4", "complete10", "weak_holding6"])
+
+
+@many_equilibria
 def test_anchored_stable_region_matches_phase1_path(model):
     recs = enumerate_equilibria(model)
     assert len(recs) > 1
@@ -644,6 +647,38 @@ def test_anchored_stable_region_matches_phase1_path(model):
         ref, ref_tau = phase1_stable_region(model, rec)
         assert tau == ref_tau
         assert poly.A.tobytes() == ref.A.tobytes() and poly.b.tobytes() == ref.b.tobytes()
+
+
+@many_equilibria
+def test_warm_stable_region_horizon_matches_highs(model):
+    # HiGHS on the matrix-power rows: the returned blocks 0..tau imply block tau + 1, and
+    # block tau (tau >= 1) is not implied by the blocks before it, so no shorter horizon holds
+    n, taus = model.n, set()
+    for rec in enumerate_equilibria(model):
+        poly, tau = stable_region(model, rec)
+        A, b = oracle_rows(model, rec, tau + 1)
+        every = np.arange(poly.n_rows)
+        assert all(highs_implied(poly, every, A[(tau + 1) * n + i], b[(tau + 1) * n + i], OPT_TOL)
+                   for i in range(n))
+        before = np.arange(tau * n)
+        assert tau == 0 or not all(highs_implied(poly, before, poly.A[tau * n + i],
+                                                 poly.b[tau * n + i], OPT_TOL) for i in range(n))
+        taus.add(tau)
+    assert taus - {0}
+
+
+def test_warm_stable_region_takes_fewer_pivots_than_phase1(monkeypatch):
+    # complete10's mixed equilibria, all at tau = 1: from each horizon's slack basis at x_k
+    # alone this took more pivots than a phase 1 per horizon (2,923 against 2,559)
+    model = ShiftedModel.from_network(fixtures.complete10())
+    mixed = [rec for rec in enumerate_equilibria(model) if 0 < rec.k < 2 ** model.n - 1]
+    pivot, counts = numerics._pivot, []
+    for region in (stable_region, phase1_stable_region):
+        calls = []
+        monkeypatch.setattr(numerics, "_pivot", lambda *args: calls.append(1) or pivot(*args))
+        assert {region(model, rec)[1] for rec in mixed} == {1}
+        counts.append(len(calls))
+    assert len(mixed) == 39 and counts[0] < counts[1]
 
 
 def test_fixed_point_property_tau_vs_tau_plus_one():

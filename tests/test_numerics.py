@@ -131,7 +131,7 @@ def test_phase1_tells_small_sets_from_empty_ones(width):
     A = np.array([[1.0], [-1.0]])
     with pytest.raises(InfeasibleError):
         _phase1(A, np.array([width, 0.0]))
-    z = _vertex(_phase1(A, np.array([0.0, -width])), np.array([-1.0]))
+    z, _ = _vertex(_phase1(A, np.array([0.0, -width])), np.array([-1.0]))
     assert z[0] == width
 
 
@@ -275,24 +275,27 @@ def test_lp_answer_scales_with_the_objective():
 
 def test_vertex_from_shared_phase1_matches_fresh_solve():
     # one _phase1 serves many objectives: each vertex is the one a fresh phase 1
-    # gives, bit for bit, and its objective is lp_solve's certified optimum
+    # gives, bit for bit, and its objective is lp_solve's certified optimum; so is the
+    # objective reached from the optimal basis that the previous bounded objective handed back
     rng = np.random.default_rng(8)
     for kind in ("box", "free") * 15:
         lp = random_lp(rng, kind)
-        start = _phase1(lp.A, lp.b)
+        start = warm = _phase1(lp.A, lp.b)
         tableau = start.T.copy()
         for c in rng.normal(size=(4, lp.c.size)):
             try:
                 fresh = lp_solve(LinearProgram(c=c, A=lp.A, b=lp.b))
             except UnboundedError:
-                for begin in (start, _phase1(lp.A, lp.b)):
+                for begin in (start, warm, _phase1(lp.A, lp.b)):
                     with pytest.raises(UnboundedError):
                         _vertex(begin, c)
                 continue
-            shared = _vertex(start, c)
-            assert np.array_equal(shared, _vertex(_phase1(lp.A, lp.b), c))
-            assert abs(c @ shared - fresh.objective) <= 1e-9 * max(1.0, abs(fresh.objective))
-            assert np.all(lp.A @ shared >= lp.b - 1e-9 * scale_of(lp.A, lp.b, shared))
+            shared, _ = _vertex(start, c)
+            assert np.array_equal(shared, _vertex(_phase1(lp.A, lp.b), c)[0])
+            z, warm = _vertex(warm, c)
+            for z in (shared, z):
+                assert abs(c @ z - fresh.objective) <= 1e-9 * max(1.0, abs(fresh.objective))
+                assert np.all(lp.A @ z >= lp.b - 1e-9 * scale_of(lp.A, lp.b, z))
         assert np.array_equal(start.T, tableau)
 
 
@@ -318,7 +321,7 @@ def test_anchored_vertex_matches_lp_solve_on_highs_instances():
             with pytest.raises(UnboundedError):
                 _vertex(start, lp.c)
             continue
-        anchored = _vertex(start, lp.c)
+        anchored, _ = _vertex(start, lp.c)
         assert abs(lp.c @ anchored - fresh.objective) <= 1e-9 * max(1.0, abs(fresh.objective))
         assert np.all(lp.A @ anchored >= lp.b - 1e-9 * scale_of(lp.A, lp.b, anchored))
         assert fresh.cs_residual <= OPT_TOL
@@ -331,7 +334,7 @@ def test_anchored_margins_roundoff_and_violation():
     b = np.array([0.0, 0.0, 1.0])
     start = _anchored(A, b, np.array([0.5, 0.5 - 1e-15]))     # third margin -1e-15: roundoff
     assert np.all(start.T[:, -1] >= 0.0)
-    z = _vertex(start, np.array([1.0, 2.0]))
+    z, _ = _vertex(start, np.array([1.0, 2.0]))
     np.testing.assert_allclose(z, [1.0, 0.0], atol=1e-12)
     assert np.all(A @ z >= b - 1e-12)
     for x0 in (np.array([0.5, 0.4]), np.array([np.nan, 0.5])):
