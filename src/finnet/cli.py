@@ -1,9 +1,11 @@
 """Batch command-line front-end over JSON scenarios.
 
 Each subcommand parses its inputs, runs one library analysis and writes
-what it returns as a JSON report, plus a CSV trajectory where that makes
-sense. `encode_report` writes the report in one pass (numpy values by
-`.tolist()`, dataclasses by their fields, string keys only), byte for byte as
+what it returns as a JSON report. `simulate --out` also writes a CSV
+trajectory: it formats each row up to the first repeat once ("%.9g") and
+takes the later rows' text from the cycle. `encode_report` writes the
+report in one pass (numpy values by `.tolist()`, dataclasses by their
+fields, string keys only), byte for byte as
 `json.dumps(indent=2, sort_keys=True, allow_nan=False)` would, but it joins
 each list of plain floats or ints at once instead of float by float.
 `fixtures` needs no scenario: it reports `fixture_report`'s checks of the
@@ -42,7 +44,7 @@ from .fixtures import FixtureReport, fixture_report
 from .intervene import IterationCapReached, drive_to_invariant
 from .invariance import (NoPositiveEquilibriumError, NotDeterminedError, Polyhedron,
                          invariance_report)
-from .netmodel import FinancialNetwork, ShiftedModel, simulate, validate
+from .netmodel import FinancialNetwork, ShiftedModel, Trajectory, simulate, validate
 from .numerics import (InfeasibleError, IterationLimitError, SingularMatrixError,
                        UnboundedError)
 from .robust import IntervalNetwork, robust_report
@@ -236,16 +238,15 @@ def _write(obj, out: list, nl: str) -> None:
         _write(plain, out, nl)
 
 
-def _write_csv(path: Path, states: np.ndarray) -> None:
-    n = states.shape[1]
-    lines = ["t," + ",".join(f"x_{i + 1}" for i in range(n))]
-    text: dict[bytes, str] = {}         # a settled trajectory repeats its rows exactly
-    for t, row in enumerate(states):
-        key = row.tobytes()
-        if key not in text:
-            text[key] = ",".join(f"{v:.9g}" for v in row)
-        lines.append(f"{t},{text[key]}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, traj: Trajectory) -> None:
+    """Rows after traj.repeat copy the cycle's rows, so they copy its text too."""
+    n, (t0, t1) = traj.states.shape[1], traj.repeat or (0, traj.T + 1)
+    fmt = ",".join(["%.9g"] * n)
+    text = [fmt % tuple(row) for row in traj.states[:t1].tolist()]
+    cycle, tail = text[t0:], traj.T + 1 - t1
+    text += cycle * (tail // len(cycle)) + cycle[:tail % len(cycle)]
+    header = ",".join(f"x_{i + 1}" for i in range(n))
+    path.write_text(f"t,{header}" + "".join(f"\n{t},{row}" for t, row in enumerate(text)) + "\n")
 
 
 def cmd_simulate(args, doc: dict) -> dict:
@@ -262,7 +263,7 @@ def cmd_simulate(args, doc: dict) -> dict:
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "trajectory.csv", traj.states)
+        _write_csv(out / "trajectory.csv", traj)
         results["csv"] = "trajectory.csv"
     return results
 

@@ -14,12 +14,13 @@ trajectory here comes from netmodel.simulate: bitwise the plain step loop
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibria import ENUMERATION_LIMIT, DimensionTooLargeError, _census, _require_finite
-from .netmodel import ShiftedModel, Trajectory, orthant_codes, simulate
+from .netmodel import ShiftedModel, Trajectory, simulate
 from .numerics import solve_linear
 
 DETECT_TOL = 1e-9       # closure tolerance of the cycle search
@@ -63,22 +64,24 @@ class CycleHit:
         return self.period == 1
 
 
-def _detect(states: np.ndarray, tol: float, h_max: int) -> CycleHit | None:
-    """Core search over a (T+1, n) state array of at least 2 h_max states, as both callers pass."""
+def _detect(states: np.ndarray, tol: float, h_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Core search over a (T+1, n, trials) state array of at least 2 h_max states, as both
+    callers pass: each trial's smallest closing period (0 for none) and that period's window
+    start. A failure pattern (states < 0) that differs across the window rules h out first."""
     lo = max(states.shape[0] - 2 * h_max, 0)    # no window reaches further back
     states = states[lo:]
     T = states.shape[0] - 1
-    codes = orthant_codes(states)
+    failed = states < 0
+    period = np.zeros(states.shape[2], dtype=int)
     for h in range(1, h_max + 1):
-        start = T - h_max - h + 1
-        stop = T - h                   # inclusive; window of h_max start times
-        win = slice(start, stop + 1)
-        if np.any(codes[start + h:stop + h + 1] != codes[win]):
-            continue                   # orthant pattern already rules h out
-        diff = states[start + h:stop + h + 1] - states[win]
-        if np.max(np.abs(diff)) <= tol:
-            return CycleHit(period=h, phase=lo + start)
-    return None
+        start, stop = T - h_max - h + 1, T - h + 1      # window of h_max start times
+        open_ = (period == 0) & ~np.any(failed[start + h:] != failed[start:stop], axis=(0, 1))
+        if open_.any():
+            diff = np.max(np.abs(states[start + h:] - states[start:stop]), axis=(0, 1))
+            period[open_ & (diff <= tol)] = h
+            if period.all():
+                break
+    return period, lo + T - h_max + 1 - period
 
 
 def detect_cycle(traj: Trajectory, tol: float = DETECT_TOL,
@@ -94,7 +97,8 @@ def detect_cycle(traj: Trajectory, tol: float = DETECT_TOL,
     if states.shape[0] < 2 * h_max + 8:
         raise InsufficientLengthError(
             f"need at least {2 * h_max + 8} states, got {states.shape[0]}")
-    return _detect(states, tol, h_max)
+    (period,), (phase,) = _detect(states[:, :, None], tol, h_max)
+    return CycleHit(period=int(period), phase=int(phase)) if period else None
 
 
 @dataclass
@@ -114,8 +118,9 @@ def verify_no_period2(model: ShiftedModel, trials: int = 100, seed: int = 0) -> 
 
     Initial states are sampled from a box sized by the asymptotic bound
     ||x||_1 <= (||r||_1 + ||beta||_1) / (1 - max column sum). Counts the
-    detected period (up to 8, at closure tolerance 1e-7) per trial; a hit at
-    period 2 with two distinct states is recorded as a violation.
+    detected period (up to 8, at closure tolerance 1e-7) per trial, all trials
+    simulated and searched as one batch; a hit at period 2 with two distinct
+    states is recorded as a violation.
     """
     rng = np.random.default_rng(seed)
     n, tol, h_max = model.n, 1e-7, 8
@@ -126,16 +131,10 @@ def verify_no_period2(model: ShiftedModel, trials: int = 100, seed: int = 0) -> 
     settle = np.log(tol / (100.0 * n * max(scale, 1.0))) / np.log(max(1.0 - slack, 0.1))
     T = 2 * h_max + min(max(int(settle) + 1, 64), 4000)
     history = simulate(model, rng.uniform(-scale, scale, size=(n, trials)), T).states
-    counts: dict[int, int] = {}
-    violations = []
-    for j in range(trials):
-        hit = _detect(history[:, :, j], tol, h_max)
-        key = hit.period if hit else 0
-        counts[key] = counts.get(key, 0) + 1
-        if hit and hit.period == 2:
-            tail = history[-2:, :, j]
-            if np.max(np.abs(tail[1] - tail[0])) > tol:
-                violations.append(history[0, :, j].copy())
+    period, _ = _detect(history, tol, h_max)
+    counts = dict(Counter(period.tolist()))
+    moved = np.max(np.abs(history[-1] - history[-2]), axis=0) > tol
+    violations = [history[0, :, j].copy() for j in np.flatnonzero((period == 2) & moved)]
     return Period2Report(trials=trials, seed=seed, period_counts=counts,
                          violations=violations)
 

@@ -217,7 +217,9 @@ def simulate(model: ShiftedModel, x0, T: int) -> Trajectory:
     Each step is bitwise model.step; a batch is stepped as one (n, batch)
     block. A step depends on the float64 state alone, so at the first
     repeat of a state's bit pattern (-0.0 and 0.0 differ) the rest of the
-    trajectory is tiled from the cycle instead of computed. ValueError on a
+    trajectory is tiled from the cycle instead of computed, in place: the
+    filled span from the repeat's first row is copied after itself, doubling
+    each time, so no row index or gather temporary is built. ValueError on a
     negative T, a wrong shape or a non-finite x0.
     """
     if T < 0:
@@ -239,6 +241,9 @@ def simulate(model: ShiftedModel, x0, T: int) -> Trajectory:
         states[t] = x
         t0 = seen.setdefault(hash(x.tobytes()), t)
         if t0 < t and states[t0].tobytes() == x.tobytes():
-            states[t:] = states[t0 + (np.arange(t, T + 1) - t0) % (t - t0)]
+            done = t                    # rows t0..done-1 hold whole periods; double them
+            while done <= T:
+                states[done:2 * done - t0] = states[t0:min(done, T + 1 + t0 - done)]
+                done += done - t0
             return Trajectory(states=states, repeat=(t0, t))
     return Trajectory(states=states)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .equilibria import EquilibriumRecord, candidate_equilibrium
 from .invariance import NoPositiveEquilibriumError, Polyhedron, _region_from
-from .netmodel import ShiftedModel, simulate
+from .netmodel import ShiftedModel
 from .numerics import _vector
 
 
@@ -172,8 +172,10 @@ def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
 
     x0 must lie in the robust invariant set, which keeps every admissible
     trajectory nonnegative and therefore ordered between the extremes.
-    Limit estimates are taken over the last 10 states. ValueError on a
-    negative T, or an x0 not of shape (n,) or with non-finite entries.
+    The three trajectories advance as one stacked product per step, each
+    bitwise c @ x + r. Limit estimates are taken over the last 10 states.
+    ValueError on a negative T, an x0 not of shape (n,) or with non-finite
+    entries, a sampler matrix not of shape (n, n) or a non-finite state.
     """
     if T < 0:
         raise ValueError("horizon must be nonnegative")
@@ -183,14 +185,21 @@ def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
         raise ValueError("x0 is outside the robust invariant set; bounds would not apply")
     if sampler is None:
         sampler = uniform_sampler(inet)
-    sampled = np.empty((T + 1, inet.n))
-    sampled[0] = xs = x0
+    n, r = inet.n, np.tile(inet.r[:, None], (3, 1, 1))
+    cs = np.stack([inet.c_lower, inet.c_lower, inet.c_upper])     # slot 0: the sampled C(t)
+    xs = np.empty((T + 1, 3, n, 1))
+    x = xs[0]
+    x[:] = x0[:, None]
     for t in range(T):
-        xs = sampler(t) @ xs
-        xs += inet.r
-        sampled[t + 1] = xs
-    lower, upper = (simulate(_extreme_model(c, inet.r), x0, T).states
-                    for c in (inet.c_lower, inet.c_upper))
+        if np.shape(c := sampler(t)) != (n, n):
+            raise ValueError(f"sampler returned shape {np.shape(c)} at step {t}, expected {(n, n)}")
+        cs[0] = c
+        x = np.matmul(cs, x, out=xs[t + 1])     # each slice's gemv is bitwise c @ x
+        x += r
+    if not np.isfinite(xs).all():
+        t = int(np.argmin(np.isfinite(xs).all(axis=(1, 2, 3))))
+        raise ValueError(f"sampled trajectory is not finite from step {t}")
+    sampled, lower, upper = xs[..., 0].transpose(1, 0, 2)
     win = sampled[-10:]
     return SandwichResult(sampled=sampled, lower=lower, upper=upper,
                           liminf_estimate=win.min(axis=0),

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import finnet
 from finnet import cli, cycles, equilibria, fixtures, intervene, numerics, robust
 from finnet.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main
-from finnet.netmodel import ShiftedModel
+from finnet.netmodel import ShiftedModel, Trajectory, simulate
 
 
 def net_doc(net) -> dict:
@@ -72,13 +72,26 @@ def test_simulate_zero_horizon_single_row(tmp_path, two_bank_scenario):
     assert len(lines) == 2                    # header + initial state only
 
 
+def fresh_csv(states):
+    """Every row formatted on its own, as the writer did before it reused the cycle's text."""
+    lines = ["t," + ",".join(f"x_{i + 1}" for i in range(states.shape[1]))]
+    return "\n".join(lines + [f"{t}," + ",".join(f"{v:.9g}" for v in row)
+                              for t, row in enumerate(states)]) + "\n"
+
+
 def test_csv_formats_repeated_rows_like_fresh_ones(tmp_path):
-    states = np.array([[0.0, -0.0], [1 / 3, 2.0], [-0.0, 0.0], [1 / 3, 2.0], [0.0, -0.0]])
-    cli._write_csv(tmp_path / "t.csv", states)
-    expected = ["t,x_1,x_2"] + [f"{t}," + ",".join(f"{v:.9g}" for v in row)
-                                for t, row in enumerate(states)]
-    assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
-    assert expected[1] == "0,0,-0" and expected[3] == "2,-0,0"
+    # rows 1 and 3 are equal, so 1..2 is the cycle, and 0.0 / -0.0 differ in text
+    states = np.array([[0.0, -0.0], [-0.0, 0.0], [1 / 3, 2.0], [-0.0, 0.0], [1 / 3, 2.0],
+                       [-0.0, 0.0]])
+    ring = ShiftedModel.from_network(fixtures.ring4())
+    trajs = [Trajectory(states=states, repeat=(1, 3)), Trajectory(states=states[:3]),
+             simulate(ring, fixtures.RING4_ORBIT[0], 154)]   # h = 8: 30 rows past 125
+    assert trajs[2].repeat == (117, 125)
+    for traj in trajs:
+        cli._write_csv(tmp_path / "t.csv", traj)
+        assert (tmp_path / "t.csv").read_text() == fresh_csv(traj.states)
+    expected = fresh_csv(states).splitlines()
+    assert expected[1] == "0,0,-0" and expected[2] == "1,-0,0" and expected[4] == "3,-0,0"
 
 
 def test_simulate_exact_orthant_codes_past_int64(tmp_path):

@@ -8,6 +8,7 @@ from equilibria_reference import reference_enumerate
 from finnet import fixtures
 from finnet.cycles import (
     CycleHit,
+    _detect,
     InsufficientLengthError,
     classify_trajectory,
     detect_cycle,
@@ -15,7 +16,7 @@ from finnet.cycles import (
     verify_no_period2,
 )
 from finnet.equilibria import DimensionTooLargeError, enumerate_equilibria
-from finnet.netmodel import ShiftedModel, Trajectory, simulate
+from finnet.netmodel import ShiftedModel, Trajectory, orthant_codes, simulate
 
 
 def ring_model():
@@ -121,6 +122,69 @@ def test_detect_cycle_none_when_period_exceeds_hmax():
     model = ring_model()
     traj = simulate(model, fixtures.RING4_ORBIT[0], 300)
     assert detect_cycle(traj, h_max=4) is None
+
+
+def reference_detect(states, tol, h_max):
+    """The per-trial search the batched detector replaced: (period, phase) or (0, None)."""
+    lo = max(states.shape[0] - 2 * h_max, 0)
+    states = states[lo:]
+    T = states.shape[0] - 1
+    codes = orthant_codes(states)
+    for h in range(1, h_max + 1):
+        start = T - h_max - h + 1
+        stop = T - h
+        win = slice(start, stop + 1)
+        if np.any(codes[start + h:stop + h + 1] != codes[win]):
+            continue
+        diff = states[start + h:stop + h + 1] - states[win]
+        if np.max(np.abs(diff)) <= tol:
+            return h, lo + start
+    return 0, None
+
+
+def assert_batch_is_per_trial(history, tol, h_max):
+    period, phase = _detect(history, tol, h_max)
+    for j in range(history.shape[2]):
+        assert (period[j], phase[j] if period[j] else None) == \
+            reference_detect(history[:, :, j], tol, h_max)
+    return period
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), T=st.sampled_from([16, 40, 200]),
+       h_max=st.integers(1, 8), tol=st.sampled_from([1e-9, 1e-7, 1e-2, 0.5]))
+def test_batched_detector_is_the_per_trial_one(n, seed, T, h_max, tol):
+    rng = np.random.default_rng(seed)
+    model = ShiftedModel.from_network(fixtures.random_network(rng, n))
+    history = simulate(model, rng.uniform(-5.0, 5.0, size=(n, 12)), max(T, 2 * h_max)).states
+    assert_batch_is_per_trial(history, tol, h_max)
+
+
+def test_batched_detector_past_int64_codes():
+    # n = 70 took the exact object-array orthant codes in the per-trial search:
+    # 17 uncoupled ring4 blocks, plus two nodes that settle after one step
+    ring = ring_model()
+    model = ShiftedModel.from_parts(np.pad(np.kron(np.eye(17), ring.C), (0, 2)),
+                                    np.r_[np.tile(ring.r, 17), 1.0, 2.0],
+                                    np.r_[np.tile(ring.beta, 17), 1.0, 1.0])
+    orbit, rest = np.tile(fixtures.RING4_ORBIT[0], 17), -np.ones(70)
+    one_block = rest.copy()
+    one_block[8:12] = fixtures.RING4_ORBIT[2]
+    starts = np.column_stack([np.r_[orbit, 0.5, 0.5], rest, one_block,
+                              np.random.default_rng(70).uniform(-3.0, 3.0, size=70)])
+    history = simulate(model, starts, 400).states
+    assert assert_batch_is_per_trial(history, 1e-9, 8)[:3].tolist() == [8, 1, 8]
+    for h_max, tol in ((7, 1e-9), (64, 1e-9), (3, 10.0), (16, 0.5)):
+        assert_batch_is_per_trial(history, tol, h_max)
+
+
+def test_batched_detector_mixes_orbits_and_equilibria():
+    starts = np.column_stack([fixtures.RING4_ORBIT[0], -np.ones(4), fixtures.RING4_ORBIT[3],
+                              np.full(4, -7.0), fixtures.RING4_ORBIT[5]])
+    history = simulate(ring_model(), starts, 400).states
+    period = assert_batch_is_per_trial(history, 1e-9, 8)
+    assert period.tolist() == [8, 1, 8, 1, 8]
+    assert assert_batch_is_per_trial(history, 1e-9, 7).tolist() == [0, 1, 0, 1, 0]
 
 
 def test_no_period2_on_fixtures():

@@ -1,5 +1,7 @@
 """Model assembly, indicator/orthant bookkeeping, and simulation dynamics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,6 +258,41 @@ def test_simulate_repeat_compares_bit_patterns():
     states = simulate(model, np.array([-0.0]), 6).states
     assert_bitwise_equal(states, reference_simulate(model, np.array([-0.0]), 6))
     assert np.signbit(states[0, 0]) and not np.signbit(states[1:]).any()
+
+
+def random200():
+    rng = np.random.default_rng(3)
+    model = ShiftedModel.from_network(fixtures.random_network(rng, 200))
+    return model, rng.uniform(-2.0, 2.0, size=200)
+
+
+def test_simulate_tiles_without_a_temporary():
+    # the states array is the run's one large allocation; a gather of the
+    # tiled rows would double the peak
+    model, x0 = random200()
+    tracemalloc.start()
+    try:
+        traj = simulate(model, x0, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.repeat is not None and traj.repeat[1] < 200
+    assert peak < 1.05 * traj.states.nbytes
+
+
+@pytest.mark.parametrize("start, extra", [("random200", 0), ("random200", 1), ("ring4", 0),
+                                          ("ring4", 1), ("ring4", 10_000)])
+def test_simulate_tiled_rows_bitwise(start, extra):
+    # T = t1 tiles the repeated row alone, T = t1 + 1 one row more; ring4 has h = 8
+    if start == "ring4":
+        model, x0 = ShiftedModel.from_network(fixtures.ring4()), fixtures.RING4_ORBIT[0]
+    else:
+        model, x0 = random200()
+    t0, t1 = simulate(model, x0, 10_000).repeat
+    T = min(t1 + extra, 10_000)
+    traj = simulate(model, x0, T)
+    assert traj.repeat == (t0, t1)
+    assert_bitwise_equal(traj.states, reference_simulate(model, x0, T))
 
 
 def test_batched_simulate_matches_scalar_runs():

@@ -1,7 +1,10 @@
 """Interval-uncertain cross-holdings: extremes, regions, sandwich bounds."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from finnet import equilibria, fixtures, invariance, robust
 from finnet.numerics import solve_linear
@@ -122,12 +125,15 @@ def test_constant_samplers_converge_to_their_fixed_points():
     np.testing.assert_allclose(high.sampled[-1], xu, atol=1e-10)
 
 
-def ten_bank_interval(seed=0):
-    rng = np.random.default_rng(seed)
-    C = rng.uniform(0.0, 1.0, size=(10, 10))
+def random_interval(rng, n):
+    C = rng.uniform(0.0, 1.0, size=(n, n))
     np.fill_diagonal(C, 0.0)
-    C *= rng.uniform(0.3, 0.8, size=10) / C.sum(axis=0)
-    return IntervalNetwork.from_nominal(C, rng.uniform(0.1, 0.5, size=10), 0.1)
+    C *= rng.uniform(0.3, 0.8, size=n) / np.maximum(C.sum(axis=0), 1e-300)     # n = 1: C = 0
+    return IntervalNetwork.from_nominal(C, rng.uniform(0.1, 0.5, size=n), 0.1)
+
+
+def ten_bank_interval(seed=0):
+    return random_interval(np.random.default_rng(seed), 10)
 
 
 @pytest.mark.parametrize("inet, calls", [(two_bank_interval(), 2500),
@@ -152,6 +158,56 @@ def test_sandwich_extremes_are_the_plain_iteration(inet):
             x = C @ x + inet.r
             expected.append(x)
         np.testing.assert_array_equal(states.view(np.uint64), np.array(expected).view(np.uint64))
+
+
+def plain_sandwich(inet, x0, T, sampler):
+    """One x = M @ x; x += r loop per trajectory: sampled, lower, upper."""
+    runs = []
+    for draw in (sampler, lambda t: inet.c_lower, lambda t: inet.c_upper):
+        x, states = x0, [x0]
+        for t in range(T):
+            x = draw(t) @ x
+            x += inet.r
+            states.append(x)
+        runs.append(np.array(states))
+    return runs
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12) | st.just(64), T=st.sampled_from([0, 1, 7, 200]),
+       seed=st.integers(0, 2**32 - 1), constant=st.booleans())
+@example(n=64, T=200, seed=1, constant=False)
+@example(n=64, T=7, seed=2, constant=True)
+def test_stacked_sandwich_is_bitwise_the_plain_loop(n, T, seed, constant):
+    # the stacked product rests on numpy running each slice's matrix-vector
+    # product as the plain c @ x does; the constant sampler returns one array
+    rng = np.random.default_rng(seed)
+    inet = random_interval(rng, n)
+    x0 = rng.uniform(0.0, 3.0, size=n)
+    make = (lambda: lambda t: inet.c_lower) if constant else (lambda: uniform_sampler(inet, seed))
+    res = sandwich_bounds(inet, x0, T, sampler=make())
+    for got, want in zip((res.sampled, res.lower, res.upper), plain_sandwich(inet, x0, T, make())):
+        assert got.shape == want.shape == (T + 1, n)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("draw, shape", [(lambda inet, t: inet.r, "(2,)"),
+                                         (lambda inet, t: 0.5, "()"),
+                                         (lambda inet, t: np.zeros((1, 2, 2)), "(1, 2, 2)")])
+def test_sandwich_rejects_sampler_of_wrong_shape(draw, shape):
+    # a vector ran to the end with a wrong trajectory; a scalar would broadcast
+    inet = two_bank_interval()
+    with pytest.raises(ValueError, match=rf"^sampler returned shape {re.escape(shape)} at step 0, "
+                                         r"expected \(2, 2\)$"):
+        sandwich_bounds(inet, np.array([1.0, 1.0]), T=5, sampler=lambda t: draw(inet, t))
+
+
+def test_sandwich_rejects_non_finite_sampler_matrix():
+    inet = two_bank_interval()
+    nan = np.full((2, 2), np.nan)
+    with pytest.raises(ValueError, match="^sampled trajectory is not finite from step 4$"):
+        sandwich_bounds(inet, np.array([1.0, 1.0]), T=10,
+                        sampler=lambda t: nan if t >= 3 else inet.c_lower)
 
 
 def test_sandwiches_share_one_robust_region(monkeypatch):
