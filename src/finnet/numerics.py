@@ -6,7 +6,8 @@ here: solve_linear (LAPACK, with a condition check), lp_solve, and
 project_polyhedron (the exact projection onto {z >= 0, A z >= b}, with its
 KKT multipliers; the reallocation's root search calls it once per step).
 Problems are small (tens of variables), so the solvers are dense: the
-simplex keeps Bland's rule and pivots with whole-array updates, and Python
+simplex pivots with whole-array updates, by Bland's rule (Dantzig's up to the first
+degenerate pivot in _vertex, whose callers read only the optimal value), and Python
 loops are left only where a rule is sequential. lp_solve pivots on the dual's
 n-row tableau: a _DualStart holds its phase 1, which depends on A and c only, and
 _dual_phase2 runs phase 2 for b, warm from the last optimum, kept only at a strictly
@@ -130,11 +131,15 @@ def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
     T -= f[:, None] * T[leave]
 
 
-def _simplex(T: np.ndarray, basis: list[int], cost: np.ndarray):
-    """Bland-rule primal simplex on tableau T = [B^-1 A | B^-1 b].
+def _simplex(T: np.ndarray, basis: list[int], cost: np.ndarray, *, dantzig: bool = False):
+    """Primal simplex on tableau T = [B^-1 A | B^-1 b], by Bland's rule (Bland, 1977).
 
     cost is the full cost vector over tableau columns. Mutates T and basis.
-    Returns 'optimal' or 'unbounded'.
+    Returns 'optimal' or 'unbounded'. With dantzig, the most negative reduced cost
+    enters until the first degenerate pivot (a step of at most _SIMPLEX_EPS), and Bland's
+    rule from there on. It terminates: each Dantzig pivot steps by more than
+    _SIMPLEX_EPS, so the objective strictly falls and no basis repeats, and Bland's
+    rule terminates from any basis. The ratio test is the same under both rules.
     """
     ncols = T.shape[1] - 1
     cost_basis = cost[basis]
@@ -143,7 +148,8 @@ def _simplex(T: np.ndarray, basis: list[int], cost: np.ndarray):
         improving = (reduced < -_SIMPLEX_EPS).nonzero()[0]
         if improving.size == 0:
             return "optimal"
-        enter = int(improving[0])       # Bland: smallest improving index
+        # Bland: smallest improving index; Dantzig: most negative reduced cost
+        enter = int(improving[reduced[improving].argmin()] if dantzig else improving[0])
         col = T[:, enter]
         rows = (col > _SIMPLEX_EPS).nonzero()[0]
         if rows.size == 0:
@@ -155,6 +161,7 @@ def _simplex(T: np.ndarray, basis: list[int], cost: np.ndarray):
             if best is None or ratio < best - _SIMPLEX_EPS or (
                     abs(ratio - best) <= _SIMPLEX_EPS and basis[i] < basis[leave]):
                 best, leave = ratio, i
+        dantzig = dantzig and best > _SIMPLEX_EPS
         _pivot(T, leave, enter)
         basis[leave] = enter
         cost_basis[leave] = cost[enter]
@@ -233,13 +240,14 @@ def _anchored(A: np.ndarray, b: np.ndarray, x0: np.ndarray) -> _FeasibleBasis:
 
 
 def _vertex(start: _FeasibleBasis, c: np.ndarray) -> tuple[np.ndarray, _FeasibleBasis]:
-    """Optimal vertex z of min c.z from start (not modified), and its optimal basis, a feasible
-    start for any other objective over the same polyhedron; raises UnboundedError."""
+    """An optimal vertex z of min c.z from start (not modified), and its optimal basis, a feasible
+    start for any other objective over the same polyhedron; raises UnboundedError. The contract
+    is the value c.z: which optimal vertex comes back depends on the pricing (see _simplex)."""
     n = c.size
     T, basis = start.T.copy(), list(start.basis)
     cost = np.zeros(T.shape[1])
     cost[:n], cost[n:2 * n] = c, -c
-    if _simplex(T, basis, cost) == "unbounded":
+    if _simplex(T, basis, cost, dantzig=True) == "unbounded":
         raise UnboundedError("objective unbounded below on the feasible set")
     w = np.zeros(T.shape[1] - 1)
     w[basis] = T[:, -1]

@@ -716,7 +716,7 @@ def test_infinite_input_exit2(tmp_path, capsys, command, field):
 
 
 def test_infinite_unused_field_exit2(tmp_path, capsys, two_bank_scenario):
-    doc = json.loads(open(two_bank_scenario).read())
+    doc = json.loads(Path(two_bank_scenario).read_text())
     doc["comment"] = -2.0
     path = tmp_path / "comment.json"
     path.write_text(json.dumps(doc).replace("-2.0", "1e999"))

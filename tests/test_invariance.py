@@ -26,8 +26,8 @@ from finnet.invariance import (
     stable_region,
 )
 from finnet.netmodel import FinancialNetwork, ShiftedModel, indicator, orthant_phi, simulate
-from finnet.numerics import (OPT_TOL, InfeasibleError, LinearProgram, UnboundedError, _phase1,
-                             lp_solve)
+from finnet.numerics import (OPT_TOL, InfeasibleError, LinearProgram, UnboundedError, _anchored,
+                             _phase1, lp_solve)
 
 
 def coordinate_box(poly):
@@ -497,6 +497,56 @@ def test_redundancy_on_rows_scaled_by_1e4_matches_highs_on_integer_rows():
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def degenerate_polyhedron(rng):
+    """Integer rows, most of them through the integer point v, with repeated rows: (poly, v).
+    At v the slack basis is degenerate, and so is the simplex's path through it."""
+    n = int(rng.integers(2, 5))
+    v = rng.integers(-2, 3, n).astype(float)
+    A = rng.integers(-3, 4, (int(rng.integers(n + 1, 2 * n + 3)), n)).astype(float)
+    b = A @ v - rng.integers(1, 3, len(A)) * (rng.random(len(A)) < 0.3)
+    repeats = rng.integers(0, len(b), int(rng.integers(1, 4)))
+    return Polyhedron(A=np.vstack([A, A[repeats]]), b=np.concatenate([b, b[repeats]]),
+                      row_power=np.arange(len(b) + len(repeats))), v
+
+
+def test_implied_matches_highs_on_degenerate_polyhedra(monkeypatch):
+    # degenerate pivots are where _vertex's Dantzig pricing hands over to Bland's rule
+    pytest.importorskip("scipy.optimize")
+    vertex, pivot, in_vertex, degenerate = invariance._vertex, numerics._pivot, [False], []
+
+    def counted_vertex(start, c):
+        in_vertex[0] = True
+        try:
+            return vertex(start, c)
+        finally:
+            in_vertex[0] = False
+
+    def counted_pivot(T, leave, enter):     # a step of at most _SIMPLEX_EPS in _vertex
+        degenerate.append(in_vertex[0] and T[leave, -1] <= 1e-9 * T[leave, enter])
+        pivot(T, leave, enter)
+
+    monkeypatch.setattr(invariance, "_vertex", counted_vertex)
+    monkeypatch.setattr(numerics, "_pivot", counted_pivot)
+    rng = np.random.default_rng(30)
+    verdicts = []
+    for _ in range(50):
+        poly, v = degenerate_polyhedron(rng)
+        rows = np.arange(poly.n_rows)
+        for i in rows:
+            others = rows[rows != i]
+            implied = highs_implied(poly, others, poly.A[i], poly.b[i], OPT_TOL)
+            for start in (_phase1(poly.A[others], poly.b[others]),
+                          _anchored(poly.A[others], poly.b[others], v)):
+                assert (_implied(start, poly.A[i], float(poly.b[i])) is not None) == implied
+            verdicts.append(implied)
+        start = _anchored(poly.A, poly.b, v)    # new rows through v, warm as in stable_region
+        for a in rng.integers(-3, 4, (4, poly.dim)).astype(float):
+            end = _implied(start, a, float(a @ v))
+            assert (end is not None) == highs_implied(poly, rows, a, a @ v, OPT_TOL)
+            start = end or start
+    assert 0 < sum(verdicts) < len(verdicts) and any(degenerate)
+
+
 def unit_rows(poly):
     """poly with every nonzero row scaled to unit length, as prune_redundant scales it."""
     norm = np.linalg.norm(poly.A, axis=1)
@@ -669,7 +719,7 @@ def test_warm_stable_region_horizon_matches_highs(model):
 
 def test_warm_stable_region_takes_fewer_pivots_than_phase1(monkeypatch):
     # complete10's mixed equilibria, all at tau = 1: from each horizon's slack basis at x_k
-    # alone this took more pivots than a phase 1 per horizon (2,923 against 2,559)
+    # alone this took more pivots than a phase 1 per horizon (2,838 against 2,664; warm: 1,335)
     model = ShiftedModel.from_network(fixtures.complete10())
     mixed = [rec for rec in enumerate_equilibria(model) if 0 < rec.k < 2 ** model.n - 1]
     pivot, counts = numerics._pivot, []
@@ -679,6 +729,26 @@ def test_warm_stable_region_takes_fewer_pivots_than_phase1(monkeypatch):
         assert {region(model, rec)[1] for rec in mixed} == {1}
         counts.append(len(calls))
     assert len(mixed) == 39 and counts[0] < counts[1]
+
+
+def test_dantzig_pricing_gives_blands_regions_in_fewer_pivots(monkeypatch):
+    # _vertex prices by Dantzig's rule; with _simplex held to Bland's rule the regions and
+    # horizons must be bitwise the same, as _implied reads only the optimal value
+    model = ShiftedModel.from_network(fixtures.complete10())
+    mixed = [rec for rec in enumerate_equilibria(model) if 0 < rec.k < 2 ** model.n - 1]
+    simplex, pivot, runs = numerics._simplex, numerics._pivot, []
+    for bland in (False, True):
+        calls = []
+        monkeypatch.setattr(numerics, "_pivot", lambda *args: calls.append(1) or pivot(*args))
+        if bland:
+            monkeypatch.setattr(numerics, "_simplex",
+                                lambda T, basis, cost, **_: simplex(T, basis, cost))
+        runs.append(([stable_region(model, rec) for rec in mixed], len(calls)))
+    (ours, ours_pivots), (bland, bland_pivots) = runs
+    assert len(mixed) == 39 and ours_pivots < bland_pivots
+    for (poly, tau), (ref, ref_tau) in zip(ours, bland):
+        assert tau == ref_tau and all(getattr(poly, f).tobytes() == getattr(ref, f).tobytes()
+                                      for f in ("A", "b", "row_power"))
 
 
 def test_fixed_point_property_tau_vs_tau_plus_one():

@@ -399,6 +399,19 @@ def test_bland_terminates_on_beale_cycling_example(monkeypatch):
     assert abs(sol.objective + 1.25) <= 1e-12 and sol.cs_residual <= OPT_TOL
 
 
+def test_dantzig_switches_to_bland_on_beales_original_cycle(monkeypatch):
+    # Beale (1955) at the degenerate vertex x = 0 with the slack basis: min -3/4 x1 + 150 x2
+    # - 1/50 x3 + 6 x4 with x3 <= 1. Most-negative pricing with this ratio tie rule cycles
+    # here; the switch to Bland's rule at the first degenerate pivot ends at x1 = 1/25, x3 = 1
+    monkeypatch.setattr(numerics, "SIMPLEX_MAX_ITER", 50)
+    A = np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    T = np.hstack([A, np.eye(3), [[0.0], [0.0], [1.0]]])
+    cost = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0, 0.0])
+    basis = [4, 5, 6]
+    assert numerics._simplex(T, basis, cost, dantzig=True) == "optimal"
+    assert abs(cost[basis] @ T[:, -1] + 0.05) <= 1e-12
+
+
 @pytest.mark.parametrize("rhs, basis, leaves", [
     ((0.0, 0.0), (2, 1), 1),
     ((1e-10, 0.0), (2, 1), 1),
