@@ -16,10 +16,12 @@ main() call, and every later call parses with it.
 
 Exit codes: 0 on success, 1 when a report's `ok` is false (a pinned
 fixture value is off), 2 when the scenario or a flag fails to parse or
-validate (a malformed or non-finite number, a horizon too long to allocate
-or too short for the cycle search, or nesting past the recursion limit) or a
-file cannot be read or written, 3 when a solver gives up (or returns a
-non-finite number).
+validate (a malformed or non-finite number, a drift r = (C - I) threshold + D p
+or r - beta that overflows although every entry is finite, a horizon too long to
+allocate or too short for the cycle search, or nesting past the recursion limit)
+or a file cannot be read or written, 3 when a solver gives up (or returns a
+non-finite number, a non-finite trajectory included). Each error is one stderr
+line: numpy's overflow warnings are off where finite data can overflow.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cycles import (DETECT_TOL, H_MAX, RHO, InsufficientLengthError, classify_trajectory,
-                     detect_cycle)
+from .cycles import (DETECT_TOL, H_MAX, RHO, InsufficientLengthError, NonFiniteTrajectoryError,
+                     classify_trajectory, detect_cycle)
 from .equilibria import DimensionTooLargeError, enumerate_equilibria, existence_conditions
 from .fixtures import FixtureReport, fixture_report
 from .intervene import IterationCapReached, drive_to_invariant
@@ -56,7 +58,7 @@ EXIT_SOLVER = 3
 
 SOLVER_ERRORS = (SingularMatrixError, DimensionTooLargeError, InfeasibleError, UnboundedError,
                  NoPositiveEquilibriumError, NotDeterminedError, IterationCapReached,
-                 IterationLimitError)
+                 IterationLimitError, NonFiniteTrajectoryError)
 
 
 class ScenarioError(ValueError):
@@ -122,13 +124,21 @@ def _floats(doc: dict, name: str, where: str = "scenario", n: int | None = None)
     return arr.astype(float, copy=False)
 
 
-def _network_from(doc: dict) -> FinancialNetwork:
+def _network_from(doc: dict) -> tuple[FinancialNetwork, ShiftedModel]:
+    """The scenario's network and its shifted model; ScenarioError when the network fails
+    validation or its finite data give a non-finite drift r or r - beta."""
     net = FinancialNetwork(**{name: _floats(_field(doc, "network"), name, "network")
                               for name in ("C", "D", "p", "beta", "threshold")})
     violations = validate(net)
     if violations:
         raise ScenarioError("network validation failed: " + "; ".join(violations))
-    return net
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = ShiftedModel.from_network(net)
+        for name, drift in (("r = (C - I) threshold + D p", model.r),
+                            ("r - beta", model.r - model.beta)):
+            if not np.all(np.isfinite(drift)):
+                raise ScenarioError(f"derived drift {name} overflows to a non-finite value")
+    return net, model
 
 
 def _interval_from(doc: dict) -> IntervalNetwork:
@@ -250,9 +260,8 @@ def _write_csv(path: Path, traj: Trajectory) -> None:
 
 
 def cmd_simulate(args, doc: dict) -> dict:
-    net = _network_from(doc)
-    traj = simulate(ShiftedModel.from_network(net), _floats(doc, "x0", n=net.n),
-                    _horizon(args, doc, 100))
+    net, model = _network_from(doc)
+    traj = simulate(model, _floats(doc, "x0", n=net.n), _horizon(args, doc, 100))
     results = {
         "T": traj.T,
         "final_x": traj.states[-1],
@@ -269,7 +278,7 @@ def cmd_simulate(args, doc: dict) -> dict:
 
 
 def cmd_equilibria(args, doc: dict) -> dict:
-    model = ShiftedModel.from_network(_network_from(doc))
+    _, model = _network_from(doc)
     records = enumerate_equilibria(model)
     X = np.reshape([rec.x for rec in records], (len(records), model.n))
     rows = zip(records, (X < 0).astype(float).tolist(), X.tolist(),   # phi: x lies in orthant k
@@ -290,7 +299,7 @@ def _region_entry(region: Polyhedron | str) -> dict:
 
 
 def cmd_invariance(args, doc: dict) -> dict:
-    rep = invariance_report(ShiftedModel.from_network(_network_from(doc)), seed=args.seed)
+    rep = invariance_report(_network_from(doc)[1], seed=args.seed)
     return {**vars(rep),
             "regions": {label: _region_entry(r) for label, r in rep.regions.items()}}
 
@@ -314,20 +323,19 @@ def cmd_robust(args, doc: dict) -> dict:
 
 
 def cmd_cycles(args, doc: dict) -> dict:
-    net = _network_from(doc)
-    traj = simulate(ShiftedModel.from_network(net), _floats(doc, "x0", n=net.n),
-                    _horizon(args, doc, 10000))
-    try:
+    net, model = _network_from(doc)
+    traj = simulate(model, _floats(doc, "x0", n=net.n), _horizon(args, doc, 10000))
+    try:    # classify first: it rejects a non-finite trajectory before any search
+        cls = classify_trajectory(traj, rho=args.rho, tol=args.tol, h_max=args.hmax)
         hit = detect_cycle(traj, tol=args.tol, h_max=args.hmax)
     except InsufficientLengthError as e:
         raise ScenarioError(f"horizon {traj.T} too short for --hmax {args.hmax}: {e}")
-    cls = classify_trajectory(traj, rho=args.rho, tol=args.tol, h_max=args.hmax)
     return {**vars(cls), "detected": None if hit is None else {
         "period": hit.period, "phase": hit.phase, "is_equilibrium": hit.is_equilibrium}}
 
 
 def cmd_intervene(args, doc: dict) -> dict:
-    net = _network_from(doc)
+    net, _ = _network_from(doc)
     x0 = _floats(doc, "x0", n=net.n)
     mode = "clamped" if args.clamped_v_update else "verbatim"
     plan = drive_to_invariant(net, x0, mode=mode,

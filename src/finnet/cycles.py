@@ -32,6 +32,10 @@ class InsufficientLengthError(ValueError):
     """Trajectory too short for the requested cycle search."""
 
 
+class NonFiniteTrajectoryError(ValueError):
+    """A state of the trajectory to classify is inf or nan."""
+
+
 def periodic_points(model: ShiftedModel, h: int) -> np.ndarray:
     """Every point whose period divides h, as (count, h, n) stacks of consecutive states.
 
@@ -165,10 +169,15 @@ def classify_trajectory(traj: Trajectory, rho: float = RHO, tol: float = DETECT_
     The criticality screen runs first: any state component within rho of
     zero makes the whole trajectory Critical. Undetermined means no period
     up to h_max closed within the horizon. Both scans stop at traj.repeat:
-    the rows after it are copies.
+    the rows after it are copies. ValueError, naming the step, when a state
+    is not finite (the dynamics overflowed).
     """
     states = traj.states
     settled = states if traj.repeat is None else states[:traj.repeat[1] + 1]
+    finite = np.isfinite(settled)
+    if not finite.all():
+        t = int(np.argmin(finite.all(axis=1)))
+        raise NonFiniteTrajectoryError(f"trajectory is not finite from step {t}")
     near = np.abs(settled) < rho
     if near.any():
         t, i = np.argwhere(near)[0]

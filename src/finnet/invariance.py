@@ -180,7 +180,8 @@ def _truncation_index(model: ShiftedModel, eq: EquilibriumRecord) -> int:
     (below 1 for every validated network). Then |C^t y| <= |C|^t y <= rho^t |y|_1
     entrywise, at most min y once t >= log(min y / |y|_1) / log rho: tau is at most that
     bound (1 when C = 0). NotDeterminedError when eq is not interior (rounding would
-    decide), when rho >= 1, or when the search reaches the bound, which only rounding can.
+    decide), when rho >= 1, when min y / |y|_1 is not finite and positive (y overflowed),
+    or when the search reaches the bound, which only rounding can.
     """
     k, y = eq.k, np.abs(eq.x)
     if k not in (0, 2 ** model.n - 1):
@@ -194,7 +195,12 @@ def _truncation_index(model: ShiftedModel, eq: EquilibriumRecord) -> int:
     if rho >= 1.0:
         raise NotDeterminedError(f"largest column sum of |C| is {rho:.6g} >= 1: "
                                  f"no truncation bound for orthant {k}")
-    bound = max(1, int(np.ceil(np.log(y.min() / y.sum()) / np.log(rho)))) if rho > 0 else 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = y.min() / y.sum()
+    if not (np.isfinite(ratio) and ratio > 0):
+        raise NotDeterminedError(f"orthant {k} equilibrium has min |x_i| / |x|_1 = {ratio:.6g}: "
+                                 f"no truncation bound")
+    bound = max(1, int(np.ceil(np.log(ratio) / np.log(rho)))) if rho > 0 else 1
     sign = 1.0 if k == 0 else -1.0
     for tau, P in zip(range(1, bound + 1), islice(_powers(model.C), 1, None)):
         if np.all(sign * (P @ -eq.x + eq.x) >= 0):
@@ -306,9 +312,12 @@ def stable_region(model: ShiftedModel, eq: EquilibriumRecord) -> tuple[Polyhedro
 
     Intended for intermediate orthants, where no closed-form truncation
     index exists. Returns the region and the horizon at which membership
-    stabilized. Raises NotDeterminedError if it has not within _TAU_CAP horizons. A horizon's
-    first LP starts from the slack basis at eq.x, where each row has margin (J x_k)_i >= 0,
-    and each later one from the optimal basis of the one before, a vertex of the same rows.
+    stabilized. The stop is the finite-determination test of Gilbert and Tan (1991, IEEE
+    TAC 36(9)) for a time-invariant constraint: once block tau + 1 is implied by blocks
+    0..tau, so is every later block, hence certified=True. Raises NotDeterminedError if
+    it has not stabilized within _TAU_CAP horizons. A horizon's first LP starts from the
+    slack basis at eq.x, where each row has margin (J x_k)_i >= 0, and each later one from
+    the optimal basis of the one before, a vertex of the same rows.
     """
     rows = _orthant_rows(model, eq)
     A, b = next(rows)

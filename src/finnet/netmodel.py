@@ -211,6 +211,7 @@ class Trajectory:
         return orthant_codes(self.states)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(model: ShiftedModel, x0, T: int) -> Trajectory:
     """Iterate the dynamics T steps from x0 of shape (n,) or (n, batch).
 
@@ -219,8 +220,9 @@ def simulate(model: ShiftedModel, x0, T: int) -> Trajectory:
     repeat of a state's bit pattern (-0.0 and 0.0 differ) the rest of the
     trajectory is tiled from the cycle instead of computed, in place: the
     filled span from the repeat's first row is copied after itself, doubling
-    each time, so no row index or gather temporary is built. ValueError on a
-    negative T, a wrong shape or a non-finite x0.
+    each time, so no row index or gather temporary is built. A step that
+    overflows gives inf or nan states without a numpy warning; classify_trajectory
+    rejects them. ValueError on a negative T, a wrong shape or a non-finite x0.
     """
     if T < 0:
         raise ValueError("horizon must be nonnegative")

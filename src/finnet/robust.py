@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
 from typing import Callable
 
 import numpy as np
@@ -132,17 +131,28 @@ def last_hope_membership(inet: IntervalNetwork, x0) -> bool:
 
 
 # -- holding-sequence samplers ----------------------------------------------
-# A sampler maps the step index t to the matrix C(t) used at that step.
+# A sampler maps a block of steps t0..t1-1 to the stack C(t0), ..., C(t1 - 1) of the
+# matrices used at those steps, of shape (t1 - t0, n, n). sandwich_bounds asks for the
+# blocks in order, each of at most _DRAW_ENTRIES entries.
 
-def uniform_sampler(inet: IntervalNetwork, seed: int = 0) -> Callable[[int], np.ndarray]:
+_DRAW_ENTRIES = 2 ** 16
+
+
+def uniform_sampler(inet: IntervalNetwork, seed: int = 0) -> Callable[[int, int], np.ndarray]:
     """Independent uniform draw per entry per step; zero-width entries stay put.
-    Drawn in blocks of about 4096 entries: the stream of one rng.uniform per call.
+    One rng.random per block, scaled to c_lower + (c_upper - c_lower) u as rng.uniform
+    computes it: bitwise the stream of one rng.uniform(c_lower, c_upper) per step,
+    however the steps are split into blocks.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = inet.c_lower, inet.c_upper
-    size = (max(1, 4096 // lo.size),) + lo.shape
-    stream = chain.from_iterable(rng.uniform(lo, hi, size=size) for _ in count())
-    return lambda t: next(stream)
+    lo, width = inet.c_lower, inet.c_upper - inet.c_lower
+
+    def draw(t0: int, t1: int) -> np.ndarray:
+        cs = rng.random((t1 - t0,) + lo.shape)
+        cs *= width
+        cs += lo
+        return cs
+    return draw
 
 
 @dataclass
@@ -167,15 +177,17 @@ class SandwichResult:
 
 
 def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
-                    sampler: Callable[[int], np.ndarray] | None = None) -> SandwichResult:
+                    sampler: Callable[[int, int], np.ndarray] | None = None) -> SandwichResult:
     """Simulate sampled and extreme trajectories from a common x0.
 
     x0 must lie in the robust invariant set, which keeps every admissible
     trajectory nonnegative and therefore ordered between the extremes.
-    The three trajectories advance as one stacked product per step, each
-    bitwise c @ x + r. Limit estimates are taken over the last 10 states.
-    ValueError on a negative T, an x0 not of shape (n,) or with non-finite
-    entries, a sampler matrix not of shape (n, n) or a non-finite state.
+    The sampler is asked once per block of steps, of at most _DRAW_ENTRIES
+    matrix entries, for that block's stack of matrices. The three trajectories
+    advance as one stacked product per step, each bitwise c @ x + r. Limit
+    estimates are taken over the last 10 states. ValueError on a negative T,
+    an x0 not of shape (n,) or with non-finite entries, a sampler block not of
+    shape (t1 - t0, n, n) or a non-finite state.
     """
     if T < 0:
         raise ValueError("horizon must be nonnegative")
@@ -186,16 +198,21 @@ def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
     if sampler is None:
         sampler = uniform_sampler(inet)
     n, r = inet.n, np.tile(inet.r[:, None], (3, 1, 1))
-    cs = np.stack([inet.c_lower, inet.c_lower, inet.c_upper])     # slot 0: the sampled C(t)
+    block = max(1, min(T, _DRAW_ENTRIES // (n * n)))
+    cs = np.empty((block, 3, n, n))         # slot 0: the sampled C(t); 1, 2: the extremes
+    cs[:, 1], cs[:, 2] = inet.c_lower, inet.c_upper
     xs = np.empty((T + 1, 3, n, 1))
     x = xs[0]
     x[:] = x0[:, None]
-    for t in range(T):
-        if np.shape(c := sampler(t)) != (n, n):
-            raise ValueError(f"sampler returned shape {np.shape(c)} at step {t}, expected {(n, n)}")
-        cs[0] = c
-        x = np.matmul(cs, x, out=xs[t + 1])     # each slice's gemv is bitwise c @ x
-        x += r
+    for t0 in range(0, T, block):
+        k = min(block, T - t0)
+        if np.shape(c := sampler(t0, t0 + k)) != (k, n, n):
+            raise ValueError(f"sampler returned shape {np.shape(c)} for steps "
+                             f"{t0}..{t0 + k - 1}, expected {(k, n, n)}")
+        cs[:k, 0] = c
+        for c3, x_next in zip(cs[:k], xs[t0 + 1:t0 + k + 1]):
+            x = np.matmul(c3, x, out=x_next)    # each slice's gemv is bitwise c @ x
+            x += r
     if not np.isfinite(xs).all():
         t = int(np.argmin(np.isfinite(xs).all(axis=(1, 2, 3))))
         raise ValueError(f"sampled trajectory is not finite from step {t}")

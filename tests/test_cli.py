@@ -271,7 +271,7 @@ def test_equilibria_report_rows_are_the_records(tmp_path, capsys, name):
     doc = BOUNDARY_DOC if name == "boundary" else {"network": net_doc(getattr(fixtures, name)())}
     assert main(["equilibria", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_OK
     rows = json.loads(capsys.readouterr().out)["results"]["equilibria"]
-    model = ShiftedModel.from_network(cli._network_from(doc))
+    _, model = cli._network_from(doc)
     records = equilibria.enumerate_equilibria(model)
     assert [row["k"] for row in rows] == [rec.k for rec in records]
     for row, rec in zip(rows, records):
@@ -368,6 +368,63 @@ def test_robust_start_outside_robust_set_exit2(tmp_path, capsys):
     assert captured.err == ("error: interval system rejected: x0 is outside the robust "
                             "invariant set; bounds would not apply\n")
     assert captured.out == ""
+
+
+def overflow_doc(D, p, threshold=(5.0, 5.0), beta=(1.0, 1.0), **extra):
+    """two_bank with every entry finite but scaled so that the dynamics overflow."""
+    net = net_doc(fixtures.two_bank())
+    net.update(D=[[D, 0.0], [0.0, D]], p=list(p), threshold=list(threshold), beta=list(beta))
+    return {"network": net, "x0": [1.0, 1.0], **extra}
+
+
+NETWORK_COMMANDS = ["simulate", "equilibria", "invariance", "cycles", "intervene"]
+
+
+@pytest.mark.parametrize("command", NETWORK_COMMANDS)
+@pytest.mark.parametrize("doc, name", [
+    (overflow_doc(1e200, (1e200, 1e200)), "r = (C - I) threshold + D p"),
+    (overflow_doc(1.0, (1.0, 1.0), threshold=(1.7e308, 1.7e308), beta=(1.5e308, 1.5e308)),
+     "r - beta")], ids=["r", "r-beta"])
+def test_derived_drift_overflow_exit2(tmp_path, capsys, command, doc, name):
+    # every entry is finite, but D p (or r - beta) is not; an overflow warning would
+    # raise here, as RuntimeWarning is an error in this suite
+    assert main([command, "--scenario", write_scenario(tmp_path, doc)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == f"error: derived drift {name} overflows to a non-finite value\n"
+    assert captured.out == ""
+
+
+TRUNCATION_ERROR = ("orthant 0 equilibrium has min |x_i| / |x|_1 = nan: "
+                    "no truncation bound")
+
+
+def test_non_finite_truncation_bound_exit3(tmp_path, capsys):
+    # r is finite, but the healthy candidate (I - C)^-1 r overflows to inf
+    path = write_scenario(tmp_path, overflow_doc(1.5e308, (1.0, 1.0)))
+    assert main(["intervene", "--scenario", path]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == f"solver failure: {TRUNCATION_ERROR}\n" and captured.out == ""
+    assert main(["invariance", "--scenario", path]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["results"]["regions"]["healthy"] == {"error": TRUNCATION_ERROR}
+    assert captured.err == ""
+    # the lower extreme's fixed point r / 0.55 is finite, its 1-norm is not: ratio 0
+    doc = {"interval": {"c_lower": [[0.0, 0.45], [0.45, 0.0]],
+                        "c_upper": [[0.0, 0.55], [0.55, 0.0]], "r": [0.8e308, 0.8e308]}}
+    assert main(["robust", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == ("solver failure: orthant 0 equilibrium has min |x_i| / |x|_1 = 0: "
+                            "no truncation bound\n") and captured.out == ""
+
+
+@pytest.mark.parametrize("command, message", [
+    ("simulate", "solver failure: results contain a non-finite number"),
+    ("cycles", "solver failure: trajectory is not finite from step 2")])
+def test_overflowing_run_exit3(tmp_path, capsys, command, message):
+    path = write_scenario(tmp_path, overflow_doc(1.5e308, (1.0, 1.0), horizon=300))
+    assert main([command, "--scenario", path]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
 
 
 def test_intervene_without_healthy_equilibrium_exit3(tmp_path, capsys):

@@ -230,6 +230,19 @@ def test_classify_critical_screens_first():
     assert res.period is None
 
 
+def test_classify_rejects_overflowing_run():
+    # x(1) = 0.5 + 1.5e308 is finite, x(2) = 1.5 x(1) is not; simulate steps on quietly
+    model = ShiftedModel.from_parts(fixtures.two_bank().C, np.full(2, 1.5e308), np.ones(2))
+    traj = simulate(model, np.ones(2), 300)
+    assert not np.isfinite(traj.states[2:]).any()
+    with pytest.raises(ValueError, match="^trajectory is not finite from step 2$"):
+        classify_trajectory(traj)
+    states = np.ones((200, 2))
+    states[150, 1] = np.nan     # one nan entry in a finite run is named too
+    with pytest.raises(ValueError, match="^trajectory is not finite from step 150$"):
+        classify_trajectory(Trajectory(states=states))
+
+
 def test_classify_undetermined_when_hmax_too_small():
     model = ring_model()
     res = classify_trajectory(simulate(model, fixtures.RING4_ORBIT[0], 10000), h_max=4)

@@ -300,6 +300,15 @@ def test_intermediate_orthants_not_invariant_on_fixtures():
         assert not np.array_equal(indicator(ring.step(x)), indicator(x))
 
 
+@pytest.mark.parametrize("r, ratio", [(1.5e308, "nan"), (0.8e308, "0")])
+def test_non_finite_truncation_ratio_is_not_determined(r, ratio):
+    # x = 2 r: inf at r = 1.5e308 (inf / inf), finite at 0.8e308 with |x|_1 = inf
+    model = ShiftedModel.from_parts(fixtures.two_bank().C, np.full(2, r), np.ones(2))
+    with pytest.raises(NotDeterminedError, match=rf"^orthant 0 equilibrium has min \|x_i\| / "
+                                                 rf"\|x\|_1 = {ratio}: no truncation bound$"):
+        finite_determination_index(model, 0)
+
+
 def test_finite_determination_rejects_intermediate_orthants():
     model = ShiftedModel.from_network(fixtures.two_bank())
     for k in (1, 2):

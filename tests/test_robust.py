@@ -115,12 +115,16 @@ def test_sandwich_ordering_and_limits():
     assert np.all(res.limsup_estimate <= xu + 1e-6)
 
 
+def constant_sampler(c):
+    return lambda t0, t1: np.broadcast_to(c, (t1 - t0,) + c.shape)
+
+
 def test_constant_samplers_converge_to_their_fixed_points():
     inet = two_bank_interval()
     xl, xu = extremal_fixed_points(inet)
     x0 = np.array([1.0, 1.0])
-    low = sandwich_bounds(inet, x0, T=300, sampler=lambda t: inet.c_lower)
-    high = sandwich_bounds(inet, x0, T=300, sampler=lambda t: inet.c_upper)
+    low = sandwich_bounds(inet, x0, T=300, sampler=constant_sampler(inet.c_lower))
+    high = sandwich_bounds(inet, x0, T=300, sampler=constant_sampler(inet.c_upper))
     np.testing.assert_allclose(low.sampled[-1], xl, atol=1e-10)
     np.testing.assert_allclose(high.sampled[-1], xu, atol=1e-10)
 
@@ -139,13 +143,19 @@ def ten_bank_interval(seed=0):
 @pytest.mark.parametrize("inet, calls", [(two_bank_interval(), 2500),
                                          (ten_bank_interval(), 130)])
 def test_uniform_sampler_is_the_per_call_stream(inet, calls):
-    # more calls than one block of draws holds (1024 at n = 2, 40 at n = 10)
+    # [0, calls) split into blocks of 1, 7, 1000 (at calls = 2500) and the rest steps: each
+    # step is bitwise one rng.uniform call, which pins numpy's uniform as low + range * u
+    # with no fused multiply-add
     sampler = uniform_sampler(inet, seed=11)
     rng = np.random.default_rng(11)
-    for t in range(calls):
-        expected = rng.uniform(inet.c_lower, inet.c_upper)
-        np.testing.assert_array_equal(sampler(t).view(np.uint64), expected.view(np.uint64))
-    assert sampler(calls)[0, 0] == 0.0              # zero-width entries stay put
+    t0 = 0
+    for t1 in sorted({1, 8, min(1008, calls), calls}):
+        block = sampler(t0, t1)
+        assert block.shape == (t1 - t0, inet.n, inet.n)
+        expected = np.array([rng.uniform(inet.c_lower, inet.c_upper) for _ in range(t0, t1)])
+        np.testing.assert_array_equal(block.view(np.uint64), expected.view(np.uint64))
+        assert np.all(block[:, 0, 0] == 0.0)        # zero-width entries stay put
+        t0 = t1
 
 
 @pytest.mark.parametrize("inet", [two_bank_interval(), ten_bank_interval()])
@@ -163,10 +173,10 @@ def test_sandwich_extremes_are_the_plain_iteration(inet):
 def plain_sandwich(inet, x0, T, sampler):
     """One x = M @ x; x += r loop per trajectory: sampled, lower, upper."""
     runs = []
-    for draw in (sampler, lambda t: inet.c_lower, lambda t: inet.c_upper):
+    for draw in (sampler, constant_sampler(inet.c_lower), constant_sampler(inet.c_upper)):
         x, states = x0, [x0]
         for t in range(T):
-            x = draw(t) @ x
+            x = draw(t, t + 1)[0] @ x
             x += inet.r
             states.append(x)
         runs.append(np.array(states))
@@ -180,34 +190,39 @@ def plain_sandwich(inet, x0, T, sampler):
 @example(n=64, T=7, seed=2, constant=True)
 def test_stacked_sandwich_is_bitwise_the_plain_loop(n, T, seed, constant):
     # the stacked product rests on numpy running each slice's matrix-vector
-    # product as the plain c @ x does; the constant sampler returns one array
+    # product as the plain c @ x does; the constant sampler returns one broadcast array,
+    # and at n = 64 a block holds 16 steps, so T = 200 crosses 13 blocks
     rng = np.random.default_rng(seed)
     inet = random_interval(rng, n)
     x0 = rng.uniform(0.0, 3.0, size=n)
-    make = (lambda: lambda t: inet.c_lower) if constant else (lambda: uniform_sampler(inet, seed))
+    make = ((lambda: constant_sampler(inet.c_lower)) if constant
+            else (lambda: uniform_sampler(inet, seed)))
     res = sandwich_bounds(inet, x0, T, sampler=make())
     for got, want in zip((res.sampled, res.lower, res.upper), plain_sandwich(inet, x0, T, make())):
         assert got.shape == want.shape == (T + 1, n)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("draw, shape", [(lambda inet, t: inet.r, "(2,)"),
-                                         (lambda inet, t: 0.5, "()"),
-                                         (lambda inet, t: np.zeros((1, 2, 2)), "(1, 2, 2)")])
+@pytest.mark.parametrize("draw, shape", [(lambda inet, t0, t1: inet.r, "(2,)"),
+                                         (lambda inet, t0, t1: 0.5, "()"),
+                                         (lambda inet, t0, t1: np.zeros((1, 2, 2)), "(1, 2, 2)"),
+                                         (lambda inet, t0, t1: inet.c_lower, "(2, 2)")])
 def test_sandwich_rejects_sampler_of_wrong_shape(draw, shape):
-    # a vector ran to the end with a wrong trajectory; a scalar would broadcast
+    # a scalar, a vector, a one-step stack or one matrix would broadcast over the block
     inet = two_bank_interval()
-    with pytest.raises(ValueError, match=rf"^sampler returned shape {re.escape(shape)} at step 0, "
-                                         r"expected \(2, 2\)$"):
-        sandwich_bounds(inet, np.array([1.0, 1.0]), T=5, sampler=lambda t: draw(inet, t))
+    with pytest.raises(ValueError, match=rf"^sampler returned shape {re.escape(shape)} for steps "
+                                         r"0\.\.4, expected \(5, 2, 2\)$"):
+        sandwich_bounds(inet, np.array([1.0, 1.0]), T=5,
+                        sampler=lambda t0, t1: draw(inet, t0, t1))
 
 
 def test_sandwich_rejects_non_finite_sampler_matrix():
     inet = two_bank_interval()
-    nan = np.full((2, 2), np.nan)
+    def sampler(t0, t1):
+        late = (np.arange(t0, t1) >= 3)[:, None, None]
+        return np.where(late, np.nan, inet.c_lower)
     with pytest.raises(ValueError, match="^sampled trajectory is not finite from step 4$"):
-        sandwich_bounds(inet, np.array([1.0, 1.0]), T=10,
-                        sampler=lambda t: nan if t >= 3 else inet.c_lower)
+        sandwich_bounds(inet, np.array([1.0, 1.0]), T=10, sampler=sampler)
 
 
 def test_sandwiches_share_one_robust_region(monkeypatch):
