@@ -20,8 +20,11 @@ validate (a malformed or non-finite number, a drift r = (C - I) threshold + D p
 or r - beta that overflows although every entry is finite, a horizon too long to
 allocate or too short for the cycle search, or nesting past the recursion limit)
 or a file cannot be read or written, 3 when a solver gives up (or returns a
-non-finite number, a non-finite trajectory included). Each error is one stderr
-line: numpy's overflow warnings are off where finite data can overflow.
+non-finite number, a non-finite trajectory included; so does a projection whose
+KKT residual overflows on finite data, and a drive that reaches its iteration
+cap, as one on prices so small that their squares underflow does). Each error
+is one stderr line: numpy's overflow warnings are off where finite data can
+overflow.
 """
 
 from __future__ import annotations
@@ -40,15 +43,15 @@ import numpy as np
 
 from . import __version__
 from .cycles import (DETECT_TOL, H_MAX, RHO, InsufficientLengthError, NonFiniteTrajectoryError,
-                     classify_trajectory, detect_cycle)
+                     _classify, detect_cycle)
 from .equilibria import DimensionTooLargeError, enumerate_equilibria, existence_conditions
 from .fixtures import FixtureReport, fixture_report
 from .intervene import IterationCapReached, drive_to_invariant
 from .invariance import (NoPositiveEquilibriumError, NotDeterminedError, Polyhedron,
                          invariance_report)
 from .netmodel import FinancialNetwork, ShiftedModel, Trajectory, simulate, validate
-from .numerics import (InfeasibleError, IterationLimitError, SingularMatrixError,
-                       UnboundedError)
+from .numerics import (InfeasibleError, IterationLimitError, NonFiniteResidualError,
+                       SingularMatrixError, UnboundedError)
 from .robust import IntervalNetwork, robust_report
 
 EXIT_OK = 0
@@ -58,7 +61,7 @@ EXIT_SOLVER = 3
 
 SOLVER_ERRORS = (SingularMatrixError, DimensionTooLargeError, InfeasibleError, UnboundedError,
                  NoPositiveEquilibriumError, NotDeterminedError, IterationCapReached,
-                 IterationLimitError, NonFiniteTrajectoryError)
+                 IterationLimitError, NonFiniteTrajectoryError, NonFiniteResidualError)
 
 
 class ScenarioError(ValueError):
@@ -325,9 +328,10 @@ def cmd_robust(args, doc: dict) -> dict:
 def cmd_cycles(args, doc: dict) -> dict:
     net, model = _network_from(doc)
     traj = simulate(model, _floats(doc, "x0", n=net.n), _horizon(args, doc, 10000))
-    try:    # classify first: it rejects a non-finite trajectory before any search
-        cls = classify_trajectory(traj, rho=args.rho, tol=args.tol, h_max=args.hmax)
-        hit = detect_cycle(traj, tol=args.tol, h_max=args.hmax)
+    try:    # classification rejects a non-finite trajectory before any search
+        cls, hit = _classify(traj, args.rho, args.tol, args.hmax)
+        if cls.kind == "critical":      # classification skips the search for these
+            hit = detect_cycle(traj, tol=args.tol, h_max=args.hmax)
     except InsufficientLengthError as e:
         raise ScenarioError(f"horizon {traj.T} too short for --hmax {args.hmax}: {e}")
     return {**vars(cls), "detected": None if hit is None else {
@@ -338,8 +342,9 @@ def cmd_intervene(args, doc: dict) -> dict:
     net, _ = _network_from(doc)
     x0 = _floats(doc, "x0", n=net.n)
     mode = "clamped" if args.clamped_v_update else "verbatim"
-    plan = drive_to_invariant(net, x0, mode=mode,
-                              nonnegative_injection=args.nonnegative_injection)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        plan = drive_to_invariant(net, x0, mode=mode,
+                                  nonnegative_injection=args.nonnegative_injection)
     return {
         "mode": plan.mode,
         "injection": plan.injection,

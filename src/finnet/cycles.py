@@ -172,6 +172,13 @@ def classify_trajectory(traj: Trajectory, rho: float = RHO, tol: float = DETECT_
     the rows after it are copies. ValueError, naming the step, when a state
     is not finite (the dynamics overflowed).
     """
+    return _classify(traj, rho, tol, h_max)[0]
+
+
+def _classify(traj: Trajectory, rho: float, tol: float,
+              h_max: int) -> tuple[LimitClassification, CycleHit | None]:
+    """classify_trajectory's answer and its cycle search's hit (None for a critical run,
+    which skips the search)."""
     states = traj.states
     settled = states if traj.repeat is None else states[:traj.repeat[1] + 1]
     finite = np.isfinite(settled)
@@ -182,17 +189,17 @@ def classify_trajectory(traj: Trajectory, rho: float = RHO, tol: float = DETECT_
     if near.any():
         t, i = np.argwhere(near)[0]
         return LimitClassification(kind="critical", rho=rho,
-                                   first_critical=(int(t), int(i)))
+                                   first_critical=(int(t), int(i))), None
     hit = detect_cycle(traj, tol=tol, h_max=h_max)
     if hit is None:
-        return LimitClassification(kind="undetermined", rho=rho)
+        return LimitClassification(kind="undetermined", rho=rho), None
     h = hit.period
     transient = _transient(states, h, tol, traj.repeat)
     if h == 1:
         return LimitClassification(kind="equilibrium", rho=rho, period=1,
-                                   point=states[-1].copy(), transient=transient)
+                                   point=states[-1].copy(), transient=transient), hit
     return LimitClassification(kind="cycle", rho=rho, period=h,
-                               orbit=states[-h:].copy(), transient=transient)
+                               orbit=states[-h:].copy(), transient=transient), hit
 
 
 def _transient(states: np.ndarray, h: int, tol: float,

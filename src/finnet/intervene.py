@@ -9,8 +9,9 @@ healthy-invariant region M+:
   income D p tracks a target v while keeping column sums at most one and
   the healthy equilibrium strictly positive. It depends on D only through
   y = D p and s = 1^T D, so it is solved exactly in those n + m numbers
-  (a scalar root: each step takes the root on the projection path's affine
-  piece, or bisects a bracket) and lifted back as the rank-one D = y s^T / (p.s).
+  (a scalar root, reached by tracing the projection path's affine pieces from
+  the first projection, and checked by one more) and lifted back as the
+  rank-one D = y s^T / (p.s).
 
 The driving loop alternates the two: reallocate toward the outstanding
 target, step the network under the new holdings, subtract the realized
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from math import inf, nan, sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -124,13 +125,25 @@ class ReallocationSolution:
     optimality_gap: float       # certified bound on objective - optimum
 
 
-def _fill_order(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fill_order(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Where _column_sums' columns fill: the k-th largest price q_k at
-    sigma = sum_{i<k} q_i + sum_{i>=k} q_i^2 / q_k, which grows with k."""
+    sigma = sum_{i<k} q_i + sum_{i>=k} q_i^2 / q_k, which grows with k. The sums are in
+    units of u, the largest price (first returned), so that q^2 cannot over- or underflow."""
     q = np.sort(p[p > 0])[::-1]
+    u = float(q[0])
+    q = q / u
     head = np.cumsum(q) - q                     # sum of the k larger prices
     tail = np.cumsum((q * q)[::-1])[::-1]       # sum of q_i^2 over i >= k
-    return head, tail, head + tail / q
+    return u, head, tail, u * (head + tail / q)
+
+
+def _fill(sigma: float, order: tuple) -> tuple[float, float]:
+    """u tau and the slope tau / |s| of h(sigma) = |s| for _column_sums' s = min(1, tau p),
+    from order = _fill_order(p): the reallocation's root search needs only the slope."""
+    u, head, tail, fills = order
+    k = min(int(np.searchsorted(fills, sigma)), tail.size - 1)
+    tau = max(sigma / u - head[k], 0.0) / tail[k]       # u tau, as tau p = (u tau) p / u
+    return tau, float(1.0 / (u * np.sqrt(tail[k] + (k / tau ** 2 if k else 0.0))))
 
 
 def _column_sums(p: np.ndarray, sigma: float,
@@ -139,10 +152,9 @@ def _column_sums(p: np.ndarray, sigma: float,
 
     h is convex and C^1 on [0, sum p]. Callers that need many slopes pass order = _fill_order(p).
     """
-    head, tail, fills = _fill_order(p) if order is None else order
-    k = min(int(np.searchsorted(fills, sigma)), tail.size - 1)
-    tau = max(sigma - head[k], 0.0) / tail[k]
-    return np.minimum(1.0, tau * p), float(1.0 / np.sqrt(tail[k] + (k / tau ** 2 if k else 0.0)))
+    order = _fill_order(p) if order is None else order
+    tau, slope = _fill(sigma, order)
+    return np.minimum(1.0, tau * (p / order[0])), slope
 
 
 def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, ReallocationSolution]:
@@ -155,15 +167,22 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
     subgradient g of the objective and n in P's normal cone, y(kappa) is within |phi| sum p
     of optimal, plus the projection's own tolerance e (it grows with G); the gap reports both.
     The search stops once |phi| sum p + min(e, bound / 2) <= bound = REALLOCATION_TOL * scale.
-    On the last projection's affine piece of y(kappa) (_piece), |y - v|^2 is quadratic and
-    1^T y affine, so phi's root there costs no projection. It is the next kappa, warm-started
-    on the piece, if it lies strictly inside the bracket; else kappa doubles (no bracket yet)
-    or the bracket is bisected. At float resolution (no float lies inside the bracket, or
-    that root is kappa) rounding decides phi, so the answer is the projection with the least
-    gap seen. A stalled warm projection is repeated cold. For v in P, y = v is optimal iff
-    phi(0+) >= 0, phi being constant up to the ray's first breakpoint, which v's margins
-    bound. Raises InfeasibleError for an empty P, IterationLimitError after
-    REALLOCATION_MAX_ITER projections.
+    From each projection, _path follows y(kappa) toward phi's root one affine piece at a
+    time (Best, 1996): on a piece |y - v|^2 is quadratic and 1^T y affine, so phi's root
+    there costs no projection (piece_root). The first piece holding a root inside the
+    bracket of projected phi signs gives the next kappa, projected warm-started on that
+    piece to check it; from y(0) that check usually certifies the root with no Newton
+    step. The bracket starts as [0, 2 (|v| + sum p) h'(sum p)], where phi > 0 a priori.
+    Where the pieces stop (a degenerate event), the next projection re-synchronises the
+    trace there. Where no piece reaches a root before the bracket's end (rounding can move
+    phi's sign change off the model's), or the trace cannot leave the projected kappa at
+    all (say, active rows dependent on the support), the next kappa is halfway to that end.
+    At float resolution (no float lies inside the bracket, or the root is a projected
+    kappa) rounding decides phi, so the answer is the projection with the least gap seen.
+    A stalled warm projection is repeated cold. For v in P, phi(0+) is the limit on the
+    path's first piece, and y = v is optimal iff phi(0+) >= 0; else its gap is
+    |phi(0+)| sum p, as for any other projection. Raises InfeasibleError for an empty P,
+    IterationLimitError after REALLOCATION_MAX_ITER projections.
     """
     net, v, p = prob.network, prob.v, prob.network.p
     A = np.vstack([prob.G, -np.ones(net.n)])
@@ -171,36 +190,39 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
     scale = max(1.0, float(np.abs(v).max(initial=0.0)), float(np.abs(b).max()))
     bound = REALLOCATION_TOL * scale
     order = _fill_order(p)
-    lam, calls = None, 0
+    calls = 0
 
-    def point(kappa: float) -> tuple[np.ndarray, float]:
-        """y(kappa) and |y(kappa) - v|, warm-started at the last multipliers."""
-        nonlocal lam, calls
+    def point(kappa: float, lam: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """y(kappa) and its multipliers, warm-started at lam."""
+        nonlocal calls
         if calls == REALLOCATION_MAX_ITER:
             raise IterationLimitError(f"reallocation not converged in {calls} projections")
         calls += 1
         try:
-            y, lam = project_polyhedron(A, b, v - kappa, lam)
+            return project_polyhedron(A, b, v - kappa, lam)
         except IterationLimitError:     # multipliers from a far kappa can stall the Newton steps
-            y, lam = project_polyhedron(A, b, v - kappa)
-        return y, float(np.linalg.norm(y - v))
+            if lam is None:
+                raise
+            return project_polyhedron(A, b, v - kappa)
 
-    def piece_root(kappa, y, rho, phi, lo, hi) -> tuple[float, np.ndarray]:
-        """phi's root in (lo, hi) on y's piece at kappa, nan if the model changes no sign
-        below 2^20 kappa; and the piece's dlam / dkappa."""
-        dy, dlam = _piece(A, y, lam)
-        a, b2, c = rho * rho, 2.0 * float((y - v) @ dy), float(dy @ dy)
-        sigma, dsigma = float(y.sum()), float(dy.sum())
+    def piece_root(k0, y0, dy, up, far) -> float | None:
+        """phi's root on the piece through y0 at k0 with slope dy, between k0 and far, or None."""
+        a, b2, c = float((y0 - v) @ (y0 - v)), 2.0 * float((y0 - v) @ dy), float(dy @ dy)
+        sigma, dsigma = float(y0.sum()), float(dy.sum())
 
-        def model(k: float) -> float:       # Python floats: a far k overflows to inf quietly
-            t = k - kappa
+        def model(k: float) -> float:
+            t = k - k0
             r = sqrt(max(a + t * (b2 + t * c), 0.0))
-            return (k / r if r > 0 else inf) - _column_sums(p, sigma + t * dsigma, order)[1]
+            slope = _fill(sigma + t * dsigma, order)[1]
+            return (k / r if r > 0 else 1.0 / sqrt(c) if k == 0 < c else inf) - slope
 
-        x0, x1 = (lo, kappa) if phi > 0 else (kappa, min(hi, 2.0 ** 20 * kappa))
-        (f0, f1), side = (model(x0), phi) if phi > 0 else (phi, model(x1)), 0
-        if not f0 < 0 < f1:
-            return nan, dlam
+        f0, f1 = model(k0), model(far)
+        if (f0 >= 0) == up:                 # the root is where the piece starts
+            return k0
+        if (f1 > 0) != up:
+            return None
+        (x0, f0), (x1, f1) = sorted([(k0, f0), (far, f1)])     # f0 < 0 < f1: phi rises
+        side = 0
         for _ in range(100):                # Illinois: regula falsi, halving an end's f kept twice
             k = (x0 * f1 - x1 * f0) / (f1 - f0)
             if not x0 < k < x1:
@@ -209,69 +231,122 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
                 x0, f0, f1, side = k, fk, 0.5 * f1 if side < 0 else f1, -1
             else:
                 x1, f1, f0, side = k, fk, 0.5 * f0 if side > 0 else f0, 1
-        return (x0 if -f0 < f1 else x1), dlam
+        return x0 if -f0 < f1 else x1
+
+    def next_point(kappa, y, lam, up, end) -> tuple[float, np.ndarray, bool]:
+        """Trace from the projection at kappa toward the bracket's end; the next kappa to
+        project, its warm multipliers, and whether it is phi's root on its piece."""
+        for k0, y0, lam0, dy, dlam, length in _path(A, b, v, kappa, y, lam, up):
+            stop = k0 + length if up else k0 - length
+            root = piece_root(k0, y0, dy, up, min(stop, end) if up else max(stop, end))
+            if root is not None:
+                return root, lam0 + (root - k0) * dlam, True
+            if (stop >= end) if up else (stop <= end):
+                break                           # no root before the bracket's end
+        else:
+            if stop != kappa:                   # a degenerate event: re-synchronise there
+                return stop, lam0 + (stop - k0) * dlam, False
+        mid = 0.5 * (k0 + end)                  # no root reached: halfway to the end
+        return mid, lam0 + (mid - k0) * dlam, False
 
     try:
-        y, rho = point(0.0)
+        y, lam = point(0.0, None)
     except InfeasibleError:
         raise InfeasibleError("reallocation constraints unreachable: no nonneg holdings "
                               "with colsum at most one meet the equilibrium rows") from None
-    slope = _column_sums(p, float(y.sum()), order)[1]
-    if rho > 0:
-        # phi(0) = -h'. Probe at |y - v| h', as at the root, but no further than 64 times the
-        # |y - v| / |p| that h' >= 1/|p| gives: the projection stalls on far probes
-        kappa = rho * min(slope, 64.0 / float(np.linalg.norm(p)))
-        y, rho = point(kappa)
-    else:                                       # v in P: probe below the first breakpoint
-        margins = np.append(A @ v - b, v)
-        loose = margins > projection_tol(A, b, v)
-        norms = np.append(np.linalg.norm(A, axis=1), np.ones(net.n))[loose]
-        kappa = float(np.min(margins[loose] / norms, initial=scale)) / np.sqrt(net.n)
-        y, rho = point(kappa)
-        phi = (kappa / rho if rho > 0 else np.inf) - slope       # phi(0+)
-        if phi >= 0:
-            return _lift(prob, v, calls, projection_tol(A, b, v - kappa))
-    lo, hi, best = 0.0, np.inf, (np.inf, y)
+    # phi >= kappa / (|v| + sum p) - h'(sum p), as |y - v| <= |v| + |y|_1 on P and h' grows:
+    # phi > 0 at hi, which bounds the bracket before any projection does
+    hi = 2.0 * (float(np.linalg.norm(v)) + float(p.sum())) * _fill(float(p.sum()), order)[1]
+    kappa, lo, best = 0.0, 0.0, (inf, y)
     while True:
-        phi = (kappa / rho if rho > 0 else np.inf) - _column_sums(p, float(y.sum()), order)[1]
+        rho, slope = float(np.linalg.norm(y - v)), _fill(float(y.sum()), order)[1]
+        if rho > 0 or kappa > 0:
+            phi = (kappa / rho if rho > 0 else inf) - slope
+        else:           # v in P: phi(0+) on the path's first piece; v is optimal if it is >= 0
+            dy = next(_path(A, b, v, 0.0, y, lam, True))[3]
+            phi = min((1.0 / sqrt(c) if (c := float(dy @ dy)) > 0 else inf) - slope, 0.0)
         lo, hi = (kappa, hi) if phi < 0 else (lo, kappa)
         gap, error = abs(phi) * p.sum(), projection_tol(A, b, v - kappa)
         if gap + min(error, bound / 2) <= bound:
-            return _lift(prob, y, calls, gap + error)
+            return _lift(prob, y, calls, gap + error, order)
         best = min(best, (gap + error, y), key=lambda seen: seen[0])
-        root, dlam = (kappa, None) if np.nextafter(lo, hi) == hi else \
-            piece_root(float(kappa), y, rho, float(phi), float(lo), float(hi))
-        if root == kappa:                       # float resolution: the best seen
-            return _lift(prob, best[1], calls, best[0])
-        if lo < root < hi:
-            kappa, lam = root, lam + (root - kappa) * dlam      # warm start on the piece
-        elif np.isinf(hi):                      # no bracket yet: grow kappa
-            kappa = 2.0 * kappa
-        else:                                   # bisect
-            kappa = np.sqrt(lo * hi) if hi > 4.0 * lo > 0 else 0.5 * (lo + hi)
-        y, rho = point(kappa)
+        if np.nextafter(lo, hi) == hi:
+            return _lift(prob, best[1], calls, best[0], order)
+        root, warm, found = next_point(kappa, y, lam, phi < 0, hi if phi < 0 else lo)
+        if found and root in (lo, hi):          # float resolution: the best seen
+            return _lift(prob, best[1], calls, best[0], order)
+        kappa = root
+        y, lam = point(kappa, warm)
 
 
-def _piece(A: np.ndarray, y: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dy / dkappa and dlam / dkappa of y(kappa) = proj(v - kappa 1) onto {y >= 0, A y >= b},
-    multipliers lam, while its support F and active rows J hold: A_JF y_F = b_J with
-    y_F = v_F - kappa 1_F + A_JF^T lam_J gives (A_JF A_JF^T) dlam_J = A_JF 1_F, dy_F =
-    A_JF^T dlam_J - 1_F. A ridge PIVOT_TOL |a_j|^2, as in project_polyhedron, keeps it solvable."""
+def _path(A: np.ndarray, b: np.ndarray, v: np.ndarray, kappa: float, y: np.ndarray,
+          lam: np.ndarray, up: bool):
+    """The affine pieces of y(kappa) = proj(v - kappa 1) onto {y >= 0, A y >= b}, from its
+    projection y with multipliers lam at kappa, toward larger kappa if up, else smaller.
+
+    Yields (kappa, y, lam, dy, dlam, length) per piece: its start, its slopes d / dkappa
+    (_piece) and its length in |kappa| (inf for the last). The support F and the active
+    rows J are carried, not read off y > 0 and lam > 0, as an event leaves its index on
+    the boundary. A piece ends where some y_i on F or lam_j on J reaches 0, or the slack
+    of a row off J, or w_i = (v - kappa 1 + A^T lam)_i for i off F; that index changes
+    sets, and the next slope must move it off the boundary. The pieces stop at a
+    degenerate event (a tie, or a slope contradicting its event) and after 2 (n + m)
+    events: the caller re-synchronises with a projection where the last piece ends.
+    """
+    n, m = y.size, lam.size
     F, J = y > 0.0, lam > 0.0
+    d = 1.0 if up else -1.0
+    events = np.zeros(0, dtype=int)
+    for _ in range(2 * (n + m)):
+        dy, dlam = _piece(A, F, J)
+        # distances to the boundary (y on F, lam on J, -w off F, slack off J) and their rates
+        level = np.concatenate([y, lam, lam @ -A - (v - kappa), A @ y - b])
+        rate = d * np.concatenate([dy, dlam, 1.0 - dlam @ A, A @ dy])
+        if (rate[(events + n + m) % (2 * (n + m))] < 0.0).any():
+            return                              # an index would cross back at once
+        hits = np.concatenate([F, J, ~F, ~J]) & (rate < 0.0)
+        t = np.full(level.size, inf)
+        t[hits] = np.maximum(level[hits], 0.0) / -rate[hits]
+        length = float(t.min())
+        yield kappa, y, lam, dy, dlam, length
+        if length == inf:
+            return
+        events = np.flatnonzero(t <= length * (1.0 + 1e-9))    # ties change sets together
+        kappa, y, lam = kappa + d * length, y + d * length * dy, lam + d * length * dlam
+        for e in events.tolist():
+            if e < n:
+                y[e], F[e] = 0.0, False
+            elif e < n + m:
+                lam[e - n], J[e - n] = 0.0, False
+            elif e < 2 * n + m:
+                F[e - n - m] = True
+            else:
+                J[e - 2 * n - m] = True
+
+
+def _piece(A: np.ndarray, F: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dy / dkappa and dlam / dkappa of y(kappa) = proj(v - kappa 1) onto {y >= 0, A y >= b}
+    while its support F and active rows J hold: A_JF y_F = b_J with y_F = v_F - kappa 1_F
+    + A_JF^T lam_J gives (A_JF A_JF^T) dlam_J = A_JF 1_F, dy_F = A_JF^T dlam_J - 1_F.
+    A ridge R = PIVOT_TOL |a_j|^2, as in project_polyhedron, keeps it solvable, and one
+    refinement step takes out the ridge's bias, which would otherwise move the active rows
+    off b_J by about PIVOT_TOL |a_j|^2 dlam_j per unit of kappa."""
     A_JF = A[J][:, F]
     H = A_JF @ A_JF.T
-    H.flat[::len(H) + 1] += PIVOT_TOL * np.einsum("ij,ij->i", A[J], A[J])
-    dlam, dy = np.zeros(lam.size), np.zeros(y.size)
-    dlam[J] = np.linalg.solve(H, A_JF.sum(axis=1))
+    rhs, ridged = A_JF.sum(axis=1), H.copy()
+    ridged.flat[::len(H) + 1] += PIVOT_TOL * np.einsum("ij,ij->i", A[J], A[J])
+    step = np.linalg.solve(ridged, rhs)
+    dlam, dy = np.zeros(J.size), np.zeros(F.size)
+    dlam[J] = step + np.linalg.solve(ridged, rhs - H @ step)
     dy[F] = dlam[J] @ A_JF - 1.0
     return dy, dlam
 
 
-def _lift(prob: ReallocationProblem, y: np.ndarray, calls: int,
-          gap: float) -> tuple[np.ndarray, ReallocationSolution]:
+def _lift(prob: ReallocationProblem, y: np.ndarray, calls: int, gap: float,
+          order: tuple) -> tuple[np.ndarray, ReallocationSolution]:
     """D = y s^T / (p.s) for the least-norm s of _column_sums, with its diagnostics."""
     p = prob.network.p
-    s = _column_sums(p, float(y.sum()))[0]
+    s = _column_sums(p, float(y.sum()), order)[0]
     ps = float(p @ s)
     D = np.outer(y, s) / ps if ps > 0 else np.zeros(prob.network.D.shape)
     objective = float(np.linalg.norm(D @ p - prob.v) + np.linalg.norm(D.sum(axis=0)))

@@ -51,6 +51,10 @@ class IterationLimitError(RuntimeError):
     """Raised when an iterative solver reaches its iteration cap uncertified."""
 
 
+class NonFiniteResidualError(RuntimeError):
+    """Raised when a solver's residual overflows to inf or nan on finite data."""
+
+
 def _vector(x, n: int, name: str) -> np.ndarray:
     """x as floats of shape (n,); a ValueError names it for another shape or a non-finite entry."""
     x = np.asarray(x, dtype=float)
@@ -340,8 +344,9 @@ def project_polyhedron(A, b, y, lam=None) -> tuple:
     squared row norms and delta = max(min(1, max_J s_i^2 / R_i), PIVOT_TOL), as A may
     be rank deficient. A full step is kept if it halves the least residual so far, else
     it is halved until Armijo's rule on f holds, or doubled while f falls. Stops at
-    residual projection_tol(A, b, y), or raises InfeasibleError (empty set) or
-    IterationLimitError after PROJECTION_MAX_ITER Newton steps.
+    residual projection_tol(A, b, y), or raises InfeasibleError (empty set),
+    IterationLimitError after PROJECTION_MAX_ITER Newton steps, or NonFiniteResidualError
+    when the residual is not finite (finite data whose products overflow).
     """
     A, b, y = (np.asarray(v, dtype=float) for v in (A, b, y))
     lam = np.zeros(b.shape[0]) if lam is None else np.maximum(lam, 0.0)
@@ -360,6 +365,9 @@ def project_polyhedron(A, b, y, lam=None) -> tuple:
     for _ in range(PROJECTION_MAX_ITER):
         if res <= tol:
             break
+        if not np.isfinite(res):
+            raise NonFiniteResidualError(f"projection KKT residual is {res}: "
+                                         "the data overflow floats")
         J = (lam > 0.0) | (s <= 0.0)
         A_J = A[J]
         H = (A_J * (w > 0.0)) @ A_J.T           # A_JF A_JF^T, F by masking columns

@@ -427,6 +427,48 @@ def test_overflowing_run_exit3(tmp_path, capsys, command, message):
     assert captured.err == message + "\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("network, x0, message", [
+    # the second reallocation's target is about 1e268: |y - v| overflows to inf
+    ({"C": [[0, 0.5], [0.5, 0]], "D": [[1, 0], [0, 1]], "p": [1e290, 1], "beta": [1, 1],
+      "threshold": [1e268, 1]}, [0.5, -3], "results contain a non-finite number"),
+    # |p|^2 underflows to 0: h' = 1 / |p| comes from prices in units of the largest
+    ({"C": [[0, 0.4], [0.4, 0]], "D": [[1], [1]], "p": [1e-229], "beta": [1, 1],
+      "threshold": [-3, -1]}, [-2, 1], "state still outside the invariant region"),
+    # |y(0) - v|^2 overflows, so the traced root is kappa = inf and its projection's
+    # KKT residual is nan: a typed error, where a bare ValueError escaped before
+    ({"C": [[0, 0.5], [0.5, 0]], "D": [[1, 0], [0, 1]], "p": [1e180, 1], "beta": [1, 1],
+      "threshold": [-2, 0]}, [8e281, -4e266], "projection KKT residual is nan"),
+], ids=["overflowing-dual", "underflowing-prices", "non-finite-residual"])
+def test_intervene_at_extreme_scales_exit3(tmp_path, capsys, network, x0, message):
+    path = write_scenario(tmp_path, {"network": network, "x0": x0})
+    assert main(["intervene", "--scenario", path]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"solver failure: {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_cycles_searches_once_per_call(tmp_path, monkeypatch):
+    # classification's search gives the detected block; a critical run skips that
+    # search, so the command makes its own
+    calls = []
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+    search = cycles.detect_cycle
+    monkeypatch.setattr(cycles, "detect_cycle", counted)
+    monkeypatch.setattr(cli, "detect_cycle", counted)
+    doc = {"network": net_doc(fixtures.ring4()),
+           "x0": fixtures.RING4_ORBIT[0].tolist(), "horizon": 500}
+    path = write_scenario(tmp_path, doc)
+    for flags, kind in (([], "cycle"), (["--rho=10"], "critical")):
+        calls.clear()
+        out = tmp_path / kind
+        assert main(["cycles", "--scenario", path, "--out", str(out)] + flags) == EXIT_OK
+        res = load_report(out, "cycles")["results"]
+        assert res["kind"] == kind and res["detected"]["period"] == 8
+        assert len(calls) == 1
+
+
 def test_intervene_without_healthy_equilibrium_exit3(tmp_path, capsys):
     doc = {"network": net_doc(fixtures.two_bank()), "x0": [-3.0, -3.0]}
     doc["network"]["p"] = [1.0, 1.0]

@@ -24,7 +24,8 @@ from finnet.intervene import (
 from finnet.invariance import Polyhedron, maximal_invariant_region
 from finnet.netmodel import FinancialNetwork, ShiftedModel
 from finnet.numerics import (PROJECTION_TOL, STRICT_MARGIN, InfeasibleError, IterationLimitError,
-                             LinearProgram, UnboundedError, lp_solve, project_polyhedron)
+                             LinearProgram, UnboundedError, lp_solve, project_polyhedron,
+                             projection_tol)
 from finnet.robust import IntervalNetwork, robust_report
 from reallocation_reference import build_reallocation_program, reference_reallocate
 
@@ -299,7 +300,9 @@ def test_reallocation_feasibility_and_gap():
     assert set(residuals) == {"nonneg", "colsum", "equilibrium"}
     assert all(r <= 1e-8 for r in residuals.values())
     assert 0.0 <= sol.optimality_gap <= intervene.REALLOCATION_TOL * 10.0
-    assert sol.iterations >= 2
+    # v lies in P, and with equal prices phi(0+) = 1 / sqrt(10) - h'(8) = 0 on the path's
+    # first piece: y = v is optimal, but rounding decides whether y(0) alone certifies it
+    assert sol.iterations <= 2
 
 
 def test_reallocation_multi_start_prefers_tracking():
@@ -348,7 +351,7 @@ def test_drive_complete10_both_modes():
         for step in plan.steps:
             assert max(step.residuals.values()) <= 1e-8
             assert step.D.shape == (10, 10)
-            assert step.iterations >= 2       # projections of the reallocation
+            assert 1 <= step.iterations <= 2  # y(0), and the checked root unless v is in P
             assert 0.0 <= step.optimality_gap <= intervene.REALLOCATION_TOL * 10.0
 
 
@@ -382,9 +385,10 @@ def test_drive_entering_on_its_last_allowed_iteration_succeeds():
 
 
 def test_unconverged_reallocation_raises(monkeypatch):
-    # one projection cannot settle the complete10 program
+    # one projection cannot settle the complete10 program when v sums past sum p = 10:
+    # v lies outside P, so y(0) = proj_P(v) needs a checked root after it
     monkeypatch.setattr(intervene, "REALLOCATION_MAX_ITER", 1)
-    prob = ReallocationProblem(network=fixtures.complete10(), v=np.full(10, 0.8))
+    prob = ReallocationProblem(network=fixtures.complete10(), v=np.full(10, 2.0))
     with pytest.raises(IterationLimitError, match="reallocation not converged in 1 projections"):
         asset_reallocation(prob)
 
@@ -510,7 +514,7 @@ def test_lift_meets_the_reduced_point(prob, frac, seed):
     rng = np.random.default_rng(seed)
     y = rng.exponential(size=prob.network.n) * (rng.random(prob.network.n) < 0.8)
     y *= frac * prob.network.p.sum() / max(y.sum(), 1e-300)
-    D, _ = intervene._lift(prob, y, 0, 0.0)
+    D, _ = intervene._lift(prob, y, 0, 0.0, intervene._fill_order(prob.network.p))
     check_lift(prob, D, y)
 
 
@@ -577,7 +581,7 @@ def test_target_inside_the_set_is_kept():
     D, sol = asset_reallocation(ReallocationProblem(network=net, v=v))
     assert np.abs(D @ net.p - v).max() <= 1e-12 * v.max()
     assert abs(sol.objective - v.sum() / np.linalg.norm(net.p)) <= 1e-12 * v.sum()
-    assert sol.iterations == 2
+    assert sol.iterations == 1          # y(0) = v, and the path's first piece gives phi(0+)
 
 
 def test_target_inside_the_set_moves_when_holdings_cost_more():
@@ -644,7 +648,13 @@ def test_reallocation_on_a_nearly_singular_network(c):
     (0.999, 0.4087, [0.001, 0.92], [1.43, 0.9], [-0.1, 6.4]),
     # the bracket spans four orders of magnitude; plain bisection needs 47
     (0.7875, 0.9, [0.001, 1.75], [0.1, 0.35], [8.0, 5.9]),
-], ids=["float-resolution", "far-first-probe", "wide-bracket"])
+    # phi changes sign within two ulps of kappa = 0.2644: the piece from the bracket's
+    # lower end holds no root before its projected upper end, so the next kappa halves
+    # the bracket (projecting that end again would repeat until the projection cap)
+    (0.9311229863506436, 0.7917543419417478,
+     [0.019983613067014638, 7.069096267981772, 8.242828135634305],
+     [1.902898485902274, -0.02450386089540857], [7.276437553490362, 8.56477543869349]),
+], ids=["float-resolution", "far-first-probe", "wide-bracket", "model-misses-the-root"])
 def test_reallocation_with_a_thousandfold_cheaper_asset(case):
     minimize = pytest.importorskip("scipy.optimize").minimize
     prob = two_node_problem(*case)
@@ -682,6 +692,79 @@ def test_float_resolution_answers_the_least_gap_seen(monkeypatch, case):
     assert min(gaps) <= sol.optimality_gap <= 1.05 * min(gaps)
 
 
+@pytest.mark.parametrize("case", [
+    (0.541374605956527, 0.3975353406512018, [0.0011789051398859896, 2.3699108943433833],
+     [2.3687409194093054, 1.7568536604730143], [1.3902481197147314, 0.9808344663313884]),
+    (0.29174902267442104, 0.5700605370335192, [0.0018985117752754945, 1.740595339835364],
+     [1.7347057027847903, 1.3423034168566026], [1.3689868625969814, 0.3734776113043728]),
+], ids=["price-0.0012", "price-0.0019"])
+def test_target_inside_the_set_at_float_resolution(case):
+    # v lies in P, but with 1^T v near sum p the cheap asset fills, so phi(0+) < 0 and
+    # the root lies above kappa = 0. phi there is steep enough that the solve stops at
+    # float resolution, answering the least gap seen; y(0) = v enters that choice only
+    # with its own gap |phi(0+)| sum p, not with the projection's tolerance alone
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    prob = two_node_problem(*case)
+    net, v = prob.network, prob.v
+    assert (v >= 0).all() and v.sum() <= net.p.sum()
+    assert (prob.G @ v >= net.threshold + STRICT_MARGIN).all()
+    D, sol = asset_reallocation(prob)
+    scale = scale_of(prob)
+    assert sol.iterations >= 2
+    assert sol.optimality_gap > intervene.REALLOCATION_TOL * scale      # float resolution
+    assert reallocation_feasible(prob, D)[0]
+    assert np.abs(D @ net.p - v).max() > 1e-4
+    best, violation = slsqp_minimum(prob, D, minimize)
+    assert violation <= 1e-12 * scale
+    assert sol.objective - best <= sol.optimality_gap <= 1e-9 * scale
+
+
+def test_far_root_that_stalled_the_projection_is_traced():
+    # one price of 0.01 puts h' near 1 / 0.01 at y(0): the probe that once bracketed the
+    # root from |y - v| h' projected at kappa ~ 500, where 100 Newton steps did not
+    # settle. The traced path reaches the root near kappa = 20.3 over three pieces
+    # instead, and one warm projection there certifies it.
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    prob = two_node_problem(0.1943, 0.9, [0.01, 1.13, 0.23], [1.54, 0.91], [10.0, 2.1])
+    D, sol = asset_reallocation(prob)
+    assert sol.iterations == 2
+    assert sol.optimality_gap <= intervene.REALLOCATION_TOL * scale_of(prob)
+    assert reallocation_feasible(prob, D)[0]
+    best, violation = slsqp_minimum(prob, D, minimize)
+    assert violation <= 1e-12 * scale_of(prob)
+    assert abs(sol.objective - best) <= sol.optimality_gap
+
+
+def test_traced_path_matches_cold_projections():
+    # _path's pieces of y(kappa) = proj_P(v - kappa 1), upward from y(0) and downward from
+    # kappa = K, against a cold projection at each piece's midpoint in [0, K].
+    # complete10 at prices 10^U(-1, 3): where G = (I - C)^-1 is larger, the cold point
+    # itself strays past projection_tol, as its stop is on the KKT residual, not on y
+    pieces = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-1.0, 3.0)
+        prob = ReallocationProblem(network=with_prices(fixtures.complete10(), scale),
+                                   v=rng.uniform(-0.5, 1.5, 10) * scale)
+        v, K = prob.v, float(np.abs(prob.v).max()) / np.sqrt(10.0)
+        A = np.vstack([prob.G, -np.ones(10)])
+        b = np.append(prob.network.threshold + STRICT_MARGIN, -prob.network.p.sum())
+        for up, start in ((True, 0.0), (False, K)):
+            try:
+                y, lam = project_polyhedron(A, b, v - start)
+            except InfeasibleError:             # prices too low to meet the thresholds
+                break
+            for kappa, y, lam, dy, dlam, length in intervene._path(A, b, v, start, y, lam, up):
+                if (kappa >= K) if up else (kappa <= 0.0):
+                    break
+                mid = kappa + 0.5 * min(length, K - kappa) if up else \
+                    kappa - 0.5 * min(length, kappa)
+                cold = project_polyhedron(A, b, v - mid)[0]
+                assert np.abs(y + (mid - kappa) * dy - cold).max() <= projection_tol(A, b, v - mid)
+                pieces += 1
+    assert pieces >= 200
+
+
 def test_stalled_warm_start_reprojects_cold(monkeypatch):
     # a projection warm-started from a far kappa's multipliers can run out of
     # Newton steps; the solve then repeats it from zero multipliers
@@ -717,13 +800,15 @@ def test_benchmark_drive_reallocates_once_with_a_certificate(monkeypatch):
     x0 = benchmark_start(net)
     calls = []
     def counted(*args):
-        calls.append(args)
-        return project_polyhedron(*args)
+        calls.append((args, project_polyhedron(*args)))
+        return calls[-1][1]
     monkeypatch.setattr(intervene, "project_polyhedron", counted)
     plan = drive_to_invariant(net, x0)
     assert plan.success and plan.iterations == 1
-    assert plan.steps[0].iterations == len(calls)
-    assert plan.steps[0].iterations <= 3      # y(0), the probe, the root on the probe's piece
+    assert plan.steps[0].iterations == len(calls) == 2     # y(0) and the checked root
+    # the root's check starts from the traced multipliers and takes no Newton step
+    (A, b, target, traced), (_, lam) = calls[1]
+    assert np.array_equal(lam, traced)
     assert 0.0 <= plan.steps[0].optimality_gap <= intervene.REALLOCATION_TOL * 10.0
 
 
@@ -739,15 +824,15 @@ def test_piece_slope_is_the_projection_path_slope():
     (y1, lam1), (y2, lam2) = (project_polyhedron(A, b, v - kappa) for kappa in (0.2, 0.3))
     assert np.array_equal(y1 > 0, y2 > 0) and np.array_equal(lam1 > 0, lam2 > 0)
     assert np.flatnonzero(lam1 > 0).tolist() == list(range(1, 10))
-    dy, _ = intervene._piece(A, y1, lam1)
+    dy, _ = intervene._piece(A, y1 > 0, lam1 > 0)
     assert np.abs(dy + 1.0).max() > 0.1        # the active rows bend the path
     np.testing.assert_allclose(dy, (y2 - y1) / (0.3 - 0.2), rtol=0.0, atol=1e-9)
 
 
 def test_piece_steps_cut_projections_at_spread_prices():
     # 100 complete10 problems at prices 10^U(-1, 3), 99 of them feasible: the bound,
-    # under 5 projections per problem, holds only if piece roots, not doublings and
-    # bisections, find the roots
+    # about 2 projections per problem, holds only if the traced path, not repeated
+    # projections, finds each root
     rng = np.random.default_rng(2024)
     total = 0
     for _ in range(100):
@@ -760,14 +845,14 @@ def test_piece_steps_cut_projections_at_spread_prices():
             continue
         assert sol.optimality_gap <= intervene.REALLOCATION_TOL * scale_of(prob)
         total += sol.iterations
-    assert total <= 482
+    assert total <= 211
 
 
 def test_weakly_active_row_does_not_stall_the_piece_step():
     # the sum row keeps lam > 0 at slack 4e-13, so the piece through it holds 1^T y
     # fixed; a piece model that misreads such a row can propose kappa + 1e-10 over and
-    # over until the projection cap. Three projections reach the root: y(0), the
-    # probe, and the root on the probe's piece.
+    # over until the projection cap. Two projections reach the root: y(0) and the
+    # checked root at the end of the traced path.
     C = np.array([[0, .16260398, .5213771, .31535937], [.10778622, 0, .24723095, .0392033],
                   [.16641478, .37926513, 0, .19008324], [.42569858, .34173153, .10990171, 0]])
     net = FinancialNetwork(C=C, D=np.diag([.619742238, .0309798733, 1.01875118, 2.77129001e-4]),
@@ -775,7 +860,7 @@ def test_weakly_active_row_does_not_stall_the_piece_step():
                            threshold=[1.85954769, .54785721, 1.47647773, 1.08135706])
     prob = ReallocationProblem(network=net, v=[.32104819, 1.19643036, 1.47205314, 1.08820203])
     D, sol = asset_reallocation(prob)
-    assert sol.iterations <= 4
+    assert sol.iterations == 2
     assert sol.optimality_gap <= intervene.REALLOCATION_TOL * scale_of(prob)
     assert abs(sol.objective - 2.03886686) <= 1e-8
     assert reallocation_feasible(prob, D)[0]

@@ -15,6 +15,7 @@ from finnet.numerics import (
     InfeasibleError,
     IterationLimitError,
     LinearProgram,
+    NonFiniteResidualError,
     SingularMatrixError,
     UnboundedError,
     _anchored,
@@ -568,6 +569,15 @@ def test_projection_past_its_cap_raises(monkeypatch):
     monkeypatch.setattr(numerics, "PROJECTION_MAX_ITER", 0)
     with pytest.raises(IterationLimitError, match="after 0 Newton steps"):
         project_polyhedron(A, b, np.array([-1.0, 0.5]))
+
+
+def test_projection_names_a_non_finite_residual():
+    # finite data whose row product overflows: z <= 1e100 as -1e200 z >= -1e300, and the
+    # slack at z = y = 1e200 is -1e400 + 1e300 = -inf
+    A, b = np.array([[-1e200]]), np.array([-1e300])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteResidualError, match="KKT residual is inf"):
+            project_polyhedron(A, b, np.array([1e200]))
 
 
 def reallocation_set(net, epsilon=1e-6):
