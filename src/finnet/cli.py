@@ -302,7 +302,7 @@ def _region_entry(region: Polyhedron | str) -> dict:
 
 
 def cmd_invariance(args, doc: dict) -> dict:
-    rep = invariance_report(_network_from(doc)[1], seed=args.seed)
+    rep = invariance_report(_network_from(doc)[1])
     return {**vars(rep),
             "regions": {label: _region_entry(r) for label, r in rep.regions.items()}}
 
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--scenario", help="path to the JSON scenario document")
     parser.add_argument("--out", help="directory for report and CSV files")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed where sampling is involved")
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed for robust and fixtures")
     parser.add_argument("--tol", type=float, default=DETECT_TOL, help="detection tolerance")
     parser.add_argument("--horizon", type=int, default=None, help="simulation horizon override")
     parser.add_argument("--hmax", type=int, default=H_MAX, help="largest period searched")

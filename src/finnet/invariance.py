@@ -1,10 +1,9 @@
 """Invariant orthants and regions of attraction.
 
 All regions live in shifted coordinates x = V - threshold and are stored
-as raw stacked halfspaces {x : A x >= b}. Three facts drive the module:
+as raw stacked halfspaces {x : A x >= b}. Two facts drive the module:
 
-* the healthy orthant is invariant iff r >= 0;
-* the all-failed orthant is invariant iff r < beta strictly;
+* orthant k is invariant iff J_k C J_k >= 0 and J_k (r - B phi_k) >= 0, strictly on failed rows;
 * inside orthant k the error dynamics are linear, so the set of states
   whose whole forward orbit stays in the orthant is the intersection of
   the rows J_k C^t x >= J_k (C^t - I) x_k over t = 0, 1, 2, ...
@@ -27,7 +26,7 @@ from itertools import islice
 import numpy as np
 
 from .equilibria import INTERIOR_TOL, EquilibriumRecord, candidate_equilibrium
-from .netmodel import ShiftedModel, orthant_of, orthant_phi
+from .netmodel import ShiftedModel, orthant_phi
 from .numerics import (LinearProgram, OPT_TOL, UnboundedError, _anchored, _FeasibleBasis,
                        _phase1, _vertex, lp_solve)
 
@@ -90,19 +89,16 @@ def orthant0_invariant(model: ShiftedModel) -> bool:
 
 
 def last_orthant_invariant(model: ShiftedModel) -> bool:
-    """All-failed orthant invariant iff r < beta strictly."""
+    """All-failed orthant invariant iff r < beta. r_i = beta_i reads False, though with row i of
+    C nonzero it is invariant exactly: the float step can round x'_i to 0 there."""
     return bool(np.all(model.r < model.beta))
 
 
 @dataclass(frozen=True)
 class IntermediateVerdict:
-    """Verdict on invariance of an intermediate orthant.
-
-    status is 'not_invariant' or 'unknown'. When the positivity hypothesis
-    on C fails the check falls back to sampling the orthant for a state
-    that exits in one step; finding one still settles non-invariance, just
-    with an empirical certificate.
-    """
+    """Orthant k by the criterion J C J >= 0 and J c >= 0, strictly on failed rows: 'invariant'
+    ('criterion'), 'not_invariant' ('link' if J C J has a negative entry, else 'drift') or
+    'unknown' ('boundary'). witness: a state of orthant k whose step leaves it, or None."""
 
     k: int
     status: str
@@ -110,28 +106,32 @@ class IntermediateVerdict:
     witness: np.ndarray | None = None
 
 
-def intermediate_not_invariant(model: ShiftedModel, k: int, seed: int = 0) -> IntermediateVerdict:
-    """Decide non-invariance of intermediate orthant k.
-
-    With all off-diagonal C entries strictly positive no intermediate
-    orthant is invariant. Otherwise the answer is Unknown unless a
-    one-step escape witness is found among 200 states sampled with
-    entries of magnitude up to 10.
-    """
-    n = model.n
-    if k in (0, 2 ** n - 1):
+def intermediate_not_invariant(model: ShiftedModel, k: int) -> IntermediateVerdict:
+    """Is orthant k invariant? x = J u (u >= 0, u_i > 0 failed) steps to J x' = (J C J) u + J c,
+    so k is invariant iff J C J >= 0 and J c >= 0, strictly on failed rows (J = diag(1 - 2 phi_k),
+    c = r - B phi_k). A failed row at c_i = 0 that is nonzero on a failed column keeps x'_i < 0,
+    but the float step can round it to 0: 'unknown'. A witness moves, from -1 failed, +0 healthy,
+    the coordinate of a violated row's most negative J C J entry past the rest of the row."""
+    if k in (0, 2 ** model.n - 1):
         raise ValueError("intermediate orthant required, got k=%d" % k)
-    offdiag = model.C[~np.eye(n, dtype=bool)]
-    if np.all(offdiag > 0):
-        return IntermediateVerdict(k=k, status="not_invariant", reason="theorem")
-    signs = 1.0 - 2.0 * orthant_phi(k, n)
-    rng = np.random.default_rng(seed)
-    for _ in range(200):
-        x = signs * rng.uniform(0.0, 10.0, size=n)
-        if orthant_of(model.step(x)) != k:
-            return IntermediateVerdict(k=k, status="not_invariant",
-                                       reason="escape-witness", witness=x)
-    return IntermediateVerdict(k=k, status="unknown", reason="no-witness-found")
+    phi = orthant_phi(k, model.n)
+    sign, failed = 1.0 - 2.0 * phi, phi == 1.0          # J = diag(sign)
+    M, d = sign[:, None] * model.C * sign, sign * (model.r - model.beta * phi)   # J C J, J c
+    linked = ~(M >= 0).all(axis=1)                      # NaN data reads as a violation
+    bad = linked | ~(d >= 0) | failed & (d == 0) & ~(M @ phi > 0)   # M @ phi: failed columns
+    if not bad.any():
+        return IntermediateVerdict(k, *(("unknown", "boundary") if (failed & (d == 0)).any()
+                                        else ("invariant", "criterion")))
+    reason = "link" if linked.any() else "drift"
+    with np.errstate(all="ignore"):
+        for i in np.flatnonzero(bad):
+            u, j = phi.copy(), int(M[i].argmin())
+            if M[i, j] < 0:
+                u[j] += 1.0 + max(0.0, 2.0 * (M[i] @ u + d[i]) / -M[i, j])
+            y = model.step(x := sign * u)               # x lies in orthant k when finite
+            if np.isfinite([x, y]).all() and ((y < 0) != failed).any():
+                return IntermediateVerdict(k, "not_invariant", reason, x)
+    return IntermediateVerdict(k, "not_invariant", reason)
 
 
 def _powers(C: np.ndarray):
@@ -349,7 +349,7 @@ class InvarianceReport:
     intermediates: list[IntermediateVerdict]
 
 
-def invariance_report(model: ShiftedModel, seed: int = 0) -> InvarianceReport:
+def invariance_report(model: ShiftedModel) -> InvarianceReport:
     """Run the standard battery: closed-form tests, regions, verdicts."""
     last = 2 ** model.n - 1
     regions: dict[str, Polyhedron | str] = {}
@@ -363,4 +363,4 @@ def invariance_report(model: ShiftedModel, seed: int = 0) -> InvarianceReport:
         healthy_orthant_invariant=orthant0_invariant(model),
         failed_orthant_invariant=last_orthant_invariant(model),
         regions=regions,
-        intermediates=[intermediate_not_invariant(model, k, seed=seed) for k in ks])
+        intermediates=[intermediate_not_invariant(model, k) for k in ks])

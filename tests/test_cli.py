@@ -294,6 +294,19 @@ def test_invariance_report(tmp_path, two_bank_scenario):
     assert all(item["status"] == "not_invariant" for item in res["intermediates"])
 
 
+def test_invariance_report_does_not_follow_the_seed(tmp_path):
+    path = write_scenario(tmp_path, {"network": net_doc(fixtures.ring4()),
+                                     "x0": fixtures.RING4_ORBIT[0].tolist()})
+    results = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"out{seed}"
+        assert main(["invariance", "--scenario", path, "--out", str(out),
+                     "--seed", seed]) == EXIT_OK
+        results.append(load_report(out, "invariance")["results"])
+    assert len(results[0]["intermediates"]) == 14
+    assert results[0] == results[1]
+
+
 BOUNDARY_DOC = {"network": {"C": [[0, .5], [.5, 0]], "D": [[1, 0], [0, 1]], "p": [1, 1],
                              "beta": [1, 1], "threshold": [2, 1]}, "x0": [-.5, .5]}
 BOUNDARY_ERROR = ("orthant 0 equilibrium lies on the boundary (min |x_i| = 0.000e+00 <= 1e-09): "

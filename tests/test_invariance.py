@@ -25,7 +25,7 @@ from finnet.invariance import (
     row_redundant,
     stable_region,
 )
-from finnet.netmodel import FinancialNetwork, ShiftedModel, indicator, orthant_phi, simulate
+from finnet.netmodel import FinancialNetwork, ShiftedModel, orthant_of, orthant_phi, simulate
 from finnet.numerics import (OPT_TOL, InfeasibleError, LinearProgram, UnboundedError, _anchored,
                              _phase1, lp_solve)
 
@@ -285,19 +285,92 @@ def test_stable_region_past_tau_cap_raises(monkeypatch):
 
 
 def test_intermediate_orthants_not_invariant_on_fixtures():
-    model = ShiftedModel.from_network(fixtures.two_bank())
-    verdict = intermediate_not_invariant(model, 1)
-    assert verdict.status == "not_invariant"
-    assert verdict.reason == "theorem"         # off-diagonal C strictly positive
+    # every off-diagonal C of two_bank is positive; ring4's cycle links every node
+    for make, count in ((fixtures.two_bank, 2), (fixtures.ring4, 14)):
+        model = ShiftedModel.from_network(make())
+        verdicts = [intermediate_not_invariant(model, k) for k in range(1, count + 1)]
+        assert [(v.status, v.reason) for v in verdicts] == [("not_invariant", "link")] * count
 
-    ring = ShiftedModel.from_network(fixtures.ring4())
-    v = intermediate_not_invariant(ring, 5, seed=0)
-    assert v.status in ("not_invariant", "unknown")
-    if v.status == "not_invariant":
-        assert v.reason == "escape-witness"
-        x = np.asarray(v.witness)
-        assert indicator(x).tolist() == [0, 1, 0, 1]
-        assert not np.array_equal(indicator(ring.step(x)), indicator(x))
+
+def sparse_model(rng, n, boundary):
+    """C masked to about 40 %, r from U(-1, 1). boundary sets beta = r = |r|, so c_i = 0 on
+    every failed row, and makes the mask symmetric, so a failed row often has a failed entry."""
+    mask = rng.random((n, n)) < 0.4
+    C = rng.uniform(0.05, 1.0, (n, n)) * (mask | mask.T if boundary else mask)
+    np.fill_diagonal(C, 0.0)
+    C /= C.sum(axis=0).max() + 0.1
+    r, beta = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0, n)
+    if boundary:
+        r = beta = np.abs(r)
+    return ShiftedModel.from_parts(C, r, beta)
+
+
+def highs_invariant(model, k, box=1e6, tol=1e-9):
+    """Exact invariance of orthant k by HiGHS: min over the orthant in a box of s_i (C x + c)_i
+    per row, s = 1 - 2 phi_k; a failed row at c_i = 0 is decided again on x_f <= -1."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    phi = orthant_phi(k, model.n)
+    s, c = 1.0 - 2.0 * phi, model.r - model.beta * phi
+    for lo in (0.0, 1.0):
+        bounds = [(-box, -lo) if f else (0.0, box) for f in phi]
+        for i in range(model.n):
+            if lo and not (phi[i] and c[i] == 0):
+                continue
+            value = linprog(s[i] * model.C[i], bounds=bounds, method="highs").fun + s[i] * c[i]
+            if value < -tol or lo and value <= tol:
+                return False
+    return True
+
+
+def test_intermediate_criterion_matches_highs_on_sparse_networks():
+    rng = np.random.default_rng(34)
+    seen = set()
+    for net in range(100):
+        n = 2 + net % 4
+        model = sparse_model(rng, n, boundary=net % 3 == 0)
+        for k in range(1, 2 ** n - 1):
+            v = intermediate_not_invariant(model, k)
+            phi = orthant_phi(k, n)
+            boundary = bool(np.any((phi == 1) & (model.r - model.beta * phi == 0)))
+            if not highs_invariant(model, k):
+                assert v.status == "not_invariant", (net, k, v)
+                x = np.asarray(v.witness)
+                assert orthant_of(x) == k != orthant_of(model.step(x))
+            else:
+                assert (v.status, v.reason) == (("unknown", "boundary") if boundary
+                                                else ("invariant", "criterion")), (net, k, v)
+            seen.add((v.status, v.reason))
+    assert seen == {("not_invariant", "link"), ("not_invariant", "drift"),
+                    ("invariant", "criterion"), ("unknown", "boundary")}
+
+
+def test_intermediate_zero_drift_on_a_failed_row_decided_by_its_failed_entries():
+    # C01 = C10 = .5, node 2 isolated, r = beta = 1: c_i = 0 on every failed row
+    C = np.zeros((3, 3))
+    C[0, 1] = C[1, 0] = 0.5
+    model = ShiftedModel.from_parts(C, np.ones(3), np.ones(3))
+    v = intermediate_not_invariant(model, 1)           # row 2 is zero: x'_2 = 0, healthy
+    assert (v.status, v.reason) == ("not_invariant", "drift")
+    assert v.witness.tolist() == [0.0, 0.0, -1.0] and orthant_of(model.step(v.witness)) == 0
+    assert intermediate_not_invariant(model, 6) == invariance.IntermediateVerdict(
+        k=6, status="unknown", reason="boundary")      # x'_i < 0 exactly; rounding may give 0
+
+
+def test_intermediate_witness_is_finite_with_subnormal_holdings():
+    # scaling along the 1e-320 link would need |x_1| > 1e320; the .5 link escapes instead
+    model = ShiftedModel.from_parts([[0.0, 1e-320], [0.5, 0.0]], np.ones(2), np.ones(2))
+    for k in (1, 2):
+        v = intermediate_not_invariant(model, k)
+        assert v.status == "not_invariant"
+        assert np.isfinite(v.witness).all() and orthant_of(v.witness) == k
+        assert orthant_of(model.step(v.witness)) != k
+
+
+def test_intermediate_without_a_float_witness():
+    # escaping k = 1 needs |x| > 1e620 along either 1e-320 link: proved, but no witness
+    model = ShiftedModel.from_parts([[0.0, 1e-320], [1e-320, 0.0]], [1e300, 1e300], [1.0, 2e300])
+    assert intermediate_not_invariant(model, 1) == invariance.IntermediateVerdict(
+        k=1, status="not_invariant", reason="link")
 
 
 @pytest.mark.parametrize("r, ratio", [(1.5e308, "nan"), (0.8e308, "0")])
@@ -340,12 +413,14 @@ def test_intermediate_guard_rejects_monotone_orthants():
 
 
 def test_escape_witness_is_checked_against_dynamics():
-    # ring4 k=5 is an actual equilibrium orthant, yet still not invariant
-    ring = ShiftedModel.from_network(fixtures.ring4())
-    v = intermediate_not_invariant(ring, 6, seed=1)
-    if v.witness is not None:
-        x = np.asarray(v.witness)
-        assert not np.array_equal(indicator(ring.step(x)), indicator(x))
+    # every two_bank and ring4 intermediate has a finite witness in k whose step leaves k
+    for make, count in ((fixtures.two_bank, 2), (fixtures.ring4, 14)):
+        model = ShiftedModel.from_network(make())
+        for k in range(1, count + 1):
+            v = intermediate_not_invariant(model, k)
+            x = np.asarray(v.witness)
+            assert np.isfinite(x).all() and orthant_of(x) == k
+            assert orthant_of(model.step(x)) != k
 
 
 def test_redundancy_pruning_keeps_geometry():
