@@ -65,27 +65,31 @@ def minimal_injection(prob: InjectionProblem) -> np.ndarray:
 
     The region rows bound the total downward; the LP is infeasible only if
     the region itself is empty. Withdrawals (negative entries) are allowed
-    unless the problem says otherwise. Each region keeps its LP's phase 1 (_DualStart).
-    With free v, the dual max b.y on {A^T y = 1, y >= 0}, b = region.b - A x, moves by the
-    constant -1.x, so its path and optimal basis B do not depend on x; z = A_B^-1 b_B = w - x,
-    w B's point at x = 0, so A z - b = A w - region.b >= 0. After a region's first solve z is
-    B's point (no simplex) while its slack is >= -OPT_TOL; else (region.b changed) it re-solves.
+    unless the problem says otherwise. Each region keeps, per nonnegative flag, its LP's
+    rows A (region.A, then the n rows v >= 0 when nonnegative), checked once, and their
+    phase 1 (_DualStart); a call forms only b = region.b - region.A x (and zeros).
+    With free v, the dual max b.y on {A^T y = 1, y >= 0} moves by the constant -1.x, so its
+    path and optimal basis B do not depend on x; z = A_B^-1 b_B = w - x, w B's point at
+    x = 0, so A z - b = A w - region.b >= 0. After a region's first solve z is B's point, one
+    product with the kept inverse (no simplex), while its slack is >= -OPT_TOL; else
+    (region.b changed) it re-solves.
     """
-    n = prob.x.shape[0]
-    A = prob.region.A
-    b = prob.region.b - A @ prob.x
+    region, x, n = prob.region, prob.x, prob.x.shape[0]
+    b = region.b - region.A @ x
     if prob.nonnegative:
-        A = np.vstack([A, np.eye(n)])
         b = np.concatenate([b, np.zeros(n)])
-    lp = LinearProgram(c=np.ones(n), A=A, b=b)
-    start = prob.region._injection_lps.get(prob.nonnegative)
-    if start is None or not np.array_equal(start.A, lp.A):
-        start = prob.region._injection_lps[prob.nonnegative] = _DualStart(lp.A, lp.c)
+    start = region._injection_lps.get(prob.nonnegative)
+    if start is None or not np.array_equal(start.A[:region.n_rows], region.A):
+        A = np.vstack([region.A, np.eye(n)]) if prob.nonnegative else region.A
+        lp = LinearProgram(c=np.ones(n), A=A, b=b)     # checks A once, and this b
+        start = region._injection_lps[prob.nonnegative] = _DualStart(lp.A, lp.c)
+    elif not np.isfinite(b).all():
+        raise ValueError("LP data has non-finite entries")
     if not prob.nonnegative and start.last:
-        z = _basic_point(lp.A, lp.b, start.last[1])
-        if (lp.A @ z - lp.b).min(initial=0.0) >= -OPT_TOL:
+        z = _basic_point(start, b, start.last[1])
+        if (start.A @ z - b).min(initial=0.0) >= -OPT_TOL:
             return z
-    return _dual_phase2(start, lp.b).z
+    return _dual_phase2(start, b).z
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,14 @@ class ReallocationProblem:
         """(I - C)^-1, which maps holdings income D p to the healthy equilibrium."""
         net = self.network
         return solve_linear(np.eye(net.n) - net.C, np.eye(net.n))
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """asset_reallocation's set [G; -1^T] y >= [threshold + STRICT_MARGIN; -sum p], and
+        _fill_order(p). Like G, they depend on C, threshold and p only (see drive_to_invariant)."""
+        net = self.network
+        return (np.vstack([self.G, -np.ones(net.n)]),
+                np.append(net.threshold + STRICT_MARGIN, -net.p.sum()), _fill_order(net.p))
 
 
 def reallocation_feasible(prob: ReallocationProblem,
@@ -184,12 +196,10 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
     |phi(0+)| sum p, as for any other projection. Raises InfeasibleError for an empty P,
     IterationLimitError after REALLOCATION_MAX_ITER projections.
     """
-    net, v, p = prob.network, prob.v, prob.network.p
-    A = np.vstack([prob.G, -np.ones(net.n)])
-    b = np.append(net.threshold + STRICT_MARGIN, -p.sum())
+    v, p = prob.v, prob.network.p
+    A, b, order = prob._rows
     scale = max(1.0, float(np.abs(v).max(initial=0.0)), float(np.abs(b).max()))
     bound = REALLOCATION_TOL * scale
-    order = _fill_order(p)
     calls = 0
 
     def point(kappa: float, lam: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -398,7 +408,9 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
     """Iterate reallocation steps until the state enters M+ of the network.
 
     M+ is computed once per network, from its initial holdings, and kept with it (and
-    its injection LPs' phase 1) until C, r or beta changes. Each iteration
+    its injection LPs' phase 1) until C, r or beta changes; so are the reallocation's G and
+    rows (ReallocationProblem._rows), shared by every reallocation and feasibility check of
+    the network's drives until C, threshold or p changes. Each iteration
     re-solves the reallocation program toward the outstanding target v,
     swaps the holdings matrix wholesale, steps the state, and updates
     v <- v - x(t) ('verbatim') or v <- max(v - x(t), 0) ('clamped').
@@ -409,10 +421,10 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
         raise ValueError(f"unknown v-update mode {mode!r}")
     x = np.asarray(x0, dtype=float)
     model, memo = ShiftedModel.from_network(net), net._regions
-    if not all(np.array_equal(memo.get(name), getattr(model, name)) for name in ("C", "r", "beta")):
-        memo.update(C=model.C.copy(), r=model.r, beta=model.beta.copy(),
-                    region=maximal_invariant_region(model, 0))
-    region = memo["region"]
+    region = _kept(memo, "region", (model.C, model.r, model.beta),
+                   lambda: maximal_invariant_region(model, 0))
+    shared = _kept(memo, "reallocation", (net.C, net.threshold, net.p),
+                   lambda: ReallocationProblem(network=net, v=np.zeros(net.n)))
     v = minimal_injection(InjectionProblem(region=region, x=x,
                                            nonnegative=nonnegative_injection))
     plan = InterventionPlan(initial_x=x.copy(), injection=v.copy(),
@@ -422,6 +434,7 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
         if plan.iterations >= max_iterations:
             raise IterationCapReached(plan)
         prob = ReallocationProblem(network=current, v=v)
+        vars(prob).update(G=shared.G, _rows=shared._rows)   # built on first use, then kept
         D, sol = asset_reallocation(prob)
         current = replace(current, D=D)
         x = ShiftedModel.from_network(current).step(x)
@@ -433,3 +446,11 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
                                    optimality_gap=sol.optimality_gap))
     plan.success = True
     return plan
+
+
+def _kept(memo: dict, name: str, key: tuple, build):
+    """memo[name], built again by build() unless key's arrays equal those it was built from."""
+    kept = memo.get(name)
+    if kept is None or not all(map(np.array_equal, kept[0], key)):
+        kept = memo[name] = tuple(a.copy() for a in key), build()
+    return kept[1]

@@ -25,7 +25,7 @@ from itertools import islice
 
 import numpy as np
 
-from .equilibria import INTERIOR_TOL, EquilibriumRecord, candidate_equilibrium
+from .equilibria import INTERIOR_TOL, EquilibriumRecord, _require_finite, candidate_equilibrium
 from .netmodel import ShiftedModel, orthant_phi
 from .numerics import (LinearProgram, OPT_TOL, UnboundedError, _anchored, _FeasibleBasis,
                        _phase1, _vertex, lp_solve)
@@ -110,14 +110,17 @@ def intermediate_not_invariant(model: ShiftedModel, k: int) -> IntermediateVerdi
     """Is orthant k invariant? x = J u (u >= 0, u_i > 0 failed) steps to J x' = (J C J) u + J c,
     so k is invariant iff J C J >= 0 and J c >= 0, strictly on failed rows (J = diag(1 - 2 phi_k),
     c = r - B phi_k). A failed row at c_i = 0 that is nonzero on a failed column keeps x'_i < 0,
-    but the float step can round it to 0: 'unknown'. A witness moves, from -1 failed, +0 healthy,
-    the coordinate of a violated row's most negative J C J entry past the rest of the row."""
+    but the float step can round it to 0: 'unknown'. A witness starts from -1 failed, +0 healthy
+    and moves the coordinate of a violated row's most negative J C J entry past the rest of the
+    row, or, where the row has none and its failed in-neighbours outweigh the drift d_i < 0,
+    shrinks the failed coordinates until they no longer do. Non-finite data raise ValueError."""
     if k in (0, 2 ** model.n - 1):
         raise ValueError("intermediate orthant required, got k=%d" % k)
+    _require_finite(model)
     phi = orthant_phi(k, model.n)
     sign, failed = 1.0 - 2.0 * phi, phi == 1.0          # J = diag(sign)
     M, d = sign[:, None] * model.C * sign, sign * (model.r - model.beta * phi)   # J C J, J c
-    linked = ~(M >= 0).all(axis=1)                      # NaN data reads as a violation
+    linked = ~(M >= 0).all(axis=1)
     bad = linked | ~(d >= 0) | failed & (d == 0) & ~(M @ phi > 0)   # M @ phi: failed columns
     if not bad.any():
         return IntermediateVerdict(k, *(("unknown", "boundary") if (failed & (d == 0)).any()
@@ -128,8 +131,11 @@ def intermediate_not_invariant(model: ShiftedModel, k: int) -> IntermediateVerdi
             u, j = phi.copy(), int(M[i].argmin())
             if M[i, j] < 0:
                 u[j] += 1.0 + max(0.0, 2.0 * (M[i] @ u + d[i]) / -M[i, j])
-            y = model.step(x := sign * u)               # x lies in orthant k when finite
-            if np.isfinite([x, y]).all() and ((y < 0) != failed).any():
+            elif d[i] < 0 <= M[i] @ u + d[i]:
+                u *= -0.5 * d[i] / (M[i] @ u)           # the row then steps to d_i / 2 < 0
+            y = model.step(x := sign * u)
+            if (np.isfinite([x, y]).all() and ((x < 0) == failed).all()   # x in orthant k
+                    and ((y < 0) != failed).any()):
                 return IntermediateVerdict(k, "not_invariant", reason, x)
     return IntermediateVerdict(k, "not_invariant", reason)
 
@@ -340,7 +346,8 @@ class InvarianceReport:
 
     regions maps 'healthy' and 'failed' to the maximal invariant region of
     orthant 0 or 2^n - 1, or to the reason it could not be built.
-    intermediates holds one verdict per intermediate orthant when n <= 4.
+    intermediates holds one verdict per intermediate orthant when n <= 4 and the
+    data are finite (else the regions name the error).
     """
 
     healthy_orthant_invariant: bool
@@ -358,9 +365,13 @@ def invariance_report(model: ShiftedModel) -> InvarianceReport:
             regions[label] = maximal_invariant_region(model, k)
         except (ValueError, NotDeterminedError) as e:
             regions[label] = str(e)
-    ks = range(1, last) if model.n <= 4 else ()
+    try:
+        intermediates = [intermediate_not_invariant(model, k)
+                         for k in (range(1, last) if model.n <= 4 else ())]
+    except ValueError:          # non-finite data, which both regions name
+        intermediates = []
     return InvarianceReport(
         healthy_orthant_invariant=orthant0_invariant(model),
         failed_orthant_invariant=last_orthant_invariant(model),
         regions=regions,
-        intermediates=[intermediate_not_invariant(model, k) for k in ks])
+        intermediates=intermediates)

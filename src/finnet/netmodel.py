@@ -56,7 +56,8 @@ class FinancialNetwork:
 
     @cached_property
     def _regions(self) -> dict:
-        """intervene.drive_to_invariant's M+ and the C, r, beta it was built from; not a field."""
+        """intervene.drive_to_invariant's M+ and reallocation rows, each with the arrays it
+        was built from; not a field."""
         return {}
 
 

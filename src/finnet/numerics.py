@@ -11,9 +11,11 @@ degenerate pivot in _vertex, whose callers read only the optimal value), and Pyt
 loops are left only where a rule is sequential. lp_solve pivots on the dual's
 n-row tableau: a _DualStart holds its phase 1, which depends on A and c only, and
 _dual_phase2 runs phase 2 for b, warm from the last optimum, kept only at a strictly
-complementary (unique) basis; z is the basis's point (_basic_point). A region's injection
-LPs share a start; free ones skip phase 2 after the first (see minimal_injection). LPs that
-share one polyhedron across many objectives (the invariance checks) keep the primal form:
+complementary (unique) basis; z is the basis's point A_B^-1 b_B, from the inverse that the
+start keeps for its last basis (_basic_point), so a repeated basis is not factorised again.
+A region's injection LPs share a start; free ones skip phase 2 after the first, and so take
+one product (see minimal_injection). LPs that share one polyhedron across many objectives
+(the invariance checks) keep the primal form:
 _vertex starts from _phase1's basis, from _anchored's slack basis at a point known to lie on
 the polyhedron (no phase 1), or from the optimal basis that an earlier _vertex call over the
 same polyhedron hands back. One phase-1 routine, _feasible, serves both forms; it
@@ -29,7 +31,7 @@ import numpy as np
 # Centralized tolerances. Callers should not invent their own.
 OPT_TOL = 1e-8          # LP optimality certificates and objective ties
 STRICT_MARGIN = 1e-6    # margin used to close strict inequalities
-PIVOT_TOL = 1e-12       # solve_linear refuses condition numbers above 1/PIVOT_TOL
+PIVOT_TOL = 1e-12       # solve_linear, _basic_point refuse condition numbers above 1/PIVOT_TOL
 SIMPLEX_MAX_ITER = 20000  # pivots per simplex phase before IterationLimitError
 PROJECTION_TOL = 1e-13  # KKT residual at which project_polyhedron stops, times scale
 PROJECTION_MAX_ITER = 100  # Newton steps before project_polyhedron gives up
@@ -262,23 +264,40 @@ def _vertex(start: _FeasibleBasis, c: np.ndarray) -> tuple[np.ndarray, _Feasible
 class _DualStart:
     """lp_solve's phase 1, for every b: a feasible tableau T and basis of the dual
     {A^T y = c / unit, y >= 0} (T None: it is empty), a copy of A to tell it stale by,
-    and last, the last optimal (T, basis)."""
+    last, the last optimal (T, basis), and inverse, the last basis's (rows, A_rows^-1)
+    from _basic_point (None in place of the inverse: refused)."""
 
     def __init__(self, A: np.ndarray, c: np.ndarray):
         unit = np.abs(c).max(initial=0.0) or 1.0    # tolerances are absolute: solve for c / unit
-        self.A, self.c, self.unit, self.T, self.basis, self.last = A.copy(), c, unit, None, [], None
+        self.A, self.c, self.unit, self.T, self.basis = A.copy(), c, unit, None, []
+        self.last = self.inverse = None
         try:
             self.T, self.basis = _feasible(A.T, c / unit)
         except InfeasibleError:
             pass
 
 
-def _basic_point(A: np.ndarray, b: np.ndarray, basis: list[int]) -> np.ndarray:
-    """z on a dual basis's rows, A_B z = b_B; lstsq if A is rank deficient (A_B short/singular)."""
-    try:
-        return solve_linear(A[basis], b[basis])
-    except ValueError:
-        return np.linalg.lstsq(A[basis], b[basis], rcond=None)[0]
+def _basic_point(start: _DualStart, b: np.ndarray, basis: list[int]) -> np.ndarray:
+    """z on a dual basis's rows, A_B z = b_B, as A_B^-1 b_B with the rows in increasing order
+    (a product with the inverse, unlike a pivoted solve, depends on their order). The inverse
+    is kept in start.inverse, so a repeated basis costs one product. A_B short, singular or
+    of 1-norm condition number above 1/PIVOT_TOL (A rank deficient) gives lstsq's point."""
+    rows = sorted(basis)
+    if start.inverse is None or start.inverse[0] != rows:
+        A_B, inverse = start.A[rows], None
+        try:
+            inverse = np.linalg.inv(A_B)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            cond = (np.abs(A_B).sum(axis=0).max(initial=0.0) *
+                    np.abs(inverse).sum(axis=0).max(initial=0.0))
+            if not cond <= 1.0 / PIVOT_TOL:
+                inverse = None
+        start.inverse = rows, inverse
+    if start.inverse[1] is None:
+        return np.linalg.lstsq(start.A[rows], b[rows], rcond=None)[0]
+    return start.inverse[1] @ b[rows]
 
 
 def _dual_phase2(start: _DualStart, b: np.ndarray) -> LPSolution:
@@ -303,7 +322,7 @@ def _dual_phase2(start: _DualStart, b: np.ndarray) -> LPSolution:
     start.last = T, basis
     y = np.zeros(b.size)
     y[basis] = unit * T[:, -1]
-    z = _basic_point(A, b, basis)
+    z = _basic_point(start, b, basis)
     slack = A @ z - b
     objective = float(c @ z)
     cs = float(max(abs(objective - b @ y), np.max(np.abs(y * slack), initial=0.0),

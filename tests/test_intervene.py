@@ -180,23 +180,46 @@ def test_injection_on_a_rank_deficient_region():
 
 def test_injection_follows_rows_changed_in_place():
     rng = np.random.default_rng(5)
-    region = healthy_region(fixtures.complete10())
+    net = fixtures.complete10()
+    region = healthy_region(net)
     x = fixtures.SAMPLE_STATE10
+    states = distressed_states(net, np.random.default_rng(6), 3)
     before = {}
     for nonnegative in (False, True):
         before[nonnegative] = minimal_injection(InjectionProblem(region=region, x=x,
                                                                  nonnegative=nonnegative))
     # nonnegative rows: M+ stays nonempty. A new b keeps the start, but the kept basis's
-    # point then violates a row, so the LP is solved again
+    # point then violates a row, so the LP is solved again. The states after x reuse the
+    # start, its basis and the kept inverse, rebuilt for the new rows
     for A, b in ((rng.uniform(0.5, 2.0, region.A.shape), 0.0),
                  (1.0, rng.uniform(0.0, 1.0, region.b.shape))):
         region.A[:] *= A
         region.b[:] -= b
         for nonnegative in (False, True):
+            for y in [x] + states:
+                v = minimal_injection(InjectionProblem(region=region, x=y,
+                                                       nonnegative=nonnegative))
+                assert v.tobytes() == lp_solve(injection_lp(region, y, nonnegative)).z.tobytes()
             v = minimal_injection(InjectionProblem(region=region, x=x, nonnegative=nonnegative))
-            assert v.tobytes() == lp_solve(injection_lp(region, x, nonnegative)).z.tobytes()
             assert not np.array_equal(v, before[nonnegative])
             before[nonnegative] = v
+
+
+@pytest.mark.parametrize("label", ["complete10", "gap6", "gap8"])
+def test_free_injections_after_a_regions_first_factorise_nothing(label):
+    # the free injection's basis does not depend on x, and its start keeps that basis's
+    # inverse: after a region's first LP, v is one product, with no LAPACK solve or inverse
+    rng = np.random.default_rng(17)
+    net = fixtures.complete10() if label == "complete10" else \
+        fixtures.random_gap_network(rng, int(label[3:]))
+    region = healthy_region(net)
+    states = distressed_states(net, rng, 12)
+    minimal_injection(InjectionProblem(region=region, x=states[0]))
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve, \
+            mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv:
+        for x in states[1:]:
+            minimal_injection(InjectionProblem(region=region, x=x))
+    assert solve.call_count == inv.call_count == 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -883,6 +906,42 @@ def test_drives_of_one_network_share_its_region(monkeypatch):
     assert len(calls) == 1 and first.region is second.region
 
 
+def counted_G_builds(monkeypatch):
+    calls = []
+    def counted(A, b):
+        calls.append(A)
+        return numerics.solve_linear(A, b)
+    monkeypatch.setattr(intervene, "solve_linear", counted)
+    return calls
+
+
+def test_drives_of_one_network_build_its_reallocation_rows_once(monkeypatch):
+    # G, the rows and the fill order are kept beside M+; a direct call builds its own
+    builds = counted_G_builds(monkeypatch)
+    net = fixtures.complete10()
+    plans = [drive_to_invariant(net, benchmark_start(net), mode=mode)
+             for mode in ("verbatim", "clamped")]
+    assert [plan.iterations for plan in plans] == [1, 1] and len(builds) == 1
+    asset_reallocation(ReallocationProblem(network=net, v=plans[0].injection))
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("name, index, factor", [("threshold", 1, 1.05), ("p", 0, 1.1)])
+def test_reallocation_rows_follow_a_network_changed_in_place(monkeypatch, name, index, factor):
+    builds = counted_G_builds(monkeypatch)
+    net = fixtures.complete10()
+    drive_to_invariant(net, benchmark_start(net))
+    getattr(net, name)[index] *= factor
+    x0 = benchmark_start(net)
+    plan = drive_to_invariant(net, x0)
+    assert len(builds) == 2 and plan.success and plan.iterations >= 1
+    fresh = drive_to_invariant(FinancialNetwork(C=net.C, D=net.D, p=net.p.copy(), beta=net.beta,
+                                                threshold=net.threshold.copy()), x0)
+    assert plan.iterations == fresh.iterations
+    for sa, sb in zip(plan.steps, fresh.steps):
+        assert sa.D.tobytes() == sb.D.tobytes() and sa.x.tobytes() == sb.x.tobytes()
+
+
 def test_region_follows_a_network_changed_in_place(monkeypatch):
     calls = counted_regions(monkeypatch)
     net = fixtures.complete10()
@@ -906,3 +965,42 @@ def test_plans_on_a_shared_network_match_fresh_ones():
         assert a.injection.tobytes() == b.injection.tobytes()
         for sa, sb in zip(a.steps, b.steps):
             assert sa.D.tobytes() == sb.D.tobytes() and sa.x.tobytes() == sb.x.tobytes()
+
+
+def counted(monkeypatch, owner, name, log):
+    """Replace owner.name by a wrapper that appends name to log on each call."""
+    original = getattr(owner, name)
+    def wrapper(*args, **kwargs):
+        log.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_work_counts_of_the_benchmark_tasks(monkeypatch):
+    # exact work counts, so a change that brings back a per-call rebuild fails here and not
+    # only in the benchmark. On complete10's distressed states a free injection after the
+    # region's first makes no LAPACK factorisation (np.linalg.inv, solve or lstsq) and a
+    # nonnegative one at most 1; drives on one network build G once, and the benchmark
+    # drive takes 2 projections
+    net = fixtures.complete10()
+    region = healthy_region(net)
+    states = distressed_states(net, np.random.default_rng(1), 20)
+    lapack = []
+    for name in ("inv", "solve", "lstsq"):
+        counted(monkeypatch, np.linalg, name, lapack)
+    counts = {}
+    for nonnegative in (False, True):
+        counts[nonnegative] = []
+        for x in states:
+            before = len(lapack)
+            minimal_injection(InjectionProblem(region=region, x=x, nonnegative=nonnegative))
+            counts[nonnegative].append(len(lapack) - before)
+    assert counts[False] == [1] + [0] * (len(states) - 1)
+    assert max(counts[True]) == 1
+    G_builds, projections = [], []
+    counted(monkeypatch, intervene, "solve_linear", G_builds)
+    counted(monkeypatch, intervene, "project_polyhedron", projections)
+    for mode in ("verbatim", "clamped"):
+        plan = drive_to_invariant(net, benchmark_start(net), mode=mode)
+        assert plan.iterations == 1
+    assert len(G_builds) == 1 and len(projections) == 2 * 2

@@ -373,6 +373,36 @@ def test_intermediate_without_a_float_witness():
         k=1, status="not_invariant", reason="link")
 
 
+def test_intermediate_drift_witness_shrinks_the_failed_coordinates():
+    # C01 = C10 = .9, node 2 isolated, r = (1.1, .5, 1), beta = 1. At k = 6 (nodes 0 and 1
+    # failed) row 0 has c_0 = .1 > 0, but from x = (-1, -1, 0) the failed in-neighbour's -.9
+    # keeps x'_0 < 0; failed coordinates below |c_0| / .9, say (-.05, -.05, 0), escape
+    C = np.zeros((3, 3))
+    C[0, 1] = C[1, 0] = 0.9
+    model = ShiftedModel.from_parts(C, [1.1, 0.5, 1.0], np.ones(3))
+    assert orthant_of(model.step([-1.0, -1.0, 0.0])) == 6
+    assert orthant_of(model.step([-0.05, -0.05, 0.0])) == 2
+    v = intermediate_not_invariant(model, 6)
+    assert (v.status, v.reason) == ("not_invariant", "drift")
+    assert np.isfinite(v.witness).all() and orthant_of(v.witness) == 6
+    assert orthant_of(model.step(v.witness)) == 2
+
+
+@pytest.mark.parametrize("part", ["C", "r", "beta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_intermediate_rejects_non_finite_data(part, bad):
+    # the regions' error, not a verdict; invariance_report names it in the regions only
+    parts = {"C": np.zeros((2, 2)), "r": np.ones(2), "beta": np.ones(2)}
+    parts[part][(0, 0) if part == "C" else 0] = bad
+    model = ShiftedModel.from_parts(**parts)
+    message = "model data C, r or beta contains non-finite entries"
+    for k in (1, 2):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            intermediate_not_invariant(model, k)
+    rep = invariance_report(model)
+    assert rep.intermediates == [] and rep.regions["healthy"] == message
+
+
 @pytest.mark.parametrize("r, ratio", [(1.5e308, "nan"), (0.8e308, "0")])
 def test_non_finite_truncation_ratio_is_not_determined(r, ratio):
     # x = 2 r: inf at r = 1.5e308 (inf / inf), finite at 0.8e308 with |x|_1 = inf

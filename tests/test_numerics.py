@@ -143,6 +143,29 @@ def test_lp_with_no_rows():
         lp_solve(LinearProgram(c=np.ones(2), A=np.zeros((0, 2)), b=np.zeros(0)))
 
 
+def test_basic_point_does_not_depend_on_the_basis_order():
+    # z = A_B^-1 b_B with B's rows in increasing order, so every order of one basis gives the
+    # same bits, from a fresh start or from the inverse a start keeps. A short or singular
+    # basis (A rank deficient) gives lstsq's point on the sorted rows
+    rng = np.random.default_rng(21)
+    A, b = rng.normal(size=(9, 4)), rng.normal(size=9)
+    A[7] = 2.0 * A[6]
+    for basis in ([6, 1, 8, 3], [5, 0], [7, 6, 0, 2]):
+        kept, rows, bits = numerics._DualStart(A, np.ones(4)), sorted(basis), set()
+        for order in itertools.permutations(basis):
+            bits.add(numerics._basic_point(kept, b, list(order)).tobytes())
+            fresh = numerics._DualStart(A, np.ones(4))
+            bits.add(numerics._basic_point(fresh, b, list(order)).tobytes())
+        assert len(bits) == 1
+        z = np.frombuffer(bits.pop())
+        if basis[0] == 6:
+            assert (kept.inverse[1] @ b[rows]).tobytes() == z.tobytes()
+            np.testing.assert_allclose(A[rows] @ z, b[rows], rtol=0.0, atol=1e-12)
+        else:
+            assert kept.inverse[1] is None
+            assert z.tobytes() == np.linalg.lstsq(A[rows], b[rows], rcond=None)[0].tobytes()
+
+
 def test_lp_matches_vertex_oracle_on_random_instances():
     rng = np.random.default_rng(5)
     for _ in range(120):
