@@ -423,8 +423,9 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
     model, memo = ShiftedModel.from_network(net), net._regions
     region = _kept(memo, "region", (model.C, model.r, model.beta),
                    lambda: maximal_invariant_region(model, 0))
+    # on a copy of net, so that net._regions holds no reference cycle back to net
     shared = _kept(memo, "reallocation", (net.C, net.threshold, net.p),
-                   lambda: ReallocationProblem(network=net, v=np.zeros(net.n)))
+                   lambda: ReallocationProblem(network=replace(net), v=np.zeros(net.n)))
     v = minimal_injection(InjectionProblem(region=region, x=x,
                                            nonnegative=nonnegative_injection))
     plan = InterventionPlan(initial_x=x.copy(), injection=v.copy(),

@@ -1,8 +1,10 @@
 """Cash injection LP, holdings reallocation, and the driving loop."""
 
 import functools
+import gc
 import itertools
 import re
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -906,18 +908,19 @@ def test_drives_of_one_network_share_its_region(monkeypatch):
     assert len(calls) == 1 and first.region is second.region
 
 
-def counted_G_builds(monkeypatch):
-    calls = []
-    def counted(A, b):
-        calls.append(A)
-        return numerics.solve_linear(A, b)
-    monkeypatch.setattr(intervene, "solve_linear", counted)
-    return calls
+def counted(monkeypatch, owner, name, log):
+    """Replace owner.name by a wrapper that appends name to log on each call."""
+    original = getattr(owner, name)
+    def wrapper(*args, **kwargs):
+        log.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
 
 
 def test_drives_of_one_network_build_its_reallocation_rows_once(monkeypatch):
     # G, the rows and the fill order are kept beside M+; a direct call builds its own
-    builds = counted_G_builds(monkeypatch)
+    builds = []
+    counted(monkeypatch, intervene, "solve_linear", builds)
     net = fixtures.complete10()
     plans = [drive_to_invariant(net, benchmark_start(net), mode=mode)
              for mode in ("verbatim", "clamped")]
@@ -926,9 +929,23 @@ def test_drives_of_one_network_build_its_reallocation_rows_once(monkeypatch):
     assert len(builds) == 2
 
 
+def test_a_driven_network_is_freed_without_the_cycle_collector():
+    # what the network keeps for its drives holds no reference back to it
+    net = fixtures.complete10()
+    drive_to_invariant(net, benchmark_start(net))
+    ref = weakref.ref(net)
+    gc.disable()
+    try:
+        del net
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("name, index, factor", [("threshold", 1, 1.05), ("p", 0, 1.1)])
 def test_reallocation_rows_follow_a_network_changed_in_place(monkeypatch, name, index, factor):
-    builds = counted_G_builds(monkeypatch)
+    builds = []
+    counted(monkeypatch, intervene, "solve_linear", builds)
     net = fixtures.complete10()
     drive_to_invariant(net, benchmark_start(net))
     getattr(net, name)[index] *= factor
@@ -965,15 +982,6 @@ def test_plans_on_a_shared_network_match_fresh_ones():
         assert a.injection.tobytes() == b.injection.tobytes()
         for sa, sb in zip(a.steps, b.steps):
             assert sa.D.tobytes() == sb.D.tobytes() and sa.x.tobytes() == sb.x.tobytes()
-
-
-def counted(monkeypatch, owner, name, log):
-    """Replace owner.name by a wrapper that appends name to log on each call."""
-    original = getattr(owner, name)
-    def wrapper(*args, **kwargs):
-        log.append(name)
-        return original(*args, **kwargs)
-    monkeypatch.setattr(owner, name, wrapper)
 
 
 def test_work_counts_of_the_benchmark_tasks(monkeypatch):
