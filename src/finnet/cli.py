@@ -136,12 +136,11 @@ def _network_from(doc: dict) -> tuple[FinancialNetwork, ShiftedModel]:
     if violations:
         raise ScenarioError("network validation failed: " + "; ".join(violations))
     with np.errstate(over="ignore", invalid="ignore"):
-        model = ShiftedModel.from_network(net)
-        for name, drift in (("r = (C - I) threshold + D p", model.r),
-                            ("r - beta", model.r - model.beta)):
+        r = net.r
+        for name, drift in (("r = (C - I) threshold + D p", r), ("r - beta", r - net.beta)):
             if not np.all(np.isfinite(drift)):
                 raise ScenarioError(f"derived drift {name} overflows to a non-finite value")
-    return net, model
+    return net, ShiftedModel.from_network(net)
 
 
 def _interval_from(doc: dict) -> IntervalNetwork:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import ENUMERATION_LIMIT, DimensionTooLargeError, _census, _require_finite
+from .equilibria import ENUMERATION_LIMIT, DimensionTooLargeError, _census
 from .netmodel import ShiftedModel, Trajectory, simulate
 from .numerics import solve_linear
 
@@ -43,13 +43,12 @@ def periodic_points(model: ShiftedModel, h: int) -> np.ndarray:
     orbit appears once per phase and every equilibrium once, as h equal rows. They are the
     fixed points of the lift Z = C_lift Z + tile(r, h) - B_lift phi(Z) with C_lift =
     kron(P, C), B_lift = kron(P, diag(beta)) and P the h x h cyclic shift, found by the
-    equilibrium census on its (w, M). Raises ValueError for h < 1 or non-finite data and
+    equilibrium census on its (w, M). Raises ValueError for h < 1 and
     DimensionTooLargeError when n h exceeds ENUMERATION_LIMIT."""
     if h < 1:
         raise ValueError("period must be >= 1")
     if (nh := model.n * h) > ENUMERATION_LIMIT:
         raise DimensionTooLargeError(f"n*h={nh} exceeds enumeration guard {ENUMERATION_LIMIT}")
-    _require_finite(model)
     P = np.roll(np.eye(h), 1, axis=0)       # block i reads block i - 1; block 0 the last
     WM = solve_linear(np.eye(nh) - np.kron(P, model.C),
                       np.column_stack([np.tile(model.r, h), np.kron(P, np.diag(model.beta))]))

@@ -50,15 +50,8 @@ class EquilibriumRecord:
         return orthant_phi(self.k, self.x.shape[0])
 
 
-def _require_finite(model: ShiftedModel) -> None:
-    if not all(np.all(np.isfinite(a)) for a in (model.C, model.r, model.beta)):
-        raise ValueError("model data C, r or beta contains non-finite entries")
-
-
 def candidate_equilibrium(model: ShiftedModel, k: int) -> EquilibriumRecord:
-    """Solve the affine fixed-point equation of orthant k and classify it.
-    Raises ValueError on non-finite data."""
-    _require_finite(model)
+    """Solve the affine fixed-point equation of orthant k and classify it."""
     C, c = model.affine_piece(k)
     x = solve_linear(np.eye(model.n) - C, c)
     return EquilibriumRecord(k=k, x=x, v=x + model.threshold, consistent=orthant_of(x) == k,
@@ -101,11 +94,9 @@ def _census(w: np.ndarray, M: np.ndarray) -> np.ndarray:
 def enumerate_equilibria(model: ShiftedModel) -> list[EquilibriumRecord]:
     """Every consistent orthant candidate, in increasing k: the census of
     (w, M) = (I - C)^-1 [r, B]. Raises DimensionTooLargeError past
-    ENUMERATION_LIMIT, and ValueError on non-finite data or when M has an
-    entry below -tol."""
+    ENUMERATION_LIMIT, and ValueError when M has an entry below -tol."""
     if (n := model.n) > ENUMERATION_LIMIT:
         raise DimensionTooLargeError(f"n={n} exceeds enumeration guard {ENUMERATION_LIMIT}")
-    _require_finite(model)
     WM = solve_linear(np.eye(n) - model.C, np.column_stack([model.r, np.diag(model.beta)]))
     X = _census(WM[:, 0], WM[:, 1:])
     interior = (np.min(np.abs(X), axis=1) > INTERIOR_TOL).tolist()
@@ -132,10 +123,9 @@ class ExistenceReport:
 
 
 def existence_conditions(model: ShiftedModel) -> ExistenceReport:
-    """Evaluate the four existence/uniqueness sign conditions. Raises ValueError
-    on non-finite data and SingularMatrixError when a uniqueness flag holds
-    without its existence flag, which (I - C)^-1 >= 0 rules out."""
-    _require_finite(model)
+    """Evaluate the four existence/uniqueness sign conditions. Raises
+    SingularMatrixError when a uniqueness flag holds without its existence
+    flag, which (I - C)^-1 >= 0 rules out."""
     w_plus, w_minus = solve_linear(np.eye(model.n) - model.C,
                                    np.column_stack([model.r, model.r - model.beta])).T
     rep = ExistenceReport(

@@ -67,19 +67,21 @@ def minimal_injection(prob: InjectionProblem) -> np.ndarray:
     the region itself is empty. Withdrawals (negative entries) are allowed
     unless the problem says otherwise. Each region keeps, per nonnegative flag, its LP's
     rows A (region.A, then the n rows v >= 0 when nonnegative), checked once, and their
-    phase 1 (_DualStart); a call forms only b = region.b - region.A x (and zeros).
+    phase 1 (_DualStart); a call forms only b = region.b - region.A x (and zeros), which
+    can overflow from finite data (ValueError).
     With free v, the dual max b.y on {A^T y = 1, y >= 0} moves by the constant -1.x, so its
     path and optimal basis B do not depend on x; z = A_B^-1 b_B = w - x, w B's point at
     x = 0, so A z - b = A w - region.b >= 0. After a region's first solve z is B's point, one
     product with the kept inverse (no simplex), while its slack is >= -OPT_TOL; else
-    (region.b changed) it re-solves.
+    (rounding) it re-solves.
     """
     region, x, n = prob.region, prob.x, prob.x.shape[0]
-    b = region.b - region.A @ x
+    with np.errstate(over="ignore", invalid="ignore"):     # an overflow is the ValueError below
+        b = region.b - region.A @ x
     if prob.nonnegative:
         b = np.concatenate([b, np.zeros(n)])
     start = region._injection_lps.get(prob.nonnegative)
-    if start is None or not np.array_equal(start.A[:region.n_rows], region.A):
+    if start is None:
         A = np.vstack([region.A, np.eye(n)]) if prob.nonnegative else region.A
         lp = LinearProgram(c=np.ones(n), A=A, b=b)     # checks A once, and this b
         start = region._injection_lps[prob.nonnegative] = _DualStart(lp.A, lp.c)
@@ -408,9 +410,10 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
     """Iterate reallocation steps until the state enters M+ of the network.
 
     M+ is computed once per network, from its initial holdings, and kept with it (and
-    its injection LPs' phase 1) until C, r or beta changes; so are the reallocation's G and
-    rows (ReallocationProblem._rows), shared by every reallocation and feasibility check of
-    the network's drives until C, threshold or p changes. Each iteration
+    its injection LPs' phase 1); so are the reallocation's G and rows
+    (ReallocationProblem._rows), shared by every reallocation and feasibility check of
+    the network's drives. The network's arrays are read-only, so none of these goes
+    stale. Each iteration
     re-solves the reallocation program toward the outstanding target v,
     swaps the holdings matrix wholesale, steps the state, and updates
     v <- v - x(t) ('verbatim') or v <- max(v - x(t), 0) ('clamped').
@@ -420,12 +423,12 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
     if mode not in ("verbatim", "clamped"):
         raise ValueError(f"unknown v-update mode {mode!r}")
     x = np.asarray(x0, dtype=float)
-    model, memo = ShiftedModel.from_network(net), net._regions
-    region = _kept(memo, "region", (model.C, model.r, model.beta),
-                   lambda: maximal_invariant_region(model, 0))
-    # on a copy of net, so that net._regions holds no reference cycle back to net
-    shared = _kept(memo, "reallocation", (net.C, net.threshold, net.p),
-                   lambda: ReallocationProblem(network=replace(net), v=np.zeros(net.n)))
+    memo = net._regions
+    if not memo:
+        memo["region"] = maximal_invariant_region(ShiftedModel.from_network(net), 0)
+        # on a copy of net, so that net._regions holds no reference cycle back to net
+        memo["reallocation"] = ReallocationProblem(network=replace(net), v=np.zeros(net.n))
+    region, shared = memo["region"], memo["reallocation"]
     v = minimal_injection(InjectionProblem(region=region, x=x,
                                            nonnegative=nonnegative_injection))
     plan = InterventionPlan(initial_x=x.copy(), injection=v.copy(),
@@ -447,11 +450,3 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
                                    optimality_gap=sol.optimality_gap))
     plan.success = True
     return plan
-
-
-def _kept(memo: dict, name: str, key: tuple, build):
-    """memo[name], built again by build() unless key's arrays equal those it was built from."""
-    kept = memo.get(name)
-    if kept is None or not all(map(np.array_equal, kept[0], key)):
-        kept = memo[name] = tuple(a.copy() for a in key), build()
-    return kept[1]

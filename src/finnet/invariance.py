@@ -25,10 +25,10 @@ from itertools import islice
 
 import numpy as np
 
-from .equilibria import INTERIOR_TOL, EquilibriumRecord, _require_finite, candidate_equilibrium
+from .equilibria import INTERIOR_TOL, EquilibriumRecord, candidate_equilibrium
 from .netmodel import ShiftedModel, orthant_phi
 from .numerics import (LinearProgram, OPT_TOL, UnboundedError, _anchored, _FeasibleBasis,
-                       _phase1, _vertex, lp_solve)
+                       _frozen, _phase1, _vertex, lp_solve)
 
 _TAU_CAP = 64   # horizons stable_region tries before NotDeterminedError
 
@@ -47,7 +47,7 @@ class Polyhedron:
 
     row_power[i] records which matrix power generated row i (t = 0 rows
     are the orthant itself). certified marks regions whose rows beyond
-    the stored horizon are provably redundant.
+    the stored horizon are provably redundant. The arrays are read-only.
     """
 
     A: np.ndarray
@@ -57,9 +57,8 @@ class Polyhedron:
     note: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        object.__setattr__(self, "row_power", np.asarray(self.row_power, dtype=int))
+        for name, dtype in (("A", float), ("b", float), ("row_power", int)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
 
     @property
     def n_rows(self) -> int:
@@ -79,7 +78,8 @@ class Polyhedron:
 
     @cached_property
     def _injection_lps(self) -> dict:
-        """minimal_injection's _DualStart and last basis per nonnegative flag; not a field."""
+        """minimal_injection's _DualStart per nonnegative flag, built on first use from the
+        read-only A; not a field."""
         return {}
 
 
@@ -113,10 +113,9 @@ def intermediate_not_invariant(model: ShiftedModel, k: int) -> IntermediateVerdi
     but the float step can round it to 0: 'unknown'. A witness starts from -1 failed, +0 healthy
     and moves the coordinate of a violated row's most negative J C J entry past the rest of the
     row, or, where the row has none and its failed in-neighbours outweigh the drift d_i < 0,
-    shrinks the failed coordinates until they no longer do. Non-finite data raise ValueError."""
+    shrinks the failed coordinates until they no longer do."""
     if k in (0, 2 ** model.n - 1):
         raise ValueError("intermediate orthant required, got k=%d" % k)
-    _require_finite(model)
     phi = orthant_phi(k, model.n)
     sign, failed = 1.0 - 2.0 * phi, phi == 1.0          # J = diag(sign)
     M, d = sign[:, None] * model.C * sign, sign * (model.r - model.beta * phi)   # J C J, J c
@@ -219,7 +218,7 @@ def maximal_invariant_region(model: ShiftedModel, k: int) -> Polyhedron:
     """Largest forward-invariant subset of orthant k (k = 0 or 2^n - 1).
 
     Raises NoPositiveEquilibriumError when orthant k's candidate lies outside orthant k,
-    NotDeterminedError as _truncation_index does, ValueError on non-finite data.
+    NotDeterminedError as _truncation_index does.
     """
     return _region_from(model, candidate_equilibrium(model, k))
 
@@ -346,8 +345,7 @@ class InvarianceReport:
 
     regions maps 'healthy' and 'failed' to the maximal invariant region of
     orthant 0 or 2^n - 1, or to the reason it could not be built.
-    intermediates holds one verdict per intermediate orthant when n <= 4 and the
-    data are finite (else the regions name the error).
+    intermediates holds one verdict per intermediate orthant when n <= 4.
     """
 
     healthy_orthant_invariant: bool
@@ -365,13 +363,9 @@ def invariance_report(model: ShiftedModel) -> InvarianceReport:
             regions[label] = maximal_invariant_region(model, k)
         except (ValueError, NotDeterminedError) as e:
             regions[label] = str(e)
-    try:
-        intermediates = [intermediate_not_invariant(model, k)
-                         for k in (range(1, last) if model.n <= 4 else ())]
-    except ValueError:          # non-finite data, which both regions name
-        intermediates = []
     return InvarianceReport(
         healthy_orthant_invariant=orthant0_invariant(model),
         failed_orthant_invariant=last_orthant_invariant(model),
         regions=regions,
-        intermediates=intermediates)
+        intermediates=[intermediate_not_invariant(model, k)
+                       for k in (range(1, last) if model.n <= 4 else ())])

@@ -23,16 +23,20 @@ from functools import cached_property
 
 import numpy as np
 
+from .numerics import _frozen
+
 
 @dataclass(frozen=True)
 class FinancialNetwork:
-    """Static network data.
+    """Static network data, held as read-only copies (see numerics._frozen).
 
     C : (n, n) cross-holding fractions, zero diagonal, column sums < 1
     D : (n, m) nonnegative holdings of external assets
     p : (m,) nonnegative asset prices, at least one positive
     beta : (n,) positive failure costs
     threshold : (n,) failure thresholds (equity below this means failed)
+
+    Construction checks none of this; validate reports the violations.
     """
 
     C: np.ndarray
@@ -43,7 +47,7 @@ class FinancialNetwork:
 
     def __post_init__(self):
         for name in ("C", "D", "p", "beta", "threshold"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -56,8 +60,8 @@ class FinancialNetwork:
 
     @cached_property
     def _regions(self) -> dict:
-        """intervene.drive_to_invariant's M+ and reallocation rows, each with the arrays it
-        was built from; not a field."""
+        """intervene.drive_to_invariant's M+ and reallocation rows, built on first use; not a
+        field. The arrays they are built from are read-only, so they are never stale."""
         return {}
 
 
@@ -159,7 +163,8 @@ class ShiftedModel:
 
     Built from a FinancialNetwork (r derived) or directly from parts for
     synthetic models, whose threshold is zero. threshold is kept so reports
-    can translate back to equity levels V = x + threshold.
+    can translate back to equity levels V = x + threshold. The arrays are
+    read-only, and a non-finite entry of C, r or beta raises ValueError.
     """
 
     C: np.ndarray
@@ -169,7 +174,9 @@ class ShiftedModel:
 
     def __post_init__(self):
         for name in ("C", "r", "beta", "threshold"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        if not all(np.isfinite(a).all() for a in (self.C, self.r, self.beta)):
+            raise ValueError("model data C, r or beta contains non-finite entries")
 
     @classmethod
     def from_network(cls, net: FinancialNetwork) -> "ShiftedModel":

@@ -57,6 +57,16 @@ class NonFiniteResidualError(RuntimeError):
     """Raised when a solver's residual overflows to inf or nan on finite data."""
 
 
+def _frozen(a, dtype=float) -> np.ndarray:
+    """a as a read-only array of dtype: a itself if it already is one that owns its data, else a
+    copy, so the caller's array is never made read-only and a cache built from it stays sound."""
+    if type(a) is np.ndarray and a.dtype == dtype and a.base is None and not a.flags.writeable:
+        return a
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 def _vector(x, n: int, name: str) -> np.ndarray:
     """x as floats of shape (n,); a ValueError names it for another shape or a non-finite entry."""
     x = np.asarray(x, dtype=float)
@@ -108,9 +118,8 @@ class LinearProgram:
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        for name in ("c", "A", "b"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         m, n = self.A.shape
         if self.c.shape != (n,) or self.b.shape != (m,):
             raise ValueError("inconsistent LP dimensions")
@@ -262,14 +271,14 @@ def _vertex(start: _FeasibleBasis, c: np.ndarray) -> tuple[np.ndarray, _Feasible
 
 
 class _DualStart:
-    """lp_solve's phase 1, for every b: a feasible tableau T and basis of the dual
-    {A^T y = c / unit, y >= 0} (T None: it is empty), a copy of A to tell it stale by,
-    last, the last optimal (T, basis), and inverse, the last basis's (rows, A_rows^-1)
-    from _basic_point (None in place of the inverse: refused)."""
+    """lp_solve's phase 1, for every b, over a LinearProgram's read-only A and c: a feasible
+    tableau T and basis of the dual {A^T y = c / unit, y >= 0} (T None: it is empty), last,
+    the last optimal (T, basis), and inverse, the last basis's (rows, A_rows^-1) from
+    _basic_point (None in place of the inverse: refused)."""
 
     def __init__(self, A: np.ndarray, c: np.ndarray):
         unit = np.abs(c).max(initial=0.0) or 1.0    # tolerances are absolute: solve for c / unit
-        self.A, self.c, self.unit, self.T, self.basis = A.copy(), c, unit, None, []
+        self.A, self.c, self.unit, self.T, self.basis = A, c, unit, None, []
         self.last = self.inverse = None
         try:
             self.T, self.basis = _feasible(A.T, c / unit)

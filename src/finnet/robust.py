@@ -24,7 +24,7 @@ import numpy as np
 from .equilibria import EquilibriumRecord, candidate_equilibrium
 from .invariance import NoPositiveEquilibriumError, Polyhedron, _region_from
 from .netmodel import ShiftedModel
-from .numerics import _vector
+from .numerics import _frozen, _vector
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class IntervalNetwork:
 
     Zero-width intervals are allowed (diagonals are normally pinned to 0).
     Every entry must be finite, and both extremes must have column sums < 1.
+    The arrays are read-only, so the extremes and regions cached here hold.
     """
 
     c_lower: np.ndarray
@@ -40,15 +41,12 @@ class IntervalNetwork:
     r: np.ndarray
 
     def __post_init__(self):
-        cl = np.asarray(self.c_lower, dtype=float)
-        cu = np.asarray(self.c_upper, dtype=float)
-        r = np.asarray(self.r, dtype=float)
-        object.__setattr__(self, "c_lower", cl)
-        object.__setattr__(self, "c_upper", cu)
-        object.__setattr__(self, "r", r)
-        for name, a in (("c_lower", cl), ("c_upper", cu), ("r", r)):
+        for name in ("c_lower", "c_upper", "r"):
+            a = _frozen(getattr(self, name))
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} contains non-finite entries")
+            object.__setattr__(self, name, a)
+        cl, cu, r = self.c_lower, self.c_upper, self.r
         if cl.shape != cu.shape or cl.ndim != 2 or cl.shape[0] != cl.shape[1]:
             raise ValueError("interval bounds must be square matrices of equal shape")
         if r.shape != (cl.shape[0],):
@@ -123,8 +121,9 @@ def last_hope_region(inet: IntervalNetwork) -> Polyhedron:
 
 
 def last_hope_membership(inet: IntervalNetwork, x0) -> bool:
-    """Whether x0 still lies in the last-hope region."""
-    x0 = np.asarray(x0, dtype=float)
+    """Whether x0 still lies in the last-hope region. ValueError for an x0 not of shape (n,),
+    with non-finite entries or with negative ones."""
+    x0 = _vector(x0, inet.n, "x0")
     if np.any(x0 < 0):
         raise ValueError("membership test expects a nonnegative state")
     return last_hope_region(inet).contains(x0)
@@ -177,7 +176,7 @@ class SandwichResult:
 
 
 def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
-                    sampler: Callable[[int, int], np.ndarray] | None = None) -> SandwichResult:
+                    sampler: Callable[[int, int], np.ndarray]) -> SandwichResult:
     """Simulate sampled and extreme trajectories from a common x0.
 
     x0 must lie in the robust invariant set, which keeps every admissible
@@ -195,8 +194,6 @@ def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
     region = robust_invariant_set(inet)
     if not region.contains(x0):
         raise ValueError("x0 is outside the robust invariant set; bounds would not apply")
-    if sampler is None:
-        sampler = uniform_sampler(inet)
     n, r = inet.n, np.tile(inet.r[:, None], (3, 1, 1))
     block = max(1, min(T, _DRAW_ENTRIES // (n * n)))
     cs = np.empty((block, 3, n, n))         # slot 0: the sampled C(t); 1, 2: the extremes

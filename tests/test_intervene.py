@@ -5,6 +5,7 @@ import gc
 import itertools
 import re
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -190,13 +191,16 @@ def test_injection_follows_rows_changed_in_place():
     for nonnegative in (False, True):
         before[nonnegative] = minimal_injection(InjectionProblem(region=region, x=x,
                                                                  nonnegative=nonnegative))
-    # nonnegative rows: M+ stays nonempty. A new b keeps the start, but the kept basis's
-    # point then violates a row, so the LP is solved again. The states after x reuse the
-    # start, its basis and the kept inverse, rebuilt for the new rows
+    # a region's rows are read-only, so its kept LP start cannot go stale; new rows (M+ stays
+    # nonempty) make a new region, with a start of its own. The states after x reuse it,
+    # its basis and the kept inverse, and every answer is the cold LP's, bit for bit
     for A, b in ((rng.uniform(0.5, 2.0, region.A.shape), 0.0),
                  (1.0, rng.uniform(0.0, 1.0, region.b.shape))):
-        region.A[:] *= A
-        region.b[:] -= b
+        with pytest.raises(ValueError, match="read-only"):
+            region.A[:] *= A
+        with pytest.raises(ValueError, match="read-only"):
+            region.b[:] -= b
+        region = Polyhedron(A=region.A * A, b=region.b - b, row_power=region.row_power)
         for nonnegative in (False, True):
             for y in [x] + states:
                 v = minimal_injection(InjectionProblem(region=region, x=y,
@@ -278,6 +282,41 @@ def test_injection_failures_repeat():
         for region, x in ((empty, [np.nan]), (open_below, [0.0, np.inf])):
             with pytest.raises(ValueError, match="non-finite"):
                 minimal_injection(InjectionProblem(region=region, x=x))
+
+
+def test_injection_rejects_a_b_that_overflows_on_a_later_call():
+    # the first call checks b through LinearProgram; later ones reuse the start and check
+    # b = region.b - A x themselves. M+'s rows have |A| row sums <= 1, so they are scaled by 4
+    # (the same set) for A x to overflow at x = 1e308
+    m_plus = healthy_region(fixtures.complete10())
+    region = Polyhedron(A=4.0 * m_plus.A, b=4.0 * m_plus.b, row_power=m_plus.row_power)
+    for nonnegative in (False, True):
+        minimal_injection(InjectionProblem(region=region, x=fixtures.SAMPLE_STATE10,
+                                           nonnegative=nonnegative))
+        assert nonnegative in region._injection_lps
+        with pytest.raises(ValueError, match="^LP data has non-finite entries$"):
+            minimal_injection(InjectionProblem(region=region, x=np.full(10, 1e308),
+                                               nonnegative=nonnegative))
+
+
+def test_a_stalled_warm_projection_is_repeated_cold(monkeypatch):
+    # every warm projection stalls: each is repeated cold, and the answer lands within its
+    # reported gap of the unpatched one
+    net = fixtures.complete10()
+    v = drive_to_invariant(net, benchmark_start(net)).injection
+    _, unpatched = asset_reallocation(ReallocationProblem(network=net, v=v))
+    warm, cold = [], []
+    def stalling(A, b, y, lam=None):
+        if lam is not None:
+            warm.append(lam)
+            raise IterationLimitError("stalled")
+        cold.append(y)
+        return project_polyhedron(A, b, y)
+    monkeypatch.setattr(intervene, "project_polyhedron", stalling)
+    _, sol = asset_reallocation(ReallocationProblem(network=net, v=v))
+    assert len(warm) >= 1 and len(cold) == len(warm) + 1 == sol.iterations
+    assert sol.objective - unpatched.objective <= sol.optimality_gap
+    assert unpatched.objective - sol.objective <= unpatched.optimality_gap
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -944,11 +983,17 @@ def test_a_driven_network_is_freed_without_the_cycle_collector():
 
 @pytest.mark.parametrize("name, index, factor", [("threshold", 1, 1.05), ("p", 0, 1.1)])
 def test_reallocation_rows_follow_a_network_changed_in_place(monkeypatch, name, index, factor):
+    # the network's arrays are read-only, so its kept rows cannot go stale; a network
+    # rebuilt with the new values builds its own
     builds = []
     counted(monkeypatch, intervene, "solve_linear", builds)
     net = fixtures.complete10()
     drive_to_invariant(net, benchmark_start(net))
-    getattr(net, name)[index] *= factor
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(net, name)[index] *= factor
+    values = getattr(net, name).copy()
+    values[index] *= factor
+    net = replace(net, **{name: values})
     x0 = benchmark_start(net)
     plan = drive_to_invariant(net, x0)
     assert len(builds) == 2 and plan.success and plan.iterations >= 1
@@ -960,13 +1005,18 @@ def test_reallocation_rows_follow_a_network_changed_in_place(monkeypatch, name, 
 
 
 def test_region_follows_a_network_changed_in_place(monkeypatch):
+    # as for the rows: the write raises, and a network rebuilt with the new C builds its M+
     calls = counted_regions(monkeypatch)
     net = fixtures.complete10()
     drive_to_invariant(net, benchmark_start(net))
-    net.C[0, 1] *= 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        net.C[0, 1] *= 0.5
+    C = net.C.copy()
+    C[0, 1] *= 0.5
+    net = replace(net, C=C)
     plan = drive_to_invariant(net, benchmark_start(net))
     assert len(calls) == 2
-    fresh = healthy_region(FinancialNetwork(C=net.C.copy(), D=net.D, p=net.p, beta=net.beta,
+    fresh = healthy_region(FinancialNetwork(C=C, D=net.D, p=net.p, beta=net.beta,
                                             threshold=net.threshold))
     assert plan.region.A.tobytes() == fresh.A.tobytes()
     assert plan.region.b.tobytes() == fresh.b.tobytes()

@@ -86,6 +86,24 @@ def test_lu_solve_matrix_rhs():
     np.testing.assert_allclose(A @ X, B, atol=1e-9)
 
 
+@pytest.mark.parametrize("A, b, message", [
+    (np.ones((2, 3)), np.ones(2), r"^expected a square matrix, got shape \(2, 3\)$"),
+    (np.ones(3), np.ones(3), r"^expected a square matrix, got shape \(3,\)$"),
+    (np.eye(2), np.ones(3), "^right-hand side has incompatible shape$"),
+    (np.eye(2), np.ones((3, 2)), "^right-hand side has incompatible shape$"),
+    (np.eye(2), np.ones((2, 2, 1)), "^right-hand side has incompatible shape$")])
+def test_solve_linear_rejects_bad_shapes(A, b, message):
+    with pytest.raises(ValueError, match=message):
+        solve_linear(A, b)
+
+
+@pytest.mark.parametrize("c, A, b", [([1.0, 1.0], [[1.0, 0.0]], [0.0, 1.0]),
+                                     ([1.0], [[1.0, 0.0]], [0.0])])
+def test_linear_program_rejects_inconsistent_dimensions(c, A, b):
+    with pytest.raises(ValueError, match="^inconsistent LP dimensions$"):
+        LinearProgram(c=c, A=A, b=b)
+
+
 def test_singular_matrix_raises():
     exact = np.array([[1.0, 2.0], [2.0, 4.0]])          # zero pivot
     near = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-13]])   # 1-norm condition ~ 4e14

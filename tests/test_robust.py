@@ -39,6 +39,16 @@ def test_interval_validation():
         IntervalNetwork(c_lower=-C, c_upper=C, r=np.ones(2))
 
 
+@pytest.mark.parametrize("c_lower, c_upper, r, message", [
+    (np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2), "square matrices of equal shape"),
+    (np.zeros((2, 2)), np.zeros((3, 3)), np.ones(2), "square matrices of equal shape"),
+    (np.zeros(2), np.zeros(2), np.ones(2), "square matrices of equal shape"),
+    (np.zeros((2, 2)), np.zeros((2, 2)), np.ones(3), "r has wrong shape")])
+def test_interval_rejects_bad_shapes(c_lower, c_upper, r, message):
+    with pytest.raises(ValueError, match=message):
+        IntervalNetwork(c_lower=c_lower, c_upper=c_upper, r=r)
+
+
 @pytest.mark.parametrize("name", ["c_lower", "c_upper", "r"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_interval_rejects_non_finite_data(name, bad):
@@ -90,7 +100,7 @@ def test_negative_lower_equilibrium_is_rejected():
                            match="^orthant 0 has no consistent equilibrium$"):
             robust_invariant_set(inet)
         with pytest.raises(NoPositiveEquilibriumError):
-            sandwich_bounds(inet, np.array([1.0]), T=5)
+            sandwich_bounds(inet, np.array([1.0]), T=5, sampler=uniform_sampler(inet))
 
 
 def test_regions_nest_lower_inside_upper():
@@ -240,13 +250,14 @@ def test_sandwiches_share_one_robust_region(monkeypatch):
 @pytest.mark.parametrize("T", [-1, -3])
 def test_sandwich_rejects_negative_horizon(T):
     with pytest.raises(ValueError, match="^horizon must be nonnegative$"):
-        sandwich_bounds(two_bank_interval(), np.array([1.0, 1.0]), T=T)
+        inet = two_bank_interval()
+        sandwich_bounds(inet, np.array([1.0, 1.0]), T=T, sampler=uniform_sampler(inet))
 
 
 def test_sandwich_rejects_outside_start():
     inet = two_bank_interval()
     with pytest.raises(ValueError):
-        sandwich_bounds(inet, np.array([-0.5, 1.0]), T=10)
+        sandwich_bounds(inet, np.array([-0.5, 1.0]), T=10, sampler=uniform_sampler(inet))
 
 
 def test_last_hope_membership_needs_nonneg():
@@ -254,6 +265,16 @@ def test_last_hope_membership_needs_nonneg():
     assert last_hope_membership(inet, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         last_hope_membership(inet, np.array([-1.0, 1.0]))
+
+
+@pytest.mark.parametrize("x0, message", [
+    ([np.nan, 1.0], r"^x0 has non-finite entries$"),
+    ([1.0, 1.0, 1.0], r"^x0 has shape \(3,\), expected \(2,\)$")])
+def test_last_hope_membership_rejects_a_bad_state(x0, message):
+    # checked as sandwich_bounds checks it: else a NaN entry reads as outside the region, and
+    # a wrong length raises numpy's matmul error
+    with pytest.raises(ValueError, match=message):
+        last_hope_membership(two_bank_interval(), x0)
 
 
 def test_report_solves_each_extreme_once(monkeypatch):
