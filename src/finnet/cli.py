@@ -19,12 +19,10 @@ fixture value is off), 2 when the scenario or a flag fails to parse or
 validate (a malformed or non-finite number, a drift r = (C - I) threshold + D p
 or r - beta that overflows although every entry is finite, a horizon too long to
 allocate or too short for the cycle search, or nesting past the recursion limit)
-or a file cannot be read or written, 3 when a solver gives up (or returns a
-non-finite number, a non-finite trajectory included; so does a projection whose
-KKT residual overflows on finite data, and a drive that reaches its iteration
-cap, as one on prices so small that their squares underflow does). Each error
-is one stderr line: numpy's overflow warnings are off where finite data can
-overflow.
+or a file cannot be read or written, 3 on any numerics.SolverError (the base of
+every error by which an analysis gives up on valid input) and when the results
+hold a non-finite number. Each error is one stderr line: numpy's overflow
+warnings are off where finite data can overflow.
 """
 
 from __future__ import annotations
@@ -42,26 +40,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cycles import (DETECT_TOL, H_MAX, RHO, InsufficientLengthError, NonFiniteTrajectoryError,
-                     _classify, detect_cycle)
-from .equilibria import DimensionTooLargeError, enumerate_equilibria, existence_conditions
+from .cycles import DETECT_TOL, H_MAX, RHO, InsufficientLengthError, _classify, detect_cycle
+from .equilibria import enumerate_equilibria, existence_conditions
 from .fixtures import FixtureReport, fixture_report
-from .intervene import IterationCapReached, drive_to_invariant
-from .invariance import (NoPositiveEquilibriumError, NotDeterminedError, Polyhedron,
-                         invariance_report)
+from .intervene import drive_to_invariant
+from .invariance import Polyhedron, invariance_report
 from .netmodel import FinancialNetwork, ShiftedModel, Trajectory, simulate, validate
-from .numerics import (InfeasibleError, IterationLimitError, NonFiniteResidualError,
-                       SingularMatrixError, UnboundedError)
+from .numerics import SolverError
 from .robust import IntervalNetwork, robust_report
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_SOLVER = 3
-
-SOLVER_ERRORS = (SingularMatrixError, DimensionTooLargeError, InfeasibleError, UnboundedError,
-                 NoPositiveEquilibriumError, NotDeterminedError, IterationCapReached,
-                 IterationLimitError, NonFiniteTrajectoryError, NonFiniteResidualError)
 
 
 class ScenarioError(ValueError):
@@ -312,11 +303,10 @@ def cmd_robust(args, doc: dict) -> dict:
     T = _horizon(args, doc, 200)
     try:
         rep = robust_report(inet, x0, T, seed=args.seed)
-    except SOLVER_ERRORS:
+    except SolverError:
         raise
     except ValueError as e:
-        # a precondition on the data (ordered extremes, x0 in the robust
-        # invariant set), not a solver giving up
+        # a precondition on the data: ordered extremes, x0 in the robust invariant set
         raise ScenarioError(f"interval system rejected: {e}")
     sw = rep.sandwich
     return {**vars(rep), "sandwich": None if sw is None else {
@@ -444,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:                        # --out, the CSV or the report cannot be written
         print(f"error: cannot write output: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except SOLVER_ERRORS as e:
+    except SolverError as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
     except NonFiniteError as e:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .equilibria import ENUMERATION_LIMIT, DimensionTooLargeError, _census
 from .netmodel import ShiftedModel, Trajectory, simulate
-from .numerics import solve_linear
+from .numerics import SolverError, solve_linear
 
 DETECT_TOL = 1e-9       # closure tolerance of the cycle search
 H_MAX = 64              # largest period searched
@@ -32,7 +32,7 @@ class InsufficientLengthError(ValueError):
     """Trajectory too short for the requested cycle search."""
 
 
-class NonFiniteTrajectoryError(ValueError):
+class NonFiniteTrajectoryError(SolverError, ValueError):
     """A state of the trajectory to classify is inf or nan."""
 
 

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmodel import ShiftedModel, orthant_codes, orthant_of, orthant_phi
-from .numerics import SingularMatrixError, solve_linear
+from .numerics import SingularMatrixError, SolverError, solve_linear
 
 ENUMERATION_LIMIT = 24      # 2**n candidates; refuse past this
 INTERIOR_TOL = 1e-9         # entries closer to zero than this are boundary
 _BLOCK_ROWS = 1024          # nodes per stack entry; bounds memory, census levels fit in one
 
 
-class DimensionTooLargeError(ValueError):
+class DimensionTooLargeError(SolverError, ValueError):
     """Raised when 2**n enumeration would be astronomically large."""
 
 

@@ -21,7 +21,6 @@ state from the target, and stop once the state enters M+ (kept per network).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from math import inf, sqrt
 
 import numpy as np
@@ -31,10 +30,11 @@ from .netmodel import FinancialNetwork, ShiftedModel
 from .numerics import (
     InfeasibleError,
     IterationLimitError,
-    LinearProgram,
+    NonFiniteDataError,
     OPT_TOL,
     PIVOT_TOL,
     STRICT_MARGIN,
+    SolverError,
     _basic_point,
     _dual_phase2,
     _DualStart,
@@ -66,9 +66,9 @@ def minimal_injection(prob: InjectionProblem) -> np.ndarray:
     The region rows bound the total downward; the LP is infeasible only if
     the region itself is empty. Withdrawals (negative entries) are allowed
     unless the problem says otherwise. Each region keeps, per nonnegative flag, its LP's
-    rows A (region.A, then the n rows v >= 0 when nonnegative), checked once, and their
-    phase 1 (_DualStart); a call forms only b = region.b - region.A x (and zeros), which
-    can overflow from finite data (ValueError).
+    rows A (region.A, then the n rows v >= 0 when nonnegative) and their phase 1
+    (_DualStart); a call forms only b = region.b - region.A x (and zeros). A b or
+    product of the solve that is not finite (x near float range, say) is NonFiniteDataError.
     With free v, the dual max b.y on {A^T y = 1, y >= 0} moves by the constant -1.x, so its
     path and optimal basis B do not depend on x; z = A_B^-1 b_B = w - x, w B's point at
     x = 0, so A z - b = A w - region.b >= 0. After a region's first solve z is B's point, one
@@ -76,22 +76,25 @@ def minimal_injection(prob: InjectionProblem) -> np.ndarray:
     (rounding) it re-solves.
     """
     region, x, n = prob.region, prob.x, prob.x.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):     # an overflow is the ValueError below
+    with np.errstate(over="ignore", invalid="ignore"):     # an overflow is the error below
         b = region.b - region.A @ x
+    if not np.isfinite(b).all():
+        raise NonFiniteDataError("LP data has non-finite entries")
     if prob.nonnegative:
         b = np.concatenate([b, np.zeros(n)])
     start = region._injection_lps.get(prob.nonnegative)
-    if start is None:
+    if start is None:       # a non-finite entry of region.A makes b non-finite, for every x
         A = np.vstack([region.A, np.eye(n)]) if prob.nonnegative else region.A
-        lp = LinearProgram(c=np.ones(n), A=A, b=b)     # checks A once, and this b
-        start = region._injection_lps[prob.nonnegative] = _DualStart(lp.A, lp.c)
-    elif not np.isfinite(b).all():
-        raise ValueError("LP data has non-finite entries")
-    if not prob.nonnegative and start.last:
-        z = _basic_point(start, b, start.last[1])
-        if (start.A @ z - b).min(initial=0.0) >= -OPT_TOL:
-            return z
-    return _dual_phase2(start, b).z
+        start = region._injection_lps[prob.nonnegative] = _DualStart(A, np.ones(n))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if not prob.nonnegative and start.last:
+                z = _basic_point(start, b, start.last[1])
+                if (start.A @ z - b).min(initial=0.0) >= -OPT_TOL:
+                    return z
+            return _dual_phase2(start, b).z
+    except FloatingPointError as e:
+        raise NonFiniteDataError(f"injection LP at this state overflows floats: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -104,19 +107,22 @@ class ReallocationProblem:
     def __post_init__(self):
         object.__setattr__(self, "v", _vector(self.v, self.network.n, "reallocation target v"))
 
-    @cached_property
+    @property
     def G(self) -> np.ndarray:
         """(I - C)^-1, which maps holdings income D p to the healthy equilibrium."""
-        net = self.network
-        return solve_linear(np.eye(net.n) - net.C, np.eye(net.n))
+        return self._rows[0][:-1]
 
-    @cached_property
+    @property
     def _rows(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         """asset_reallocation's set [G; -1^T] y >= [threshold + STRICT_MARGIN; -sum p], and
-        _fill_order(p). Like G, they depend on C, threshold and p only (see drive_to_invariant)."""
-        net = self.network
-        return (np.vstack([self.G, -np.ones(net.n)]),
-                np.append(net.threshold + STRICT_MARGIN, -net.p.sum()), _fill_order(net.p))
+        _fill_order(p). They depend on C, threshold and p only, so they are built once per
+        network and kept in its _regions, for every problem and drive on it."""
+        net, memo = self.network, self.network._regions
+        if "reallocation" not in memo:
+            G = solve_linear(np.eye(net.n) - net.C, np.eye(net.n))
+            memo["reallocation"] = (np.vstack([G, -np.ones(net.n)]), np.append(
+                net.threshold + STRICT_MARGIN, -net.p.sum()), _fill_order(net.p))
+        return memo["reallocation"]
 
 
 def reallocation_feasible(prob: ReallocationProblem,
@@ -365,7 +371,7 @@ def _lift(prob: ReallocationProblem, y: np.ndarray, calls: int, gap: float,
     return D, ReallocationSolution(objective=objective, iterations=calls, optimality_gap=float(gap))
 
 
-class IterationCapReached(RuntimeError):
+class IterationCapReached(SolverError, RuntimeError):
     """Driving loop hit its iteration cap; carries the partial plan."""
 
     def __init__(self, plan: "InterventionPlan"):
@@ -411,9 +417,9 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
 
     M+ is computed once per network, from its initial holdings, and kept with it (and
     its injection LPs' phase 1); so are the reallocation's G and rows
-    (ReallocationProblem._rows), shared by every reallocation and feasibility check of
-    the network's drives. The network's arrays are read-only, so none of these goes
-    stale. Each iteration
+    (ReallocationProblem._rows). Every reallocation of the network's drives is posed on
+    net itself, as D enters only through the step, so all of them share those rows. The
+    network's arrays are read-only, so none of these goes stale. Each iteration
     re-solves the reallocation program toward the outstanding target v,
     swaps the holdings matrix wholesale, steps the state, and updates
     v <- v - x(t) ('verbatim') or v <- max(v - x(t), 0) ('clamped').
@@ -424,24 +430,19 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
         raise ValueError(f"unknown v-update mode {mode!r}")
     x = np.asarray(x0, dtype=float)
     memo = net._regions
-    if not memo:
+    if "region" not in memo:
         memo["region"] = maximal_invariant_region(ShiftedModel.from_network(net), 0)
-        # on a copy of net, so that net._regions holds no reference cycle back to net
-        memo["reallocation"] = ReallocationProblem(network=replace(net), v=np.zeros(net.n))
-    region, shared = memo["region"], memo["reallocation"]
+    region = memo["region"]
     v = minimal_injection(InjectionProblem(region=region, x=x,
                                            nonnegative=nonnegative_injection))
     plan = InterventionPlan(initial_x=x.copy(), injection=v.copy(),
                             region=region, mode=mode)
-    current = net
     while not region.contains(x):
         if plan.iterations >= max_iterations:
             raise IterationCapReached(plan)
-        prob = ReallocationProblem(network=current, v=v)
-        vars(prob).update(G=shared.G, _rows=shared._rows)   # built on first use, then kept
+        prob = ReallocationProblem(network=net, v=v)
         D, sol = asset_reallocation(prob)
-        current = replace(current, D=D)
-        x = ShiftedModel.from_network(current).step(x)
+        x = ShiftedModel.from_network(replace(net, D=D)).step(x)
         v = v - x
         if mode == "clamped":
             v = np.maximum(v, 0.0)

@@ -27,17 +27,17 @@ import numpy as np
 
 from .equilibria import INTERIOR_TOL, EquilibriumRecord, candidate_equilibrium
 from .netmodel import ShiftedModel, orthant_phi
-from .numerics import (LinearProgram, OPT_TOL, UnboundedError, _anchored, _FeasibleBasis,
-                       _frozen, _phase1, _vertex, lp_solve)
+from .numerics import (LinearProgram, OPT_TOL, SolverError, UnboundedError, _anchored,
+                       _FeasibleBasis, _frozen, _phase1, _vertex, lp_solve)
 
 _TAU_CAP = 64   # horizons stable_region tries before NotDeterminedError
 
 
-class NotDeterminedError(RuntimeError):
+class NotDeterminedError(SolverError, RuntimeError):
     """No certified truncation index (see _truncation_index) or stable_region horizon."""
 
 
-class NoPositiveEquilibriumError(ValueError):
+class NoPositiveEquilibriumError(SolverError, ValueError):
     """The candidate equilibrium of orthant 0 or 2^n - 1 lies outside that orthant."""
 
 

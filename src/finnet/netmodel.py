@@ -60,8 +60,8 @@ class FinancialNetwork:
 
     @cached_property
     def _regions(self) -> dict:
-        """intervene.drive_to_invariant's M+ and reallocation rows, built on first use; not a
-        field. The arrays they are built from are read-only, so they are never stale."""
+        """intervene's M+ and reallocation rows (ReallocationProblem._rows), built on first use;
+        not a field. The arrays they are built from are read-only, so they are never stale."""
         return {}
 
 

@@ -15,11 +15,12 @@ complementary (unique) basis; z is the basis's point A_B^-1 b_B, from the invers
 start keeps for its last basis (_basic_point), so a repeated basis is not factorised again.
 A region's injection LPs share a start; free ones skip phase 2 after the first, and so take
 one product (see minimal_injection). LPs that share one polyhedron across many objectives
-(the invariance checks) keep the primal form:
-_vertex starts from _phase1's basis, from _anchored's slack basis at a point known to lie on
-the polyhedron (no phase 1), or from the optimal basis that an earlier _vertex call over the
-same polyhedron hands back. One phase-1 routine, _feasible, serves both forms; it
-pivots on rows divided by their largest entry and judges emptiness relative to b.
+(the invariance checks) keep the primal form: _vertex starts from _phase1's basis, from
+_anchored's slack basis at a point known to lie on the polyhedron (no phase 1), or from the
+optimal basis that an earlier _vertex call over the same polyhedron hands back. One phase-1
+routine, _feasible, serves both forms; it pivots on rows divided by their largest entry and
+judges emptiness relative to b. Every error by which a solver, here or in an analysis, gives
+up on valid input derives from SolverError; a wrong shape is a plain ValueError.
 """
 
 from __future__ import annotations
@@ -37,23 +38,31 @@ PROJECTION_TOL = 1e-13  # KKT residual at which project_polyhedron stops, times 
 PROJECTION_MAX_ITER = 100  # Newton steps before project_polyhedron gives up
 
 
-class SingularMatrixError(ValueError):
+class SolverError(Exception):
+    """Base of every error by which an analysis gives up on valid input (the CLI exits 3)."""
+
+
+class SingularMatrixError(SolverError, ValueError):
     """Raised when a matrix is singular to working precision (see PIVOT_TOL)."""
 
 
-class InfeasibleError(ValueError):
+class InfeasibleError(SolverError, ValueError):
     """Raised when an optimization problem has an empty feasible set."""
 
 
-class UnboundedError(ValueError):
+class UnboundedError(SolverError, ValueError):
     """Raised when an LP objective is unbounded below on the feasible set."""
 
 
-class IterationLimitError(RuntimeError):
+class NonFiniteDataError(SolverError, ValueError):
+    """Raised when an LP's data, or a product of a solve on finite data, is not finite."""
+
+
+class IterationLimitError(SolverError, RuntimeError):
     """Raised when an iterative solver reaches its iteration cap uncertified."""
 
 
-class NonFiniteResidualError(RuntimeError):
+class NonFiniteResidualError(SolverError, RuntimeError):
     """Raised when a solver's residual overflows to inf or nan on finite data."""
 
 
@@ -124,7 +133,7 @@ class LinearProgram:
         if self.c.shape != (n,) or self.b.shape != (m,):
             raise ValueError("inconsistent LP dimensions")
         if not all(np.isfinite(v).all() for v in (self.c, self.A, self.b)):
-            raise ValueError("LP data has non-finite entries")
+            raise NonFiniteDataError("LP data has non-finite entries")
 
 
 @dataclass
@@ -271,7 +280,7 @@ def _vertex(start: _FeasibleBasis, c: np.ndarray) -> tuple[np.ndarray, _Feasible
 
 
 class _DualStart:
-    """lp_solve's phase 1, for every b, over a LinearProgram's read-only A and c: a feasible
+    """lp_solve's phase 1, for every b, over finite A and c that no one writes: a feasible
     tableau T and basis of the dual {A^T y = c / unit, y >= 0} (T None: it is empty), last,
     the last optimal (T, basis), and inverse, the last basis's (rows, A_rows^-1) from
     _basic_point (None in place of the inverse: refused)."""

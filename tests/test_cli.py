@@ -2,9 +2,11 @@
 
 import argparse
 import dataclasses
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -458,6 +460,62 @@ def test_intervene_at_extreme_scales_exit3(tmp_path, capsys, network, x0, messag
     captured = capsys.readouterr()
     assert captured.err.startswith(f"solver failure: {message}")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("x0", [1.7e308, -1.7e308])
+def test_intervene_with_overflowing_injection_data_exit3(tmp_path, capsys, x0):
+    # row 0 of C sums to 1.2, so region.A @ x0 overflows: b is not finite
+    network = {"C": [[0, 0.6, 0.6], [0.3, 0, 0.3], [0.05, 0.05, 0]],
+               "D": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "p": [5, 5, 5],
+               "beta": [0.5, 0.5, 0.5], "threshold": [0.1, 0.1, 0.1]}
+    path = write_scenario(tmp_path, {"network": network, "x0": [x0] * 3})
+    assert main(["intervene", "--scenario", path]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == "solver failure: LP data has non-finite entries\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags, code", [([], EXIT_SOLVER), (["--nonnegative-injection"], EXIT_OK)],
+                         ids=["free", "nonnegative"])
+def test_intervene_near_float_range_exit(tmp_path, capsys, flags, code):
+    # complete10 at x0 = 1e308: b is finite, but the free injection's 1.v is past float
+    # range (its answer, -1e308 everywhere, missed M+ by 0.075 through overflow warnings);
+    # the nonnegative injection is exactly 0, and x0 already lies in M+
+    doc = {"network": net_doc(fixtures.complete10()), "x0": [1e308] * 10}
+    assert main(["intervene", "--scenario", write_scenario(tmp_path, doc)] + flags) == code
+    captured = capsys.readouterr()
+    if code == EXIT_SOLVER:
+        assert captured.err == ("solver failure: injection LP at this state overflows floats: "
+                                "overflow encountered in matmul\n") and captured.out == ""
+    else:
+        res = json.loads(captured.out)["results"]
+        assert res["injection"] == [0.0] * 10 and res["success"] and res["iterations"] == 0
+
+
+def test_intervene_with_a_stalled_cold_projection_exit3(tmp_path, capsys, monkeypatch):
+    def stalling(A, b, y, lam=None):
+        raise numerics.IterationLimitError("projection residual 1e-3 after 100 Newton steps")
+    monkeypatch.setattr(intervene, "project_polyhedron", stalling)
+    doc = {"network": net_doc(fixtures.two_bank()), "x0": [-3.0, -3.0]}
+    assert main(["intervene", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == "solver failure: projection residual 1e-3 after 100 Newton steps\n"
+    assert captured.out == ""
+
+
+def test_every_finnet_exception_has_an_exit_code():
+    # the CLI exits 3 on any SolverError; main handles the only three other classes, which
+    # exit 2 (a NonFiniteError in the results exits 3)
+    exit2 = {cli.ScenarioError, cli.NonFiniteError, cycles.InsufficientLengthError}
+    found = set()
+    for info in pkgutil.iter_modules(finnet.__path__):
+        module = importlib.import_module(f"finnet.{info.name}")
+        found |= {obj for obj in vars(module).values() if isinstance(obj, type)
+                  and issubclass(obj, BaseException) and obj.__module__ == module.__name__}
+    assert exit2 <= found and len(found) >= 13
+    assert {cls.__name__ for cls in found - exit2
+            if not issubclass(cls, numerics.SolverError)} == set()
+    assert not any(issubclass(cls, numerics.SolverError) for cls in exit2)
 
 
 def test_cycles_searches_once_per_call(tmp_path, monkeypatch):

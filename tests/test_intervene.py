@@ -4,6 +4,7 @@ import functools
 import gc
 import itertools
 import re
+import warnings
 import weakref
 from dataclasses import replace
 from unittest import mock
@@ -27,8 +28,8 @@ from finnet.intervene import (
 from finnet.invariance import Polyhedron, maximal_invariant_region
 from finnet.netmodel import FinancialNetwork, ShiftedModel
 from finnet.numerics import (PROJECTION_TOL, STRICT_MARGIN, InfeasibleError, IterationLimitError,
-                             LinearProgram, UnboundedError, lp_solve, project_polyhedron,
-                             projection_tol)
+                             LinearProgram, NonFiniteDataError, UnboundedError, lp_solve,
+                             project_polyhedron, projection_tol)
 from finnet.robust import IntervalNetwork, robust_report
 from reallocation_reference import build_reallocation_program, reference_reallocate
 
@@ -285,9 +286,9 @@ def test_injection_failures_repeat():
 
 
 def test_injection_rejects_a_b_that_overflows_on_a_later_call():
-    # the first call checks b through LinearProgram; later ones reuse the start and check
-    # b = region.b - A x themselves. M+'s rows have |A| row sums <= 1, so they are scaled by 4
-    # (the same set) for A x to overflow at x = 1e308
+    # every call checks b = region.b - A x before it looks up the region's start, so a later
+    # call that reuses the start checks it too. M+'s rows have |A| row sums <= 1, so they are
+    # scaled by 4 (the same set) for A x to overflow at x = 1e308
     m_plus = healthy_region(fixtures.complete10())
     region = Polyhedron(A=4.0 * m_plus.A, b=4.0 * m_plus.b, row_power=m_plus.row_power)
     for nonnegative in (False, True):
@@ -297,6 +298,60 @@ def test_injection_rejects_a_b_that_overflows_on_a_later_call():
         with pytest.raises(ValueError, match="^LP data has non-finite entries$"):
             minimal_injection(InjectionProblem(region=region, x=np.full(10, 1e308),
                                                nonnegative=nonnegative))
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["first", "later"])
+@pytest.mark.parametrize("nonnegative", [False, True], ids=["free", "nonnegative"])
+def test_injection_near_float_range_answers_or_raises_without_a_warning(later, nonnegative):
+    # on M+ b stays finite at x = 1e308, but the free answer's 1.v (about -1e309) or the
+    # products of a simplex on b are past float range: each call either answers exactly or
+    # raises NonFiniteDataError, and none warns. Only a first nonnegative call answers,
+    # v = 0, as its cold phase 2 forms no product past float range
+    region = healthy_region(fixtures.complete10())
+    if later:
+        minimal_injection(InjectionProblem(region=region, x=fixtures.SAMPLE_STATE10,
+                                           nonnegative=nonnegative))
+    prob = InjectionProblem(region=region, x=np.full(10, 1e308), nonnegative=nonnegative)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if nonnegative and not later:
+            v = minimal_injection(prob)
+            assert v.tobytes() == np.zeros(10).tobytes() and region.contains(prob.x)
+        else:
+            with pytest.raises(NonFiniteDataError, match="^injection LP at this state overflows"):
+                minimal_injection(prob)
+    # the failure leaves the region's start sound for ordinary states
+    x = fixtures.SAMPLE_STATE10
+    v = minimal_injection(InjectionProblem(region=region, x=x, nonnegative=nonnegative))
+    assert v.tobytes() == lp_solve(injection_lp(region, x, nonnegative)).z.tobytes()
+
+
+def test_a_stalled_cold_projection_is_raised(monkeypatch):
+    # a projection from zero multipliers has no colder start to repeat: its stall is the answer
+    calls = []
+    def stalling(A, b, y, lam=None):
+        calls.append(lam)
+        raise IterationLimitError("projection residual 1e-3 after 100 Newton steps")
+    monkeypatch.setattr(intervene, "project_polyhedron", stalling)
+    net = fixtures.complete10()
+    with pytest.raises(IterationLimitError, match="^projection residual"):
+        asset_reallocation(ReallocationProblem(network=net, v=np.full(10, 0.8)))
+    assert calls == [None]
+
+
+def test_path_stops_where_an_index_would_cross_back_at_once():
+    # P = {y >= 0, y_1 + 2 y_2 >= 1/2}, v = (1, 1/2): upward from y(0) = v, y_2 reaches 0
+    # and the row becomes active at kappa = 1/2 together. Taking both events, y_2 leaves F,
+    # but then w_2 = (v - kappa 1 + A^T lam)_2 rises at rate 2 dlam - 1 = 1: y_2 would
+    # re-enter at once. The true path keeps y_2 > 0 (slope (-0.4, 0.2) on F = {1, 2}), so
+    # the trace stops at the event and the caller projects there
+    A, b, v = np.array([[1.0, 2.0]]), np.array([0.5]), np.array([1.0, 0.5])
+    y, lam = project_polyhedron(A, b, v)
+    pieces = list(intervene._path(A, b, v, 0.0, y, lam, True))
+    assert len(pieces) == 1
+    kappa, y0, _, dy, _, length = pieces[0]
+    assert kappa == 0.0 and length == 0.5 and dy.tolist() == [-1.0, -1.0]
+    assert project_polyhedron(A, b, v - 0.6)[0][1] > 0.0
 
 
 def test_a_stalled_warm_projection_is_repeated_cold(monkeypatch):
@@ -957,7 +1012,7 @@ def counted(monkeypatch, owner, name, log):
 
 
 def test_drives_of_one_network_build_its_reallocation_rows_once(monkeypatch):
-    # G, the rows and the fill order are kept beside M+; a direct call builds its own
+    # G, the rows and the fill order are kept beside M+; a direct call on the network reuses them
     builds = []
     counted(monkeypatch, intervene, "solve_linear", builds)
     net = fixtures.complete10()
@@ -965,7 +1020,7 @@ def test_drives_of_one_network_build_its_reallocation_rows_once(monkeypatch):
              for mode in ("verbatim", "clamped")]
     assert [plan.iterations for plan in plans] == [1, 1] and len(builds) == 1
     asset_reallocation(ReallocationProblem(network=net, v=plans[0].injection))
-    assert len(builds) == 2
+    assert len(builds) == 1
 
 
 def test_a_driven_network_is_freed_without_the_cycle_collector():

@@ -94,6 +94,18 @@ def test_tau_grows_past_one_on_gapped_network():
     assert found > 0
 
 
+def test_gap_network_draws_give_up_after_200(monkeypatch):
+    # a draw whose healthy equilibrium is not positive is drawn again, 200 times at most
+    draws = []
+    def nonpositive(A, b):
+        draws.append(b)
+        return np.zeros_like(b)
+    monkeypatch.setattr(fixtures, "solve_linear", nonpositive)
+    with pytest.raises(RuntimeError, match="^could not draw a gap network; widen the search$"):
+        fixtures.random_gap_network(np.random.default_rng(0), 3)
+    assert len(draws) == 200
+
+
 def capped_index(model, k, cap=10_000):
     """The truncation-index search with a fixed cap of 10^4 powers, which the proved bound
     replaced; None at the cap. Its powers are those of _powers, P = P @ C from I."""
