@@ -302,7 +302,8 @@ def cmd_robust(args, doc: dict) -> dict:
     x0 = _floats(doc, "x0", n=inet.n) if "x0" in doc else None
     T = _horizon(args, doc, 200)
     try:
-        rep = robust_report(inet, x0, T, seed=args.seed)
+        with np.errstate(over="ignore", invalid="ignore"):     # a sandwich's overflow is typed
+            rep = robust_report(inet, x0, T, seed=args.seed)
     except SolverError:
         raise
     except ValueError as e:

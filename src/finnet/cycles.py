@@ -33,7 +33,7 @@ class InsufficientLengthError(ValueError):
 
 
 class NonFiniteTrajectoryError(SolverError, ValueError):
-    """A state of the trajectory to classify is inf or nan."""
+    """A state of a trajectory to classify, or of a sandwich, is inf or nan."""
 
 
 def periodic_points(model: ShiftedModel, h: int) -> np.ndarray:

@@ -46,6 +46,7 @@ from .numerics import (
 
 REALLOCATION_TOL = 1e-12    # optimality gap at which the reallocation stops, times scale
 REALLOCATION_MAX_ITER = 60  # projections per reallocation before IterationLimitError
+ESTIMATE_ROUNDS = 4         # active-set rounds of _multipliers, the first projection's start
 
 
 @dataclass(frozen=True)
@@ -199,10 +200,11 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
     all (say, active rows dependent on the support), the next kappa is halfway to that end.
     At float resolution (no float lies inside the bracket, or the root is a projected
     kappa) rounding decides phi, so the answer is the projection with the least gap seen.
-    A stalled warm projection is repeated cold. For v in P, phi(0+) is the limit on the
-    path's first piece, and y = v is optimal iff phi(0+) >= 0; else its gap is
-    |phi(0+)| sum p, as for any other projection. Raises InfeasibleError for an empty P,
-    IterationLimitError after REALLOCATION_MAX_ITER projections.
+    A stalled warm projection is repeated cold, so y(0) starts warm too, from _multipliers'
+    estimate: it usually needs no Newton step, and changes the work, not the answer. For v in
+    P, phi(0+) is the limit on the path's first piece, and y = v is optimal iff phi(0+) >= 0;
+    else its gap is |phi(0+)| sum p, as for any other projection. Raises InfeasibleError for
+    an empty P, IterationLimitError after REALLOCATION_MAX_ITER projections.
     """
     v, p = prob.v, prob.network.p
     A, b, order = prob._rows
@@ -268,7 +270,7 @@ def asset_reallocation(prob: ReallocationProblem) -> tuple[np.ndarray, Reallocat
         return mid, lam0 + (mid - k0) * dlam, False
 
     try:
-        y, lam = point(0.0, None)
+        y, lam = point(0.0, _multipliers(A, b, v))
     except InfeasibleError:
         raise InfeasibleError("reallocation constraints unreachable: no nonneg holdings "
                               "with colsum at most one meet the equilibrium rows") from None
@@ -345,19 +347,52 @@ def _path(A: np.ndarray, b: np.ndarray, v: np.ndarray, kappa: float, y: np.ndarr
 def _piece(A: np.ndarray, F: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """dy / dkappa and dlam / dkappa of y(kappa) = proj(v - kappa 1) onto {y >= 0, A y >= b}
     while its support F and active rows J hold: A_JF y_F = b_J with y_F = v_F - kappa 1_F
-    + A_JF^T lam_J gives (A_JF A_JF^T) dlam_J = A_JF 1_F, dy_F = A_JF^T dlam_J - 1_F.
-    A ridge R = PIVOT_TOL |a_j|^2, as in project_polyhedron, keeps it solvable, and one
-    refinement step takes out the ridge's bias, which would otherwise move the active rows
-    off b_J by about PIVOT_TOL |a_j|^2 dlam_j per unit of kappa."""
-    A_JF = A[J][:, F]
-    H = A_JF @ A_JF.T
-    rhs, ridged = A_JF.sum(axis=1), H.copy()
-    ridged.flat[::len(H) + 1] += PIVOT_TOL * np.einsum("ij,ij->i", A[J], A[J])
-    step = np.linalg.solve(ridged, rhs)
+    + A_JF^T lam_J gives (A_JF A_JF^T) dlam_J = A_JF 1_F, dy_F = A_JF^T dlam_J - 1_F."""
+    A_J, A_JF = A[J], A[J][:, F]
     dlam, dy = np.zeros(J.size), np.zeros(F.size)
-    dlam[J] = step + np.linalg.solve(ridged, rhs - H @ step)
+    dlam[J] = _row_solve(A_J, A_JF, A_JF.sum(axis=1))
     dy[F] = dlam[J] @ A_JF - 1.0
     return dy, dlam
+
+
+def _row_solve(A_J: np.ndarray, A_JF: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with (A_JF A_JF^T) x = rhs. A ridge R = PIVOT_TOL |a_j|^2 (rows of A_J), as in
+    project_polyhedron, keeps it solvable; one refinement step takes out its bias R_j x_j."""
+    H = A_JF @ A_JF.T
+    ridged = H.copy()
+    ridged.flat[::len(H) + 1] += PIVOT_TOL * np.einsum("ij,ij->i", A_J, A_J)
+    step = np.linalg.solve(ridged, rhs)
+    return step + np.linalg.solve(ridged, rhs - H @ step)
+
+
+def _multipliers(A: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """Active-set estimate (Hintermueller, Ito and Kunisch, 2002) of proj(v)'s multipliers on
+    {y >= 0, A y >= b}: from J = the rows violated at max(v, 0) and F = every column, each
+    round solves A_JF (v_F + A_JF^T lam_J) = b_J, clips lam at 0 and takes F = {w > 0} and
+    J = {lam > 0} | the rows violated at max(w, 0), w = v + A^T lam, until J and F repeat or
+    for ESTIMATE_ROUNDS rounds. The lam of least KKT residual |min(lam, A max(w, 0) - b)|, or
+    None where none beats lam = 0 or |w|^2 is not finite (the projection and the root search
+    square such values)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = A @ np.maximum(v, 0.0) - b
+        J, F = s < 0.0, np.ones(v.size, dtype=bool)
+        if not J.any():
+            return None
+        best, least = None, -s.min()        # the residual at lam = 0
+        for _ in range(ESTIMATE_ROUNDS):
+            A_J, A_JF, lam = A[J], A[J][:, F], np.zeros(b.size)
+            lam[J] = np.maximum(_row_solve(A_J, A_JF, b[J] - A_JF @ v[F]), 0.0)
+            w = v + lam @ A
+            if not np.isfinite(w @ w):
+                return None
+            s = A @ np.maximum(w, 0.0) - b
+            if (res := np.abs(np.minimum(lam, s)).max()) < least:
+                best, least = lam, res
+            F_next, J_next = w > 0.0, (lam > 0.0) | (s < 0.0)
+            if (F_next == F).all() and (J_next == J).all():
+                break
+            F, J = F_next, J_next
+    return best
 
 
 def _lift(prob: ReallocationProblem, y: np.ndarray, calls: int, gap: float,

@@ -324,7 +324,8 @@ def _dual_phase2(start: _DualStart, b: np.ndarray) -> LPSolution:
     It first runs from start.last, if any (dual feasible, as only b changed), and keeps that
     basis only if it is strictly complementary: n rows, every basic y and nonbasic reduced
     cost (primal slack) above _SIMPLEX_EPS. Then z is the unique optimum and the basis the
-    unique optimal one; otherwise phase 2 reruns from start's phase-1 tableau.
+    unique optimal one; otherwise, or where the warm run overflows (a FloatingPointError under
+    np.errstate(over="raise")), phase 2 reruns from start's phase-1 tableau.
     """
     A, c, unit = start.A, start.c, start.unit
     if start.T is None:     # an infeasible dual is told apart by a phase 1 of the primal
@@ -332,11 +333,16 @@ def _dual_phase2(start: _DualStart, b: np.ndarray) -> LPSolution:
         raise UnboundedError("objective unbounded below on the feasible set")
     for T0, basis in ([start.last] if start.last else []) + [(start.T, start.basis)]:
         T, basis, cold = T0.copy(), list(basis), T0 is start.T
-        if _simplex(T, basis, -b) == "unbounded" and cold:     # a warm run then fails the gate
-            raise InfeasibleError("dual objective unbounded: A z >= b has no solution")
-        if cold or (len(basis) == c.size and T[:, -1].min(initial=np.inf) > _SIMPLEX_EPS and
-                    np.delete(b[basis] @ T[:, :-1] - b, basis).min(initial=np.inf) > _SIMPLEX_EPS):
-            break
+        try:
+            if _simplex(T, basis, -b) == "unbounded" and cold:  # a warm run then fails the gate
+                raise InfeasibleError("dual objective unbounded: A z >= b has no solution")
+            if cold or (len(basis) == c.size and T[:, -1].min(initial=np.inf) > _SIMPLEX_EPS and
+                        np.delete(b[basis] @ T[:, :-1] - b, basis).min(initial=np.inf) >
+                        _SIMPLEX_EPS):
+                break
+        except FloatingPointError:
+            if cold:
+                raise
     start.last = T, basis
     y = np.zeros(b.size)
     y[basis] = unit * T[:, -1]

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .cycles import NonFiniteTrajectoryError
 from .equilibria import EquilibriumRecord, candidate_equilibrium
 from .invariance import NoPositiveEquilibriumError, Polyhedron, _region_from
 from .netmodel import ShiftedModel
@@ -184,9 +185,9 @@ def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
     The sampler is asked once per block of steps, of at most _DRAW_ENTRIES
     matrix entries, for that block's stack of matrices. The three trajectories
     advance as one stacked product per step, each bitwise c @ x + r. Limit
-    estimates are taken over the last 10 states. ValueError on a negative T,
-    an x0 not of shape (n,) or with non-finite entries, a sampler block not of
-    shape (t1 - t0, n, n) or a non-finite state.
+    estimates are taken over the last 10 states. ValueError on a negative T, an x0 not of
+    shape (n,) or with non-finite entries, or a sampler block not of shape (t1 - t0, n, n);
+    NonFiniteTrajectoryError (a SolverError) on a non-finite state.
     """
     if T < 0:
         raise ValueError("horizon must be nonnegative")
@@ -212,7 +213,7 @@ def sandwich_bounds(inet: IntervalNetwork, x0, T: int,
             x += r
     if not np.isfinite(xs).all():
         t = int(np.argmin(np.isfinite(xs).all(axis=(1, 2, 3))))
-        raise ValueError(f"sampled trajectory is not finite from step {t}")
+        raise NonFiniteTrajectoryError(f"sampled trajectory is not finite from step {t}")
     sampled, lower, upper = xs[..., 0].transpose(1, 0, 2)
     win = sampled[-10:]
     return SandwichResult(sampled=sampled, lower=lower, upper=upper,

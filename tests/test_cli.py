@@ -385,6 +385,18 @@ def test_robust_start_outside_robust_set_exit2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_robust_with_an_overflowing_sandwich_exit3(tmp_path, capsys, monkeypatch):
+    # a sampled trajectory past float range is a solver failure, not bad input
+    monkeypatch.setattr(robust, "uniform_sampler", lambda inet, seed=0: (
+        lambda t0, t1: np.full((t1 - t0, inet.n, inet.n), 1e308)))
+    path = write_scenario(tmp_path, json.loads(
+        json.dumps(_horizon_scenario("robust")).replace('"HORIZON"', "60")))
+    assert main(["robust", "--scenario", path]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == "solver failure: sampled trajectory is not finite from step 1\n"
+    assert captured.out == ""
+
+
 def overflow_doc(D, p, threshold=(5.0, 5.0), beta=(1.0, 1.0), **extra):
     """two_bank with every entry finite but scaled so that the dynamics overflow."""
     net = net_doc(fixtures.two_bank())

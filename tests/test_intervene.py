@@ -305,8 +305,9 @@ def test_injection_rejects_a_b_that_overflows_on_a_later_call():
 def test_injection_near_float_range_answers_or_raises_without_a_warning(later, nonnegative):
     # on M+ b stays finite at x = 1e308, but the free answer's 1.v (about -1e309) or the
     # products of a simplex on b are past float range: each call either answers exactly or
-    # raises NonFiniteDataError, and none warns. Only a first nonnegative call answers,
-    # v = 0, as its cold phase 2 forms no product past float range
+    # raises NonFiniteDataError, and none warns. A nonnegative call answers v = 0 in any
+    # call order: its cold phase 2 forms no product past float range, and a later call's
+    # warm run from the kept tableau, which overflows, is repeated cold
     region = healthy_region(fixtures.complete10())
     if later:
         minimal_injection(InjectionProblem(region=region, x=fixtures.SAMPLE_STATE10,
@@ -314,7 +315,7 @@ def test_injection_near_float_range_answers_or_raises_without_a_warning(later, n
     prob = InjectionProblem(region=region, x=np.full(10, 1e308), nonnegative=nonnegative)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if nonnegative and not later:
+        if nonnegative:
             v = minimal_injection(prob)
             assert v.tobytes() == np.zeros(10).tobytes() and region.contains(prob.x)
         else:
@@ -327,16 +328,20 @@ def test_injection_near_float_range_answers_or_raises_without_a_warning(later, n
 
 
 def test_a_stalled_cold_projection_is_raised(monkeypatch):
-    # a projection from zero multipliers has no colder start to repeat: its stall is the answer
+    # the first projection starts from the active-set estimate; its stall is repeated from
+    # zero multipliers, which have no colder start to repeat: that stall is the answer
+    net = fixtures.complete10()
+    v = drive_to_invariant(net, benchmark_start(net)).injection
+    prob = ReallocationProblem(network=net, v=v)
+    estimate = intervene._multipliers(*prob._rows[:2], prob.v)
     calls = []
     def stalling(A, b, y, lam=None):
         calls.append(lam)
         raise IterationLimitError("projection residual 1e-3 after 100 Newton steps")
     monkeypatch.setattr(intervene, "project_polyhedron", stalling)
-    net = fixtures.complete10()
     with pytest.raises(IterationLimitError, match="^projection residual"):
-        asset_reallocation(ReallocationProblem(network=net, v=np.full(10, 0.8)))
-    assert calls == [None]
+        asset_reallocation(prob)
+    assert len(calls) == 2 and calls[0].tobytes() == estimate.tobytes() and calls[1] is None
 
 
 def test_path_stops_where_an_index_would_cross_back_at_once():
@@ -368,8 +373,11 @@ def test_a_stalled_warm_projection_is_repeated_cold(monkeypatch):
         cold.append(y)
         return project_polyhedron(A, b, y)
     monkeypatch.setattr(intervene, "project_polyhedron", stalling)
-    _, sol = asset_reallocation(ReallocationProblem(network=net, v=v))
-    assert len(warm) >= 1 and len(cold) == len(warm) + 1 == sol.iterations
+    prob = ReallocationProblem(network=net, v=v)
+    _, sol = asset_reallocation(prob)
+    # the first warm start is the active-set estimate, so every projection is repeated cold
+    assert len(cold) == len(warm) == sol.iterations >= 2
+    assert warm[0].tobytes() == intervene._multipliers(*prob._rows[:2], v).tobytes()
     assert sol.objective - unpatched.objective <= sol.optimality_gap
     assert unpatched.objective - sol.objective <= unpatched.optimality_gap
 
@@ -885,9 +893,12 @@ def test_traced_path_matches_cold_projections():
 
 
 def test_stalled_warm_start_reprojects_cold(monkeypatch):
-    # a projection warm-started from a far kappa's multipliers can run out of
-    # Newton steps; the solve then repeats it from zero multipliers
-    prob = ReallocationProblem(network=fixtures.complete10(), v=np.full(10, 0.8))
+    # a projection warm-started from a far kappa's multipliers, or from the first
+    # projection's active-set estimate, can run out of Newton steps; the solve then
+    # repeats it from zero multipliers. Prices 0.5..1.5 make the optimum unique, and
+    # 1^T v = 12 > sum p puts v outside P, so the first projection starts warm too
+    net = replace(fixtures.complete10(), p=np.linspace(0.5, 1.5, 10))
+    prob = ReallocationProblem(network=net, v=np.full(10, 1.2))
     D, sol = asset_reallocation(prob)
     warm = []
     def cold_only(A, b, y, lam=None):
@@ -897,10 +908,78 @@ def test_stalled_warm_start_reprojects_cold(monkeypatch):
         return project_polyhedron(A, b, y)
     monkeypatch.setattr(intervene, "project_polyhedron", cold_only)
     D_cold, cold = asset_reallocation(prob)
-    assert len(warm) == cold.iterations - 1
+    assert len(warm) == cold.iterations >= 2
+    assert warm[0].tobytes() == intervene._multipliers(*prob._rows[:2], prob.v).tobytes()
     assert abs(cold.objective - sol.objective) <= 1e-12 * 10.0
     assert cold.optimality_gap <= intervene.REALLOCATION_TOL * 10.0
     assert np.abs(D_cold - D).max() <= 1e-9
+
+
+def stress_networks(rng, count):
+    """count networks from each of three stress families: random networks (n = 2-10) with
+    prices spread by 10^U(-3, 5); two-node networks with up to three assets, one priced
+    10^U(-3, -1); and random networks (n = 2-5) whose columns of C sum to 0.9-0.999, so
+    that G = (I - C)^-1 is large."""
+    for _ in range(count):
+        n = int(rng.integers(2, 11))
+        net = fixtures.random_network(rng, n)
+        yield replace(net, p=net.p * 10.0 ** rng.uniform(-3.0, 5.0, n))
+        m = int(rng.integers(1, 4))
+        p = rng.uniform(0.5, 2.0, m)
+        p[rng.integers(m)] = 10.0 ** rng.uniform(-3.0, -1.0)
+        yield FinancialNetwork(C=np.array([[0.0, rng.uniform()], [rng.uniform(), 0.0]]),
+                               D=np.zeros((2, m)), p=p, beta=np.ones(2),
+                               threshold=rng.uniform(-0.1, 2.0, 2))
+        n = int(rng.integers(2, 6))
+        net = fixtures.random_network(rng, n)
+        yield replace(net, C=net.C * rng.uniform(0.9, 0.999, n) / net.C.sum(axis=0))
+
+
+def reallocated(prob):
+    """(objective, gap) of the reallocation, or (the error's type, None)."""
+    try:
+        _, sol = asset_reallocation(prob)
+    except numerics.SolverError as e:
+        return type(e), None
+    return sol.objective, sol.optimality_gap
+
+
+def test_estimated_start_keeps_every_outcome(monkeypatch):
+    # the first projection's start changes its work, not the answer: on the stress families
+    # each problem has the same outcome with the active-set estimate as from zero
+    # multipliers, and solved objectives agree within the sum of both reported gaps
+    rng = np.random.default_rng(33)
+    problems = [ReallocationProblem(network=net, v=rng.uniform(-2.0, 4.0, net.n) *
+                                    2.0 * net.p.sum() / net.n) for net in stress_networks(rng, 40)]
+    estimate, starts = intervene._multipliers, []
+    monkeypatch.setattr(intervene, "_multipliers",
+                        lambda *args: starts.append(estimate(*args)) or starts[-1])
+    warm = [reallocated(prob) for prob in problems]
+    monkeypatch.setattr(intervene, "_multipliers", lambda *args: None)
+    cold = [reallocated(prob) for prob in problems]
+    for (a, gap_a), (b, gap_b) in zip(warm, cold):
+        if gap_a is None or gap_b is None:
+            assert a is b
+        else:
+            assert abs(a - b) <= gap_a + gap_b
+    assert sum(gap is None for _, gap in cold) >= 10
+    assert sum(start is not None for start in starts) >= 80
+
+
+@pytest.mark.parametrize("v", [[-8e281, 4e266], [1e180, 5e179]], ids=["cli-target", "1e180"])
+def test_estimate_is_none_for_a_target_past_the_squares_float_range(v):
+    # the network of the CLI's non-finite-residual case, p = (1e180, 1): |w|^2 overflows, so
+    # the estimate gives way, without a warning, to the cold start and its outcome
+    net = FinancialNetwork(C=np.array([[0.0, 0.5], [0.5, 0.0]]), D=np.eye(2),
+                           p=np.array([1e180, 1.0]), beta=np.ones(2),
+                           threshold=np.array([-2.0, 0.0]))
+    prob = ReallocationProblem(network=net, v=v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert intervene._multipliers(*prob._rows[:2], prob.v) is None
+    if v[0] < 0:
+        with np.errstate(all="ignore"), pytest.raises(numerics.NonFiniteResidualError):
+            asset_reallocation(prob)
 
 
 def benchmark_start(net):
@@ -1094,7 +1173,9 @@ def test_work_counts_of_the_benchmark_tasks(monkeypatch):
     # only in the benchmark. On complete10's distressed states a free injection after the
     # region's first makes no LAPACK factorisation (np.linalg.inv, solve or lstsq) and a
     # nonnegative one at most 1; drives on one network build G once, and the benchmark
-    # drive takes 2 projections
+    # drive takes 2 projections with no Newton step (np.linalg.solve inside
+    # project_polyhedron) in either: y(0) starts from the active-set estimate (from zero
+    # multipliers it took 5 to 7 steps), and the root's check from the traced multipliers
     net = fixtures.complete10()
     region = healthy_region(net)
     states = distressed_states(net, np.random.default_rng(1), 20)
@@ -1110,10 +1191,16 @@ def test_work_counts_of_the_benchmark_tasks(monkeypatch):
             counts[nonnegative].append(len(lapack) - before)
     assert counts[False] == [1] + [0] * (len(states) - 1)
     assert max(counts[True]) == 1
-    G_builds, projections = [], []
+    G_builds, newton = [], []
     counted(monkeypatch, intervene, "solve_linear", G_builds)
-    counted(monkeypatch, intervene, "project_polyhedron", projections)
+    project = intervene.project_polyhedron
+    def stepped(*args):
+        start = len(lapack)
+        answer = project(*args)
+        newton.append(lapack[start:].count("solve"))
+        return answer
+    monkeypatch.setattr(intervene, "project_polyhedron", stepped)
     for mode in ("verbatim", "clamped"):
         plan = drive_to_invariant(net, benchmark_start(net), mode=mode)
         assert plan.iterations == 1
-    assert len(G_builds) == 1 and len(projections) == 2 * 2
+    assert len(G_builds) == 1 and newton == [0, 0] * 2

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finnet import equilibria, fixtures, invariance, robust
+from finnet.cycles import NonFiniteTrajectoryError
+from finnet.numerics import SolverError
 from finnet.numerics import solve_linear
 from finnet.invariance import maximal_invariant_region, polyhedra_equivalent
 from finnet.netmodel import ShiftedModel
@@ -233,6 +235,17 @@ def test_sandwich_rejects_non_finite_sampler_matrix():
         return np.where(late, np.nan, inet.c_lower)
     with pytest.raises(ValueError, match="^sampled trajectory is not finite from step 4$"):
         sandwich_bounds(inet, np.array([1.0, 1.0]), T=10, sampler=sampler)
+
+
+def test_sandwich_overflow_is_a_solver_error():
+    # a block of 1e308s takes the sampled state past float range at step 1: a typed
+    # SolverError (the CLI exits 3)
+    inet = two_bank_interval()
+    message = "^sampled trajectory is not finite from step 1$"
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteTrajectoryError, match=message) as err:
+        sandwich_bounds(inet, np.array([1.0, 1.0]), T=10,
+                        sampler=lambda t0, t1: np.full((t1 - t0, 2, 2), 1e308))
+    assert isinstance(err.value, SolverError) and isinstance(err.value, ValueError)
 
 
 def test_sandwiches_share_one_robust_region(monkeypatch):
