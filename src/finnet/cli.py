@@ -21,8 +21,9 @@ or r - beta that overflows although every entry is finite, a horizon too long to
 allocate or too short for the cycle search, or nesting past the recursion limit)
 or a file cannot be read or written, 3 on any numerics.SolverError (the base of
 every error by which an analysis gives up on valid input) and when the results
-hold a non-finite number. Each error is one stderr line: numpy's overflow
-warnings are off where finite data can overflow.
+hold a non-finite number. Every command runs with numpy's floating-point
+warnings off (finite data can overflow, and what overflows is caught by the
+checks above instead), so each error is one stderr line.
 """
 
 from __future__ import annotations
@@ -126,11 +127,10 @@ def _network_from(doc: dict) -> tuple[FinancialNetwork, ShiftedModel]:
     violations = validate(net)
     if violations:
         raise ScenarioError("network validation failed: " + "; ".join(violations))
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = net.r
-        for name, drift in (("r = (C - I) threshold + D p", r), ("r - beta", r - net.beta)):
-            if not np.all(np.isfinite(drift)):
-                raise ScenarioError(f"derived drift {name} overflows to a non-finite value")
+    r = net.r
+    for name, drift in (("r = (C - I) threshold + D p", r), ("r - beta", r - net.beta)):
+        if not np.all(np.isfinite(drift)):
+            raise ScenarioError(f"derived drift {name} overflows to a non-finite value")
     return net, ShiftedModel.from_network(net)
 
 
@@ -302,8 +302,7 @@ def cmd_robust(args, doc: dict) -> dict:
     x0 = _floats(doc, "x0", n=inet.n) if "x0" in doc else None
     T = _horizon(args, doc, 200)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):     # a sandwich's overflow is typed
-            rep = robust_report(inet, x0, T, seed=args.seed)
+        rep = robust_report(inet, x0, T, seed=args.seed)
     except SolverError:
         raise
     except ValueError as e:
@@ -331,10 +330,8 @@ def cmd_cycles(args, doc: dict) -> dict:
 def cmd_intervene(args, doc: dict) -> dict:
     net, _ = _network_from(doc)
     x0 = _floats(doc, "x0", n=net.n)
-    mode = "clamped" if args.clamped_v_update else "verbatim"
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        plan = drive_to_invariant(net, x0, mode=mode,
-                                  nonnegative_injection=args.nonnegative_injection)
+    plan = drive_to_invariant(net, x0, mode=args.v_update,
+                              nonnegative_injection=args.nonnegative_injection)
     return {
         "mode": plan.mode,
         "injection": plan.injection,
@@ -390,10 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--nonnegative-injection", action="store_true",
                         help="restrict injections to v >= 0")
     update = parser.add_mutually_exclusive_group()
-    update.add_argument("--verbatim-v-update", action="store_true",
+    update.add_argument("--verbatim-v-update", dest="v_update", action="store_const",
+                        const="verbatim",
                         help="loop update v <- v - x(t): the default, kept as an alias")
-    update.add_argument("--clamped-v-update", dest="clamped_v_update",
-                        action="store_true", help="loop update v <- max(v - x(t), 0)")
+    update.add_argument("--clamped-v-update", dest="v_update", action="store_const",
+                        const="clamped", help="loop update v <- max(v - x(t), 0)")
+    parser.set_defaults(v_update="verbatim")
     return parser
 
 
@@ -403,20 +402,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_flags(args)
         doc = _load_scenario(args.scenario)
-        results = COMMANDS[args.command](args, doc)
+        with np.errstate(all="ignore"):     # see the module docstring
+            results = COMMANDS[args.command](args, doc)
+        inputs = {**vars(args), "scenario": doc}     # every flag but command and out
+        del inputs["command"], inputs["out"]
         text = encode_report({
             "command": args.command,
             "version": __version__,
-            "inputs": {
-                "scenario": doc,
-                "seed": args.seed,
-                "tol": args.tol,
-                "horizon": args.horizon,
-                "hmax": args.hmax,
-                "rho": args.rho,
-                "nonnegative_injection": args.nonnegative_injection,
-                "v_update": "clamped" if args.clamped_v_update else "verbatim",
-            },
+            "inputs": inputs,
             "results": results,
             "wall_time_s": round(time.perf_counter() - started, 6),
         })

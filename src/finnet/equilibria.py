@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmodel import ShiftedModel, orthant_codes, orthant_of, orthant_phi
-from .numerics import SingularMatrixError, SolverError, solve_linear
+from .numerics import NonFiniteDataError, SingularMatrixError, SolverError, solve_linear
 
 ENUMERATION_LIMIT = 24      # 2**n candidates; refuse past this
 INTERIOR_TOL = 1e-9         # entries closer to zero than this are boundary
@@ -67,34 +67,41 @@ def _census(w: np.ndarray, M: np.ndarray) -> np.ndarray:
     node is pruned when a fixed healthy bit has x_i < -tol or a fixed failed bit has
     (x - tail_d)_i >= tol; tol = INTERIOR_TOL * data scale >> rounding. A leaf is kept
     iff indicator(x) == phi. Raises ValueError when M has an entry below -tol (the
-    bounds would not hold)."""
+    bounds would not hold) and NonFiniteDataError when a row it returns is not finite. An
+    overflowing tail only stops pruning (x - inf never meets the failed-bit test), so every
+    finite row is exact."""
     n = w.size
     tol = INTERIOR_TOL * max(1.0, float(np.max(np.abs(w))), float(np.max(np.abs(M))))
     if np.min(M) < -tol:
         raise ValueError("(I - C)^-1 B has a negative entry; the enumeration needs it nonnegative")
-    tail = np.hstack([np.cumsum(M[:, ::-1], axis=1)[:, ::-1], np.zeros((n, 1))])
     out = [np.empty((0, n))]
     stack = [(0, w[None, :], np.zeros((1, n), dtype=bool))]    # (depth, x rows, bits)
-    while stack:
-        d, X, F = stack.pop()
-        X, F = X.repeat(2, axis=0), F.repeat(2, axis=0)
-        X[1::2] -= M[:, d]                  # healthy then failed child: codes ascend
-        F[1::2, d] = True
-        t = tol if d + 1 < n else 0.0       # at a leaf tail is 0: t = 0 keeps indicator(x) == phi
-        live = ~np.where(F, X - tail[:, d + 1] >= t, X < -t)[:, :d + 1].any(axis=1)
-        X, F = X[live], F[live]
-        if d + 1 < n:
-            stack.extend((d + 1, X[i:i + _BLOCK_ROWS], F[i:i + _BLOCK_ROWS])
-                         for i in reversed(range(0, len(X), _BLOCK_ROWS)))
-        else:
-            out.append(X)
-    return np.concatenate(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = np.hstack([np.cumsum(M[:, ::-1], axis=1)[:, ::-1], np.zeros((n, 1))])
+        while stack:
+            d, X, F = stack.pop()
+            X, F = X.repeat(2, axis=0), F.repeat(2, axis=0)
+            X[1::2] -= M[:, d]                  # healthy then failed child: codes ascend
+            F[1::2, d] = True
+            t = tol if d + 1 < n else 0.0       # at a leaf tail is 0: keeps indicator(x) == phi
+            live = ~np.where(F, X - tail[:, d + 1] >= t, X < -t)[:, :d + 1].any(axis=1)
+            X, F = X[live], F[live]
+            if d + 1 < n:
+                stack.extend((d + 1, X[i:i + _BLOCK_ROWS], F[i:i + _BLOCK_ROWS])
+                             for i in reversed(range(0, len(X), _BLOCK_ROWS)))
+            else:
+                out.append(X)
+    X = np.concatenate(out)
+    if not np.isfinite(X).all():
+        raise NonFiniteDataError("an equilibrium overflows to a non-finite value")
+    return X
 
 
 def enumerate_equilibria(model: ShiftedModel) -> list[EquilibriumRecord]:
     """Every consistent orthant candidate, in increasing k: the census of
     (w, M) = (I - C)^-1 [r, B]. Raises DimensionTooLargeError past
-    ENUMERATION_LIMIT, and ValueError when M has an entry below -tol."""
+    ENUMERATION_LIMIT, ValueError when M has an entry below -tol and NonFiniteDataError
+    when an equilibrium overflows."""
     if (n := model.n) > ENUMERATION_LIMIT:
         raise DimensionTooLargeError(f"n={n} exceeds enumeration guard {ENUMERATION_LIMIT}")
     WM = solve_linear(np.eye(n) - model.C, np.column_stack([model.r, np.diag(model.beta)]))
@@ -123,11 +130,13 @@ class ExistenceReport:
 
 
 def existence_conditions(model: ShiftedModel) -> ExistenceReport:
-    """Evaluate the four existence/uniqueness sign conditions. Raises
-    SingularMatrixError when a uniqueness flag holds without its existence
-    flag, which (I - C)^-1 >= 0 rules out."""
+    """Evaluate the four existence/uniqueness sign conditions. Raises NonFiniteDataError
+    when w_plus or w_minus overflows, and SingularMatrixError when a uniqueness flag holds
+    without its existence flag, which (I - C)^-1 >= 0 rules out."""
     w_plus, w_minus = solve_linear(np.eye(model.n) - model.C,
                                    np.column_stack([model.r, model.r - model.beta])).T
+    if not (np.isfinite(w_plus).all() and np.isfinite(w_minus).all()):
+        raise NonFiniteDataError("(I - C)^-1 r or (I - C)^-1 (r - beta) overflows")
     rep = ExistenceReport(
         positive_exists=bool(np.all(w_plus >= 0)),
         positive_unique=bool(np.all(w_minus >= 0)),

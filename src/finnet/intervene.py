@@ -167,13 +167,9 @@ def _fill(sigma: float, order: tuple) -> tuple[float, float]:
     return tau, float(1.0 / (u * np.sqrt(tail[k] + (k / tau ** 2 if k else 0.0))))
 
 
-def _column_sums(p: np.ndarray, sigma: float,
-                 order: tuple | None = None) -> tuple[np.ndarray, float]:
-    """Least-norm s = min(1, tau p) with p.s = sigma, and the slope tau / |s| of h(sigma) = |s|.
-
-    h is convex and C^1 on [0, sum p]. Callers that need many slopes pass order = _fill_order(p).
-    """
-    order = _fill_order(p) if order is None else order
+def _column_sums(p: np.ndarray, sigma: float, order: tuple) -> tuple[np.ndarray, float]:
+    """Least-norm s = min(1, tau p) with p.s = sigma, and the slope tau / |s| of h(sigma) = |s|,
+    from order = _fill_order(p). h is convex and C^1 on [0, sum p]."""
     tau, slope = _fill(sigma, order)
     return np.minimum(1.0, tau * (p / order[0])), slope
 

@@ -361,7 +361,7 @@ def invariance_report(model: ShiftedModel) -> InvarianceReport:
     for label, k in (("healthy", 0), ("failed", last)):
         try:
             regions[label] = maximal_invariant_region(model, k)
-        except (ValueError, NotDeterminedError) as e:
+        except SolverError as e:
             regions[label] = str(e)
     return InvarianceReport(
         healthy_orthant_invariant=orthant0_invariant(model),

@@ -76,7 +76,8 @@ class IntervalNetwork:
     @cached_property
     def _extremes(self) -> tuple[tuple[ShiftedModel, EquilibriumRecord], ...]:
         """Each extreme system with its orthant-0 candidate, the one solve of (I - c) x = r."""
-        models = (_extreme_model(c, self.r) for c in (self.c_lower, self.c_upper))
+        models = (ShiftedModel.from_parts(c, self.r, np.zeros(self.n))      # x -> c x + r
+                  for c in (self.c_lower, self.c_upper))
         return tuple((model, candidate_equilibrium(model, 0)) for model in models)
 
     @cached_property
@@ -88,11 +89,6 @@ class IntervalNetwork:
     def upper_region(self) -> Polyhedron:
         """Maximal invariant set of the upper extreme, built once; see last_hope_region."""
         return _region_from(*self._extremes[1])
-
-
-def _extreme_model(c: np.ndarray, r: np.ndarray) -> ShiftedModel:
-    """x -> c x + r: beta = 0 makes the kernel's step C x + r - 0.0, bitwise C x + r."""
-    return ShiftedModel.from_parts(c, r, np.zeros(r.size))
 
 
 def extremal_fixed_points(inet: IntervalNetwork) -> tuple[np.ndarray, np.ndarray]:

@@ -421,6 +421,29 @@ def test_derived_drift_overflow_exit2(tmp_path, capsys, command, doc, name):
     assert captured.out == ""
 
 
+# D = I, p = (1, 1), threshold = 0, beta = 1e308: the drift is finite, and so is every
+# equilibrium but the all-failed one, w - M (1, 1) = (2 - 2e308, 2 - 2e308)
+BETA_OVERFLOW = overflow_doc(1.0, (1.0, 1.0), threshold=(0.0, 0.0), beta=(1e308, 1e308))
+EQUILIBRIUM_OVERFLOW = "solver failure: an equilibrium overflows to a non-finite value\n"
+
+
+@pytest.mark.parametrize("command", NETWORK_COMMANDS)
+def test_overflowing_equilibrium_is_one_stderr_line(tmp_path, capsys, command):
+    # a numpy warning escaping main would raise here, as RuntimeWarning is an error in this suite
+    code = main([command, "--scenario", write_scenario(tmp_path, BETA_OVERFLOW)])
+    err = capsys.readouterr().err
+    if command == "equilibria":
+        assert (code, err) == (EXIT_SOLVER, EQUILIBRIUM_OVERFLOW)
+    else:
+        assert (code, err) == (EXIT_OK, "")
+
+
+def test_overflowing_equilibrium_is_one_stderr_line_in_a_fresh_process(tmp_path):
+    proc = run_module(["equilibria", "--scenario", write_scenario(tmp_path, BETA_OVERFLOW)],
+                      tmp_path)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (EXIT_SOLVER, EQUILIBRIUM_OVERFLOW, "")
+
+
 TRUNCATION_ERROR = ("orthant 0 equilibrium has min |x_i| / |x|_1 = nan: "
                     "no truncation bound")
 
@@ -943,6 +966,25 @@ def test_verbatim_v_update_flag_is_the_default(tmp_path):
         report.pop("wall_time_s")
         reports.append(report)
     assert reports[0] == reports[1] and reports[0]["inputs"]["v_update"] == "verbatim"
+
+
+INPUT_KEYS = {"scenario", "seed", "tol", "horizon", "hmax", "rho", "nonnegative_injection",
+              "v_update"}
+
+
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--seed", "3", "--tol", "1e-7", "--horizon", "40", "--hmax", "8", "--rho", "1e-5",
+     "--nonnegative-injection", "--clamped-v-update"]], ids=["defaults", "every-flag"])
+def test_inputs_echo_the_parsed_flags(tmp_path, capsys, two_bank_scenario, flags):
+    argv = ["equilibria", "--scenario", two_bank_scenario, *flags]
+    assert main(argv) == EXIT_OK
+    inputs = json.loads(capsys.readouterr().out)["inputs"]
+    args = vars(cli.build_parser().parse_args(argv))
+    assert set(inputs) == INPUT_KEYS
+    assert inputs == {**{key: args[key] for key in INPUT_KEYS},
+                      "scenario": json.loads(Path(two_bank_scenario).read_text())}
+    assert inputs["v_update"] == ("clamped" if "--clamped-v-update" in flags else "verbatim")
 
 
 def test_unordered_extremes_exit2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Per-orthant equilibrium enumeration and existence conditions."""
 
 import tracemalloc
+import warnings
 from contextlib import nullcontext
 from unittest import mock
 
@@ -10,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from equilibria_reference import reference_enumerate
 from finnet import equilibria, fixtures
+from finnet.cycles import periodic_points
 from finnet.equilibria import (
     DimensionTooLargeError,
     candidate_equilibrium,
     enumerate_equilibria,
     existence_conditions,
 )
-from finnet.netmodel import ShiftedModel, indicator
-from finnet.numerics import SingularMatrixError
+from finnet.netmodel import FinancialNetwork, ShiftedModel, indicator
+from finnet.numerics import NonFiniteDataError, SingularMatrixError
 
 
 def brute_force_census(model):
@@ -203,6 +205,20 @@ def test_existence_contradiction_raises_singular():
     assert np.all(w_minus >= 0)
     with pytest.raises(SingularMatrixError, match="not numerically nonnegative"):
         existence_conditions(model)
+
+
+@pytest.mark.parametrize("analysis", [enumerate_equilibria, lambda m: periodic_points(m, 2),
+                                      existence_conditions],
+                         ids=["enumerate_equilibria", "periodic_points", "existence_conditions"])
+def test_overflowing_equilibrium_raises_without_a_warning(analysis):
+    # finite data whose all-failed equilibrium w - M (1, 1) = 2 - 2e308 overflows to -inf
+    net = FinancialNetwork(C=fixtures.two_bank().C, D=np.eye(2), p=[1.0, 1.0],
+                           threshold=[0.0, 0.0], beta=[1e308, 1e308])
+    model = ShiftedModel.from_network(net)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteDataError, match="overflows"):
+            analysis(model)
 
 
 def test_dimension_guard():

@@ -624,7 +624,7 @@ def least_norm_column_sums(p, sigma):
 def test_column_sums_are_the_least_norm_fill(prices, frac):
     p = np.array(prices)
     sigma = frac * p.sum()
-    s, slope = intervene._column_sums(p, sigma)
+    s, slope = intervene._column_sums(p, sigma, intervene._fill_order(p))
     np.testing.assert_allclose(s, least_norm_column_sums(p, sigma), rtol=0.0, atol=1e-12)
     assert abs(s @ p - sigma) <= 1e-12 * p.sum()
     # h'(sigma), against a one-sided difference quotient of h = |s| inside [0, sum p]
@@ -807,10 +807,11 @@ def test_float_resolution_answers_the_least_gap_seen(monkeypatch, case):
     # so the solve answers the projection with the least gap |phi| sum p, not the last
     prob = two_node_problem(*case)
     v, p, gaps = prob.v, prob.network.p, []
+    order = intervene._fill_order(p)
     def recorded(A, b, target, lam=None):
         y, lam = project_polyhedron(A, b, target, lam)
         kappa = float(v[0] - target[0])         # to an ulp: kappa / rho moves far less than phi
-        phi = kappa / np.linalg.norm(y - v) - intervene._column_sums(p, float(y.sum()))[1]
+        phi = kappa / np.linalg.norm(y - v) - intervene._column_sums(p, float(y.sum()), order)[1]
         gaps.append(abs(phi) * p.sum())
         return y, lam
     monkeypatch.setattr(intervene, "project_polyhedron", recorded)
