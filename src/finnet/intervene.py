@@ -20,13 +20,13 @@ state from the target, and stop once the state enters M+ (kept per network).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import inf, sqrt
 
 import numpy as np
 
 from .invariance import Polyhedron, maximal_invariant_region
-from .netmodel import FinancialNetwork, ShiftedModel
+from .netmodel import FinancialNetwork, ShiftedModel, _step
 from .numerics import (
     InfeasibleError,
     IterationLimitError,
@@ -68,8 +68,10 @@ def minimal_injection(prob: InjectionProblem) -> np.ndarray:
     the region itself is empty. Withdrawals (negative entries) are allowed
     unless the problem says otherwise. Each region keeps, per nonnegative flag, its LP's
     rows A (region.A, then the n rows v >= 0 when nonnegative) and their phase 1
-    (_DualStart); a call forms only b = region.b - region.A x (and zeros). A b or
-    product of the solve that is not finite (x near float range, say) is NonFiniteDataError.
+    (_DualStart); a call forms only b = region.b - region.A x (and zeros). A b that is not
+    finite (x near float range, say) is NonFiniteDataError, and so is an overflow in the
+    solve or in the two products every answer is checked by, its slack A z - b and its total
+    1.z. The answer carries no certificate (lp_solve's cs_residual): none is formed here.
     With free v, the dual max b.y on {A^T y = 1, y >= 0} moves by the constant -1.x, so its
     path and optimal basis B do not depend on x; z = A_B^-1 b_B = w - x, w B's point at
     x = 0, so A z - b = A w - region.b >= 0. After a region's first solve z is B's point, one
@@ -89,13 +91,15 @@ def minimal_injection(prob: InjectionProblem) -> np.ndarray:
         start = region._injection_lps[prob.nonnegative] = _DualStart(A, np.ones(n))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            if not prob.nonnegative and start.last:
-                z = _basic_point(start, b, start.last[1])
-                if (start.A @ z - b).min(initial=0.0) >= -OPT_TOL:
-                    return z
-            return _dual_phase2(start, b).z
+            z = _basic_point(start, b, start.last[1]) if (
+                not prob.nonnegative and start.last) else None
+            if z is None or (start.A @ z - b).min(initial=0.0) < -OPT_TOL:
+                z = _dual_phase2(start, b)
+                start.A @ z - b     # its slack, formed as the warm answer's is: may overflow
+            start.c @ z             # its total, which may overflow too
     except FloatingPointError as e:
         raise NonFiniteDataError(f"injection LP at this state overflows floats: {e}") from None
+    return z
 
 
 @dataclass(frozen=True)
@@ -453,7 +457,9 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
     network's arrays are read-only, so none of these goes stale. Each iteration
     re-solves the reallocation program toward the outstanding target v,
     swaps the holdings matrix wholesale, steps the state, and updates
-    v <- v - x(t) ('verbatim') or v <- max(v - x(t), 0) ('clamped').
+    v <- v - x(t) ('verbatim') or v <- max(v - x(t), 0) ('clamped'). It steps by
+    ShiftedModel.step's formula with the drift r0 + D p (r0 = (C - I) threshold, formed once),
+    building no model; a non-finite drift raises ValueError, as ShiftedModel does.
     Hitting the iteration cap raises IterationCapReached carrying the
     partial plan.
     """
@@ -468,12 +474,16 @@ def drive_to_invariant(net: FinancialNetwork, x0, mode: str = "verbatim",
                                            nonnegative=nonnegative_injection))
     plan = InterventionPlan(initial_x=x.copy(), injection=v.copy(),
                             region=region, mode=mode)
+    r0 = (net.C - np.eye(net.n)) @ net.threshold     # r under D is r0 + D p, as net.r forms it
     while not region.contains(x):
         if plan.iterations >= max_iterations:
             raise IterationCapReached(plan)
         prob = ReallocationProblem(network=net, v=v)
         D, sol = asset_reallocation(prob)
-        x = ShiftedModel.from_network(replace(net, D=D)).step(x)
+        r = r0 + D @ net.p
+        if not np.isfinite(r).all():        # what ShiftedModel refuses
+            raise ValueError("model data C, r or beta contains non-finite entries")
+        x = _step(net.C, r, net.beta, x)
         v = v - x
         if mode == "clamped":
             v = np.maximum(v, 0.0)

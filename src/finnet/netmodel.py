@@ -53,10 +53,13 @@ class FinancialNetwork:
     def n(self) -> int:
         return self.C.shape[0]
 
-    @property
+    @cached_property
     def r(self) -> np.ndarray:
-        """Constant drift of the shifted dynamics: (C - I) threshold + D p."""
-        return (self.C - np.eye(self.n)) @ self.threshold + self.D @ self.p
+        """Constant drift of the shifted dynamics: (C - I) threshold + D p. Derived on first
+        use and kept, read-only: the arrays it comes from are read-only, so it is never stale."""
+        r = (self.C - np.eye(self.n)) @ self.threshold + self.D @ self.p
+        r.flags.writeable = False
+        return r
 
     @cached_property
     def _regions(self) -> dict:
@@ -192,12 +195,16 @@ class ShiftedModel:
         return self.C.shape[0]
 
     def step(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.C @ x + self.r - self.beta * indicator(x)
+        return _step(self.C, self.r, self.beta, np.asarray(x, dtype=float))
 
     def affine_piece(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(C, r - B phi_k): the affine map active on orthant k."""
         return self.C, self.r - self.beta * orthant_phi(k, self.n)
+
+
+def _step(C: np.ndarray, r: np.ndarray, beta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One step C x + r - B phi(x): ShiftedModel.step, and intervene's drive under each new D."""
+    return C @ x + r - beta * indicator(x)
 
 
 @dataclass

@@ -13,8 +13,10 @@ n-row tableau: a _DualStart holds its phase 1, which depends on A and c only, an
 _dual_phase2 runs phase 2 for b, warm from the last optimum, kept only at a strictly
 complementary (unique) basis; z is the basis's point A_B^-1 b_B, from the inverse that the
 start keeps for its last basis (_basic_point), so a repeated basis is not factorised again.
-A region's injection LPs share a start; free ones skip phase 2 after the first, and so take
-one product (see minimal_injection). LPs that share one polyhedron across many objectives
+_dual_phase2 returns z alone: only lp_solve reads the duals off the kept tableau and forms the
+certificate (_certified). A region's injection LPs share a start and keep z, so they form
+neither; free ones skip phase 2 after the first, and so take one product (see
+minimal_injection). LPs that share one polyhedron across many objectives
 (the invariance checks) keep the primal form: _vertex starts from _phase1's basis, from
 _anchored's slack basis at a point known to lie on the polyhedron (no phase 1), or from the
 optimal basis that an earlier _vertex call over the same polyhedron hands back. One phase-1
@@ -318,8 +320,10 @@ def _basic_point(start: _DualStart, b: np.ndarray, basis: list[int]) -> np.ndarr
     return start.inverse[1] @ b[rows]
 
 
-def _dual_phase2(start: _DualStart, b: np.ndarray) -> LPSolution:
-    """Optimise start's dual max b.y for b; the final (T, basis) is kept as start.last.
+def _dual_phase2(start: _DualStart, b: np.ndarray) -> np.ndarray:
+    """Optimise start's dual max b.y for b; returns the optimal basis's point z (_basic_point)
+    and keeps the final (T, basis) as start.last. It forms no certificate: _certified does,
+    for lp_solve alone.
 
     It first runs from start.last, if any (dual feasible, as only b changed), and keeps that
     basis only if it is strictly complementary: n rows, every basic y and nonbasic reduced
@@ -327,26 +331,35 @@ def _dual_phase2(start: _DualStart, b: np.ndarray) -> LPSolution:
     unique optimal one; otherwise, or where the warm run overflows (a FloatingPointError under
     np.errstate(over="raise")), phase 2 reruns from start's phase-1 tableau.
     """
-    A, c, unit = start.A, start.c, start.unit
     if start.T is None:     # an infeasible dual is told apart by a phase 1 of the primal
-        _phase1(A, b)
+        _phase1(start.A, b)
         raise UnboundedError("objective unbounded below on the feasible set")
     for T0, basis in ([start.last] if start.last else []) + [(start.T, start.basis)]:
         T, basis, cold = T0.copy(), list(basis), T0 is start.T
         try:
             if _simplex(T, basis, -b) == "unbounded" and cold:  # a warm run then fails the gate
                 raise InfeasibleError("dual objective unbounded: A z >= b has no solution")
-            if cold or (len(basis) == c.size and T[:, -1].min(initial=np.inf) > _SIMPLEX_EPS and
-                        np.delete(b[basis] @ T[:, :-1] - b, basis).min(initial=np.inf) >
-                        _SIMPLEX_EPS):
+            if cold:
                 break
+            if len(basis) == start.c.size and T[:, -1].min(initial=np.inf) > _SIMPLEX_EPS:
+                reduced = b[basis] @ T[:, :-1] - b
+                reduced[basis] = np.inf         # the basic ones are zero: only nonbasic count
+                if reduced.min(initial=np.inf) > _SIMPLEX_EPS:
+                    break
         except FloatingPointError:
             if cold:
                 raise
     start.last = T, basis
+    return _basic_point(start, b, basis)
+
+
+def _certified(start: _DualStart, b: np.ndarray, z: np.ndarray) -> LPSolution:
+    """The LPSolution of _dual_phase2's answer z for b: its duals, read off start.last, and the
+    certificate residual."""
+    A, c = start.A, start.c
+    T, basis = start.last
     y = np.zeros(b.size)
-    y[basis] = unit * T[:, -1]
-    z = _basic_point(start, b, basis)
+    y[basis] = start.unit * T[:, -1]
     slack = A @ z - b
     objective = float(c @ z)
     cs = float(max(abs(objective - b @ y), np.max(np.abs(y * slack), initial=0.0),
@@ -364,7 +377,8 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     modes. The returned solution carries the certificate residual, which stays
     below OPT_TOL on well-scaled inputs.
     """
-    return _dual_phase2(_DualStart(lp.A, lp.c), lp.b)
+    start = _DualStart(lp.A, lp.c)
+    return _certified(start, lp.b, _dual_phase2(start, lp.b))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,20 @@ def test_value_objects_hold_read_only_copies(name):
     assert all(getattr(again, field) is getattr(obj, field) for field in caller)
 
 
+def test_drift_is_derived_once_and_read_only():
+    # r is kept with the network, which cannot go stale as its arrays are read-only; a model
+    # built from it shares it, and a network with new holdings derives its own
+    net = fixtures.two_bank()
+    r = net.r
+    assert net.r is r and ShiftedModel.from_network(net).r is r
+    with pytest.raises(ValueError, match="read-only"):
+        r[0] = 0.0
+    D = 2.0 * net.D
+    moved = replace(net, D=D)
+    assert moved.r.tobytes() == ((net.C - np.eye(net.n)) @ net.threshold + D @ net.p).tobytes()
+    assert not np.array_equal(moved.r, r) and net.r is r
+
+
 def test_lists_and_views_are_copied_once_frozen():
     net = fixtures.two_bank()
     view = net.C[:, :]      # read-only, but it does not own its data

@@ -1091,6 +1091,40 @@ def counted(monkeypatch, owner, name, log):
     monkeypatch.setattr(owner, name, wrapper)
 
 
+@pytest.mark.parametrize("label", ["complete10", "gap6"])
+def test_drive_steps_are_the_models_step_bit_for_bit(label):
+    # the drive steps with the drift r0 + D p and builds no network or model per step; each
+    # state is still the step of the model of replace(net, D=D), bit for bit. The gap6 drives
+    # stop at the cap, so their partial plans are checked
+    if label == "complete10":
+        net, x0 = fixtures.complete10(), fixtures.SAMPLE_STATE10
+    else:
+        net = fixtures.random_gap_network(np.random.default_rng(3), 6)
+        x0 = np.linalg.solve(np.eye(net.n) - net.C, net.r) - 1.0
+    for mode in ("verbatim", "clamped"):
+        try:
+            plan = drive_to_invariant(net, x0, mode=mode, max_iterations=12)
+        except IterationCapReached as e:
+            plan = e.plan
+        assert plan.iterations >= 3
+        x = plan.initial_x
+        for step in plan.steps:
+            assert step.x.tobytes() == ShiftedModel.from_network(
+                replace(net, D=step.D)).step(x).tobytes()
+            x = step.x
+
+
+def test_a_drift_past_float_range_is_refused_as_by_the_model(monkeypatch):
+    # holdings whose income D p overflows give a non-finite drift r0 + D p: the drive refuses
+    # it with ShiftedModel's error, and steps no state to inf
+    net = fixtures.complete10()
+    monkeypatch.setattr(intervene, "asset_reallocation", lambda prob: (
+        np.full(net.D.shape, 1e308), intervene.ReallocationSolution(0.0, 1, 0.0)))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^model data C, r or beta contains non-finite entries$"):
+        drive_to_invariant(net, benchmark_start(net))
+
+
 def test_drives_of_one_network_build_its_reallocation_rows_once(monkeypatch):
     # G, the rows and the fill order are kept beside M+; a direct call on the network reuses them
     builds = []
@@ -1183,7 +1217,8 @@ def test_work_counts_of_the_benchmark_tasks(monkeypatch):
     lapack = []
     for name in ("inv", "solve", "lstsq"):
         counted(monkeypatch, np.linalg, name, lapack)
-    counts = {}
+    counts, solutions = {}, []
+    counted(monkeypatch, numerics, "LPSolution", solutions)
     for nonnegative in (False, True):
         counts[nonnegative] = []
         for x in states:
@@ -1192,6 +1227,10 @@ def test_work_counts_of_the_benchmark_tasks(monkeypatch):
             counts[nonnegative].append(len(lapack) - before)
     assert counts[False] == [1] + [0] * (len(states) - 1)
     assert max(counts[True]) == 1
+    # no injection forms lp_solve's certificate, which is formed only with an LPSolution
+    assert solutions == []
+    assert lp_solve(injection_lp(region, states[0], True)).cs_residual <= numerics.OPT_TOL
+    assert solutions == ["LPSolution"]
     G_builds, newton = [], []
     counted(monkeypatch, intervene, "solve_linear", G_builds)
     project = intervene.project_polyhedron

@@ -284,7 +284,7 @@ def test_warm_phase2_matches_highs_on_scaled_rows():
                     with pytest.raises(InfeasibleError if ref.status == 2 else UnboundedError):
                         numerics._dual_phase2(start, b)
                     continue
-                sol = numerics._dual_phase2(start, b)
+                sol = numerics._certified(start, b, numerics._dual_phase2(start, b))
             assert abs(sol.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
             assert sol.cs_residual <= OPT_TOL
             warm += had_last and simplex.call_count == 1     # the warm answer was kept
